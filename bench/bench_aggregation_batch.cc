@@ -1,23 +1,19 @@
 // bench_aggregation_batch: measures the batched report-aggregation
-// hot path (FrequencyProtocol::AccumulateSupportsBatch) against the
-// per-report AccumulateSupports loop it replaces, on MGA-crafted
-// reports — the report-heavy malicious stream every poisoning trial
-// accumulates.  Three paths per protocol: the per-report loop, the
-// span-mode compat shim (AoS vector wrapped in a ReportBatch view),
-// and the builder-mode SoA batch the generation pipeline now produces
-// everywhere.
+// hot path (FrequencyProtocol::AccumulateSupportsBatch) on
+// MGA-crafted reports — the report-heavy malicious stream every
+// poisoning trial accumulates — in the builder-mode SoA batch the
+// generation pipeline produces everywhere.
 //
 // Usage:
 //   bench_aggregation_batch [--d N] [--epsilon E] [--targets R]
 //       [--reports N] [--reps K] [--protocol GRR|OUE|OLH|SUE|BLH]
 //
 // --reports 0 (default) picks a per-protocol count sized for a few
-// hundred milliseconds per measurement.  Each path gets one untimed
-// warmup pass (first-touch paging, frequency ramp) and then exactly
-// --reps timed back-to-back passes; min and median of those rates
-// are printed ("users/s": reports accumulated per second, the
-// scaling scenarios' throughput unit).  Byte-identical support
-// counts across all three paths are verified before any timing.
+// hundred milliseconds per measurement.  Each protocol gets one
+// untimed warmup pass (first-touch paging, frequency ramp) and then
+// exactly --reps timed back-to-back passes; min and median of those
+// rates are printed ("users/s": reports accumulated per second, the
+// scaling scenarios' throughput unit).
 
 #include <algorithm>
 #include <chrono>
@@ -48,8 +44,6 @@ struct RateStats {
 
 // One untimed warmup pass, then exactly `reps` timed back-to-back
 // passes of `run`; returns min and median of the per-pass rates.
-// Back-to-back repetition (instead of interleaving the paths) keeps
-// each measurement in its own steady state.
 template <typename Fn>
 RateStats MeasureRates(int reps, size_t n, Fn&& run) {
   run();  // warmup
@@ -127,7 +121,7 @@ int Run(int argc, char** argv) {
     filter_kind = *parsed;
   }
 
-  std::printf("aggregation batch-vs-per-report, d=%lld eps=%g r=%lld "
+  std::printf("batched aggregation, d=%lld eps=%g r=%lld "
               "(MGA-crafted reports)\n",
               static_cast<long long>(*d), *epsilon,
               static_cast<long long>(*targets));
@@ -143,50 +137,17 @@ int Run(int argc, char** argv) {
     Rng rng(kCraftSeed);
     const MgaAttack mga(MgaAttack::SampleTargets(
         static_cast<size_t>(*d), static_cast<size_t>(*targets), rng));
-    const std::vector<Report> reports = mga.Craft(*proto, n, rng);
-
-    // Correctness first: both paths must agree byte for byte.
-    std::vector<double> per_report_counts(proto->domain_size(), 0.0);
-    for (const Report& r : reports)
-      proto->AccumulateSupports(r, per_report_counts);
-    std::vector<double> batched_counts(proto->domain_size(), 0.0);
-    proto->AccumulateSupportsBatch(ReportBatch(reports), batched_counts);
-    if (per_report_counts != batched_counts) {
-      std::fprintf(stderr, "error: %s batched counts differ from per-report\n",
-                   proto->Name().c_str());
-      return 1;
-    }
-
-    // A builder-mode (SoA) copy of the same reports: the shape the
-    // generation pipeline (CraftBatch, AppendGenuineReports, the
-    // DetectionFilter flush buffers) hands the batch path — no
-    // per-report AoS stride in the loop at all.
-    ReportBatch soa;
-    soa.Reserve(n, reports.empty() ? 0 : reports[0].bits.size());
-    for (const Report& r : reports) soa.Append(r);
+    ReportBatch batch;
+    ReportBatch::Builder builder(batch);
+    mga.CraftBatch(*proto, n, rng, builder);
 
     std::vector<double> scratch(proto->domain_size());
-    const RateStats per_report = MeasureRates(*reps, n, [&] {
-      std::fill(scratch.begin(), scratch.end(), 0.0);
-      for (const Report& r : reports) proto->AccumulateSupports(r, scratch);
-    });
-    // The span compat shim: AoS vector wrapped in a ReportBatch view,
-    // classified and accumulated through per-row gather tiles.
-    const RateStats span = MeasureRates(*reps, n, [&] {
-      std::fill(scratch.begin(), scratch.end(), 0.0);
-      proto->AccumulateSupportsBatch(ReportBatch(reports), scratch);
-    });
     const RateStats batched = MeasureRates(*reps, n, [&] {
       std::fill(scratch.begin(), scratch.end(), 0.0);
-      proto->AccumulateSupportsBatch(soa, scratch);
+      proto->AccumulateSupportsBatch(batch, scratch);
     });
-    std::printf("%-4s reports=%-8zu per-report min %11.0f med %11.0f   "
-                "batched(span) min %11.0f med %11.0f (%.2fx)   "
-                "batched(SoA) min %11.0f med %11.0f (%.2fx)\n",
-                proto->Name().c_str(), n, per_report.min, per_report.median,
-                span.min, span.median, span.median / per_report.median,
-                batched.min, batched.median,
-                batched.median / per_report.median);
+    std::printf("%-4s reports=%-8zu batched min %11.0f med %11.0f\n",
+                proto->Name().c_str(), n, batched.min, batched.median);
   }
   return 0;
 }

@@ -1,7 +1,8 @@
 // Engineering micro-benchmarks (google-benchmark): protocol perturb /
 // aggregate throughput, closed-form vs exact aggregation sampling,
 // and the recovery solve itself.  Not a paper figure; quantifies the
-// fast-path ablation DESIGN.md section 5 calls out.
+// fast-path trade-off of docs/architecture.md ("Closed-form
+// approximations").
 
 #include <benchmark/benchmark.h>
 
@@ -28,34 +29,45 @@ constexpr uint64_t kExactAggSeed = 4;
 constexpr uint64_t kProjectionSeed = 5;
 constexpr uint64_t kRecoverSeed = 6;
 
-void BM_Perturb(benchmark::State& state) {
+// Reports per generated / accumulated batch: one flush buffer.
+constexpr uint64_t kBatchReports = kBatchFlushReports;
+
+void BM_AppendGenuineReports(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(1));
   const auto proto = Proto(static_cast<int>(state.range(0)), d);
   Rng rng(kPerturbSeed);
+  ReportBatch batch;
   ItemId item = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto->Perturb(item, rng));
+    batch.Clear();
+    ReportBatch::Builder builder(batch);
+    proto->AppendGenuineReports(item, kBatchReports, rng, builder);
+    benchmark::DoNotOptimize(batch.values());
+    benchmark::ClobberMemory();
     item = (item + 1) % d;
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kBatchReports);
 }
-BENCHMARK(BM_Perturb)
+BENCHMARK(BM_AppendGenuineReports)
     ->ArgsProduct({{0, 1, 2}, {102, 490}})
     ->ArgNames({"protocol", "d"});
 
-void BM_AccumulateSupports(benchmark::State& state) {
+void BM_AccumulateSupportsBatch(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(1));
   const auto proto = Proto(static_cast<int>(state.range(0)), d);
   Rng rng(kAccumulateSeed);
-  const Report report = proto->Perturb(0, rng);
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  proto->AppendGenuineReports(0, kBatchReports, rng, builder);
   std::vector<double> counts(d, 0.0);
   for (auto _ : state) {
-    proto->AccumulateSupports(report, counts);
+    proto->AccumulateSupportsBatch(batch, counts);
     benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kBatchReports);
 }
-BENCHMARK(BM_AccumulateSupports)
+BENCHMARK(BM_AccumulateSupportsBatch)
     ->ArgsProduct({{0, 1, 2}, {102, 490}})
     ->ArgNames({"protocol", "d"});
 

@@ -186,7 +186,7 @@ int Run(int argc, char** argv) {
   if (*threads > 0) {
     // The pool is created lazily at first parallel work, so routing
     // the flag through LDPR_THREADS reaches every "0 = auto" caller.
-    // 0 keeps the auto default (ldprecover_cli's convention).
+    // 0 keeps the auto default (the `ldpr` CLI's convention).
     setenv("LDPR_THREADS", std::to_string(*threads).c_str(), 1);
   }
 

@@ -1,4 +1,5 @@
-// Ablation scenario (DESIGN.md section 5): which parts of LDPRecover
+// Ablation scenario (docs/architecture.md, "Closed-form
+// approximations"): which parts of LDPRecover
 // do the work?  Compares, under MGA and AA on IPUMS:
 //
 //   Before        the raw poisoned estimate;

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ldp/factory.h"
@@ -45,15 +44,12 @@ TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
   pconfig.beta = beta;
   const size_t m = MaliciousUserCount(pconfig.beta, dataset.num_users());
 
-  std::vector<Report> reports;
-  reports.reserve(dataset.num_users() + m);
-  for (ItemId item = 0; item < dataset.domain_size(); ++item) {
-    for (uint64_t u = 0; u < dataset.item_counts[item]; ++u)
-      reports.push_back(protocol.Perturb(item, rng));
-  }
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  builder.Reserve(dataset.num_users() + m);
+  protocol.SampleReportsBatch(dataset.item_counts, rng, builder);
   const auto attack = MakeAttack(pconfig, dataset.domain_size(), rng);
-  auto crafted = attack->Craft(protocol, m, rng);
-  std::move(crafted.begin(), crafted.end(), std::back_inserter(reports));
+  attack->CraftBatch(protocol, m, rng, builder);
 
   TrialRow row;
   Aggregator all(protocol);

@@ -72,8 +72,10 @@ int main() {
   const size_t m = MaliciousUserCount(0.05, week.num_users());
 
   auto counts = oue.SampleSupportCounts(week.item_counts, rng);
-  for (const Report& r : attack.Craft(oue, m, rng))
-    oue.AccumulateSupports(r, counts);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(oue, m, rng, builder);
+  oue.AccumulateSupportsBatch(crafted, counts);
   const auto poisoned =
       oue.EstimateFrequencies(counts, week.num_users() + m);
 

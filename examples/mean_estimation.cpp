@@ -29,21 +29,24 @@ int main() {
   // 100k genuine users with ratings centred at -0.2 (on [-1, 1]).
   const size_t n = 100000;
   const double true_mean = -0.2;
-  Aggregator all(rr);
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
   for (size_t i = 0; i < n; ++i) {
     // Individual values jitter around the mean; Harmony only needs
     // them in [-1, 1].
     const double value =
         std::fmax(-1.0, std::fmin(1.0, true_mean + (rng.UniformDouble() - 0.5)));
-    all.Add(harmony.Perturb(value, rng));
+    harmony.Perturb(value, rng, builder);
   }
 
   // 8k malicious users inject raw "+1" reports (bypassing
   // perturbation) to drag the average up.
   const size_t m = 8000;
   for (size_t i = 0; i < m; ++i)
-    all.Add(rr.CraftSupportingReport(Harmony::kPlusOne, rng));
+    rr.AppendCraftedReport(Harmony::kPlusOne, rng, builder);
 
+  Aggregator all(rr);
+  all.AddAll(reports);
   const std::vector<double> poisoned_freqs = all.EstimateFrequencies();
   const double poisoned_mean = Harmony::MeanFromFrequencies(poisoned_freqs);
 

@@ -37,8 +37,10 @@ int main(int argc, char** argv) {
       grr.SampleSupportCounts(population.item_counts, rng);
   const MgaAttack attack({7});
   const size_t m = 2500;
-  for (const Report& r : attack.Craft(grr, m, rng))
-    grr.AccumulateSupports(r, counts);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(grr, m, rng, builder);
+  grr.AccumulateSupportsBatch(crafted, counts);
 
   // 3. The server's poisoned estimate.
   const size_t total_users = population.num_users() + m;

@@ -39,8 +39,10 @@ int main() {
   auto counts = olh.SampleSupportCounts(clients.item_counts, rng);
   const auto genuine =
       olh.EstimateFrequencies(counts, clients.num_users());
-  for (const Report& r : attack.Craft(olh, m, rng))
-    olh.AccumulateSupports(r, counts);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(olh, m, rng, builder);
+  olh.AccumulateSupportsBatch(crafted, counts);
   const auto poisoned =
       olh.EstimateFrequencies(counts, clients.num_users() + m);
 

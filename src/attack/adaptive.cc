@@ -9,8 +9,8 @@ AdaptiveAttack::AdaptiveAttack(std::vector<double> distribution)
   LDPR_CHECK(!distribution_->empty());
 }
 
-std::vector<Report> AdaptiveAttack::Craft(const FrequencyProtocol& protocol,
-                                          size_t m, Rng& rng) const {
+void AdaptiveAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
+                                Rng& rng, ReportBatch::Builder& out) const {
   const size_t d = protocol.domain_size();
   std::vector<double> p;
   if (distribution_.has_value()) {
@@ -20,14 +20,10 @@ std::vector<Report> AdaptiveAttack::Craft(const FrequencyProtocol& protocol,
     p = SampleRandomDistribution(d, rng);
   }
   const AliasSampler sampler(p);
-
-  std::vector<Report> reports;
-  reports.reserve(m);
   for (size_t i = 0; i < m; ++i) {
     const ItemId v = static_cast<ItemId>(sampler.Sample(rng));
-    reports.push_back(protocol.CraftSupportingReport(v, rng));
+    protocol.AppendCraftedReport(v, rng, out);
   }
-  return reports;
 }
 
 }  // namespace ldpr

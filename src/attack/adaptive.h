@@ -22,7 +22,7 @@ namespace ldpr {
 class AdaptiveAttack final : public Attack {
  public:
   /// Random-P variant: a fresh attacker-designed distribution is
-  /// drawn for every Craft() call (i.e. per trial), matching the
+  /// drawn for every CraftBatch() call (i.e. per trial), matching the
   /// paper's "randomly generate the attacker-designed distribution".
   AdaptiveAttack() = default;
 
@@ -32,8 +32,10 @@ class AdaptiveAttack final : public Attack {
 
   std::string Name() const override { return "AA"; }
 
-  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
-                            Rng& rng) const override;
+  /// Draws P (random-P variant), then per report one item from P and
+  /// the protocol's AppendCraftedReport for it.
+  void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
+                  ReportBatch::Builder& out) const override;
 
   /// The fixed distribution, if any.
   const std::optional<std::vector<double>>& distribution() const {

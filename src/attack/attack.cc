@@ -2,9 +2,14 @@
 
 namespace ldpr {
 
-void Attack::CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
-                        ReportBatch::Builder& out) const {
-  for (const Report& report : Craft(protocol, m, rng)) out.Add(report);
+std::vector<Report> Attack::Craft(const FrequencyProtocol& protocol, size_t m,
+                                  Rng& rng) const {
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  CraftBatch(protocol, m, rng, builder);
+  std::vector<Report> reports(batch.size());
+  for (size_t i = 0; i < reports.size(); ++i) batch.ExtractReport(i, reports[i]);
+  return reports;
 }
 
 }  // namespace ldpr

@@ -26,19 +26,18 @@ class Attack {
 
   virtual std::string Name() const = 0;
 
-  /// Crafts the reports of `m` malicious users against `protocol`.
-  virtual std::vector<Report> Craft(const FrequencyProtocol& protocol,
-                                    size_t m, Rng& rng) const = 0;
-
-  /// Crafts the same m reports straight into a builder-mode
-  /// ReportBatch (SoA seeds/values/packed bit rows) — the malicious
-  /// half of the batched trial pipeline.  Overrides must draw exactly
-  /// the same randomness, in the same order, as Craft, so the two
-  /// paths produce bit-identical reports AND leave the Rng in the
-  /// same state (locked in by tests/report_gen_batch_test.cc).  The
-  /// default materializes via Craft and appends.
+  /// Crafts the reports of `m` malicious users against `protocol`
+  /// straight into a builder-mode ReportBatch (SoA seeds/values/packed
+  /// bit rows).  tests/report_gen_batch_test.cc checks every attack's
+  /// reports and Rng draws against the per-report oracle in
+  /// tests/report_oracle.h.
   virtual void CraftBatch(const FrequencyProtocol& protocol, size_t m,
-                          Rng& rng, ReportBatch::Builder& out) const;
+                          Rng& rng, ReportBatch::Builder& out) const = 0;
+
+  /// CraftBatch, unpacked into materialized Reports.  An adapter for
+  /// the AoS fig9 replay in perf/src/replay.cc; delete with it.
+  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
+                            Rng& rng) const;
 
   /// Target items of a targeted attack; empty for untargeted attacks.
   virtual std::vector<ItemId> targets() const { return {}; }

@@ -13,19 +13,6 @@ InputPoisoningAttack::InputPoisoningAttack(
   LDPR_CHECK(!input_distribution_.empty());
 }
 
-std::vector<Report> InputPoisoningAttack::Craft(
-    const FrequencyProtocol& protocol, size_t m, Rng& rng) const {
-  LDPR_CHECK(input_distribution_.size() == protocol.domain_size());
-  const AliasSampler sampler(input_distribution_);
-  std::vector<Report> reports;
-  reports.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    const ItemId v = static_cast<ItemId>(sampler.Sample(rng));
-    reports.push_back(protocol.Perturb(v, rng));  // honest perturbation
-  }
-  return reports;
-}
-
 void InputPoisoningAttack::CraftBatch(const FrequencyProtocol& protocol,
                                       size_t m, Rng& rng,
                                       ReportBatch::Builder& out) const {

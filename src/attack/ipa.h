@@ -33,12 +33,8 @@ class InputPoisoningAttack final : public Attack {
   std::vector<ItemId> targets() const override { return targets_; }
 
   /// Samples an input item per malicious user and perturbs it with
-  /// the protocol's genuine perturbation algorithm.
-  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
-                            Rng& rng) const override;
-
-  /// SoA crafting via the protocol's batched genuine generation
-  /// (same draws: one alias sample + one perturbation per report).
+  /// the protocol's genuine perturbation algorithm (one alias sample,
+  /// then one AppendGenuineReports draw, per user).
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
                   ReportBatch::Builder& out) const override;
 

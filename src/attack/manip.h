@@ -26,13 +26,9 @@ class ManipAttack final : public Attack {
 
   std::string Name() const override { return "Manip"; }
 
-  /// Samples H once per call, then m uniform values from H, crafting
-  /// a maximally-supporting encoded report for each.
-  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
-                            Rng& rng) const override;
-
-  /// SoA crafting via the protocol's AppendCraftedReport (same
-  /// draws).
+  /// Samples H once per call, then m uniform values from H, appending
+  /// a maximally-supporting crafted report (AppendCraftedReport) for
+  /// each.
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
                   ReportBatch::Builder& out) const override;
 

@@ -19,62 +19,6 @@ std::vector<ItemId> MgaAttack::SampleTargets(size_t d, size_t r, Rng& rng) {
   return SampleWithoutReplacement(d, r, rng);
 }
 
-Report MgaAttack::CraftOue(const FrequencyProtocol& protocol,
-                           Rng& rng) const {
-  const auto& oue = static_cast<const UnaryEncoding&>(protocol);
-  const size_t d = oue.domain_size();
-  Report r;
-  r.bits.assign(d, 0);
-  size_t ones = 0;
-  for (ItemId t : targets_) {
-    LDPR_CHECK(t < d);
-    if (!r.bits[t]) {
-      r.bits[t] = 1;
-      ++ones;
-    }
-  }
-  if (options_.pad_oue) {
-    // Bring the 1-count up to the expected count of a genuine report
-    // so the crafted vectors pass a naive 1-count anomaly check.
-    const size_t expected =
-        static_cast<size_t>(std::llround(oue.ExpectedOnes()));
-    size_t guard = 0;
-    while (ones < expected && guard < 16 * d) {
-      const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
-      ++guard;
-      if (!r.bits[v]) {
-        r.bits[v] = 1;
-        ++ones;
-      }
-    }
-  }
-  return r;
-}
-
-Report MgaAttack::CraftOlh(const FrequencyProtocol& protocol,
-                           Rng& rng) const {
-  const auto& olh = static_cast<const OlhBase&>(protocol);
-  const uint32_t g = olh.g();
-  Report best;
-  size_t best_hits = 0;
-  std::vector<uint32_t> bucket_hits(g);
-  for (size_t attempt = 0; attempt < options_.olh_seed_tries; ++attempt) {
-    const uint64_t seed = rng.Next();
-    std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
-    for (ItemId t : targets_) ++bucket_hits[olh.Hash(seed, t)];
-    const auto it = std::max_element(bucket_hits.begin(), bucket_hits.end());
-    const size_t hits = *it;
-    if (hits > best_hits) {
-      best_hits = hits;
-      best.seed = seed;
-      best.value = static_cast<uint32_t>(it - bucket_hits.begin());
-      if (best_hits == targets_.size()) break;  // cannot do better
-    }
-  }
-  LDPR_CHECK(best_hits >= 1);
-  return best;
-}
-
 void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
                            Rng& rng, ReportBatch::Builder& out) const {
   switch (protocol.kind()) {
@@ -95,9 +39,7 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
       const size_t expected =
           static_cast<size_t>(std::llround(oue.ExpectedOnes()));
       for (size_t i = 0; i < m; ++i) {
-        // Same bit writes and pad draws as CraftOue, into the packed
-        // row (AddBitsRow returns it zeroed).
-        uint8_t* row = out.AddBitsRow();
+        uint8_t* row = out.AddBitsRow();  // zeroed
         size_t ones = 0;
         for (ItemId t : targets_) {
           LDPR_CHECK(t < d);
@@ -107,6 +49,9 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
           }
         }
         if (options_.pad_oue) {
+          // Bring the 1-count up to the expected count of a genuine
+          // report so the crafted vectors pass a naive 1-count
+          // anomaly check.
           size_t guard = 0;
           while (ones < expected && guard < 16 * d) {
             const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
@@ -161,29 +106,6 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
       break;
     }
   }
-}
-
-std::vector<Report> MgaAttack::Craft(const FrequencyProtocol& protocol,
-                                     size_t m, Rng& rng) const {
-  std::vector<Report> reports;
-  reports.reserve(m);
-  switch (protocol.kind()) {
-    case ProtocolKind::kGrr:
-      for (size_t i = 0; i < m; ++i) {
-        const ItemId t = targets_[rng.UniformU64(targets_.size())];
-        reports.push_back(protocol.CraftSupportingReport(t, rng));
-      }
-      break;
-    case ProtocolKind::kOue:
-    case ProtocolKind::kSue:
-      for (size_t i = 0; i < m; ++i) reports.push_back(CraftOue(protocol, rng));
-      break;
-    case ProtocolKind::kOlh:
-    case ProtocolKind::kBlh:
-      for (size_t i = 0; i < m; ++i) reports.push_back(CraftOlh(protocol, rng));
-      break;
-  }
-  return reports;
 }
 
 }  // namespace ldpr

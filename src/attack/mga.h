@@ -39,14 +39,12 @@ class MgaAttack final : public Attack {
   std::string Name() const override { return "MGA"; }
   std::vector<ItemId> targets() const override { return targets_; }
 
-  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
-                            Rng& rng) const override;
-
-  /// SoA crafting, bit-identical to Craft (same draws): OUE/SUE
-  /// target-and-pad bits write straight into packed rows; the OLH
-  /// seed search hoists the per-target xxHash half out of the
-  /// seed-try loop (util/hash_family.h) and emits (seed, bucket)
-  /// pairs.
+  /// GRR: one uniformly drawn target per report.  OUE/SUE: every
+  /// target bit set in the packed row, padded with random bits up to
+  /// the genuine 1-count when pad_oue.  OLH/BLH: the best of
+  /// olh_seed_tries random seeds, each target's item-only xxHash half
+  /// hoisted out of the seed-try loop (util/hash_family.h), emitted
+  /// as (seed, fullest bucket).
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
                   ReportBatch::Builder& out) const override;
 
@@ -55,9 +53,6 @@ class MgaAttack final : public Attack {
   static std::vector<ItemId> SampleTargets(size_t d, size_t r, Rng& rng);
 
  private:
-  Report CraftOue(const FrequencyProtocol& protocol, Rng& rng) const;
-  Report CraftOlh(const FrequencyProtocol& protocol, Rng& rng) const;
-
   std::vector<ItemId> targets_;
   MgaOptions options_;
 };

@@ -29,19 +29,13 @@ std::vector<ItemId> MultiAttacker::targets() const {
   return all;
 }
 
-std::vector<Report> MultiAttacker::Craft(const FrequencyProtocol& protocol,
-                                         size_t m, Rng& rng) const {
+void MultiAttacker::CraftBatch(const FrequencyProtocol& protocol, size_t m,
+                               Rng& rng, ReportBatch::Builder& out) const {
   // Assign each malicious user to an attacker uniformly at random.
   const std::vector<double> uniform(attackers_.size(), 1.0);
   const std::vector<uint64_t> shares = SampleMultinomial(m, uniform, rng);
-
-  std::vector<Report> all;
-  all.reserve(m);
-  for (size_t a = 0; a < attackers_.size(); ++a) {
-    std::vector<Report> part = attackers_[a]->Craft(protocol, shares[a], rng);
-    std::move(part.begin(), part.end(), std::back_inserter(all));
-  }
-  return all;
+  for (size_t a = 0; a < attackers_.size(); ++a)
+    attackers_[a]->CraftBatch(protocol, shares[a], rng, out);
 }
 
 std::unique_ptr<MultiAttacker> MakeMultiAdaptive(size_t k) {

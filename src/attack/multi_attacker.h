@@ -26,8 +26,10 @@ class MultiAttacker final : public Attack {
   /// Union of the component attacks' targets (deduplicated).
   std::vector<ItemId> targets() const override;
 
-  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
-                            Rng& rng) const override;
+  /// Draws each attacker's share of the m users (multinomially), then
+  /// appends each attacker's CraftBatch in attacker order.
+  void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
+                  ReportBatch::Builder& out) const override;
 
   size_t attacker_count() const { return attackers_.size(); }
 

@@ -12,12 +12,7 @@
 // subcommands; each subcommand validates the subset it uses and
 // rejects unknown flags via FlagParser::unused_flags().
 //
-// `tools/ldprecover_cli.cc` survives as a thin deprecation shim that
-// maps its legacy flag-only interface (--stream selects the mode)
-// onto `ldpr stream` / `ldpr run`.
-//
-// Exit codes: 0 success, 1 any error (bad flags, I/O, failed merge) —
-// the same contract the legacy binary had.
+// Exit codes: 0 success, 1 any error (bad flags, I/O, failed merge).
 
 #ifndef LDPR_CLI_CLI_H_
 #define LDPR_CLI_CLI_H_

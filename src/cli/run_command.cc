@@ -1,5 +1,4 @@
-// `ldpr run`: the batch poisoning + recovery pipeline (the legacy
-// ldprecover_cli default mode).
+// `ldpr run`: the batch poisoning + recovery pipeline.
 //
 // Examples:
 //   # Paper defaults against MGA on the IPUMS stand-in:

@@ -1,5 +1,6 @@
 // Synthetic dataset generators, including the documented stand-ins
-// for the paper's two real-world datasets (see DESIGN.md section 4):
+// for the paper's two real-world datasets (see docs/architecture.md,
+// "Synthetic datasets"):
 //
 //   IPUMS  — U.S. census "city" attribute, d = 102, n = 389,894;
 //   Fire   — SF fire-department "unit ID" under Alarms, d = 490,

@@ -19,8 +19,10 @@ KvReport KvProtocol::Perturb(const KvPair& pair, Rng& rng) const {
   LDPR_CHECK(pair.key < d_);
   LDPR_CHECK(pair.value >= -1.0 && pair.value <= 1.0);
   KvReport out;
-  const Report key_report = key_grr_.Perturb(pair.key, rng);
-  out.key = key_report.value;
+  ReportBatch key_report;
+  ReportBatch::Builder builder(key_report);
+  key_grr_.AppendGenuineReports(pair.key, 1, rng, builder);
+  out.key = key_report.values()[0];
   if (out.key == pair.key) {
     // True key survived: discretize the value and perturb its sign.
     const bool plus = rng.Bernoulli((1.0 + pair.value) / 2.0);

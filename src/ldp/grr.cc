@@ -1,6 +1,5 @@
 #include "ldp/grr.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -15,30 +14,6 @@ Grr::Grr(size_t d, double epsilon) : FrequencyProtocol(d, epsilon) {
   q_ = 1.0 / denom;
 }
 
-Report Grr::Perturb(ItemId item, Rng& rng) const {
-  LDPR_CHECK(item < d_);
-  Report r;
-  if (rng.Bernoulli(p_)) {
-    r.value = item;
-  } else {
-    // Uniform over the d-1 items other than `item`.
-    uint64_t draw = rng.UniformU64(d_ - 1);
-    if (draw >= item) ++draw;
-    r.value = static_cast<uint32_t>(draw);
-  }
-  return r;
-}
-
-bool Grr::Supports(const Report& report, ItemId item) const {
-  return report.value == item;
-}
-
-void Grr::AccumulateSupports(const Report& report,
-                             std::vector<double>& counts) const {
-  LDPR_CHECK(report.value < counts.size());
-  counts[report.value] += 1.0;
-}
-
 void Grr::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                                ReportBatch::Builder& out) const {
   LDPR_CHECK(item < d_);
@@ -47,8 +22,7 @@ void Grr::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
     if (rng.Bernoulli(p_)) {
       out.AddValue(item);
     } else {
-      // Uniform over the d-1 items other than `item` — the same draw
-      // and skip adjustment as Perturb.
+      // Uniform over the d-1 items other than `item`.
       uint64_t draw = rng.UniformU64(d_ - 1);
       if (draw >= item) ++draw;
       out.AddValue(static_cast<uint32_t>(draw));
@@ -67,22 +41,13 @@ void Grr::AccumulateSupportsBatch(const ReportBatch& batch,
                                   std::vector<double>& counts) const {
   LDPR_CHECK(counts.size() == d_);
   const size_t n = batch.size();
+  const uint32_t* values = batch.values();
   if (n < d_ / 4) {
     // Sparse batch: the O(d) histogram merge would dominate.
-    if (batch.has_span()) {
-      const Report* reports = batch.span();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t v = reports[i].value;
-        LDPR_CHECK(v < d_);
-        counts[v] += 1.0;
-      }
-    } else {
-      const uint32_t* values = batch.values();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t v = values[i];
-        LDPR_CHECK(v < d_);
-        counts[v] += 1.0;
-      }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t v = values[i];
+      LDPR_CHECK(v < d_);
+      counts[v] += 1.0;
     }
     return;
   }
@@ -90,20 +55,7 @@ void Grr::AccumulateSupportsBatch(const ReportBatch& batch,
   // histogram kernel), add each bucket once.  n consecutive +1.0's
   // and one +n are the same exact double.
   std::vector<uint64_t> hist(d_, 0);
-  if (batch.has_span()) {
-    // Gather value tiles off the 40-byte Report stride, then run the
-    // kernel on each contiguous tile.
-    constexpr size_t kValueTile = 8192;
-    uint32_t tile[kValueTile];
-    const Report* reports = batch.span();
-    for (size_t i0 = 0; i0 < n; i0 += kValueTile) {
-      const size_t tn = std::min(n - i0, kValueTile);
-      for (size_t i = 0; i < tn; ++i) tile[i] = reports[i0 + i].value;
-      SimdValueHistogramAdd(tile, tn, d_, hist.data());
-    }
-  } else {
-    SimdValueHistogramAdd(batch.values(), n, d_, hist.data());
-  }
+  SimdValueHistogramAdd(values, n, d_, hist.data());
   for (size_t v = 0; v < d_; ++v) {
     if (hist[v] != 0) counts[v] += static_cast<double>(hist[v]);
   }
@@ -139,14 +91,6 @@ std::vector<double> Grr::SampleSupportCounts(
     }
   }
   return counts;
-}
-
-Report Grr::CraftSupportingReport(ItemId item, Rng& rng) const {
-  (void)rng;
-  LDPR_CHECK(item < d_);
-  Report r;
-  r.value = item;
-  return r;
 }
 
 }  // namespace ldpr

@@ -23,26 +23,20 @@ class Grr final : public FrequencyProtocol {
   double p() const override { return p_; }
   double q() const override { return q_; }
 
-  Report Perturb(ItemId item, Rng& rng) const override;
-  bool Supports(const Report& report, ItemId item) const override;
-  void AccumulateSupports(const Report& report,
-                          std::vector<double>& counts) const override;
-
-  /// SoA generation: appends perturbed values straight into the
-  /// batch's values[] array — the same Bernoulli/uniform draws as
-  /// Perturb, without materializing a Report.
+  /// Appends perturbed values straight into the batch's values[]
+  /// array: the true item with probability p, otherwise one of the
+  /// d-1 other items uniformly.
   void AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                             ReportBatch::Builder& out) const override;
 
-  /// SoA crafting: the crafted GRR report is the item itself.
+  /// An attacker-crafted GRR report for `item` is simply the item
+  /// itself (malicious users bypass perturbation).
   void AppendCraftedReport(ItemId item, Rng& rng,
                            ReportBatch::Builder& out) const override;
 
-  /// Batched path: a report-heavy batch folds through an integer
-  /// value histogram (O(n + d), one virtual call for the whole batch,
-  /// bank-interleaved via util/simd.h); a sparse one adds values
-  /// directly.  Both orderings sum the same integers, so the result
-  /// is byte-identical to the per-report loop.
+  /// A report-heavy batch folds through an integer value histogram
+  /// (O(n + d), bank-interleaved via util/simd.h); a sparse one adds
+  /// values directly.  Both orderings sum the same integers.
   void AccumulateSupportsBatch(const ReportBatch& batch,
                                std::vector<double>& counts) const override;
 
@@ -62,10 +56,6 @@ class Grr final : public FrequencyProtocol {
   /// from a chunk, so no bespoke range override is needed.
   std::vector<double> SampleSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const override;
-
-  /// An attacker-crafted GRR report for `item` is simply the item
-  /// itself (malicious users bypass perturbation).
-  Report CraftSupportingReport(ItemId item, Rng& rng) const override;
 
  private:
   double p_;

@@ -12,15 +12,16 @@ ItemId Harmony::Discretize(double value, Rng& rng) const {
   return rng.Bernoulli((1.0 + value) / 2.0) ? kPlusOne : kMinusOne;
 }
 
-Report Harmony::Perturb(double value, Rng& rng) const {
-  return rr_.Perturb(Discretize(value, rng), rng);
+void Harmony::Perturb(double value, Rng& rng,
+                      ReportBatch::Builder& out) const {
+  rr_.AppendGenuineReports(Discretize(value, rng), 1, rng, out);
 }
 
-double Harmony::EstimateMean(const std::vector<Report>& reports) const {
+double Harmony::EstimateMean(const ReportBatch& reports) const {
   return EstimateMeanSharded(reports, /*shards=*/1);
 }
 
-double Harmony::EstimateMeanSharded(const std::vector<Report>& reports,
+double Harmony::EstimateMeanSharded(const ReportBatch& reports,
                                     size_t shards) const {
   LDPR_CHECK(!reports.empty());
   Aggregator agg(rr_);

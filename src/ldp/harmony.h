@@ -33,20 +33,20 @@ class Harmony {
   /// this protocol directly.
   const Grr& protocol() const { return rr_; }
 
-  /// Client side: discretizes `value` in [-1, 1] and perturbs.
-  Report Perturb(double value, Rng& rng) const;
+  /// Client side: discretizes `value` in [-1, 1], perturbs, and
+  /// appends the report to `out`.
+  void Perturb(double value, Rng& rng, ReportBatch::Builder& out) const;
 
   /// Discretization alone (for tests): +1 item with prob (1+value)/2.
   ItemId Discretize(double value, Rng& rng) const;
 
   /// Server side: estimated mean from the reports.
-  double EstimateMean(const std::vector<Report>& reports) const;
+  double EstimateMean(const ReportBatch& reports) const;
 
   /// Same estimate, with support aggregation sharded across `shards`
   /// pool workers (0 = auto).  Byte-identical to EstimateMean at any
   /// shard count (see Aggregator::AddAllSharded).
-  double EstimateMeanSharded(const std::vector<Report>& reports,
-                             size_t shards) const;
+  double EstimateMeanSharded(const ReportBatch& reports, size_t shards) const;
 
   /// Converts an estimated binary frequency vector
   /// [f(+1), f(-1)] into a mean estimate: 2*f(+1) - 1.

@@ -1,6 +1,5 @@
 #include "ldp/olh.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -16,36 +15,6 @@ OlhBase::OlhBase(size_t d, double epsilon, uint32_t g)
   q_ = 1.0 / static_cast<double>(g_);
 }
 
-Report OlhBase::Perturb(ItemId item, Rng& rng) const {
-  LDPR_CHECK(item < d_);
-  Report r;
-  r.seed = rng.Next();
-  const uint32_t hashed = Hash(r.seed, item);
-  // GRR over the g-sized hashed domain.
-  if (rng.Bernoulli(p_)) {
-    r.value = hashed;
-  } else {
-    uint64_t draw = rng.UniformU64(g_ - 1);
-    if (draw >= hashed) ++draw;
-    r.value = static_cast<uint32_t>(draw);
-  }
-  return r;
-}
-
-bool OlhBase::Supports(const Report& report, ItemId item) const {
-  LDPR_CHECK(item < d_);
-  return Hash(report.seed, item) == report.value;
-}
-
-void OlhBase::AccumulateSupports(const Report& report,
-                                 std::vector<double>& counts) const {
-  LDPR_CHECK(counts.size() == d_);
-  const SeededHash h(report.seed, g_);
-  for (ItemId v = 0; v < d_; ++v) {
-    if (h(v) == report.value) counts[v] += 1.0;
-  }
-}
-
 void OlhBase::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                                    ReportBatch::Builder& out) const {
   LDPR_CHECK(item < d_);
@@ -59,6 +28,7 @@ void OlhBase::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
     const uint32_t hashed = static_cast<uint32_t>(
         mod_(XxHash64Key8WithRound0(round0, XxHash64SeedAcc(seed))));
     uint32_t value;
+    // GRR over the g-sized hashed domain.
     if (rng.Bernoulli(p_)) {
       value = hashed;
     } else {
@@ -80,29 +50,8 @@ void OlhBase::AppendCraftedReport(ItemId item, Rng& rng,
 void OlhBase::AccumulateSupportsBatch(const ReportBatch& batch,
                                       std::vector<double>& counts) const {
   LDPR_CHECK(counts.size() == d_);
-  const size_t n = batch.size();
-  if (!batch.has_span()) {
-    SimdOlhSupportAdd(batch.seeds(), batch.values(), n, d_, g_,
-                      counts.data());
-    return;
-  }
-  // Span compat path: gather each report tile's seeds/values off the
-  // 40-byte Report stride into stack arrays, then run the same tile
-  // kernel.  The kernel's internal tile matches this gather tile, so
-  // the addition order is identical either way (and integer support
-  // sums make any order byte-identical regardless).
-  constexpr size_t kReportTile = 256;
-  uint64_t seeds[kReportTile];
-  uint32_t values[kReportTile];
-  const Report* span = batch.span();
-  for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
-    const size_t tn = std::min(n - i0, kReportTile);
-    for (size_t i = 0; i < tn; ++i) {
-      seeds[i] = span[i0 + i].seed;
-      values[i] = span[i0 + i].value;
-    }
-    SimdOlhSupportAdd(seeds, values, tn, d_, g_, counts.data());
-  }
+  SimdOlhSupportAdd(batch.seeds(), batch.values(), batch.size(), d_, g_,
+                    counts.data());
 }
 
 double OlhBase::CountVariance(double f, size_t n) const {
@@ -143,14 +92,6 @@ std::vector<double> OlhBase::SampleSupportCountsRange(
     counts[v] = static_cast<double>(from_own + from_rest);
   }
   return counts;
-}
-
-Report OlhBase::CraftSupportingReport(ItemId item, Rng& rng) const {
-  LDPR_CHECK(item < d_);
-  Report r;
-  r.seed = rng.Next();
-  r.value = Hash(r.seed, item);
-  return r;
 }
 
 namespace {

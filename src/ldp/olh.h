@@ -38,29 +38,25 @@ class OlhBase : public FrequencyProtocol {
     return SeededHash(seed, g_)(item);
   }
 
-  Report Perturb(ItemId item, Rng& rng) const override;
-  bool Supports(const Report& report, ItemId item) const override;
-  void AccumulateSupports(const Report& report,
-                          std::vector<double>& counts) const override;
-
-  /// SoA generation: appends (seed, value) pairs with the same draws
-  /// as Perturb, hoisting the item-only xxHash half across the whole
-  /// run of same-item users and strength-reducing the bucket modulus
-  /// (bit-identical hashing — util/hash_family.h).
+  /// Appends (seed, value) pairs: seed = rng.Next(), then GRR over
+  /// the g buckets around H_seed(item).  The item-only xxHash half is
+  /// hoisted across the whole run of same-item users and the bucket
+  /// modulus strength-reduced (bit-identical hashing —
+  /// util/hash_family.h).
   void AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                             ReportBatch::Builder& out) const override;
 
-  /// SoA crafting: seed = rng.Next(), value = H_seed(item), same
-  /// draws as CraftSupportingReport.
+  /// An attacker-crafted report for `item`: a uniformly random seed
+  /// with the bucket set to H_seed(item), so the report is guaranteed
+  /// to support `item` (and incidentally ~d/g others, as for genuine
+  /// reports).
   void AppendCraftedReport(ItemId item, Rng& rng,
                            ReportBatch::Builder& out) const override;
 
-  /// Batched path: tiles the O(n*d) hash evaluation into report
-  /// blocks so the SoA seeds/values slice stays L1-resident across
-  /// the item sweep (the split-hash tile kernel of util/simd.h), with
-  /// the per-item support counted in an integer register —
-  /// byte-identical to the per-report loop (integer sums), minus the
-  /// per-report virtual dispatch and out-of-line hash call.
+  /// Tiles the O(n*d) hash evaluation into report blocks so the SoA
+  /// seeds/values slice stays L1-resident across the item sweep (the
+  /// split-hash tile kernel of util/simd.h), with the per-item support
+  /// counted in an integer register.
   void AccumulateSupportsBatch(const ReportBatch& batch,
                                std::vector<double>& counts) const override;
 
@@ -72,9 +68,10 @@ class OlhBase : public FrequencyProtocol {
   /// Per-item-exact fast sampling: each item's support count is
   /// exactly Binomial(n_v, p) + Binomial(n - n_v, 1/g).  Cross-item
   /// correlation through shared seeds is not reproduced; see
-  /// DESIGN.md section 5 and tests/sim_equivalence_test.cc.  The
-  /// binomials decompose over user subsets, so the sharded path
-  /// recomposes the exact same per-item law.
+  /// docs/architecture.md ("Closed-form approximations") and
+  /// tests/sim_equivalence_test.cc.  The binomials decompose over user
+  /// subsets, so the sharded path recomposes the exact same per-item
+  /// law.
   std::vector<double> SampleSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const override;
 
@@ -85,12 +82,6 @@ class OlhBase : public FrequencyProtocol {
   std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const override;
-
-  /// An attacker-crafted report for `item`: a uniformly random seed
-  /// with the bucket set to H_seed(item), so the report is guaranteed
-  /// to support `item` (and incidentally ~d/g others, as for genuine
-  /// reports).
-  Report CraftSupportingReport(ItemId item, Rng& rng) const override;
 
   /// 1 + (d-1)/g: the crafted item plus uniform hash collisions.
   double CraftedSupportBudget() const override {

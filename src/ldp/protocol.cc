@@ -43,30 +43,13 @@ FrequencyProtocol::FrequencyProtocol(size_t d, double epsilon)
   LDPR_CHECK(epsilon > 0.0);
 }
 
-void FrequencyProtocol::AccumulateSupports(const Report& report,
-                                           std::vector<double>& counts) const {
-  LDPR_CHECK(counts.size() == d_);
-  for (ItemId v = 0; v < d_; ++v) {
-    if (Supports(report, v)) counts[v] += 1.0;
-  }
-}
-
-void FrequencyProtocol::AccumulateSupportsBatch(
-    const ReportBatch& batch, std::vector<double>& counts) const {
-  // Correctness fallback for protocols without a specialized pass:
-  // replay the per-report path.  A span-mode batch is walked in
-  // place; a builder-mode batch reuses one scratch Report.
-  if (batch.has_span()) {
-    const Report* reports = batch.span();
-    for (size_t i = 0; i < batch.size(); ++i)
-      AccumulateSupports(reports[i], counts);
-    return;
-  }
-  Report scratch;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch.ExtractReport(i, scratch);
-    AccumulateSupports(scratch, counts);
-  }
+Report FrequencyProtocol::Perturb(ItemId item, Rng& rng) const {
+  ReportBatch one;
+  ReportBatch::Builder builder(one);
+  AppendGenuineReports(item, 1, rng, builder);
+  Report report;
+  one.ExtractReport(0, report);
+  return report;
 }
 
 std::vector<double> FrequencyProtocol::AdjustCounts(
@@ -97,12 +80,6 @@ double FrequencyProtocol::FrequencyVariance(double f, size_t n) const {
   return CountVariance(f, n) / (nd * nd);
 }
 
-void FrequencyProtocol::AppendGenuineReports(ItemId item, uint64_t count,
-                                             Rng& rng,
-                                             ReportBatch::Builder& out) const {
-  for (uint64_t u = 0; u < count; ++u) out.Add(Perturb(item, rng));
-}
-
 void FrequencyProtocol::SampleReportsBatch(
     const std::vector<uint64_t>& item_counts, Rng& rng,
     ReportBatch::Builder& out) const {
@@ -110,11 +87,6 @@ void FrequencyProtocol::SampleReportsBatch(
   for (ItemId item = 0; item < d_; ++item) {
     AppendGenuineReports(item, item_counts[item], rng, out);
   }
-}
-
-void FrequencyProtocol::AppendCraftedReport(ItemId item, Rng& rng,
-                                            ReportBatch::Builder& out) const {
-  out.Add(CraftSupportingReport(item, rng));
 }
 
 std::vector<double> FrequencyProtocol::ExactSupportCounts(
@@ -214,32 +186,12 @@ std::vector<double> FrequencyProtocol::SampleSupportCountsChunk(
   return SampleSupportCountsRange(item_counts, begin, end, rng);
 }
 
-void BatchingAccumulator::Add(const Report& report) {
-  buffer_.Append(report);
-  if (buffer_.size() >= kBatchFlushReports) Flush();
-}
-
-void BatchingAccumulator::Flush() {
-  if (buffer_.empty()) return;
-  protocol_.AccumulateSupportsBatch(buffer_, counts_);
-  buffer_.Clear();
-}
-
 Aggregator::Aggregator(const FrequencyProtocol& protocol)
     : protocol_(protocol), counts_(protocol.domain_size(), 0.0) {}
-
-void Aggregator::Add(const Report& report) {
-  protocol_.AccumulateSupports(report, counts_);
-  ++report_count_;
-}
 
 void Aggregator::AddAll(const ReportBatch& batch) {
   protocol_.AccumulateSupportsBatch(batch, counts_);
   report_count_ += batch.size();
-}
-
-void Aggregator::AddAll(const std::vector<Report>& reports) {
-  AddAll(ReportBatch(reports.data(), reports.size()));
 }
 
 void Aggregator::AddAllSharded(const ReportBatch& batch, size_t shards) {
@@ -265,26 +217,9 @@ void Aggregator::AddAllSharded(const ReportBatch& batch, size_t shards) {
 
 void Aggregator::AddAllSharded(const std::vector<Report>& reports,
                                size_t shards) {
-  const size_t per_chunk = kReportsPerAggregationShard;
-  const size_t num_chunks =
-      static_cast<size_t>(ReportChunkCount(reports.size()));
-  if (num_chunks <= 1) {
-    AddAll(reports);
-    return;
-  }
-  std::vector<std::vector<double>> partials(num_chunks);
-  ParallelFor(shards, num_chunks, [&](size_t chunk) {
-    std::vector<double> partial(counts_.size(), 0.0);
-    const size_t begin = chunk * per_chunk;
-    const size_t end = std::min(reports.size(), begin + per_chunk);
-    const ReportBatch batch(reports.data() + begin, end - begin);
-    protocol_.AccumulateSupportsBatch(batch, partial);
-    partials[chunk] = std::move(partial);
-  });
-  for (const std::vector<double>& partial : partials) {
-    for (size_t v = 0; v < counts_.size(); ++v) counts_[v] += partial[v];
-  }
-  report_count_ += reports.size();
+  ReportBatch batch;
+  for (const Report& report : reports) batch.Append(report);
+  AddAllSharded(batch, shards);
 }
 
 void Aggregator::AddSampledPopulation(const std::vector<uint64_t>& item_counts,

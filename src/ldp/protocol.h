@@ -2,25 +2,27 @@
 // frequency estimation (Section III of the paper).
 //
 // A protocol is a pair (Psi, Phi): users perturb with Psi
-// (Perturb()), and the server aggregates with Phi, which for every
-// pure protocol has the unified form of Eq. (11):
+// (AppendGenuineReports), and the server aggregates with Phi, which
+// for every pure protocol has the unified form of Eq. (11):
 //
 //     Phi_eps(v) = (C(v) - n*q) / (p - q),
 //
 // where C(v) counts the reports whose support set contains v
 // (Eq. (12)-(13)).  Each concrete protocol supplies its perturbation
-// probabilities p and q, its perturbation algorithm, and its support
-// predicate; the shared aggregation and estimation logic lives here.
+// probabilities p and q and implements perturbation, crafting and
+// support counting once each, over ReportBatch (ldp/report_batch.h);
+// the shared aggregation and estimation logic lives here.
 //
 // Aggregation comes in three flavors (docs/architecture.md):
 //
-//  1. Streaming: Aggregator::Add folds materialized reports one at a
-//     time (O(d) memory, any report source).
+//  1. Batched: Aggregator::AddAll folds materialized reports a
+//     ReportBatch at a time through AccumulateSupportsBatch (O(d)
+//     counters, any report source).
 //  2. Closed-form sampling: SampleSupportCounts draws the aggregate
 //     support-count vector of a whole genuine population directly
 //     from its distribution, without per-user reports.
 //  3. Sharded: the *Sharded variants split the population (or report
-//     stream) into fixed-size contiguous chunks, process chunk c on
+//     batch) into fixed-size contiguous chunks, process chunk c on
 //     its own Rng(DeriveSeed(seed, c)), and merge partial
 //     support-count vectors in chunk order.  Because the chunk
 //     decomposition depends only on the population — never on the
@@ -149,34 +151,40 @@ class FrequencyProtocol {
   /// ("q").
   virtual double q() const = 0;
 
-  /// The user-side perturbation algorithm Psi_eps.
-  virtual Report Perturb(ItemId item, Rng& rng) const = 0;
+  /// The user-side perturbation algorithm Psi_eps: appends `count`
+  /// genuine perturbed reports for users holding `item` straight into
+  /// a builder-mode batch.  Users draw their randomness one after
+  /// another, so one call with count = k and k calls with count = 1
+  /// append the same reports and leave `rng` in the same state
+  /// (tests/report_gen_batch_test.cc checks this, and checks the
+  /// draws against the per-report oracle in tests/report_oracle.h).
+  virtual void AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
+                                    ReportBatch::Builder& out) const = 0;
 
-  /// The support predicate: true iff `item` is in S(report)
-  /// (Eq. (13)).
-  virtual bool Supports(const Report& report, ItemId item) const = 0;
+  /// Appends one report in the *encoded* domain that deterministically
+  /// supports `item` — the building block of poisoning attacks, which
+  /// bypass the perturbation step (Section IV-A).
+  virtual void AppendCraftedReport(ItemId item, Rng& rng,
+                                   ReportBatch::Builder& out) const = 0;
 
-  /// Adds the report's support indicator for every item to `counts`
-  /// (size d).  The default loops Supports(); concrete protocols
-  /// override with O(|S|) implementations where possible.
-  virtual void AccumulateSupports(const Report& report,
-                                  std::vector<double>& counts) const;
-
-  /// Batched AccumulateSupports: folds every report of `batch` into
-  /// `counts` (size d), byte-identical to calling AccumulateSupports
-  /// once per report in batch order (support counts are integer sums,
-  /// so any regrouping of the additions is exact — see
-  /// ldp/report_batch.h).  The default replays the per-report loop;
-  /// concrete protocols override with one tight specialized pass:
-  /// GRR a value histogram (O(n + d) with no per-report virtual
-  /// dispatch), the unary family packed per-column bit sums, and
-  /// local hashing an (item-block x report-block) tiling that keeps
-  /// the seeds/values slices and the active counts window in cache.
-  /// This is the hot path of every report-heavy aggregation
-  /// (Aggregator::AddAll*, DetectionFilter, the MGA/IPA malicious
-  /// report stream).
+  /// The support predicate of Eq. (13), summed over a batch: adds to
+  /// counts[v] (size d) the number of reports of `batch` whose support
+  /// set contains v.  Each protocol runs one tight specialized pass:
+  /// GRR a value histogram, the unary family packed per-column bit
+  /// sums, and local hashing an (item-block x report-block) tiling
+  /// that keeps the seeds/values slices and the active counts window
+  /// in cache.  Support counts are integer sums, so any regrouping of
+  /// the additions is exact (ldp/report_batch.h).  This is the hot
+  /// path of every report-heavy aggregation (Aggregator::AddAll*,
+  /// DetectionFilter, the k-means defense, the malicious report
+  /// stream).
   virtual void AccumulateSupportsBatch(const ReportBatch& batch,
-                                       std::vector<double>& counts) const;
+                                       std::vector<double>& counts) const = 0;
+
+  /// One genuine report as a materialized Report, via
+  /// AppendGenuineReports.  An adapter for the AoS fig9 replay in
+  /// perf/src/replay.cc; delete with it.
+  Report Perturb(ItemId item, Rng& rng) const;
 
   /// Server-side estimation Phi_eps: converts raw support counts into
   /// unbiased count estimates, Eq. (11): (C(v) - n*q) / (p - q).
@@ -205,7 +213,8 @@ class FrequencyProtocol {
   /// independent binomials); OLH overrides with per-item-exact
   /// binomials (the per-item marginal law is exactly binomial; only
   /// the cross-item correlation induced by shared hash seeds is
-  /// dropped — see DESIGN.md section 5).
+  /// dropped — see docs/architecture.md, "Closed-form
+  /// approximations").
   virtual std::vector<double> SampleSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const;
 
@@ -220,30 +229,12 @@ class FrequencyProtocol {
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const;
 
-  /// Appends `count` genuine perturbed reports for users holding
-  /// `item` straight into a builder-mode batch — the SoA generation
-  /// hot path.  Draws exactly the same randomness, in the same
-  /// per-user order, as `count` calls to Perturb(item, rng): overrides
-  /// replace only the report *materialization* (writing seeds/values/
-  /// bit rows in place), never the draw sequence, so any consumer of
-  /// the Rng stream afterwards sees an identical state (locked in by
-  /// tests/report_gen_batch_test.cc).  The default materializes via
-  /// Perturb.
-  virtual void AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
-                                    ReportBatch::Builder& out) const;
-
   /// Batched genuine report generation for a whole population: for
   /// each item in ascending order, appends item_counts[v] perturbed
   /// reports via AppendGenuineReports.  The canonical user ordering
   /// (and Rng draw order) of the per-user samplers.
   void SampleReportsBatch(const std::vector<uint64_t>& item_counts, Rng& rng,
                           ReportBatch::Builder& out) const;
-
-  /// Appends one crafted report supporting `item` (the SoA form of
-  /// CraftSupportingReport, same Rng draws).  The default materializes
-  /// via CraftSupportingReport.
-  virtual void AppendCraftedReport(ItemId item, Rng& rng,
-                                   ReportBatch::Builder& out) const;
 
   /// Per-user exact simulation of a population's support counts:
   /// generates every user's report through AppendGenuineReports (in
@@ -278,12 +269,7 @@ class FrequencyProtocol {
       const std::vector<uint64_t>& item_counts, uint64_t seed, uint64_t chunk,
       uint64_t users_per_chunk = kUsersPerAggregationShard) const;
 
-  /// Crafts a report in the *encoded* domain that deterministically
-  /// supports `item` — the building block of poisoning attacks, which
-  /// bypass the perturbation step (Section IV-A).
-  virtual Report CraftSupportingReport(ItemId item, Rng& rng) const = 0;
-
-  /// Expected number of items a CraftSupportingReport() report
+  /// Expected number of items an AppendCraftedReport() report
   /// supports, E[sum_v 1_{S(y)}(v)].  GRR and one-hot OUE reports
   /// support exactly the chosen item (budget 1 — the paper's adaptive
   /// attack model); an OLH report additionally supports every item
@@ -295,69 +281,37 @@ class FrequencyProtocol {
   double epsilon_;
 };
 
-/// Reports per flush of the streaming batch buffers (the
-/// BatchingAccumulator below): large enough to amortize the batched
-/// dispatch, small enough to bound the buffered unary bit rows
-/// (4096 * d bytes — 16 MB at the scaling scenarios' largest
-/// d=4096, a few hundred KB at paper-table domain sizes).
-/// The windowed stream engine (stream/streaming_engine.h) flushes its
-/// per-pane buffers at this same size, so it also caps that path's
-/// peak_buffered_reports.
+/// Reports per flush of the SoA flush buffers (the per-user exact
+/// samplers, the Detection survivor buffers, the k-means subset
+/// tiles): large enough to amortize the batched dispatch, small
+/// enough to bound the buffered unary bit rows (4096 * d bytes —
+/// 16 MB at the scaling scenarios' largest d=4096, a few hundred KB
+/// at paper-table domain sizes).  The windowed stream engine
+/// (stream/streaming_engine.h) flushes its per-pane buffers at this
+/// same size, so it also caps that path's peak_buffered_reports.
 inline constexpr size_t kBatchFlushReports = 4096;
 
-/// Streaming adapter over AccumulateSupportsBatch: buffers added
-/// reports and flushes them through the protocol's batched path every
-/// kBatchFlushReports reports (and on Flush()).  Batching regroups
-/// exact integer sums only (ldp/report_batch.h), so the counts are
-/// byte-identical to per-report accumulation in add order.  This is
-/// the one home of the buffer-and-flush idiom used by the per-user
-/// exact samplers and the Detection filter.
-class BatchingAccumulator {
- public:
-  /// Both references must outlive the accumulator; `counts` must be
-  /// sized to the protocol's domain.
-  BatchingAccumulator(const FrequencyProtocol& protocol,
-                      std::vector<double>& counts)
-      : protocol_(protocol), counts_(counts) {}
-
-  /// Buffers one report, flushing if the buffer is full.
-  void Add(const Report& report);
-
-  /// Accumulates any buffered reports.  Call once after the last
-  /// Add; safe to call on an empty buffer.
-  void Flush();
-
- private:
-  const FrequencyProtocol& protocol_;
-  std::vector<double>& counts_;
-  ReportBatch buffer_;
-};
-
-/// Streaming server-side aggregator: feeds reports one at a time and
-/// keeps only the d support counters, so aggregating hundreds of
-/// thousands of reports is O(d) memory.
+/// Server-side aggregator: folds report batches (and sampled genuine
+/// populations) into the d support counters.
 class Aggregator {
  public:
   explicit Aggregator(const FrequencyProtocol& protocol);
 
-  /// Folds one report into the support counts.
-  void Add(const Report& report);
-
-  /// Folds a batch of reports through the protocol's specialized
-  /// AccumulateSupportsBatch path; byte-identical to calling Add once
-  /// per report.
+  /// Folds a batch of reports through the protocol's
+  /// AccumulateSupportsBatch.
   void AddAll(const ReportBatch& batch);
-  void AddAll(const std::vector<Report>& reports);
 
   /// Folds a batch of reports across `shards` pool workers (0 =
   /// auto): the batch splits into kReportsPerAggregationShard-sized
-  /// chunks, each chunk runs AccumulateSupportsBatch into its own
-  /// partial vector, and the partials merge in chunk order.  Support
-  /// counts are sums of 1.0's (exact in double well past 2^50
-  /// reports), so the result is byte-identical to AddAll at every
-  /// shard count.  The ReportBatch overload takes a builder-mode
-  /// batch and shards it via zero-copy Slice() views.
+  /// zero-copy Slice() chunks, each chunk runs AccumulateSupportsBatch
+  /// into its own partial vector, and the partials merge in chunk
+  /// order.  Support counts are sums of 1.0's (exact in double well
+  /// past 2^50 reports), so the result is byte-identical to AddAll at
+  /// every shard count.
   void AddAllSharded(const ReportBatch& batch, size_t shards);
+
+  /// Packs `reports` into a batch and folds it as above.  An adapter
+  /// for the AoS fig9 replay in perf/src/replay.cc; delete with it.
   void AddAllSharded(const std::vector<Report>& reports, size_t shards);
 
   /// Samples and folds the aggregate of a whole genuine population

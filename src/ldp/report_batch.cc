@@ -1,38 +1,34 @@
 #include "ldp/report_batch.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace ldpr {
 
-ReportBatch::ReportBatch(const Report* reports, size_t n)
-    : span_(reports), size_(n) {
-  if (n > 0) bits_width_ = reports[0].bits.size();
+namespace {
+
+// Grows `v`'s capacity to at least `want` elements, at least doubling
+// it: producers that append one report at a time (IPA crafting, the
+// stream arrival generator) reserve before every append, and an exact
+// reserve would copy the whole batch each time.
+template <typename T>
+void GrowCapacity(std::vector<T>& v, size_t want) {
+  if (want > v.capacity()) v.reserve(std::max(want, 2 * v.capacity()));
 }
 
+}  // namespace
+
 void ReportBatch::Append(const Report& report) {
-  LDPR_CHECK(is_builder());
-  if (!report.bits.empty()) {
-    if (size_ == 0 && bits_width_ == 0) {
-      bits_width_ = report.bits.size();
-    } else {
-      LDPR_CHECK(report.bits.size() == bits_width_);
-    }
-    bits_.insert(bits_.end(), report.bits.begin(), report.bits.end());
-  } else {
-    LDPR_CHECK(bits_width_ == 0);
-  }
-  seeds_.push_back(report.seed);
-  values_.push_back(report.value);
-  ++size_;
+  Builder out(*this);
+  if (report.bits.empty()) return out.AddSeedValue(report.seed, report.value);
+  out.SetBitsWidth(report.bits.size());
+  std::copy(report.bits.begin(), report.bits.end(), out.AddBitsRow());
 }
 
 void ReportBatch::AppendFrom(const ReportBatch& src, size_t i) {
   LDPR_CHECK(is_builder());
   LDPR_CHECK(i < src.size_);
-  if (src.span_ != nullptr) {
-    Append(src.span_[i]);
-    return;
-  }
   const size_t width = src.bits_width_;
   if (width > 0) {
     if (size_ == 0 && bits_width_ == 0) {
@@ -40,7 +36,7 @@ void ReportBatch::AppendFrom(const ReportBatch& src, size_t i) {
     } else {
       LDPR_CHECK(width == bits_width_);
     }
-    const uint8_t* row = src.bits() + i * width;
+    const uint8_t* row = src.bits_row(i);
     bits_.insert(bits_.end(), row, row + width);
   } else {
     LDPR_CHECK(bits_width_ == 0);
@@ -51,7 +47,6 @@ void ReportBatch::AppendFrom(const ReportBatch& src, size_t i) {
 }
 
 void ReportBatch::Clear() {
-  span_ = nullptr;
   size_ = 0;
   bits_width_ = 0;
   seeds_view_ = nullptr;
@@ -64,29 +59,25 @@ void ReportBatch::Clear() {
 
 void ReportBatch::Reserve(size_t n, size_t bits_width) {
   LDPR_CHECK(is_builder());
-  seeds_.reserve(n);
-  values_.reserve(n);
-  if (bits_width > 0) bits_.reserve(n * bits_width);
+  GrowCapacity(seeds_, n);
+  GrowCapacity(values_, n);
+  if (bits_width > 0) GrowCapacity(bits_, n * bits_width);
 }
 
 const uint64_t* ReportBatch::seeds() const {
-  LDPR_CHECK(span_ == nullptr);
   return seeds_view_ != nullptr ? seeds_view_ : seeds_.data();
 }
 
 const uint32_t* ReportBatch::values() const {
-  LDPR_CHECK(span_ == nullptr);
   return values_view_ != nullptr ? values_view_ : values_.data();
 }
 
 const uint8_t* ReportBatch::bits() const {
-  LDPR_CHECK(span_ == nullptr);
   LDPR_CHECK(bits_width_ > 0);
   return bits_view_ != nullptr ? bits_view_ : bits_.data();
 }
 
 ReportBatch ReportBatch::Slice(size_t begin, size_t end) const {
-  LDPR_CHECK(span_ == nullptr);
   LDPR_CHECK(begin <= end && end <= size_);
   ReportBatch view;
   view.size_ = end - begin;
@@ -99,20 +90,10 @@ ReportBatch ReportBatch::Slice(size_t begin, size_t end) const {
 
 void ReportBatch::ExtractReport(size_t i, Report& out) const {
   LDPR_CHECK(i < size_);
-  if (span_ != nullptr) {
-    out.seed = span_[i].seed;
-    out.value = span_[i].value;
-    out.bits = span_[i].bits;
-    return;
-  }
   out.seed = seeds()[i];
   out.value = values()[i];
-  if (bits_width_ == 0) {
-    out.bits.clear();
-  } else {
-    const uint8_t* row = bits() + i * bits_width_;
-    out.bits.assign(row, row + bits_width_);
-  }
+  out.bits.clear();
+  if (bits_width_ > 0) out.bits.assign(bits_row(i), bits_row(i) + bits_width_);
 }
 
 ReportBatch::Builder::Builder(ReportBatch& batch) : batch_(&batch) {
@@ -123,6 +104,8 @@ void ReportBatch::Builder::SetBitsWidth(size_t width) {
   LDPR_CHECK(width > 0);
   if (batch_->size_ == 0 && batch_->bits_width_ == 0) {
     batch_->bits_width_ = width;
+    // Bit rows for the report room reserved before the width was known.
+    GrowCapacity(batch_->bits_, batch_->seeds_.capacity() * width);
   } else {
     LDPR_CHECK(width == batch_->bits_width_);
   }

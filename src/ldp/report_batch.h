@@ -1,39 +1,32 @@
-// ReportBatch: a batch of many reports in SoA layout, the unit of the
-// batched generation + aggregation hot path.
+// ReportBatch: a batch of many reports in SoA layout — the one report
+// representation every generation, crafting, aggregation, Detection
+// and k-means path runs on.
 //
-// The streaming Aggregator pays a virtual AccumulateSupports call per
-// report; for the support-set protocols (OLH/BLH, OUE/SUE) that call
-// is itself O(d), so accumulating m malicious MGA reports costs
-// O(m*d) virtual-dispatch-laden work.  ReportBatch hands
-// FrequencyProtocol::AccumulateSupportsBatch a whole batch at once so
-// each protocol can run one tight specialized loop instead (value
-// histogram for GRR, per-column bit sums for the unary family,
+// Each protocol implements its report operations once, over whole
+// batches: FrequencyProtocol::AppendGenuineReports and
+// AppendCraftedReport write reports in place, and
+// AccumulateSupportsBatch folds a batch through one specialized loop
+// (value histogram for GRR, per-column bit sums for the unary family,
 // item-block x report-block tiles for local hashing).
 //
-// Three modes:
+// Two modes:
 //
-//  * Builder mode — the primary hot path.  A ReportBatch::Builder
-//    writes straight into the SoA field arrays (seeds[], values[],
-//    packed bit rows): protocol generation overrides
-//    (FrequencyProtocol::AppendGenuineReports) and attack crafting
-//    overrides (Attack::CraftBatch) produce reports here without a
+//  * Builder mode.  A ReportBatch::Builder writes straight into the
+//    SoA field arrays (seeds[], values[], packed bit rows): protocol
+//    generation (FrequencyProtocol::AppendGenuineReports) and attack
+//    crafting (Attack::CraftBatch) produce reports here without a
 //    per-user Report ever materializing.
-//  * View mode — Slice() of a builder batch: borrowed pointers into
+//  * View mode.  Slice() of a builder batch: borrowed pointers into
 //    the parent's SoA arrays (the unit the sharded aggregator hands
 //    each worker).  Appending to the parent invalidates slices.
-//  * Span mode — a zero-copy view over a contiguous Report array,
-//    kept as a compat shim for AoS call sites (tests, small tools).
-//    Span batches expose only span()/ExtractReport(); there is no SoA
-//    materialization — protocols that want field arrays gather their
-//    own tiles.
 //
 // Determinism: support counts are sums of 1.0's, exactly
 // representable integers far below 2^53, so *any* regrouping of the
-// additions yields byte-identical doubles.  Every batched override
+// additions yields byte-identical doubles.  Every batched kernel
 // exploits exactly this — accumulate integer subtotals, add each
-// subtotal once — and therefore matches the per-report path bit for
-// bit (enforced by tests/aggregation_batch_test.cc and
-// tests/report_gen_batch_test.cc).
+// subtotal once — and therefore matches the per-report test oracle
+// (tests/report_oracle.h) bit for bit (enforced by
+// tests/aggregation_batch_test.cc and tests/report_gen_batch_test.cc).
 //
 // A builder-mode batch is homogeneous: either every appended report
 // carries a bit row of the same width or none does (checked on
@@ -57,51 +50,38 @@ class ReportBatch {
   /// An empty builder-mode batch.
   ReportBatch() = default;
 
-  /// Span mode: a zero-copy view of `n` contiguous reports.  The span
-  /// must outlive the batch.
-  ReportBatch(const Report* reports, size_t n);
-  explicit ReportBatch(const std::vector<Report>& reports)
-      : ReportBatch(reports.data(), reports.size()) {}
-
-  /// Builder mode: appends one report.  Every appended report must
-  /// agree on the presence and width of the bit row.  Not available
-  /// on span-mode or view-mode batches.
+  /// Builder mode: appends one materialized Report.  An adapter for
+  /// the AoS fig9 replay in perf/src/replay.cc; delete with it.
   void Append(const Report& report);
 
-  /// Row-copies report i of `src` (any mode) into this builder-mode
-  /// batch without materializing a Report — the survivor path of the
-  /// detection flush buffers.
+  /// Row-copies report i of `src` (builder or view mode) into this
+  /// builder-mode batch — the gather step of the Detection survivor
+  /// buffers and the k-means subset tiles.
   void AppendFrom(const ReportBatch& src, size_t i);
 
-  /// Drops all reports (and any span/slice view) but keeps allocated
+  /// Drops all reports (and any slice view) but keeps allocated
   /// capacity — lets a streaming producer reuse one batch as a flush
   /// buffer.
   void Clear();
 
   /// Pre-allocates builder-mode room for `n` reports whose bit rows
-  /// are `bits_width` wide (0 for bit-less encodings).
+  /// are `bits_width` wide (0 for bit-less encodings).  Capacity at
+  /// least doubles whenever it grows, so producers may reserve before
+  /// every single-report append at amortized O(1) cost.
   void Reserve(size_t n, size_t bits_width);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Span mode only: the underlying contiguous Report array.  Null in
-  /// builder/view mode.
-  const Report* span() const { return span_; }
-  bool has_span() const { return span_ != nullptr; }
-
-  /// Width of each bit row; 0 when the reports carry no bits.  In
-  /// span mode this is the first report's width.
+  /// Width of each bit row; 0 when the reports carry no bits.
   size_t bits_width() const { return bits_width_; }
 
-  /// SoA field arrays, each of length size().  Builder/view mode
-  /// only — span batches have no SoA arrays (use span() or
-  /// ExtractReport).
+  /// SoA field arrays, each of length size().
   const uint64_t* seeds() const;
   const uint32_t* values() const;
 
   /// Base of the packed row-major bit matrix (size() x bits_width()
-  /// bytes).  Builder/view mode with bits_width() > 0 only.
+  /// bytes).  bits_width() > 0 only.
   const uint8_t* bits() const;
 
   /// Row i of the packed bit matrix (bits_width() bytes).
@@ -113,17 +93,14 @@ class ReportBatch {
   /// live.
   ReportBatch Slice(size_t begin, size_t end) const;
 
-  /// Reconstructs report i into `out`, reusing out.bits storage — the
-  /// building block of the generic per-report fallback in
-  /// FrequencyProtocol::AccumulateSupportsBatch.  Works in any mode.
+  /// Reconstructs report i into `out`, reusing out.bits storage.  An
+  /// adapter for the AoS fig9 replay in perf/src/replay.cc; delete
+  /// with it.
   void ExtractReport(size_t i, Report& out) const;
 
  private:
-  bool is_builder() const {
-    return span_ == nullptr && seeds_view_ == nullptr;
-  }
+  bool is_builder() const { return seeds_view_ == nullptr; }
 
-  const Report* span_ = nullptr;
   size_t size_ = 0;
   size_t bits_width_ = 0;  // fixed by the first bit-carrying report
   // View mode: borrowed SoA pointers into a parent batch.
@@ -147,10 +124,13 @@ class ReportBatch::Builder {
   explicit Builder(ReportBatch& batch);
 
   /// Fixes the bit-row width before the first AddBitsRow (idempotent;
-  /// must agree with any width the batch already has).
+  /// must agree with any width the batch already has).  On an empty
+  /// batch it also reserves bit rows for every report Reserve() made
+  /// room for, so callers may reserve before the width is known.
   void SetBitsWidth(size_t width);
 
-  /// Pre-allocates room for `n` more reports.
+  /// Pre-allocates room for `n` more reports (bit rows too once the
+  /// width is set).
   void Reserve(size_t n);
 
   /// Appends a value-only report (GRR).  seed is 0.
@@ -163,9 +143,6 @@ class ReportBatch::Builder {
   /// SetBitsWidth() bytes for the caller to fill in place.  The
   /// pointer is invalidated by the next append.
   uint8_t* AddBitsRow();
-
-  /// Compat append of a materialized Report (the generic fallbacks).
-  void Add(const Report& report) { batch_->Append(report); }
 
   size_t size() const { return batch_->size_; }
   const ReportBatch& batch() const { return *batch_; }

@@ -14,32 +14,6 @@ UnaryEncoding::UnaryEncoding(size_t d, double epsilon, double p_keep,
   LDPR_CHECK(q_flip_ > 0.0 && p_keep_ < 1.0);
 }
 
-Report UnaryEncoding::Perturb(ItemId item, Rng& rng) const {
-  LDPR_CHECK(item < d_);
-  Report r;
-  r.bits.assign(d_, 0);
-  for (size_t i = 0; i < d_; ++i) {
-    const double keep_prob = (i == item) ? p_keep_ : q_flip_;
-    r.bits[i] = rng.Bernoulli(keep_prob) ? 1 : 0;
-  }
-  return r;
-}
-
-bool UnaryEncoding::Supports(const Report& report, ItemId item) const {
-  LDPR_CHECK(report.bits.size() == d_);
-  LDPR_CHECK(item < d_);
-  return report.bits[item] != 0;
-}
-
-void UnaryEncoding::AccumulateSupports(const Report& report,
-                                       std::vector<double>& counts) const {
-  LDPR_CHECK(report.bits.size() == d_);
-  LDPR_CHECK(counts.size() == d_);
-  for (size_t i = 0; i < d_; ++i) {
-    if (report.bits[i]) counts[i] += 1.0;
-  }
-}
-
 void UnaryEncoding::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                                          ReportBatch::Builder& out) const {
   LDPR_CHECK(item < d_);
@@ -47,7 +21,6 @@ void UnaryEncoding::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
   out.Reserve(count);
   for (uint64_t u = 0; u < count; ++u) {
     uint8_t* row = out.AddBitsRow();
-    // Same per-bit draws, in the same order, as Perturb.
     for (size_t i = 0; i < d_; ++i) {
       const double keep_prob = (i == item) ? p_keep_ : q_flip_;
       row[i] = rng.Bernoulli(keep_prob) ? 1 : 0;
@@ -72,31 +45,15 @@ void UnaryEncoding::AccumulateSupportsBatch(const ReportBatch& batch,
   // uint32 column accumulators (bits are 0/1, so a tile of < 2^32
   // rows cannot overflow); per tile, each column total is added to
   // counts once, in ascending column order.  The column summation
-  // itself runs through the byte-lane SIMD kernels: the packed
-  // builder matrix feeds SimdUnaryColumnsAddPacked directly, span
-  // rows go through row-pointer tiles (each report's bit vector is
-  // already a contiguous d-byte row; no pack copy needed).
-  const Report* span = batch.span();
+  // itself runs through the byte-lane SIMD kernel over the packed
+  // matrix.
   constexpr size_t kRowTile = 1u << 22;
   std::vector<uint32_t> column_ones(d_);
   for (size_t row0 = 0; row0 < batch.size(); row0 += kRowTile) {
     const size_t row1 = std::min(batch.size(), row0 + kRowTile);
     std::fill(column_ones.begin(), column_ones.end(), 0u);
-    if (span == nullptr) {
-      SimdUnaryColumnsAddPacked(batch.bits() + row0 * d_, row1 - row0, d_,
-                                column_ones.data());
-    } else {
-      constexpr size_t kPtrTile = 1024;
-      const uint8_t* rows[kPtrTile];
-      for (size_t i0 = row0; i0 < row1; i0 += kPtrTile) {
-        const size_t tn = std::min(row1 - i0, kPtrTile);
-        for (size_t i = 0; i < tn; ++i) {
-          LDPR_CHECK(span[i0 + i].bits.size() == d_);
-          rows[i] = span[i0 + i].bits.data();
-        }
-        SimdUnaryColumnsAddRows(rows, tn, d_, column_ones.data());
-      }
-    }
+    SimdUnaryColumnsAddPacked(batch.bits_row(row0), row1 - row0, d_,
+                              column_ones.data());
     for (size_t v = 0; v < d_; ++v) {
       if (column_ones[v] != 0) counts[v] += static_cast<double>(column_ones[v]);
     }
@@ -141,15 +98,6 @@ std::vector<double> UnaryEncoding::SampleSupportCountsRange(
                                     rng.Binomial(chunk_n - own, q_flip_));
   }
   return counts;
-}
-
-Report UnaryEncoding::CraftSupportingReport(ItemId item, Rng& rng) const {
-  (void)rng;
-  LDPR_CHECK(item < d_);
-  Report r;
-  r.bits.assign(d_, 0);
-  r.bits[item] = 1;
-  return r;
 }
 
 double UnaryEncoding::ExpectedOnes() const {

@@ -20,26 +20,18 @@ class UnaryEncoding : public FrequencyProtocol {
   double p() const override { return p_keep_; }
   double q() const override { return q_flip_; }
 
-  Report Perturb(ItemId item, Rng& rng) const override;
-  bool Supports(const Report& report, ItemId item) const override;
-  void AccumulateSupports(const Report& report,
-                          std::vector<double>& counts) const override;
-
-  /// SoA generation: fills zeroed packed bit rows in place with the
-  /// same per-bit Bernoulli draws as Perturb — no per-user
-  /// std::vector<uint8_t> allocation.
+  /// Fills zeroed packed bit rows in place with one Bernoulli draw per
+  /// bit, in column order — no per-user std::vector<uint8_t>.
   void AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                             ReportBatch::Builder& out) const override;
 
-  /// SoA crafting: a one-hot packed row.
+  /// A one-hot packed row (the adaptive-attack sample encoding).
   void AppendCraftedReport(ItemId item, Rng& rng,
                            ReportBatch::Builder& out) const override;
 
-  /// Batched path: sums the batch's packed 0/1 bit rows into integer
-  /// column totals (byte-lane SIMD accumulation, util/simd.h) and
-  /// adds each column total once — byte-identical to the per-report
-  /// +1.0 sequence, without the per-report virtual dispatch and
-  /// per-bit branch.
+  /// Sums the batch's packed 0/1 bit rows into integer column totals
+  /// (byte-lane SIMD accumulation, util/simd.h) and adds each column
+  /// total once.
   void AccumulateSupportsBatch(const ReportBatch& batch,
                                std::vector<double>& counts) const override;
 
@@ -62,9 +54,6 @@ class UnaryEncoding : public FrequencyProtocol {
   std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const override;
-
-  /// One-hot crafted vector (the adaptive-attack sample encoding).
-  Report CraftSupportingReport(ItemId item, Rng& rng) const override;
 
   /// Expected number of 1-bits in a genuine report: p + (d-1) q.
   /// MGA pads crafted vectors to this count.

@@ -50,49 +50,12 @@ DetectionFilter::DetectionFilter(const FrequencyProtocol& protocol,
   threshold_ = SuspicionThreshold(protocol.kind(), targets_.size());
 }
 
-bool DetectionFilter::IsSuspicious(const Report& report) const {
-  size_t supported = 0;
-  for (ItemId t : targets_) {
-    if (protocol_.Supports(report, t)) {
-      ++supported;
-      if (supported >= threshold_) return true;
-    }
-  }
-  return false;
-}
-
-void DetectionFilter::Offer(const Report& report) {
-  ++offered_;
-  if (IsSuspicious(report)) return;
-  ++kept_;
-  protocol_.AccumulateSupports(report, kept_counts_);
-}
-
-void DetectionFilter::OfferInto(const Report& report,
-                                BatchingAccumulator& kept) {
-  ++offered_;
-  if (IsSuspicious(report)) return;
-  ++kept_;
-  kept.Add(report);
-}
-
 void DetectionFilter::OfferAll(const ReportBatch& batch) {
   const size_t n = batch.size();
   if (n == 0) return;
-  if (batch.has_span()) {
-    // AoS compat path: classify per report, accumulate the survivors
-    // through the protocol's batched path — byte-identical to Offer()
-    // per report (integer support sums).
-    BatchingAccumulator kept(protocol_, kept_counts_);
-    const Report* span = batch.span();
-    for (size_t i = 0; i < n; ++i) OfferInto(span[i], kept);
-    kept.Flush();
-    return;
-  }
 
-  // SoA classification.  Each branch computes the same supported-
-  // target count IsSuspicious does (early exit changes nothing about
-  // the >= threshold outcome), reading the field arrays directly.
+  // Each branch counts the targets a report supports, reading the
+  // field arrays directly, and flags it at threshold_.
   const size_t d = protocol_.domain_size();
   std::vector<uint8_t> flagged(n, 0);
   switch (protocol_.kind()) {
@@ -144,8 +107,7 @@ void DetectionFilter::OfferAll(const ReportBatch& batch) {
   }
 
   // Row-copy the survivors into a flush buffer and accumulate them
-  // through the batched path — the same counts, in the same order,
-  // as Offer() on each survivor.
+  // through the batched path.
   ReportBatch kept;
   size_t kept_here = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -162,17 +124,12 @@ void DetectionFilter::OfferAll(const ReportBatch& batch) {
   kept_ += kept_here;
 }
 
-void DetectionFilter::OfferAll(const std::vector<Report>& reports) {
-  OfferAll(ReportBatch(reports.data(), reports.size()));
-}
-
 void DetectionFilter::OfferExactGenuine(
     const std::vector<uint64_t>& item_counts, Rng& rng) {
   LDPR_CHECK(item_counts.size() == protocol_.domain_size());
-  // Generate SoA report tiles in the canonical per-user order (the
-  // Rng stream matches Perturb per user exactly) and filter each
-  // tile; classification consumes no randomness, so tiling leaves the
-  // draw sequence unchanged.
+  // Generate SoA report tiles in the canonical per-user order and
+  // filter each tile; classification consumes no randomness, so
+  // tiling leaves the draw sequence unchanged.
   ReportBatch buffer;
   ReportBatch::Builder builder(buffer);
   for (ItemId item = 0; item < item_counts.size(); ++item) {
@@ -263,17 +220,6 @@ void DetectionFilter::OfferSampledOue(const std::vector<uint64_t>& item_counts,
   }
 }
 
-void DetectionFilter::OfferStreamingGenuine(
-    const std::vector<uint64_t>& item_counts, Rng& rng) {
-  // Per-user perturbation order (and so the RNG stream) is unchanged;
-  // generation and filtering run through the SoA tile path.
-  OfferExactGenuine(item_counts, rng);
-}
-
-void DetectionFilter::OfferStreaming(const ReportBatch& batch) {
-  OfferAll(batch);
-}
-
 void DetectionFilter::ResetWindow() {
   total_offered_base_ += offered_;
   total_kept_base_ += kept_;
@@ -296,8 +242,8 @@ void DetectionFilter::OfferSampledGenuine(
     case ProtocolKind::kOlh:
     case ProtocolKind::kBlh:
       // Shared hash seeds correlate target and non-target support, so
-      // there is no clean product-form fast path; stream per user.
-      OfferStreamingGenuine(item_counts, rng);
+      // there is no clean product-form fast path; simulate per user.
+      OfferExactGenuine(item_counts, rng);
       return;
   }
 }

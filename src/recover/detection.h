@@ -32,32 +32,19 @@ class DetectionFilter {
   DetectionFilter(const FrequencyProtocol& protocol,
                   std::vector<ItemId> targets);
 
-  /// True iff the report supports at least `threshold()` targets.
-  bool IsSuspicious(const Report& report) const;
-
-  /// The protocol-specific suspicion threshold (see .cc).
+  /// The protocol-specific suspicion threshold: a report is dropped
+  /// when it supports at least this many targets (see .cc).
   size_t threshold() const { return threshold_; }
-
-  /// Feeds one report; drops it when suspicious.
-  void Offer(const Report& report);
 
   /// Feeds a batch: classification straight off the SoA field arrays
   /// (value lookup for GRR, target-bit count for the unary family,
   /// inline split-hash matches for OLH/BLH), survivors row-copied
   /// into a flush buffer and accumulated through the protocol's
-  /// batched path — byte-identical to Offer() in a loop.  Span-mode
-  /// batches fall back to per-report classification.
+  /// batched path.  Classification is per-report and stateless, so a
+  /// stream may be offered in any tiling: the streaming engine offers
+  /// each flush tile and calls ResetWindow at every pane boundary, so
+  /// offered()/kept()/Estimate() describe the current window.
   void OfferAll(const ReportBatch& batch);
-  void OfferAll(const std::vector<Report>& reports);
-
-  /// Incremental streaming offer: feeds one flush-sized tile of an
-  /// arriving report stream (classification is per-report and
-  /// stateless, so tiling never changes the outcome).  Identical to
-  /// OfferAll — the separate name documents the windowed contract:
-  /// offered()/kept()/Estimate() describe the *current window* (the
-  /// reports offered since the last ResetWindow), and the streaming
-  /// engine calls ResetWindow at every pane boundary.
-  void OfferStreaming(const ReportBatch& batch);
 
   /// Closes the current window: folds offered()/kept() into the
   /// lifetime totals and zeroes the per-window counters and kept
@@ -69,16 +56,15 @@ class DetectionFilter {
 
   /// Feeds the reports of genuine users summarized by an item-count
   /// histogram, simulating every user exactly: generates SoA report
-  /// tiles through the protocol's batched generation (the same
-  /// per-user Rng draw order as Perturb per user) and filters them
-  /// via OfferAll.  The exact-genuine reference path of the
-  /// experiment driver.
+  /// tiles through AppendGenuineReports (canonical per-user Rng draw
+  /// order) and filters them via OfferAll.  The exact-genuine
+  /// reference path of the experiment driver.
   void OfferExactGenuine(const std::vector<uint64_t>& item_counts, Rng& rng);
 
   /// Fast path: feeds the reports of genuine users summarized by an
   /// item-count histogram, sampling the post-filter aggregate from
   /// the exact conditional distribution for GRR and OUE and falling
-  /// back to streaming per-user simulation for OLH.
+  /// back to OfferExactGenuine for OLH.
   void OfferSampledGenuine(const std::vector<uint64_t>& item_counts,
                            Rng& rng);
 
@@ -108,19 +94,8 @@ class DetectionFilter {
   std::vector<double> Estimate() const;
 
  private:
-  /// The one classify-and-count step shared by the batched feeders:
-  /// counts the report as offered, and as kept (buffering it into
-  /// `kept`) unless suspicious.
-  void OfferInto(const Report& report, BatchingAccumulator& kept);
-
   void OfferSampledGrr(const std::vector<uint64_t>& item_counts, Rng& rng);
   void OfferSampledOue(const std::vector<uint64_t>& item_counts, Rng& rng);
-  // Per-user streaming simulation of a genuine population histogram
-  // (the OLH/BLH fallback of OfferSampledGenuine).  Formerly named
-  // OfferStreaming; renamed so the incremental-window entry point
-  // above owns that name.
-  void OfferStreamingGenuine(const std::vector<uint64_t>& item_counts,
-                             Rng& rng);
 
   const FrequencyProtocol& protocol_;
   std::vector<ItemId> targets_;

@@ -98,7 +98,7 @@ std::vector<uint8_t> TwoMeansCluster(
 }
 
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
-                                     const std::vector<Report>& reports,
+                                     const ReportBatch& reports,
                                      const KMeansDefenseOptions& options,
                                      Rng& rng) {
   LDPR_CHECK(!reports.empty());
@@ -116,12 +116,26 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
   std::vector<std::vector<uint32_t>> members(num_subsets);
   for (size_t i = 0; i < n; ++i) members[i % num_subsets].push_back(order[i]);
 
+  // Per-subset support counts: each subset's rows are gathered into
+  // kBatchFlushReports-sized tiles and folded through the batched
+  // kernel.
+  const size_t d = protocol.domain_size();
+  std::vector<std::vector<double>> subset_counts(
+      num_subsets, std::vector<double>(d, 0.0));
   KMeansDefenseResult result;
   result.subset_estimates.reserve(num_subsets);
-  for (const auto& subset : members) {
-    Aggregator agg(protocol);
-    for (uint32_t idx : subset) agg.Add(reports[idx]);
-    result.subset_estimates.push_back(agg.EstimateFrequencies());
+  ReportBatch tile;
+  for (size_t s = 0; s < num_subsets; ++s) {
+    for (uint32_t idx : members[s]) {
+      tile.AppendFrom(reports, idx);
+      if (tile.size() < kBatchFlushReports) continue;
+      protocol.AccumulateSupportsBatch(tile, subset_counts[s]);
+      tile.Clear();
+    }
+    protocol.AccumulateSupportsBatch(tile, subset_counts[s]);
+    tile.Clear();
+    result.subset_estimates.push_back(
+        protocol.EstimateFrequencies(subset_counts[s], members[s].size()));
   }
 
   result.subset_is_malicious = TwoMeansCluster(
@@ -132,13 +146,14 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
   result.malicious_subset_fraction =
       static_cast<double>(malicious_subsets) / static_cast<double>(num_subsets);
 
-  // Re-aggregate over the *users* of each cluster: the defense keeps
-  // only the genuine cluster's reports.
+  // Re-aggregate over the *users* of each cluster — the defense keeps
+  // only the genuine cluster's reports — by summing the subsets'
+  // integer support counts (exact in any order).
   Aggregator genuine(protocol);
   Aggregator malicious(protocol);
   for (size_t s = 0; s < num_subsets; ++s) {
     Aggregator& sink = result.subset_is_malicious[s] ? malicious : genuine;
-    for (uint32_t idx : members[s]) sink.Add(reports[idx]);
+    sink.AddSampledCounts(subset_counts[s], members[s].size());
   }
   LDPR_CHECK(genuine.report_count() > 0);
   result.genuine_estimate = genuine.EstimateFrequencies();
@@ -147,8 +162,26 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
   return result;
 }
 
+KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
+                                     const std::vector<Report>& reports,
+                                     const KMeansDefenseOptions& options,
+                                     Rng& rng) {
+  ReportBatch batch;
+  for (const Report& report : reports) batch.Append(report);
+  return RunKMeansDefense(protocol, batch, options, rng);
+}
+
 std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
                                  const std::vector<Report>& reports,
+                                 const KMeansDefenseOptions& options,
+                                 double eta, Rng& rng) {
+  ReportBatch batch;
+  for (const Report& report : reports) batch.Append(report);
+  return LdpRecoverKm(protocol, batch, options, eta, rng);
+}
+
+std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
+                                 const ReportBatch& reports,
                                  const KMeansDefenseOptions& options,
                                  double eta, Rng& rng) {
   const KMeansDefenseResult defense =

@@ -62,13 +62,25 @@ std::vector<uint8_t> TwoMeansCluster(
 /// Runs the subset-sampling + clustering defense over the given
 /// reports.  The protocol reference must outlive the call.
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
-                                     const std::vector<Report>& reports,
+                                     const ReportBatch& reports,
                                      const KMeansDefenseOptions& options,
                                      Rng& rng);
 
 /// LDPRecover-KM: integrates the defense's learnt malicious vector
 /// into LDPRecover (malicious-frequency override + KKT refinement).
 /// `eta` follows the usual RecoverOptions semantics.
+std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
+                                 const ReportBatch& reports,
+                                 const KMeansDefenseOptions& options,
+                                 double eta, Rng& rng);
+
+/// Pack `reports` into a batch and call the overloads above.
+/// Adapters for the AoS fig9 replay in perf/src/replay.cc; delete
+/// with it.
+KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
+                                     const std::vector<Report>& reports,
+                                     const KMeansDefenseOptions& options,
+                                     Rng& rng);
 std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
                                  const std::vector<Report>& reports,
                                  const KMeansDefenseOptions& options,

@@ -47,7 +47,8 @@ struct RecoverOptions {
   /// the attacker-selected items a total of exactly 1/(p - q), which
   /// is the self-consistent counterpart of the one-hot support model
   /// behind Eq. (21) and matches the true MGA target mass closely for
-  /// GRR.  The exact form is kept for ablation (see DESIGN.md).
+  /// GRR.  The exact form is kept for ablation (see
+  /// docs/architecture.md, "The subdomain-sum choice").
   bool paper_literal_subdomain_sum = true;
 
   /// Override of the full-domain malicious frequency sum, replacing

@@ -35,7 +35,7 @@ namespace ldpr {
 double ExpectedMaliciousFrequencySum(const FrequencyProtocol& protocol);
 
 /// The *actual* expected malicious frequency sum of reports produced
-/// by CraftSupportingReport(): (CraftedSupportBudget() - q d)/(p - q).
+/// by AppendCraftedReport(): (CraftedSupportBudget() - q d)/(p - q).
 /// Coincides with Eq. (21) for GRR and OUE; for OLH it accounts for
 /// hash-bucket collisions.  Exposed for analysis and tests.
 double CraftedMaliciousFrequencySum(const FrequencyProtocol& protocol);
@@ -49,8 +49,8 @@ double CraftedMaliciousFrequencySum(const FrequencyProtocol& protocol);
 /// The paper's Eq. (28) literally writes -q*d/(p - q) (with the full
 /// domain size d); pass `paper_literal` = true to reproduce that
 /// variant.  The two differ by the small factor d/|D'| (the paper's
-/// target sets satisfy |T| << d), and DESIGN.md section 2 records the
-/// discrepancy.
+/// target sets satisfy |T| << d); docs/architecture.md ("The
+/// subdomain-sum choice") records the discrepancy.
 double ZeroMassSubdomainSum(const FrequencyProtocol& protocol,
                             size_t subdomain_size, bool paper_literal = false);
 

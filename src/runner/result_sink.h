@@ -1,5 +1,5 @@
 // ResultSink: the one output interface every scenario (and
-// ldprecover_cli) writes results through.  A sink consumes the same
+// `ldpr run`) writes results through.  A sink consumes the same
 // row stream the paper-style console tables render — BeginTable /
 // AddRow / AddSeparator / EndTable — so the console view, the CSV
 // file, and the JSONL file of one run are three serializations of

@@ -89,7 +89,8 @@ TrialMetrics RunTrialWithProtocol(const FrequencyProtocol& protocol,
       // Genuine reports are re-drawn for the filtered aggregate;
       // detection metrics are averaged across trials, so using an
       // independent realization of the genuine randomness is
-      // statistically equivalent (see DESIGN.md).
+      // statistically equivalent (see docs/architecture.md,
+      // "Closed-form approximations").
       if (config.pipeline.exact_genuine) {
         filter.OfferExactGenuine(dataset.item_counts, rng);
       } else {

@@ -104,7 +104,7 @@ StreamSummary RunStream(const FrequencyProtocol& protocol,
   const auto flush = [&] {
     if (buffer.empty()) return;
     protocol.AccumulateSupportsBatch(buffer, cum_counts);
-    if (filter) filter->OfferStreaming(buffer);
+    if (filter) filter->OfferAll(buffer);
     buffer.Clear();
   };
 

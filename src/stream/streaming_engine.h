@@ -10,7 +10,7 @@
 //     FrequencyProtocol::AccumulateSupportsBatch — the PR 6 batched
 //     SIMD kernels — every kBatchFlushReports reports and at pane
 //     boundaries, and simultaneously through
-//     DetectionFilter::OfferStreaming, whose per-window counters are
+//     DetectionFilter::OfferAll, whose per-window counters are
 //     closed with ResetWindow at each pane boundary.
 //   * At each pane boundary the engine snapshots its cumulative
 //     totals (support counts, genuine item tally, attacker /

@@ -247,12 +247,6 @@ void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
                        acc);
 }
 
-void SimdUnaryColumnsAddRows(const uint8_t* const* rows, size_t n, size_t d,
-                             uint32_t* acc) {
-  LDPR_CHECK(n < (uint64_t{1} << 32));
-  UnaryColumnsDispatch([rows](size_t i) { return rows[i]; }, n, d, acc);
-}
-
 // ==================================================================
 // GRR value histogram.
 //

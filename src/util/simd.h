@@ -67,11 +67,6 @@ void ClearSimdBackendForTest();
 void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
                                uint32_t* acc);
 
-/// Unary column sums over n separately-stored rows of d bytes each
-/// (the AoS span compat path).  Requires n < 2^32 per call.
-void SimdUnaryColumnsAddRows(const uint8_t* const* rows, size_t n, size_t d,
-                             uint32_t* acc);
-
 /// GRR value histogram: adds the occurrence count of each value v to
 /// hist[v].  Checks every value against d.
 void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,

@@ -1,9 +1,9 @@
 // Locks in the batched-aggregation contract of ldp/report_batch.h:
-// every AccumulateSupportsBatch override (and the generic fallback)
-// produces support counts byte-identical to the per-report
-// AccumulateSupports loop, for every factory protocol, through the
-// sharded and unsharded Aggregator routes, at batch sizes straddling
-// the kReportsPerAggregationShard chunk boundary, and through the
+// every protocol's AccumulateSupportsBatch produces support counts
+// byte-identical to the per-report oracle (tests/report_oracle.h),
+// for every factory protocol, through the sharded and unsharded
+// Aggregator routes, at batch sizes straddling the
+// kReportsPerAggregationShard chunk boundary, and through the
 // DetectionFilter's kept-report accumulation.
 
 #include <cstddef>
@@ -16,49 +16,41 @@
 #include "ldp/protocol.h"
 #include "ldp/report_batch.h"
 #include "recover/detection.h"
+#include "report_oracle.h"
 #include "util/random.h"
 
 namespace ldpr {
 namespace {
 
-// A mixed report stream: genuine perturbed reports plus MGA-crafted
-// ones (the report-heavy hot path the batch layer exists for).
+// A mixed oracle-generated report stream: MGA-crafted reports plus
+// genuine perturbed ones (the report-heavy hot path the batch layer
+// exists for).
 std::vector<Report> MakeReports(const FrequencyProtocol& proto, size_t n,
                                 uint64_t seed) {
   Rng rng(seed);
   std::vector<Report> reports;
-  reports.reserve(n);
   const size_t crafted = n / 3;
   if (crafted > 0) {
-    const MgaAttack mga(MgaAttack::SampleTargets(proto.domain_size(),
-                                                 /*r=*/5, rng));
-    reports = mga.Craft(proto, crafted, rng);
+    reports = oracle::CraftMga(
+        proto, MgaAttack::SampleTargets(proto.domain_size(), /*r=*/5, rng),
+        MgaOptions(), crafted, rng);
   }
   for (size_t i = reports.size(); i < n; ++i) {
-    reports.push_back(
-        proto.Perturb(static_cast<ItemId>(i % proto.domain_size()), rng));
+    reports.push_back(oracle::Perturb(
+        proto, static_cast<ItemId>(i % proto.domain_size()), rng));
   }
   return reports;
 }
 
-std::vector<double> PerReportCounts(const FrequencyProtocol& proto,
-                                    const std::vector<Report>& reports) {
-  std::vector<double> counts(proto.domain_size(), 0.0);
-  for (const Report& r : reports) proto.AccumulateSupports(r, counts);
-  return counts;
-}
-
-TEST(AggregationBatchTest, BatchMatchesPerReportForAllProtocols) {
+TEST(AggregationBatchTest, BatchMatchesOracleForAllProtocols) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/37, /*epsilon=*/1.0);
     for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{300}}) {
       const std::vector<Report> reports = MakeReports(*proto, n, 11 + n);
-      const ReportBatch batch(reports);
-      std::vector<double> batched(proto->domain_size(), 0.0);
-      proto->AccumulateSupportsBatch(batch, batched);
       // operator== on vector<double> is bitwise equality here: all
       // entries are exact small integers.
-      EXPECT_EQ(batched, PerReportCounts(*proto, reports))
+      EXPECT_EQ(BatchSupportCounts(*proto, reports),
+                oracle::SupportCounts(*proto, reports))
           << ProtocolKindName(kind) << " n=" << n;
     }
   }
@@ -66,13 +58,13 @@ TEST(AggregationBatchTest, BatchMatchesPerReportForAllProtocols) {
 
 TEST(AggregationBatchTest, GrrDenseAndSparseRegimesAgree) {
   // d chosen so n=300 takes the histogram branch and n=20 the direct
-  // branch; both must match the per-report loop exactly.
+  // branch; both must match the oracle exactly.
   const auto grr = MakeProtocol(ProtocolKind::kGrr, 128, 0.5);
   for (size_t n : {size_t{20}, size_t{300}}) {
     const std::vector<Report> reports = MakeReports(*grr, n, 3);
-    std::vector<double> batched(grr->domain_size(), 0.0);
-    grr->AccumulateSupportsBatch(ReportBatch(reports), batched);
-    EXPECT_EQ(batched, PerReportCounts(*grr, reports)) << n;
+    EXPECT_EQ(BatchSupportCounts(*grr, reports),
+              oracle::SupportCounts(*grr, reports))
+        << n;
   }
 }
 
@@ -83,16 +75,18 @@ TEST(AggregationBatchTest, AggregatorRoutesMatchAtChunkBoundaries) {
   const auto proto = MakeProtocol(ProtocolKind::kGrr, 23, 1.0);
   for (size_t n : {chunk - 1, chunk, chunk + 1, 2 * chunk + 13}) {
     const std::vector<Report> reports = MakeReports(*proto, n, n);
-    const std::vector<double> reference = PerReportCounts(*proto, reports);
+    const std::vector<double> reference =
+        oracle::SupportCounts(*proto, reports);
+    const ReportBatch batch = PackReports(reports);
 
     Aggregator unsharded(*proto);
-    unsharded.AddAll(reports);
+    unsharded.AddAll(batch);
     EXPECT_EQ(unsharded.support_counts(), reference) << "AddAll n=" << n;
     EXPECT_EQ(unsharded.report_count(), n);
 
     for (size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
       Aggregator sharded(*proto);
-      sharded.AddAllSharded(reports, shards);
+      sharded.AddAllSharded(batch, shards);
       EXPECT_EQ(sharded.support_counts(), reference)
           << "AddAllSharded n=" << n << " shards=" << shards;
       EXPECT_EQ(sharded.report_count(), n);
@@ -100,122 +94,78 @@ TEST(AggregationBatchTest, AggregatorRoutesMatchAtChunkBoundaries) {
   }
 }
 
-TEST(AggregationBatchTest, ShardedMatchesUnshardedForSupportSetProtocols) {
+TEST(AggregationBatchTest, ShardedMatchesOracleForSupportSetProtocols) {
   // Every factory protocol crosses the chunk boundary, at a smaller
-  // domain (the O(d)-per-report reference loop is the expensive part).
+  // domain (the O(d)-per-report oracle loop is the expensive part).
   const size_t chunk = kReportsPerAggregationShard;
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, 16, 1.0);
-    const size_t n = chunk + 37;
-    const std::vector<Report> reports = MakeReports(*proto, n, 7);
-    Aggregator all(*proto);
-    all.AddAll(reports);
+    const std::vector<Report> reports = MakeReports(*proto, chunk + 37, 7);
     Aggregator sharded(*proto);
-    sharded.AddAllSharded(reports, 3);
-    EXPECT_EQ(all.support_counts(), sharded.support_counts())
+    sharded.AddAllSharded(PackReports(reports), 3);
+    EXPECT_EQ(sharded.support_counts(), oracle::SupportCounts(*proto, reports))
         << ProtocolKindName(kind);
   }
 }
 
-// A protocol with no batched override: exercises the generic
-// ExtractReport fallback (GRR-shaped, but Supports-driven).
-class FallbackProtocol final : public FrequencyProtocol {
- public:
-  FallbackProtocol() : FrequencyProtocol(13, 1.0) {}
-  ProtocolKind kind() const override { return ProtocolKind::kGrr; }
-  std::string Name() const override { return "fallback"; }
-  double p() const override { return 0.7; }
-  double q() const override { return 0.1; }
-  Report Perturb(ItemId item, Rng& rng) const override {
-    Report r;
-    r.value = static_cast<uint32_t>((item + rng.UniformU64(3)) % d_);
-    return r;
-  }
-  bool Supports(const Report& report, ItemId item) const override {
-    return report.value % 5 == item % 5;
-  }
-  double CountVariance(double, size_t) const override { return 1.0; }
-  Report CraftSupportingReport(ItemId item, Rng&) const override {
-    Report r;
-    r.value = item;
-    return r;
-  }
-};
-
-TEST(AggregationBatchTest, DefaultBatchImplementationReplaysPerReportLoop) {
-  const FallbackProtocol proto;
-  Rng rng(5);
-  std::vector<Report> reports;
-  for (size_t i = 0; i < 200; ++i)
-    reports.push_back(proto.Perturb(static_cast<ItemId>(i % 13), rng));
-  std::vector<double> batched(13, 0.0);
-  proto.AccumulateSupportsBatch(ReportBatch(reports), batched);
-  EXPECT_EQ(batched, PerReportCounts(proto, reports));
-}
-
-TEST(AggregationBatchTest, DetectionOfferAllMatchesPerReportOffer) {
+TEST(AggregationBatchTest, DetectionOfferAllMatchesOracleFilter) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, 24, 1.0);
     Rng rng(9);
     const std::vector<ItemId> targets = {1, 5, 17};
-    const MgaAttack mga(targets);
-    std::vector<Report> reports = mga.Craft(*proto, 150, rng);
+    std::vector<Report> reports =
+        oracle::CraftMga(*proto, targets, MgaOptions(), 150, rng);
     for (size_t i = 0; i < 400; ++i)
-      reports.push_back(proto->Perturb(static_cast<ItemId>(i % 24), rng));
+      reports.push_back(
+          oracle::Perturb(*proto, static_cast<ItemId>(i % 24), rng));
 
     DetectionFilter batched(*proto, targets);
-    batched.OfferAll(reports);
-    DetectionFilter per_report(*proto, targets);
-    for (const Report& r : reports) per_report.Offer(r);
+    batched.OfferAll(PackReports(reports));
+    const std::vector<Report> survivors = oracle::DetectionSurvivors(
+        *proto, targets, batched.threshold(), reports);
 
-    EXPECT_EQ(batched.offered(), per_report.offered()) << ProtocolKindName(kind);
-    EXPECT_EQ(batched.kept(), per_report.kept()) << ProtocolKindName(kind);
+    EXPECT_EQ(batched.offered(), reports.size()) << ProtocolKindName(kind);
+    EXPECT_EQ(batched.kept(), survivors.size()) << ProtocolKindName(kind);
     ASSERT_GT(batched.kept(), 0u) << ProtocolKindName(kind);
-    EXPECT_EQ(batched.Estimate(), per_report.Estimate())
+    EXPECT_EQ(batched.Estimate(),
+              proto->EstimateFrequencies(
+                  oracle::SupportCounts(*proto, survivors), survivors.size()))
         << ProtocolKindName(kind);
   }
 }
 
-TEST(ReportBatchTest, ExtractReportRoundTrips) {
+TEST(ReportBatchTest, SliceViewsTheParentRows) {
   const auto oue = MakeProtocol(ProtocolKind::kOue, 9, 1.0);
-  Rng rng(4);
-  std::vector<Report> reports;
-  for (ItemId v = 0; v < 9; ++v) reports.push_back(oue->Perturb(v, rng));
-  const ReportBatch batch(reports);
-  ASSERT_EQ(batch.size(), reports.size());
-  EXPECT_EQ(batch.bits_width(), 9u);
-  Report scratch;
-  for (size_t i = 0; i < reports.size(); ++i) {
-    batch.ExtractReport(i, scratch);
-    EXPECT_EQ(scratch.seed, reports[i].seed);
-    EXPECT_EQ(scratch.value, reports[i].value);
-    EXPECT_EQ(scratch.bits, reports[i].bits);
-  }
+  const std::vector<Report> reports = MakeReports(*oue, 30, 4);
+  const ReportBatch batch = PackReports(reports);
+  const ReportBatch view = batch.Slice(10, 25);
+  ASSERT_EQ(view.size(), 15u);
+  EXPECT_EQ(view.bits_width(), 9u);
+  const std::vector<Report> unpacked = UnpackReports(view);
+  for (size_t i = 0; i < unpacked.size(); ++i)
+    EXPECT_EQ(unpacked[i].bits, reports[10 + i].bits) << i;
 }
 
 TEST(ReportBatchTest, ClearReusesAsFlushBuffer) {
-  const auto grr = MakeProtocol(ProtocolKind::kGrr, 6, 1.0);
-  Rng rng(8);
   ReportBatch batch;
-  batch.Append(grr->Perturb(2, rng));
+  ReportBatch::Builder builder(batch);
+  builder.AddValue(2);
   EXPECT_EQ(batch.size(), 1u);
   batch.Clear();
   EXPECT_TRUE(batch.empty());
-  const auto oue = MakeProtocol(ProtocolKind::kOue, 6, 1.0);
-  batch.Append(oue->Perturb(3, rng));  // width re-learned after Clear
+  builder.SetBitsWidth(6);  // width re-learned after Clear
+  builder.AddBitsRow()[3] = 1;
   EXPECT_EQ(batch.bits_width(), 6u);
+  EXPECT_EQ(batch.bits_row(0)[3], 1);
 }
 
 TEST(ReportBatchDeathTest, RejectsMixedBitWidths) {
   ReportBatch batch;
-  Report with_bits;
-  with_bits.bits.assign(4, 0);
-  batch.Append(with_bits);
-  Report without_bits;
-  EXPECT_DEATH(batch.Append(without_bits), "LDPR_CHECK");
-  Report wrong_width;
-  wrong_width.bits.assign(5, 0);
-  EXPECT_DEATH(batch.Append(wrong_width), "LDPR_CHECK");
+  ReportBatch::Builder builder(batch);
+  builder.SetBitsWidth(4);
+  builder.AddBitsRow();
+  EXPECT_DEATH(builder.AddSeedValue(1, 2), "LDPR_CHECK");
+  EXPECT_DEATH(builder.SetBitsWidth(5), "LDPR_CHECK");
 }
 
 }  // namespace

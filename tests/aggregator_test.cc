@@ -1,4 +1,4 @@
-// Direct tests of the streaming Aggregator and the shared
+// Direct tests of the batch Aggregator and the shared
 // count-adjustment math in FrequencyProtocol (covered only indirectly
 // by the pipeline tests elsewhere).
 
@@ -38,30 +38,32 @@ TEST(AggregatorTest, CountsReportsAndSupports) {
   const Grr grr(5, 1.0);
   Aggregator agg(grr);
   EXPECT_EQ(agg.report_count(), 0u);
-  Report r;
-  r.value = 2;
-  agg.Add(r);
-  agg.Add(r);
-  r.value = 4;
-  agg.Add(r);
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  builder.AddValue(2);
+  builder.AddValue(2);
+  builder.AddValue(4);
+  agg.AddAll(batch);
   EXPECT_EQ(agg.report_count(), 3u);
   EXPECT_DOUBLE_EQ(agg.support_counts()[2], 2.0);
   EXPECT_DOUBLE_EQ(agg.support_counts()[4], 1.0);
   EXPECT_DOUBLE_EQ(agg.support_counts()[0], 0.0);
 }
 
-TEST(AggregatorTest, AddAllMatchesSequentialAdds) {
+TEST(AggregatorTest, AddAllAccumulatesAcrossBatches) {
   const Grr grr(5, 1.0);
   Rng rng(1);
-  std::vector<Report> reports;
-  for (int i = 0; i < 100; ++i) reports.push_back(grr.Perturb(1, rng));
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  grr.AppendGenuineReports(1, 100, rng, builder);
 
-  Aggregator one_by_one(grr);
-  for (const Report& r : reports) one_by_one.Add(r);
-  Aggregator batched(grr);
-  batched.AddAll(reports);
-  EXPECT_EQ(one_by_one.support_counts(), batched.support_counts());
-  EXPECT_EQ(one_by_one.report_count(), batched.report_count());
+  Aggregator halves(grr);
+  halves.AddAll(batch.Slice(0, 37));
+  halves.AddAll(batch.Slice(37, 100));
+  Aggregator whole(grr);
+  whole.AddAll(batch);
+  EXPECT_EQ(halves.support_counts(), whole.support_counts());
+  EXPECT_EQ(halves.report_count(), whole.report_count());
 }
 
 TEST(AggregatorTest, AddSampledCountsMerges) {
@@ -78,9 +80,10 @@ TEST(AggregatorTest, EstimateWithOverrideCount) {
   // the override path must use exactly that count.
   const Grr grr(4, 1.0);
   Aggregator agg(grr);
-  Report r;
-  r.value = 0;
-  for (int i = 0; i < 10; ++i) agg.Add(r);
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  for (int i = 0; i < 10; ++i) builder.AddValue(0);
+  agg.AddAll(batch);
   const auto with_override = agg.EstimateFrequencies(20);
   const auto without = agg.EstimateFrequencies();
   EXPECT_LT(with_override[0], without[0]);  // larger n dilutes the count
@@ -90,10 +93,13 @@ TEST(AggregatorTest, EndToEndUnbiasedAcrossProtocols) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, 6, 1.0);
     Rng rng(2);
-    Aggregator agg(*proto);
     const size_t n = 20000;
+    ReportBatch batch;
+    ReportBatch::Builder builder(batch);
     for (size_t i = 0; i < n; ++i)
-      agg.Add(proto->Perturb(static_cast<ItemId>(i % 3), rng));
+      proto->AppendGenuineReports(static_cast<ItemId>(i % 3), 1, rng, builder);
+    Aggregator agg(*proto);
+    agg.AddAll(batch);
     const auto freqs = agg.EstimateFrequencies();
     for (ItemId v = 0; v < 3; ++v)
       EXPECT_NEAR(freqs[v], 1.0 / 3.0, 0.05) << ProtocolKindName(kind) << v;

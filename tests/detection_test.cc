@@ -14,28 +14,33 @@
 namespace ldpr {
 namespace {
 
+// A GRR batch carrying `values` in order.
+ReportBatch GrrBatch(const std::vector<uint32_t>& values) {
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  for (uint32_t v : values) builder.AddValue(v);
+  return batch;
+}
+
 TEST(DetectionFilterTest, FlagsReportsSupportingTargets) {
   const Grr grr(10, 0.5);
-  DetectionFilter filter(grr, {3});
-  Report hit;
-  hit.value = 3;
-  Report miss;
-  miss.value = 4;
-  EXPECT_TRUE(filter.IsSuspicious(hit));
-  EXPECT_FALSE(filter.IsSuspicious(miss));
+  DetectionFilter hit(grr, {3});
+  hit.OfferAll(GrrBatch({3}));
+  EXPECT_EQ(hit.kept(), 0u);
+  DetectionFilter miss(grr, {3});
+  miss.OfferAll(GrrBatch({4}));
+  EXPECT_EQ(miss.kept(), 1u);
 }
 
 TEST(DetectionFilterTest, OfferDropsSuspicious) {
   const Grr grr(10, 0.5);
   DetectionFilter filter(grr, {0});
-  Report hit, miss;
-  hit.value = 0;
-  miss.value = 5;
-  filter.Offer(hit);
-  filter.Offer(miss);
-  filter.Offer(miss);
+  filter.OfferAll(GrrBatch({0, 5, 5}));
   EXPECT_EQ(filter.offered(), 3u);
   EXPECT_EQ(filter.kept(), 2u);
+  EXPECT_DOUBLE_EQ(filter.Estimate()[5],
+                   grr.EstimateFrequencies({0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+                                           2)[5]);
 }
 
 TEST(DetectionFilterTest, RemovesAllMgaReports) {
@@ -47,7 +52,10 @@ TEST(DetectionFilterTest, RemovesAllMgaReports) {
   const MgaAttack attack({4, 9}, opts);
   Rng rng(1);
   DetectionFilter filter(oue, {4, 9});
-  filter.OfferAll(attack.Craft(oue, 300, rng));
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(oue, 300, rng, builder);
+  filter.OfferAll(crafted);
   EXPECT_EQ(filter.kept(), 0u);
 }
 
@@ -72,8 +80,11 @@ TEST(DetectionFilterTest, OueCollateralDamageMatchesTheory) {
   Rng rng(2);
   DetectionFilter filter(oue, {0, 1, 2});
   const size_t n = 20000;
+  ReportBatch genuine;
+  ReportBatch::Builder builder(genuine);
   for (size_t i = 0; i < n; ++i)
-    filter.Offer(oue.Perturb(static_cast<ItemId>(10 + i % 20), rng));
+    oue.AppendGenuineReports(static_cast<ItemId>(10 + i % 20), 1, rng, builder);
+  filter.OfferAll(genuine);
   const double keep_rate =
       static_cast<double>(filter.kept()) / static_cast<double>(n);
   const double expected = 1.0 - std::pow(oue.q(), static_cast<double>(r));
@@ -84,8 +95,8 @@ TEST(DetectionFilterTest, OueCollateralDamageMatchesTheory) {
   EXPECT_LT(freqs[0], 0.005);
 }
 
-// The fast sampled path matches the streaming path in expectation for
-// each protocol that has one.
+// The fast sampled path matches exact per-user simulation in
+// expectation for each protocol that has one.
 class DetectionFastPathTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(DetectionFastPathTest, FastAndStreamingAgree) {
@@ -104,10 +115,7 @@ TEST_P(DetectionFastPathTest, FastAndStreamingAgree) {
     fast_f10.Add(fast.Estimate()[10]);
 
     DetectionFilter slow(*proto, targets);
-    for (ItemId item = 0; item < d; ++item) {
-      for (uint64_t u = 0; u < item_counts[item]; ++u)
-        slow.Offer(proto->Perturb(item, rng));
-    }
+    slow.OfferExactGenuine(item_counts, rng);
     slow_kept.Add(static_cast<double>(slow.kept()));
     slow_f10.Add(slow.Estimate()[10]);
   }
@@ -176,7 +184,7 @@ TEST(DetectionFilterTest, ResetWindowLeavesNoCrossWindowState) {
     }
 
     DetectionFilter streaming(*proto, targets);
-    streaming.OfferStreaming(window_a);
+    streaming.OfferAll(window_a);
     const size_t a_offered = streaming.offered();
     const size_t a_kept = streaming.kept();
     EXPECT_EQ(a_offered, window_a.size());
@@ -185,11 +193,11 @@ TEST(DetectionFilterTest, ResetWindowLeavesNoCrossWindowState) {
     streaming.ResetWindow();
     EXPECT_EQ(streaming.offered(), 0u);
     EXPECT_EQ(streaming.kept(), 0u);
-    streaming.OfferStreaming(window_b);
+    streaming.OfferAll(window_b);
 
     // A fresh filter that never saw window A.
     DetectionFilter fresh(*proto, targets);
-    fresh.OfferStreaming(window_b);
+    fresh.OfferAll(window_b);
 
     EXPECT_EQ(streaming.offered(), fresh.offered()) << ProtocolKindName(kind);
     EXPECT_EQ(streaming.kept(), fresh.kept()) << ProtocolKindName(kind);

@@ -40,12 +40,14 @@ TEST(MaliciousMomentsTest, EmpiricalAgreement) {
   const size_t m = 2000;
   RunningStat stat;
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<double> counts(d, 0.0);
+    ReportBatch crafted;
+    ReportBatch::Builder builder(crafted);
     for (size_t i = 0; i < m; ++i) {
-      Report r;
-      r.value = rng.Bernoulli(s) ? 0 : 1 + rng.UniformU64(d - 1);
-      grr.AccumulateSupports(r, counts);
+      builder.AddValue(static_cast<uint32_t>(
+          rng.Bernoulli(s) ? 0 : 1 + rng.UniformU64(d - 1)));
     }
+    std::vector<double> counts(d, 0.0);
+    grr.AccumulateSupportsBatch(crafted, counts);
     stat.Add(grr.EstimateFrequencies(counts, m)[0]);
   }
   const Moments mo = MaliciousFrequencyMoments(grr, s, m);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "report_oracle.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -21,10 +22,8 @@ TEST(GrrTest, ProbabilitiesMatchEq2) {
 TEST(GrrTest, PerturbStaysInDomain) {
   const Grr grr(5, 0.5);
   Rng rng(1);
-  for (int i = 0; i < 500; ++i) {
-    const Report r = grr.Perturb(3, rng);
+  for (const Report& r : GenuineReports(grr, 3, 500, rng))
     EXPECT_LT(r.value, 5u);
-  }
 }
 
 TEST(GrrTest, PerturbKeepsWithProbabilityP) {
@@ -32,8 +31,8 @@ TEST(GrrTest, PerturbKeepsWithProbabilityP) {
   Rng rng(2);
   int kept = 0;
   const int kTrials = 50000;
-  for (int i = 0; i < kTrials; ++i)
-    kept += (grr.Perturb(1, rng).value == 1) ? 1 : 0;
+  for (const Report& r : GenuineReports(grr, 1, kTrials, rng))
+    kept += (r.value == 1) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(kept) / kTrials, grr.p(), 0.01);
 }
 
@@ -42,7 +41,7 @@ TEST(GrrTest, MisreportsAreUniformOverOthers) {
   Rng rng(3);
   std::vector<int> counts(4, 0);
   const int kTrials = 60000;
-  for (int i = 0; i < kTrials; ++i) ++counts[grr.Perturb(0, rng).value];
+  for (const Report& r : GenuineReports(grr, 0, kTrials, rng)) ++counts[r.value];
   // Items 1..3 each get q fraction.
   for (int v = 1; v < 4; ++v)
     EXPECT_NEAR(static_cast<double>(counts[v]) / kTrials, grr.q(), 0.01);
@@ -52,16 +51,15 @@ TEST(GrrTest, SupportIsExactlyTheReportedItem) {
   const Grr grr(6, 1.0);
   Report r;
   r.value = 4;
-  for (ItemId v = 0; v < 6; ++v) EXPECT_EQ(grr.Supports(r, v), v == 4);
+  EXPECT_EQ(BatchSupportCounts(grr, {r}),
+            (std::vector<double>{0, 0, 0, 0, 1, 0}));
 }
 
-TEST(GrrTest, AccumulateSupportsAddsOneCount) {
+TEST(GrrTest, AccumulateSupportsAddsOneCountPerReport) {
   const Grr grr(3, 1.0);
-  std::vector<double> counts(3, 0.0);
   Report r;
   r.value = 2;
-  grr.AccumulateSupports(r, counts);
-  grr.AccumulateSupports(r, counts);
+  const std::vector<double> counts = BatchSupportCounts(grr, {r, r});
   EXPECT_DOUBLE_EQ(counts[2], 2.0);
   EXPECT_DOUBLE_EQ(counts[0], 0.0);
 }
@@ -123,12 +121,13 @@ TEST(GrrTest, EmpiricalVarianceMatchesTheory) {
   EXPECT_NEAR(est.variance(), theory, 0.35 * theory);
 }
 
-TEST(GrrTest, CraftSupportingReportIsDeterministicSupport) {
+TEST(GrrTest, CraftedReportIsDeterministicSupport) {
   const Grr grr(7, 0.5);
   Rng rng(7);
   for (ItemId v = 0; v < 7; ++v) {
-    const Report r = grr.CraftSupportingReport(v, rng);
-    EXPECT_TRUE(grr.Supports(r, v));
+    const Report r = CraftedReport(grr, v, rng);
+    EXPECT_EQ(r.value, v);
+    EXPECT_DOUBLE_EQ(BatchSupportCounts(grr, {r})[v], 1.0);
   }
 }
 

@@ -38,10 +38,9 @@ TEST(HarmonyTest, EstimateMeanIsUnbiased) {
   const Harmony h(1.0);
   Rng rng(2);
   const double true_mean = -0.25;
-  std::vector<Report> reports;
-  const int n = 60000;
-  reports.reserve(n);
-  for (int i = 0; i < n; ++i) reports.push_back(h.Perturb(true_mean, rng));
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  for (int i = 0; i < 60000; ++i) h.Perturb(true_mean, rng, builder);
   EXPECT_NEAR(h.EstimateMean(reports), true_mean, 0.03);
 }
 
@@ -55,13 +54,17 @@ TEST(HarmonyTest, LdpRecoverRepairsPoisonedMean) {
   const size_t n = 60000;
   const size_t m = 6000;  // 10% fake users
 
-  Aggregator genuine(rr);
-  for (size_t i = 0; i < n; ++i) genuine.Add(h.Perturb(true_mean, rng));
+  ReportBatch genuine;
+  ReportBatch::Builder genuine_out(genuine);
+  for (size_t i = 0; i < n; ++i) h.Perturb(true_mean, rng, genuine_out);
 
-  Aggregator all(rr);
-  for (size_t i = 0; i < n; ++i) all.Add(h.Perturb(true_mean, rng));
+  ReportBatch poisoned;
+  ReportBatch::Builder poisoned_out(poisoned);
+  for (size_t i = 0; i < n; ++i) h.Perturb(true_mean, rng, poisoned_out);
   for (size_t i = 0; i < m; ++i)
-    all.Add(rr.CraftSupportingReport(Harmony::kPlusOne, rng));
+    rr.AppendCraftedReport(Harmony::kPlusOne, rng, poisoned_out);
+  Aggregator all(rr);
+  all.AddAll(poisoned);
 
   const double poisoned_mean =
       Harmony::MeanFromFrequencies(all.EstimateFrequencies());
@@ -80,7 +83,9 @@ TEST(HarmonyTest, LdpRecoverRepairsPoisonedMean) {
 TEST(HarmonyDeathTest, RejectsOutOfRangeValue) {
   const Harmony h(1.0);
   Rng rng(4);
-  EXPECT_DEATH((void)h.Perturb(1.5, rng), "LDPR_CHECK");
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  EXPECT_DEATH(h.Perturb(1.5, rng, builder), "LDPR_CHECK");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "ldp/grr.h"
 #include "ldp/oue.h"
 #include "util/metrics.h"
+#include "report_oracle.h"
 
 namespace ldpr {
 namespace {
@@ -26,7 +27,7 @@ TEST(IpaTest, ReportsAreHonestlyPerturbed) {
   Rng rng(1);
   size_t on_target = 0;
   const size_t m = 40000;
-  for (const Report& r : attack->Craft(grr, m, rng))
+  for (const Report& r : CraftReports(*attack, grr, m, rng))
     on_target += (r.value == 0) ? 1 : 0;
   // Pr[report = 0 | input = 0] = p < 1.
   EXPECT_NEAR(static_cast<double>(on_target) / m, grr.p(), 0.01);
@@ -40,7 +41,7 @@ TEST(IpaTest, OueReportsLookGenuine) {
   Rng rng(2);
   double total_ones = 0.0;
   const size_t m = 2000;
-  for (const Report& r : attack->Craft(oue, m, rng)) {
+  for (const Report& r : CraftReports(*attack, oue, m, rng)) {
     for (uint8_t b : r.bits) total_ones += b;
   }
   // Honest perturbation: 1-count concentrates at the genuine mean,
@@ -61,8 +62,10 @@ TEST(IpaTest, WeakerThanGeneralMga) {
   auto run = [&](const Attack& attack) {
     auto counts = grr.SampleSupportCounts(item_counts, rng);
     const auto genuine = grr.EstimateFrequencies(counts, n);
-    for (const Report& r : attack.Craft(grr, m, rng))
-      grr.AccumulateSupports(r, counts);
+    ReportBatch crafted;
+    ReportBatch::Builder builder(crafted);
+    attack.CraftBatch(grr, m, rng, builder);
+    grr.AccumulateSupportsBatch(crafted, counts);
     const auto poisoned = grr.EstimateFrequencies(counts, n + m);
     return FrequencyGain(genuine, poisoned, targets);
   };
@@ -84,7 +87,7 @@ TEST(IpaTest, CustomDistributionDrivesInputs) {
   Rng rng(4);
   size_t hits = 0;
   const size_t m = 10000;
-  for (const Report& r : attack.Craft(grr, m, rng))
+  for (const Report& r : CraftReports(attack, grr, m, rng))
     hits += (r.value == 4) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / m, grr.p(), 0.02);
 }

@@ -1,8 +1,11 @@
 #include "recover/kmeans_defense.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "attack/ipa.h"
+#include "ldp/factory.h"
 #include "ldp/grr.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
@@ -35,18 +38,49 @@ TEST(TwoMeansTest, MinorityIsAlwaysLabelOne) {
 }
 
 // Builds an IPA-poisoned report set over a uniform population.
-std::vector<Report> MakePoisonedReports(const Grr& grr, size_t n, size_t m,
-                                        const std::vector<ItemId>& targets,
-                                        Rng& rng) {
-  std::vector<Report> reports;
-  reports.reserve(n + m);
+ReportBatch MakePoisonedReports(const Grr& grr, size_t n, size_t m,
+                                const std::vector<ItemId>& targets, Rng& rng) {
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
   const size_t d = grr.domain_size();
   for (size_t i = 0; i < n; ++i)
-    reports.push_back(grr.Perturb(static_cast<ItemId>(i % d), rng));
-  const auto ipa = MakeMgaIpa(d, targets);
-  auto crafted = ipa->Craft(grr, m, rng);
-  std::move(crafted.begin(), crafted.end(), std::back_inserter(reports));
+    grr.AppendGenuineReports(static_cast<ItemId>(i % d), 1, rng, builder);
+  MakeMgaIpa(d, targets)->CraftBatch(grr, m, rng, builder);
   return reports;
+}
+
+// The defense's aggregates are sums of its per-subset counts; they
+// must equal aggregating the cluster members' reports directly.
+TEST(KMeansDefenseTest, AggregatesMatchDirectAggregation) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, 12, 1.0);
+    Rng gen(9);
+    ReportBatch reports;
+    ReportBatch::Builder builder(reports);
+    for (size_t i = 0; i < 9000; ++i)
+      proto->AppendGenuineReports(static_cast<ItemId>(i % 12), 1, gen, builder);
+    MakeMgaIpa(12, {0, 1})->CraftBatch(*proto, 2500, gen, builder);
+
+    KMeansDefenseOptions opts;
+    opts.sample_rate = 0.2;
+    Rng rng(10), replay(10);
+    const auto result = RunKMeansDefense(*proto, reports, opts, rng);
+
+    // Replay the defense's shuffle and subset assignment.
+    const size_t n = reports.size();
+    std::vector<uint32_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+    for (size_t i = n; i > 1; --i)
+      std::swap(order[i - 1], order[replay.UniformU64(i)]);
+    ReportBatch genuine;
+    for (size_t i = 0; i < n; ++i) {
+      if (!result.subset_is_malicious[i % 5]) genuine.AppendFrom(reports, order[i]);
+    }
+    Aggregator direct(*proto);
+    direct.AddAll(genuine);
+    EXPECT_EQ(result.genuine_estimate, direct.EstimateFrequencies())
+        << ProtocolKindName(kind);
+  }
 }
 
 TEST(KMeansDefenseTest, ProducesConsistentStructures) {
@@ -121,14 +155,17 @@ TEST(LdpRecoverKmTest, BeatsKMeansAloneUnderIpa) {
 TEST(KMeansDefenseDeathTest, RejectsEmptyReports) {
   const Grr grr(5, 0.5);
   Rng rng(7);
-  EXPECT_DEATH(RunKMeansDefense(grr, {}, KMeansDefenseOptions(), rng),
-               "LDPR_CHECK");
+  EXPECT_DEATH(
+      RunKMeansDefense(grr, ReportBatch(), KMeansDefenseOptions(), rng),
+      "LDPR_CHECK");
 }
 
 TEST(KMeansDefenseDeathTest, RejectsBadSampleRate) {
   const Grr grr(5, 0.5);
   Rng rng(8);
-  std::vector<Report> reports(3);
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  for (int i = 0; i < 3; ++i) builder.AddValue(0);
   KMeansDefenseOptions opts;
   opts.sample_rate = 0.0;
   EXPECT_DEATH(RunKMeansDefense(grr, reports, opts, rng), "LDPR_CHECK");

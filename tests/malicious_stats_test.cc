@@ -65,11 +65,14 @@ TEST_P(MaliciousSumEmpiricalTest, MatchesCraftedReports) {
   const auto proto = MakeProtocol(GetParam(), d, 0.5);
   Rng rng(7);
   const size_t m = 30000;
-  std::vector<double> counts(d, 0.0);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
   for (size_t i = 0; i < m; ++i) {
     const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
-    proto->AccumulateSupports(proto->CraftSupportingReport(v, rng), counts);
+    proto->AppendCraftedReport(v, rng, builder);
   }
+  std::vector<double> counts(d, 0.0);
+  proto->AccumulateSupportsBatch(crafted, counts);
   const double empirical = Sum(proto->EstimateFrequencies(counts, m));
   EXPECT_NEAR(empirical, CraftedMaliciousFrequencySum(*proto), 0.05);
 }
@@ -117,12 +120,12 @@ TEST(MaliciousStatsTest, ZeroMassSubdomainMatchesEmpirically) {
   const Grr grr(d, 0.5);
   Rng rng(9);
   const size_t m = 40000;
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  for (size_t i = 0; i < m; ++i)
+    builder.AddValue(static_cast<uint32_t>(rng.UniformU64(10)));  // targets
   std::vector<double> counts(d, 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    Report r;
-    r.value = static_cast<uint32_t>(rng.UniformU64(10));  // targets 0..9
-    grr.AccumulateSupports(r, counts);
-  }
+  grr.AccumulateSupportsBatch(crafted, counts);
   const auto freqs = grr.EstimateFrequencies(counts, m);
   double non_target_sum = 0.0;
   for (size_t v = 10; v < d; ++v) non_target_sum += freqs[v];

@@ -8,6 +8,7 @@
 #include "ldp/olh.h"
 #include "ldp/oue.h"
 #include "util/metrics.h"
+#include "report_oracle.h"
 
 namespace ldpr {
 namespace {
@@ -16,8 +17,8 @@ TEST(ManipTest, CraftsRequestedCount) {
   const Grr grr(20, 0.5);
   const ManipAttack attack;
   Rng rng(1);
-  EXPECT_EQ(attack.Craft(grr, 0, rng).size(), 0u);
-  EXPECT_EQ(attack.Craft(grr, 123, rng).size(), 123u);
+  EXPECT_EQ(CraftReports(attack, grr, 0, rng).size(), 0u);
+  EXPECT_EQ(CraftReports(attack, grr, 123, rng).size(), 123u);
 }
 
 TEST(ManipTest, IsUntargeted) {
@@ -31,7 +32,7 @@ TEST(ManipTest, GrrReportsConfinedToSubdomain) {
   opts.domain_fraction = 0.25;
   const ManipAttack attack(opts);
   Rng rng(2);
-  const auto reports = attack.Craft(grr, 2000, rng);
+  const auto reports = CraftReports(attack, grr, 2000, rng);
   std::set<uint32_t> values;
   for (const Report& r : reports) values.insert(r.value);
   // |H| = 10: at most 10 distinct values appear.
@@ -45,7 +46,7 @@ TEST(ManipTest, TinyFractionStillUsesOneItem) {
   opts.domain_fraction = 0.001;
   const ManipAttack attack(opts);
   Rng rng(3);
-  const auto reports = attack.Craft(grr, 100, rng);
+  const auto reports = CraftReports(attack, grr, 100, rng);
   std::set<uint32_t> values;
   for (const Report& r : reports) values.insert(r.value);
   EXPECT_EQ(values.size(), 1u);
@@ -55,7 +56,7 @@ TEST(ManipTest, OueReportsAreOneHot) {
   const Oue oue(15, 0.5);
   const ManipAttack attack;
   Rng rng(4);
-  for (const Report& r : attack.Craft(oue, 50, rng)) {
+  for (const Report& r : CraftReports(attack, oue, 50, rng)) {
     int ones = 0;
     for (uint8_t b : r.bits) ones += b;
     EXPECT_EQ(ones, 1);
@@ -66,10 +67,11 @@ TEST(ManipTest, OlhReportsSupportTheirItem) {
   const Olh olh(30, 0.5);
   const ManipAttack attack;
   Rng rng(5);
-  const auto reports = attack.Craft(olh, 100, rng);
+  const auto reports = CraftReports(attack, olh, 100, rng);
   for (const Report& r : reports) {
     int supported = 0;
-    for (ItemId v = 0; v < 30; ++v) supported += olh.Supports(r, v) ? 1 : 0;
+    for (ItemId v = 0; v < 30; ++v)
+      supported += oracle::Supports(olh, r, v) ? 1 : 0;
     EXPECT_GE(supported, 1);  // at least the chosen item
   }
 }
@@ -88,8 +90,10 @@ TEST(ManipTest, DistortsAggregatedDistribution) {
 
   const ManipAttack attack;
   auto poisoned_counts = genuine_counts;
-  for (const Report& r : attack.Craft(grr, m, rng))
-    grr.AccumulateSupports(r, poisoned_counts);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(grr, m, rng, builder);
+  grr.AccumulateSupportsBatch(crafted, poisoned_counts);
   const auto poisoned = grr.EstimateFrequencies(poisoned_counts, n + m);
 
   std::vector<double> truth(d, 1.0 / d);

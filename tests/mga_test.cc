@@ -10,6 +10,7 @@
 #include "ldp/olh.h"
 #include "ldp/oue.h"
 #include "util/metrics.h"
+#include "report_oracle.h"
 
 namespace ldpr {
 namespace {
@@ -34,7 +35,7 @@ TEST(MgaTest, GrrReportsAreAllTargets) {
   const MgaAttack attack({5, 10, 15});
   Rng rng(2);
   std::set<uint32_t> seen;
-  for (const Report& r : attack.Craft(grr, 600, rng)) {
+  for (const Report& r : CraftReports(attack, grr, 600, rng)) {
     EXPECT_TRUE(r.value == 5 || r.value == 10 || r.value == 15);
     seen.insert(r.value);
   }
@@ -46,7 +47,7 @@ TEST(MgaTest, OueReportsSetAllTargetBits) {
   const std::vector<ItemId> targets = {1, 50, 99};
   const MgaAttack attack(targets);
   Rng rng(3);
-  for (const Report& r : attack.Craft(oue, 40, rng)) {
+  for (const Report& r : CraftReports(attack, oue, 40, rng)) {
     for (ItemId t : targets) EXPECT_EQ(r.bits[t], 1);
   }
 }
@@ -58,7 +59,7 @@ TEST(MgaTest, OuePaddingMatchesExpectedOnes) {
   Rng rng(4);
   const size_t expected =
       static_cast<size_t>(std::llround(oue.ExpectedOnes()));
-  for (const Report& r : attack.Craft(oue, 20, rng)) {
+  for (const Report& r : CraftReports(attack, oue, 20, rng)) {
     size_t ones = 0;
     for (uint8_t b : r.bits) ones += b;
     EXPECT_EQ(ones, expected);
@@ -71,7 +72,7 @@ TEST(MgaTest, OueNoPaddingKeepsExactlyTargets) {
   opts.pad_oue = false;
   const MgaAttack attack({0, 1, 2}, opts);
   Rng rng(5);
-  for (const Report& r : attack.Craft(oue, 20, rng)) {
+  for (const Report& r : CraftReports(attack, oue, 20, rng)) {
     size_t ones = 0;
     for (uint8_t b : r.bits) ones += b;
     EXPECT_EQ(ones, 3u);
@@ -85,9 +86,9 @@ TEST(MgaTest, OlhReportsSupportManyTargets) {
   const MgaAttack attack(targets);
   double total_supported = 0.0;
   const size_t m = 50;
-  for (const Report& r : attack.Craft(olh, m, rng)) {
+  for (const Report& r : CraftReports(attack, olh, m, rng)) {
     size_t supported = 0;
-    for (ItemId t : targets) supported += olh.Supports(r, t) ? 1 : 0;
+    for (ItemId t : targets) supported += oracle::Supports(olh, r, t) ? 1 : 0;
     EXPECT_GE(supported, 1u);
     total_supported += static_cast<double>(supported);
   }
@@ -110,8 +111,10 @@ TEST(MgaTest, InflatesTargetFrequencies) {
 
   auto counts = oue.SampleSupportCounts(item_counts, rng);
   const auto genuine = oue.EstimateFrequencies(counts, n);
-  for (const Report& r : attack.Craft(oue, m, rng))
-    oue.AccumulateSupports(r, counts);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(oue, m, rng, builder);
+  oue.AccumulateSupportsBatch(crafted, counts);
   const auto poisoned = oue.EstimateFrequencies(counts, n + m);
 
   const double fg = FrequencyGain(genuine, poisoned, targets);

@@ -5,6 +5,7 @@
 #include "attack/adaptive.h"
 #include "attack/mga.h"
 #include "ldp/grr.h"
+#include "report_oracle.h"
 
 namespace ldpr {
 namespace {
@@ -13,8 +14,8 @@ TEST(MultiAttackerTest, CraftsExactTotal) {
   const Grr grr(20, 0.5);
   const auto attack = MakeMultiAdaptive(5);
   Rng rng(1);
-  EXPECT_EQ(attack->Craft(grr, 1234, rng).size(), 1234u);
-  EXPECT_EQ(attack->Craft(grr, 0, rng).size(), 0u);
+  EXPECT_EQ(CraftReports(*attack, grr, 1234, rng).size(), 1234u);
+  EXPECT_EQ(CraftReports(*attack, grr, 0, rng).size(), 0u);
 }
 
 TEST(MultiAttackerTest, NameEncodesCount) {
@@ -46,7 +47,7 @@ TEST(MultiAttackerTest, MixtureOfFixedDistributions) {
   Rng rng(2);
   std::vector<int> counts(d, 0);
   const size_t m = 20000;
-  for (const Report& r : multi.Craft(grr, m, rng)) ++counts[r.value];
+  for (const Report& r : CraftReports(multi, grr, m, rng)) ++counts[r.value];
   EXPECT_EQ(counts[0] + counts[9], static_cast<int>(m));
   EXPECT_NEAR(static_cast<double>(counts[0]) / m, 0.5, 0.02);
 }
@@ -59,7 +60,7 @@ TEST(MultiAttackerTest, SingleAttackerDegeneratesToComponent) {
   parts.push_back(std::make_unique<AdaptiveAttack>(dist));
   const MultiAttacker multi(std::move(parts));
   Rng rng(3);
-  for (const Report& r : multi.Craft(grr, 100, rng)) EXPECT_EQ(r.value, 3u);
+  for (const Report& r : CraftReports(multi, grr, 100, rng)) EXPECT_EQ(r.value, 3u);
 }
 
 TEST(MultiAttackerDeathTest, RejectsEmptyList) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "report_oracle.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -35,44 +36,40 @@ TEST(OlhTest, ProbabilitiesMatchEq9) {
 TEST(OlhTest, ReportBucketInRange) {
   const Olh olh(50, 0.5);
   Rng rng(1);
-  for (int i = 0; i < 300; ++i) {
-    const Report r = olh.Perturb(17, rng);
+  for (const Report& r : GenuineReports(olh, 17, 300, rng))
     EXPECT_LT(r.value, olh.g());
-  }
 }
 
 TEST(OlhTest, SupportsOwnItemWithP) {
   const Olh olh(50, 0.5);
   Rng rng(2);
-  int hits = 0;
   const int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += olh.Supports(olh.Perturb(9, rng), 9) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, olh.p(), 0.01);
+  const double hits =
+      BatchSupportCounts(olh, GenuineReports(olh, 9, kTrials, rng))[9];
+  EXPECT_NEAR(hits / kTrials, olh.p(), 0.01);
 }
 
 TEST(OlhTest, SupportsOtherItemWithQ) {
   const Olh olh(50, 0.5);
   Rng rng(3);
-  int hits = 0;
   const int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += olh.Supports(olh.Perturb(9, rng), 31) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, olh.q(), 0.01);
+  const double hits =
+      BatchSupportCounts(olh, GenuineReports(olh, 9, kTrials, rng))[31];
+  EXPECT_NEAR(hits / kTrials, olh.q(), 0.01);
 }
 
-TEST(OlhTest, AccumulateSupportsMatchesSupports) {
+TEST(OlhTest, AccumulateSupportsMatchesHashPredicate) {
   const Olh olh(30, 0.5);
   Rng rng(4);
-  const Report r = olh.Perturb(5, rng);
-  std::vector<double> counts(30, 0.0);
-  olh.AccumulateSupports(r, counts);
+  const Report r = GenuineReport(olh, 5, rng);
+  const std::vector<double> counts = BatchSupportCounts(olh, {r});
   for (ItemId v = 0; v < 30; ++v)
-    EXPECT_DOUBLE_EQ(counts[v], olh.Supports(r, v) ? 1.0 : 0.0);
+    EXPECT_DOUBLE_EQ(counts[v], olh.Hash(r.seed, v) == r.value ? 1.0 : 0.0);
 }
 
 TEST(OlhTest, EstimationIsUnbiasedExactPath) {
-  // Exact per-user simulation through Perturb/AccumulateSupports.
+  // Exact per-user simulation through the batched generation and
+  // aggregation kernels.
   const size_t d = 12;
   const Olh olh(d, 1.0);
   Rng rng(5);
@@ -80,11 +77,7 @@ TEST(OlhTest, EstimationIsUnbiasedExactPath) {
   std::vector<uint64_t> item_counts(d, 0);
   item_counts[2] = n / 3;
   item_counts[8] = 2 * n / 3;
-  std::vector<double> counts(d, 0.0);
-  for (ItemId item = 0; item < d; ++item) {
-    for (uint64_t u = 0; u < item_counts[item]; ++u)
-      olh.AccumulateSupports(olh.Perturb(item, rng), counts);
-  }
+  const std::vector<double> counts = olh.ExactSupportCounts(item_counts, rng);
   const auto freqs = olh.EstimateFrequencies(counts, n);
   EXPECT_NEAR(freqs[2], 1.0 / 3.0, 0.03);
   EXPECT_NEAR(freqs[8], 2.0 / 3.0, 0.03);
@@ -103,13 +96,14 @@ TEST(OlhTest, EstimationIsUnbiasedFastPath) {
   EXPECT_NEAR(freqs[8], 2.0 / 3.0, 0.02);
 }
 
-TEST(OlhTest, CraftSupportingReportAlwaysSupportsItem) {
+TEST(OlhTest, CraftedReportAlwaysSupportsItem) {
   const Olh olh(64, 0.5);
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     const ItemId v = static_cast<ItemId>(rng.UniformU64(64));
-    const Report r = olh.CraftSupportingReport(v, rng);
-    EXPECT_TRUE(olh.Supports(r, v));
+    const Report r = CraftedReport(olh, v, rng);
+    EXPECT_EQ(olh.Hash(r.seed, v), r.value);
+    EXPECT_DOUBLE_EQ(BatchSupportCounts(olh, {r})[v], 1.0);
   }
 }
 
@@ -118,13 +112,13 @@ TEST(OlhTest, CraftedReportSupportsOthersAtRateQ) {
   // items: it supports them at rate ~1/g.
   const Olh olh(64, 0.5);
   Rng rng(8);
-  int hits = 0;
   const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) {
-    const Report r = olh.CraftSupportingReport(3, rng);
-    hits += olh.Supports(r, 40) ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, olh.q(), 0.015);
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  for (int i = 0; i < kTrials; ++i) olh.AppendCraftedReport(3, rng, builder);
+  std::vector<double> counts(64, 0.0);
+  olh.AccumulateSupportsBatch(crafted, counts);
+  EXPECT_NEAR(counts[40] / kTrials, olh.q(), 0.015);
 }
 
 TEST(OlhTest, HashIsDeterministicPerSeed) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "report_oracle.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -18,8 +19,7 @@ TEST(OueTest, ProbabilitiesMatchEq5) {
 TEST(OueTest, PerturbedVectorHasDomainLength) {
   const Oue oue(12, 0.5);
   Rng rng(1);
-  const Report r = oue.Perturb(4, rng);
-  EXPECT_EQ(r.bits.size(), 12u);
+  EXPECT_EQ(GenuineReport(oue, 4, rng).bits.size(), 12u);
 }
 
 TEST(OueTest, OwnBitKeptWithHalf) {
@@ -27,7 +27,7 @@ TEST(OueTest, OwnBitKeptWithHalf) {
   Rng rng(2);
   int ones = 0;
   const int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i) ones += oue.Perturb(7, rng).bits[7];
+  for (const Report& r : GenuineReports(oue, 7, kTrials, rng)) ones += r.bits[7];
   EXPECT_NEAR(static_cast<double>(ones) / kTrials, 0.5, 0.01);
 }
 
@@ -36,7 +36,7 @@ TEST(OueTest, OtherBitsFlipWithQ) {
   Rng rng(3);
   int ones = 0;
   const int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i) ones += oue.Perturb(7, rng).bits[2];
+  for (const Report& r : GenuineReports(oue, 7, kTrials, rng)) ones += r.bits[2];
   EXPECT_NEAR(static_cast<double>(ones) / kTrials, oue.q(), 0.01);
 }
 
@@ -44,9 +44,7 @@ TEST(OueTest, SupportsReadsBits) {
   const Oue oue(4, 1.0);
   Report r;
   r.bits = {1, 0, 1, 0};
-  EXPECT_TRUE(oue.Supports(r, 0));
-  EXPECT_FALSE(oue.Supports(r, 1));
-  EXPECT_TRUE(oue.Supports(r, 2));
+  EXPECT_EQ(BatchSupportCounts(oue, {r}), (std::vector<double>{1, 0, 1, 0}));
 }
 
 TEST(OueTest, EstimationIsUnbiased) {
@@ -96,24 +94,27 @@ TEST(OueTest, ExpectedOnesFormula) {
   Rng rng(6);
   double total_ones = 0.0;
   const int kTrials = 3000;
-  for (int i = 0; i < kTrials; ++i) {
-    const Report r = oue.Perturb(0, rng);
+  for (const Report& r : GenuineReports(oue, 0, kTrials, rng)) {
     for (uint8_t b : r.bits) total_ones += b;
   }
   EXPECT_NEAR(total_ones / kTrials, oue.ExpectedOnes(), 0.5);
 }
 
-TEST(OueTest, CraftSupportingReportIsOneHot) {
+TEST(OueTest, CraftedReportIsOneHot) {
   const Oue oue(9, 0.5);
   Rng rng(7);
-  const Report r = oue.CraftSupportingReport(5, rng);
-  for (ItemId v = 0; v < 9; ++v) EXPECT_EQ(oue.Supports(r, v), v == 5);
+  const std::vector<double> counts =
+      BatchSupportCounts(oue, {CraftedReport(oue, 5, rng)});
+  for (ItemId v = 0; v < 9; ++v) EXPECT_EQ(counts[v], v == 5 ? 1.0 : 0.0);
 }
 
-TEST(OueDeathTest, SupportsChecksVectorLength) {
+TEST(OueDeathTest, AccumulateChecksBitWidth) {
   const Oue oue(4, 1.0);
-  Report r;  // bits empty
-  EXPECT_DEATH((void)oue.Supports(r, 0), "LDPR_CHECK");
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  builder.AddValue(0);  // no bit row
+  std::vector<double> counts(4, 0.0);
+  EXPECT_DEATH(oue.AccumulateSupportsBatch(batch, counts), "LDPR_CHECK");
 }
 
 }  // namespace

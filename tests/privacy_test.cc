@@ -14,6 +14,7 @@
 #include "ldp/olh.h"
 #include "ldp/oue.h"
 #include "ldp/sue.h"
+#include "report_oracle.h"
 
 namespace ldpr {
 namespace {
@@ -77,8 +78,8 @@ TEST(PrivacyTest, GrrEmpiricalHistogramRatioBounded) {
   const int kTrials = 200000;
   std::vector<double> h1(d, 0.0), h2(d, 0.0);
   for (int i = 0; i < kTrials; ++i) {
-    h1[grr.Perturb(0, rng).value] += 1.0;
-    h2[grr.Perturb(3, rng).value] += 1.0;
+    h1[GenuineReport(grr, 0, rng).value] += 1.0;
+    h2[GenuineReport(grr, 3, rng).value] += 1.0;
   }
   for (size_t b = 0; b < d; ++b) {
     const double ratio = h1[b] / h2[b];

@@ -49,25 +49,32 @@ TEST_P(ProtocolPropertyTest, ProbabilityOrderingAndLdpConstraint) {
   EXPECT_LE(p / q, e * (1.0 + 1e-9));
 }
 
+// Support counts of `count` genuine reports of users holding `item`.
+std::vector<double> GenuineSupportCounts(const FrequencyProtocol& protocol,
+                                         ItemId item, uint64_t count,
+                                         Rng& rng) {
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  protocol.AppendGenuineReports(item, count, rng, builder);
+  std::vector<double> counts(protocol.domain_size(), 0.0);
+  protocol.AccumulateSupportsBatch(batch, counts);
+  return counts;
+}
+
 TEST_P(ProtocolPropertyTest, PerturbSupportsOwnItemAtRateP) {
   Rng rng(101);
   const ItemId item = static_cast<ItemId>(GetParam().d / 2);
-  int hits = 0;
   const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += protocol_->Supports(protocol_->Perturb(item, rng), item) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, protocol_->p(), 0.015);
+  const double hits = GenuineSupportCounts(*protocol_, item, kTrials, rng)[item];
+  EXPECT_NEAR(hits / kTrials, protocol_->p(), 0.015);
 }
 
 TEST_P(ProtocolPropertyTest, PerturbSupportsOtherItemAtRateQ) {
   Rng rng(102);
-  const ItemId item = 0;
   const ItemId other = static_cast<ItemId>(GetParam().d - 1);
-  int hits = 0;
   const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += protocol_->Supports(protocol_->Perturb(item, rng), other) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, protocol_->q(), 0.015);
+  const double hits = GenuineSupportCounts(*protocol_, 0, kTrials, rng)[other];
+  EXPECT_NEAR(hits / kTrials, protocol_->q(), 0.015);
 }
 
 TEST_P(ProtocolPropertyTest, EstimatedFrequenciesSumNearOne) {
@@ -110,8 +117,12 @@ TEST_P(ProtocolPropertyTest, EstimatorIsUnbiasedOnSkewedData) {
 TEST_P(ProtocolPropertyTest, CraftedReportDeterministicallySupportsTarget) {
   Rng rng(105);
   for (ItemId v = 0; v < GetParam().d; v += 7) {
-    const Report r = protocol_->CraftSupportingReport(v, rng);
-    EXPECT_TRUE(protocol_->Supports(r, v));
+    ReportBatch crafted;
+    ReportBatch::Builder builder(crafted);
+    protocol_->AppendCraftedReport(v, rng, builder);
+    std::vector<double> counts(GetParam().d, 0.0);
+    protocol_->AccumulateSupportsBatch(crafted, counts);
+    EXPECT_EQ(counts[v], 1.0) << v;
   }
 }
 

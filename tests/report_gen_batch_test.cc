@@ -1,10 +1,13 @@
 // Locks in the batched *generation* contract of this layer:
 //
-//  * AppendGenuineReports / SampleReportsBatch and every attack
-//    CraftBatch draw exactly the same randomness, in the same order,
-//    as the per-report Perturb / Craft code they replace — so the
-//    support counts are byte-identical and the caller's Rng stream
-//    position is unchanged by the switch;
+//  * AppendGenuineReports / SampleReportsBatch and every attack's
+//    CraftBatch produce exactly the reports of the per-report oracle
+//    (tests/report_oracle.h), drawing the same randomness in the same
+//    order — so the caller's Rng stream position matches too;
+//  * AppendGenuineReports(item, k) equals k calls of
+//    AppendGenuineReports(item, 1) (the fig9 replay's per-user
+//    adapter relies on it);
+//  * one-report-at-a-time appends grow the batch geometrically;
 //  * batch sizes straddling the kBatchFlushReports and
 //    kReportsPerAggregationShard boundaries (8191/8192/8193) agree
 //    across the unsharded and sharded aggregation routes;
@@ -13,20 +16,26 @@
 //  * the exact-arithmetic building blocks (FastMod, the split 8-byte
 //    xxHash) match their generic counterparts on extreme inputs.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "attack/adaptive.h"
 #include "attack/attack.h"
 #include "attack/ipa.h"
 #include "attack/manip.h"
 #include "attack/mga.h"
+#include "attack/multi_attacker.h"
 #include "ldp/factory.h"
 #include "ldp/protocol.h"
 #include "ldp/report_batch.h"
 #include "recover/detection.h"
+#include "report_oracle.h"
 #include "util/hash_family.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -34,6 +43,17 @@
 
 namespace ldpr {
 namespace {
+
+void ExpectSameReports(const std::vector<Report>& actual,
+                       const std::vector<Report>& expected,
+                       const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].seed, expected[i].seed) << what << " report " << i;
+    EXPECT_EQ(actual[i].value, expected[i].value) << what << " report " << i;
+    EXPECT_EQ(actual[i].bits, expected[i].bits) << what << " report " << i;
+  }
+}
 
 // A small synthetic population histogram with empty and heavy rows.
 std::vector<uint64_t> MakeItemCounts(size_t d, uint64_t total) {
@@ -45,14 +65,7 @@ std::vector<uint64_t> MakeItemCounts(size_t d, uint64_t total) {
   return counts;
 }
 
-std::vector<double> PerReportCounts(const FrequencyProtocol& proto,
-                                    const std::vector<Report>& reports) {
-  std::vector<double> counts(proto.domain_size(), 0.0);
-  for (const Report& r : reports) proto.AccumulateSupports(r, counts);
-  return counts;
-}
-
-// Legacy reference: per-user Perturb in the canonical order (users
+// Oracle reference: per-user Perturb in the canonical order (users
 // grouped by item, items ascending).
 std::vector<Report> PerturbPopulation(const FrequencyProtocol& proto,
                                       const std::vector<uint64_t>& item_counts,
@@ -60,78 +73,209 @@ std::vector<Report> PerturbPopulation(const FrequencyProtocol& proto,
   std::vector<Report> reports;
   for (ItemId item = 0; item < item_counts.size(); ++item) {
     for (uint64_t u = 0; u < item_counts[item]; ++u)
-      reports.push_back(proto.Perturb(item, rng));
+      reports.push_back(oracle::Perturb(proto, item, rng));
   }
   return reports;
 }
 
-TEST(ReportGenBatchTest, GenuineBuilderMatchesPerturbForAllProtocols) {
+TEST(ReportGenBatchTest, GenuineBuilderMatchesOracleForAllProtocols) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/37, /*epsilon=*/1.0);
     const std::vector<uint64_t> item_counts = MakeItemCounts(37, 523);
 
-    Rng legacy_rng(41), builder_rng(41);
+    Rng oracle_rng(41), builder_rng(41);
     const std::vector<Report> reports =
-        PerturbPopulation(*proto, item_counts, legacy_rng);
+        PerturbPopulation(*proto, item_counts, oracle_rng);
 
     ReportBatch batch;
     ReportBatch::Builder builder(batch);
     proto->SampleReportsBatch(item_counts, builder_rng, builder);
-    ASSERT_EQ(batch.size(), reports.size()) << ProtocolKindName(kind);
+    ExpectSameReports(UnpackReports(batch), reports, ProtocolKindName(kind));
 
     std::vector<double> batched(proto->domain_size(), 0.0);
     proto->AccumulateSupportsBatch(batch, batched);
-    EXPECT_EQ(batched, PerReportCounts(*proto, reports))
+    EXPECT_EQ(batched, oracle::SupportCounts(*proto, reports))
         << ProtocolKindName(kind);
-    // The generation overrides replace only materialization, never the
-    // draw sequence: both streams must sit at the same position.
-    EXPECT_EQ(legacy_rng.Next(), builder_rng.Next()) << ProtocolKindName(kind);
+    // Both streams must sit at the same position.
+    EXPECT_EQ(oracle_rng.Next(), builder_rng.Next()) << ProtocolKindName(kind);
   }
 }
 
-TEST(ReportGenBatchTest, ExactSupportCountsMatchesPerturbLoop) {
+TEST(ReportGenBatchTest, AppendKEqualsKSingleAppends) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, /*d=*/29, /*epsilon=*/0.7);
+    Rng bulk_rng(5), single_rng(5);
+    ReportBatch bulk, single;
+    ReportBatch::Builder bulk_out(bulk), single_out(single);
+    for (ItemId item : {ItemId(0), ItemId(11), ItemId(28)}) {
+      proto->AppendGenuineReports(item, 300, bulk_rng, bulk_out);
+      for (int u = 0; u < 300; ++u)
+        proto->AppendGenuineReports(item, 1, single_rng, single_out);
+    }
+    ExpectSameReports(UnpackReports(single), UnpackReports(bulk),
+                      ProtocolKindName(kind));
+    EXPECT_EQ(bulk_rng.Next(), single_rng.Next()) << ProtocolKindName(kind);
+  }
+}
+
+TEST(ReportGenBatchTest, CraftedReportMatchesOracle) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, /*d=*/23, /*epsilon=*/1.0);
+    Rng oracle_rng(3), batch_rng(3);
+    for (ItemId v = 0; v < 23; ++v) {
+      const Report expected = oracle::CraftSupportingReport(*proto, v, oracle_rng);
+      ExpectSameReports({CraftedReport(*proto, v, batch_rng)}, {expected},
+                        ProtocolKindName(kind));
+      EXPECT_TRUE(oracle::Supports(*proto, expected, v));
+    }
+    EXPECT_EQ(oracle_rng.Next(), batch_rng.Next()) << ProtocolKindName(kind);
+  }
+}
+
+TEST(ReportGenBatchTest, ExactSupportCountsMatchesOracle) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/23, /*epsilon=*/0.8);
     const std::vector<uint64_t> item_counts = MakeItemCounts(23, 700);
 
-    Rng legacy_rng(7), batch_rng(7);
-    const std::vector<double> reference = PerReportCounts(
-        *proto, PerturbPopulation(*proto, item_counts, legacy_rng));
+    Rng oracle_rng(7), batch_rng(7);
+    const std::vector<double> reference = oracle::SupportCounts(
+        *proto, PerturbPopulation(*proto, item_counts, oracle_rng));
     EXPECT_EQ(proto->ExactSupportCounts(item_counts, batch_rng), reference)
         << ProtocolKindName(kind);
-    EXPECT_EQ(legacy_rng.Next(), batch_rng.Next()) << ProtocolKindName(kind);
+    EXPECT_EQ(oracle_rng.Next(), batch_rng.Next()) << ProtocolKindName(kind);
   }
 }
 
-// Runs one attack through Craft and CraftBatch on identical Rng
-// streams and requires byte-identical support counts plus an
-// identical stream position afterwards.
-void ExpectCraftBatchMatchesCraft(const Attack& attack,
-                                  const FrequencyProtocol& proto, size_t m,
-                                  uint64_t seed) {
-  Rng legacy_rng(seed), batch_rng(seed);
-  const std::vector<Report> reports = attack.Craft(proto, m, legacy_rng);
-
-  ReportBatch batch;
-  ReportBatch::Builder builder(batch);
-  attack.CraftBatch(proto, m, batch_rng, builder);
-  ASSERT_EQ(batch.size(), m);
-
-  std::vector<double> batched(proto.domain_size(), 0.0);
-  proto.AccumulateSupportsBatch(batch, batched);
-  EXPECT_EQ(batched, PerReportCounts(proto, reports))
-      << attack.Name() << " on " << proto.Name();
-  EXPECT_EQ(legacy_rng.Next(), batch_rng.Next())
-      << attack.Name() << " on " << proto.Name();
+// Runs one attack's CraftBatch and its per-report oracle on identical
+// Rng streams and requires the same reports plus an identical stream
+// position afterwards.
+template <typename Oracle>
+void ExpectCraftBatchMatchesOracle(const Attack& attack,
+                                   const FrequencyProtocol& proto, size_t m,
+                                   uint64_t seed, const Oracle& craft) {
+  Rng oracle_rng(seed), batch_rng(seed);
+  const std::vector<Report> expected = craft(m, oracle_rng);
+  const std::string what = attack.Name() + " on " + proto.Name();
+  ExpectSameReports(CraftReports(attack, proto, m, batch_rng), expected, what);
+  EXPECT_EQ(oracle_rng.Next(), batch_rng.Next()) << what;
 }
 
-TEST(ReportGenBatchTest, AttackCraftBatchMatchesCraftForAllProtocols) {
+TEST(ReportGenBatchTest, AttackCraftBatchMatchesOracleForAllProtocols) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/31, /*epsilon=*/1.0);
     const std::vector<ItemId> targets = {2, 9, 17, 30};
-    ExpectCraftBatchMatchesCraft(MgaAttack(targets), *proto, 400, 13);
-    ExpectCraftBatchMatchesCraft(*MakeMgaIpa(31, targets), *proto, 400, 17);
-    ExpectCraftBatchMatchesCraft(ManipAttack(), *proto, 400, 19);
+    for (bool pad : {true, false}) {
+      MgaOptions options;
+      options.pad_oue = pad;
+      ExpectCraftBatchMatchesOracle(
+          MgaAttack(targets, options), *proto, 400, 13,
+          [&](size_t m, Rng& rng) {
+            return oracle::CraftMga(*proto, targets, options, m, rng);
+          });
+    }
+    const auto ipa = MakeMgaIpa(31, targets);
+    std::vector<double> ipa_inputs(31, 0.0);
+    for (ItemId t : targets) ipa_inputs[t] = 1.0;
+    ExpectCraftBatchMatchesOracle(*ipa, *proto, 400, 17,
+                                  [&](size_t m, Rng& rng) {
+                                    return oracle::CraftIpa(*proto, ipa_inputs,
+                                                            m, rng);
+                                  });
+    ExpectCraftBatchMatchesOracle(ManipAttack(), *proto, 400, 19,
+                                  [&](size_t m, Rng& rng) {
+                                    return oracle::CraftManip(*proto, 0.5, m,
+                                                              rng);
+                                  });
+    ExpectCraftBatchMatchesOracle(AdaptiveAttack(), *proto, 400, 23,
+                                  [&](size_t m, Rng& rng) {
+                                    return oracle::CraftAdaptive(
+                                        *proto, std::nullopt, m, rng);
+                                  });
+    ExpectCraftBatchMatchesOracle(*MakeMultiAdaptive(5), *proto, 400, 29,
+                                  [&](size_t m, Rng& rng) {
+                                    return oracle::CraftMultiAdaptive(*proto, 5,
+                                                                      m, rng);
+                                  });
+  }
+}
+
+// The AoS adapters the fig9 replay (perf/src/replay.cc) calls must
+// stay equal to the batch paths they wrap.
+TEST(ReportGenBatchTest, AosAdaptersMatchBatchPaths) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, /*d=*/19, /*epsilon=*/1.0);
+    Rng adapter_rng(31), batch_rng(31);
+    std::vector<Report> perturbed;
+    for (ItemId v = 0; v < 19; ++v)
+      perturbed.push_back(proto->Perturb(v, adapter_rng));
+    std::vector<Report> expected;
+    for (ItemId v = 0; v < 19; ++v)
+      expected.push_back(GenuineReport(*proto, v, batch_rng));
+    ExpectSameReports(perturbed, expected, ProtocolKindName(kind));
+
+    const MgaAttack mga({1, 4, 7});
+    ExpectSameReports(mga.Craft(*proto, 50, adapter_rng),
+                      CraftReports(mga, *proto, 50, batch_rng),
+                      ProtocolKindName(kind));
+    EXPECT_EQ(adapter_rng.Next(), batch_rng.Next()) << ProtocolKindName(kind);
+
+    ReportBatch appended;
+    for (const Report& r : perturbed) appended.Append(r);
+    ExpectSameReports(UnpackReports(appended), perturbed,
+                      ProtocolKindName(kind));
+    Report extracted;
+    appended.ExtractReport(3, extracted);
+    ExpectSameReports({extracted}, {perturbed[3]}, ProtocolKindName(kind));
+  }
+}
+
+// Guard against quadratic batch growth: appending m reports one at a
+// time (the IPA crafting and stream-arrival pattern) may move each
+// SoA array only O(log m) times.
+size_t MaxReallocations(size_t m) {
+  return 2 * static_cast<size_t>(std::ceil(std::log2(static_cast<double>(m)))) +
+         4;
+}
+
+struct PointerMoves {
+  const void* last = nullptr;
+  size_t moves = 0;
+  void Observe(const void* p) {
+    if (p != last) ++moves;
+    last = p;
+  }
+};
+
+TEST(ReportBatchGrowthTest, SingleReportAppendsGrowGeometrically) {
+  const size_t m = 100000;
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, /*d=*/8, /*epsilon=*/1.0);
+    const bool unary = oracle::IsUnary(*proto);
+    const auto ipa = MakeMgaIpa(8, {1, 5});
+    for (int route = 0; route < 2; ++route) {
+      Rng rng(7);
+      ReportBatch batch;
+      ReportBatch::Builder builder(batch);
+      PointerMoves seeds, bits;
+      for (size_t i = 0; i < m; ++i) {
+        if (route == 0) {
+          proto->AppendGenuineReports(static_cast<ItemId>(i % 8), 1, rng,
+                                      builder);
+        } else {
+          ipa->CraftBatch(*proto, 1, rng, builder);
+        }
+        seeds.Observe(batch.seeds());
+        if (unary) bits.Observe(batch.bits());
+      }
+      ASSERT_EQ(batch.size(), m);
+      const char* name = route == 0 ? "AppendGenuineReports" : "IPA CraftBatch";
+      EXPECT_LE(seeds.moves, MaxReallocations(m))
+          << ProtocolKindName(kind) << " " << name;
+      if (unary) {
+        EXPECT_LE(bits.moves, MaxReallocations(m))
+            << ProtocolKindName(kind) << " " << name;
+      }
+    }
   }
 }
 
@@ -163,27 +307,29 @@ TEST(ReportGenBatchTest, BuilderBatchesAgreeAcrossShardChunkBoundaries) {
   }
 }
 
-TEST(ReportGenBatchTest, DetectionExactGenuineMatchesPerUserOffer) {
+TEST(ReportGenBatchTest, DetectionExactGenuineMatchesOracleFilter) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/29, /*epsilon=*/1.0);
     const std::vector<ItemId> targets = {3, 11, 20};
     const std::vector<uint64_t> item_counts = MakeItemCounts(29, 600);
 
-    Rng legacy_rng(3), batch_rng(3);
-    DetectionFilter per_user(*proto, targets);
-    for (const Report& r :
-         PerturbPopulation(*proto, item_counts, legacy_rng)) {
-      per_user.Offer(r);
-    }
+    Rng oracle_rng(3), batch_rng(3);
     DetectionFilter batched(*proto, targets);
+    const std::vector<Report> survivors = oracle::DetectionSurvivors(
+        *proto, targets, batched.threshold(),
+        PerturbPopulation(*proto, item_counts, oracle_rng));
     batched.OfferExactGenuine(item_counts, batch_rng);
 
-    EXPECT_EQ(batched.offered(), per_user.offered()) << ProtocolKindName(kind);
-    EXPECT_EQ(batched.kept(), per_user.kept()) << ProtocolKindName(kind);
+    uint64_t users = 0;
+    for (uint64_t c : item_counts) users += c;
+    EXPECT_EQ(batched.offered(), users) << ProtocolKindName(kind);
+    EXPECT_EQ(batched.kept(), survivors.size()) << ProtocolKindName(kind);
     ASSERT_GT(batched.kept(), 0u) << ProtocolKindName(kind);
-    EXPECT_EQ(batched.Estimate(), per_user.Estimate())
+    EXPECT_EQ(batched.Estimate(),
+              proto->EstimateFrequencies(
+                  oracle::SupportCounts(*proto, survivors), survivors.size()))
         << ProtocolKindName(kind);
-    EXPECT_EQ(legacy_rng.Next(), batch_rng.Next()) << ProtocolKindName(kind);
+    EXPECT_EQ(oracle_rng.Next(), batch_rng.Next()) << ProtocolKindName(kind);
   }
 }
 
@@ -216,8 +362,6 @@ TEST(SimdKernelTest, UnaryColumnsMatchScalarAcrossBackends) {
                      size_t{256}, size_t{1000}}) {
       std::vector<uint8_t> rows(n * d);
       for (uint8_t& b : rows) b = rng.Bernoulli(0.3) ? 1 : 0;
-      std::vector<const uint8_t*> ptrs(n);
-      for (size_t i = 0; i < n; ++i) ptrs[i] = rows.data() + i * d;
 
       std::vector<uint32_t> reference(d, 5);  // nonzero carry-in
       {
@@ -230,10 +374,6 @@ TEST(SimdKernelTest, UnaryColumnsMatchScalarAcrossBackends) {
         SimdUnaryColumnsAddPacked(rows.data(), n, d, packed.data());
         EXPECT_EQ(packed, reference)
             << SimdBackendName(backend) << " packed n=" << n << " d=" << d;
-        std::vector<uint32_t> via_rows(d, 5);
-        SimdUnaryColumnsAddRows(ptrs.data(), n, d, via_rows.data());
-        EXPECT_EQ(via_rows, reference)
-            << SimdBackendName(backend) << " rows n=" << n << " d=" << d;
       }
     }
   }

@@ -126,9 +126,10 @@ TEST(ShardedAggregationTest, AddAllShardedMatchesAddAll) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto protocol = MakeProtocol(kind, d, 0.5);
     Rng rng(5);
-    std::vector<Report> reports;
+    ReportBatch reports;
+    ReportBatch::Builder builder(reports);
     for (size_t i = 0; i < 20000; ++i)
-      reports.push_back(protocol->Perturb(i % d, rng));
+      protocol->AppendGenuineReports(i % d, 1, rng, builder);
 
     Aggregator serial(*protocol);
     serial.AddAll(reports);
@@ -240,9 +241,9 @@ TEST(ShardedAggregationTest, DetectionShardedEstimateIsSane) {
 TEST(ShardedAggregationTest, HarmonyShardedMeanMatchesSerial) {
   const Harmony harmony(0.5);
   Rng rng(21);
-  std::vector<Report> reports;
-  for (size_t i = 0; i < 30000; ++i)
-    reports.push_back(harmony.Perturb(0.3, rng));
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  for (size_t i = 0; i < 30000; ++i) harmony.Perturb(0.3, rng, builder);
   const double serial = harmony.EstimateMean(reports);
   for (size_t shards : kShardCounts) {
     EXPECT_EQ(harmony.EstimateMeanSharded(reports, shards), serial)

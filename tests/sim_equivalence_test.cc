@@ -1,7 +1,7 @@
 // Validates the fast closed-form aggregation samplers against exact
 // per-user simulation: means and variances of the resulting frequency
-// estimates agree for every protocol (the ablation DESIGN.md section 5
-// calls out).
+// estimates agree for every protocol (the trade-off docs/architecture.md
+// records under "Closed-form approximations").
 
 #include <memory>
 

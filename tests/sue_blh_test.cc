@@ -17,6 +17,7 @@
 #include "sim/pipeline.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
+#include "report_oracle.h"
 
 namespace ldpr {
 namespace {
@@ -108,10 +109,10 @@ TEST(ExtensionAttackTest, MgaCraftsForSue) {
   const Sue sue(30, 0.5);
   const MgaAttack attack({3, 9, 21});
   Rng rng(4);
-  for (const Report& r : attack.Craft(sue, 20, rng)) {
-    EXPECT_TRUE(sue.Supports(r, 3));
-    EXPECT_TRUE(sue.Supports(r, 9));
-    EXPECT_TRUE(sue.Supports(r, 21));
+  for (const Report& r : CraftReports(attack, sue, 20, rng)) {
+    EXPECT_TRUE(oracle::Supports(sue, r, 3));
+    EXPECT_TRUE(oracle::Supports(sue, r, 9));
+    EXPECT_TRUE(oracle::Supports(sue, r, 21));
   }
 }
 
@@ -120,9 +121,9 @@ TEST(ExtensionAttackTest, MgaCraftsForBlh) {
   Rng rng(5);
   const auto targets = MgaAttack::SampleTargets(30, 6, rng);
   const MgaAttack attack(targets);
-  for (const Report& r : attack.Craft(blh, 20, rng)) {
+  for (const Report& r : CraftReports(attack, blh, 20, rng)) {
     size_t supported = 0;
-    for (ItemId t : targets) supported += blh.Supports(r, t) ? 1 : 0;
+    for (ItemId t : targets) supported += oracle::Supports(blh, r, t) ? 1 : 0;
     // With g = 2 the best bucket holds at least half the targets.
     EXPECT_GE(supported, 3u);
   }
