@@ -152,10 +152,10 @@ int Run(int argc, char** argv) {
   const bool list = flags.GetBool("list", false);
   const std::string scenario_list = flags.GetString("scenario", "");
   const std::string out_dir = flags.GetString("out", "");
-  const auto seed = flags.GetInt("seed", 0);
-  const auto trials = flags.GetInt("trials", 0);
+  const auto seed = flags.GetNonNegativeInt("seed", 0);
+  const auto trials = flags.GetNonNegativeInt("trials", 0);
   const auto scale = flags.GetDouble("scale", 0.0);
-  const auto threads = flags.GetInt("threads", -1);
+  const auto threads = flags.GetNonNegativeInt("threads", 0);
 
   for (const Status& status :
        {seed.ok() ? Status::Ok() : seed.status(),
@@ -191,8 +191,8 @@ int Run(int argc, char** argv) {
   }
 
   ScenarioRunOptions options;
-  options.seed = static_cast<uint64_t>(*seed < 0 ? 0 : *seed);
-  options.trials = static_cast<size_t>(*trials < 0 ? 0 : *trials);
+  options.seed = static_cast<uint64_t>(*seed);
+  options.trials = static_cast<size_t>(*trials);
   options.scale = *scale;
 
   std::vector<std::string> ids = SplitCommaList(scenario_list);

@@ -21,7 +21,9 @@ int ListCommand(const FlagParser& flags) {
       "  run           --protocol --attack --dataset|--csv --epsilon --beta\n"
       "                --eta --targets --trials --seed --scale --top_k\n"
       "                --threads --out FILE\n"
-      "  stream        run's shared flags plus --window --stride --wave\n"
+      "  stream        --protocol --dataset|--csv --epsilon --beta --eta\n"
+      "                --targets --seed --scale --window --stride --wave\n"
+      "                --out FILE\n"
       "  shard-worker  spec flags (--protocol --attack --dataset --d --n\n"
       "                --scale --epsilon --beta --targets --eta --seed\n"
       "                --users_per_chunk --reports_per_chunk) plus\n"

@@ -42,16 +42,13 @@ int RunCommand(const FlagParser& flags) {
   const auto epsilon = flags.GetDouble("epsilon", 0.5);
   const auto beta = flags.GetDouble("beta", 0.05);
   const auto eta = flags.GetDouble("eta", 0.2);
-  const auto targets = flags.GetInt("targets", 10);
-  const auto trials = flags.GetInt("trials", 5);
-  const auto seed = flags.GetInt("seed", 1);
+  const auto targets = flags.GetNonNegativeInt("targets", 10);
+  const auto trials = flags.GetNonNegativeInt("trials", 5);
+  const auto seed = flags.GetNonNegativeInt("seed", 1);
   const auto scale = flags.GetDouble("scale", 1.0);
   const auto top_k = flags.GetInt("top_k", 10);
-  const auto threads = flags.GetInt("threads", 0);
+  const auto threads = flags.GetNonNegativeInt("threads", 0);
   const std::string out_path = flags.GetString("out", "");
-  // The legacy shim forwards its mode selector even when it resolved
-  // to batch mode (--stream=false); tolerate it.
-  (void)flags.GetBool("stream", false);
 
   for (const Status& status :
        {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
@@ -85,7 +82,7 @@ int RunCommand(const FlagParser& flags) {
   config.eta = *eta;
   config.trials = static_cast<size_t>(*trials);
   config.seed = static_cast<uint64_t>(*seed);
-  config.threads = *threads < 0 ? 0 : static_cast<size_t>(*threads);
+  config.threads = static_cast<size_t>(*threads);
 
   // Surface bad knobs as status errors before any CHECK-guarded
   // library code can abort on them (empty/scaled-away datasets, zero

@@ -65,13 +65,11 @@ StatusOr<ShardTaskSpec> ParseShardSpec(const FlagParser& flags) {
   const auto epsilon = flags.GetDouble("epsilon", spec.epsilon);
   if (!epsilon.ok()) return epsilon.status();
   spec.epsilon = *epsilon;
-  const auto d = flags.GetInt("d", 0);
+  const auto d = flags.GetNonNegativeInt("d", 0);
   if (!d.ok()) return d.status();
-  if (*d < 0) return InvalidArgumentError("--d must be >= 0");
   spec.d_override = static_cast<uint64_t>(*d);
-  const auto n = flags.GetInt("n", 0);
+  const auto n = flags.GetNonNegativeInt("n", 0);
   if (!n.ok()) return n.status();
-  if (*n < 0) return InvalidArgumentError("--n must be >= 0");
   spec.n_override = static_cast<uint64_t>(*n);
   const auto scale = flags.GetDouble("scale", 1.0);
   if (!scale.ok()) return scale.status();
@@ -88,17 +86,14 @@ StatusOr<ShardTaskSpec> ParseShardSpec(const FlagParser& flags) {
   const auto eta = flags.GetDouble("eta", spec.eta);
   if (!eta.ok()) return eta.status();
   spec.eta = *eta;
-  const auto seed = flags.GetInt("seed", 1);
+  const auto seed = flags.GetNonNegativeInt("seed", 1);
   if (!seed.ok()) return seed.status();
   spec.seed = static_cast<uint64_t>(*seed);
-  const auto upc = flags.GetInt("users_per_chunk", 0);
+  const auto upc = flags.GetNonNegativeInt("users_per_chunk", 0);
   if (!upc.ok()) return upc.status();
-  if (*upc < 0) return InvalidArgumentError("--users_per_chunk must be >= 0");
   if (*upc > 0) spec.chunking.users_per_chunk = static_cast<uint64_t>(*upc);
-  const auto rpc = flags.GetInt("reports_per_chunk", 0);
+  const auto rpc = flags.GetNonNegativeInt("reports_per_chunk", 0);
   if (!rpc.ok()) return rpc.status();
-  if (*rpc < 0)
-    return InvalidArgumentError("--reports_per_chunk must be >= 0");
   if (*rpc > 0) spec.chunking.reports_per_chunk = static_cast<uint64_t>(*rpc);
   return spec;
 }

@@ -43,21 +43,13 @@ int StreamCommand(const FlagParser& flags) {
   const auto epsilon = flags.GetDouble("epsilon", 0.5);
   const auto beta = flags.GetDouble("beta", 0.05);
   const auto eta = flags.GetDouble("eta", 0.2);
-  const auto targets = flags.GetInt("targets", 10);
-  const auto seed = flags.GetInt("seed", 1);
+  const auto targets = flags.GetNonNegativeInt("targets", 10);
+  const auto seed = flags.GetNonNegativeInt("seed", 1);
   const auto scale = flags.GetDouble("scale", 1.0);
-  const auto window = flags.GetInt("window", 0);
-  const auto stride = flags.GetInt("stride", 0);
+  const auto window = flags.GetNonNegativeInt("window", 0);
+  const auto stride = flags.GetNonNegativeInt("stride", 0);
   const auto wave_or = ParseWaveShape(flags.GetString("wave", "constant"));
   const std::string out_path = flags.GetString("out", "");
-  // The legacy shim forwards its full flag set; tolerate its mode
-  // selector and the batch-only knobs the old binary accepted in
-  // stream mode.
-  (void)flags.GetBool("stream", false);
-  (void)flags.GetString("attack", "AA");  // the stream attacker is MGA
-  (void)flags.GetInt("trials", 5);
-  (void)flags.GetInt("top_k", 10);
-  (void)flags.GetInt("threads", 0);
 
   for (const Status& status :
        {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
@@ -92,7 +84,7 @@ int StreamCommand(const FlagParser& flags) {
   spec.window_reports = *window > 0
                             ? static_cast<size_t>(*window)
                             : std::max<size_t>(1, spec.total_reports / 10);
-  spec.stride_reports = *stride > 0 ? static_cast<size_t>(*stride) : 0;
+  spec.stride_reports = static_cast<size_t>(*stride);
   spec.item_counts = dataset.item_counts;
   spec.wave = *wave_or;
   spec.attacker_fraction = spec.wave == WaveShape::kNone ? 0.0 : *beta;

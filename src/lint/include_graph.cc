@@ -1,9 +1,26 @@
-#include "lint/include_graph.h"
+// R6 — the src/ include graph against the declared layer order.
+//
+// A token scan of one TU cannot see that src/util/ grew an upward
+// include into src/shard/ and closed a layering cycle.  This rule
+// builds the quote-include graph from the already-scanned tree (no
+// extra IO: include targets are resolved against the repo-relative
+// paths the scanner recorded) and enforces the layer order committed
+// as ci/lint_layers.txt: a file in src/<X>/ may include its own
+// subdirectory or any subdirectory listed on an earlier line, nothing
+// later.
+//
+// Include lines are taken from raw_lines (the scanner blanks string
+// literals, which is exactly where the include path lives) but only
+// on lines whose code view still carries the `#include` token — a
+// commented-out include is not an edge.
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "lint/lint.h"
 #include "lint/source_file.h"
 
 namespace ldpr {
@@ -37,9 +54,24 @@ std::string IncludeTarget(const std::string& raw, const std::string& code) {
   return raw.substr(open + 1, close - open - 1);
 }
 
-}  // namespace
+/// One `#include "target"` edge out of a scanned file under src/.
+/// `target` is the include string verbatim (resolved against -Isrc,
+/// so "ldp/grr.h" means src/ldp/grr.h); `subdir`/`target_subdir` are
+/// the first path components on each side ("" when the target is not
+/// a src/ subdirectory — e.g. "gtest/gtest.h").
+struct IncludeEdge {
+  std::string path;    // including file, repo-relative (src/...)
+  size_t line = 0;     // 1-based line of the #include
+  std::string target;  // include string, src-relative
+  std::string subdir;
+  std::string target_subdir;
+};
 
-IncludeGraph BuildIncludeGraph(const LintTree& tree) {
+/// The quote-include edges of every scanned file under src/, in
+/// (path, line) scan order.  A target subdir counts as a src/ subdir
+/// when some scanned file lives under it (fixture trees) — external
+/// includes get "".
+std::vector<IncludeEdge> BuildIncludeGraph(const LintTree& tree) {
   // Subdirs that exist in the scan: the resolution set for targets.
   std::set<std::string> src_subdirs;
   for (const SourceFile& file : tree.files) {
@@ -49,7 +81,7 @@ IncludeGraph BuildIncludeGraph(const LintTree& tree) {
     }
   }
 
-  IncludeGraph graph;
+  std::vector<IncludeEdge> edges;
   for (const SourceFile& file : tree.files) {
     if (!StartsWith(file.path, "src/")) continue;
     const std::string subdir = FirstComponent(file.path.substr(4));
@@ -68,12 +100,14 @@ IncludeGraph BuildIncludeGraph(const LintTree& tree) {
       const std::string target_subdir = FirstComponent(target);
       edge.target_subdir =
           src_subdirs.count(target_subdir) ? target_subdir : "";
-      graph.edges.push_back(std::move(edge));
+      edges.push_back(std::move(edge));
     }
   }
-  return graph;
+  return edges;
 }
 
+/// The committed layer order: one subdir per line, '#' comments and
+/// blank lines skipped, lowest layer first.
 std::vector<std::string> ParseLayerOrder(const SourceFile& layers_file) {
   std::vector<std::string> layers;
   for (std::string line : layers_file.raw_lines) {
@@ -87,56 +121,14 @@ std::vector<std::string> ParseLayerOrder(const SourceFile& layers_file) {
   return layers;
 }
 
-std::string IncludeGraphDot(const IncludeGraph& graph,
-                            const std::vector<std::string>& layers) {
-  // Condense to subdir -> subdir edge counts (self-edges dropped).
-  std::map<std::string, size_t> rank;
-  for (size_t i = 0; i < layers.size(); ++i) rank[layers[i]] = i;
-  std::set<std::string> nodes;
-  std::map<std::pair<std::string, std::string>, size_t> counts;
-  for (const IncludeEdge& edge : graph.edges) {
-    nodes.insert(edge.subdir);
-    if (edge.target_subdir.empty() || edge.target_subdir == edge.subdir) {
-      continue;
-    }
-    nodes.insert(edge.target_subdir);
-    ++counts[{edge.subdir, edge.target_subdir}];
-  }
-
-  std::string dot;
-  dot += "// src/ include graph, condensed to subdirectories.\n";
-  dot += "// Generated by `ldpr_lint --dot=FILE`; layer ranks come from\n";
-  dot += "// ci/lint_layers.txt (rule R6).  Edges point at the included\n";
-  dot += "// layer; rankdir=BT draws lower layers lower.\n";
-  dot += "digraph ldpr_includes {\n";
-  dot += "  rankdir=BT;\n";
-  dot += "  node [shape=box, fontname=\"Helvetica\"];\n";
-  for (const std::string& node : nodes) {
-    dot += "  \"" + node + "\" [label=\"" + node;
-    const auto it = rank.find(node);
-    if (it != rank.end()) {
-      dot += "\\nlayer " + std::to_string(it->second);
-    }
-    dot += "\"];\n";
-  }
-  for (const auto& [pair, count] : counts) {
-    dot += "  \"" + pair.first + "\" -> \"" + pair.second + "\" [label=\"" +
-           std::to_string(count) + "\"];\n";
-  }
-  dot += "}\n";
-  return dot;
-}
-
-namespace {
-
 /// Depth-first cycle search over the file-level include graph.  Every
 /// cycle is reported once, keyed by its sorted member set, at the
 /// include line that closes it.
 class CycleFinder {
  public:
-  CycleFinder(const IncludeGraph& graph, std::vector<Finding>* out)
+  CycleFinder(const std::vector<IncludeEdge>& edges, std::vector<Finding>* out)
       : out_(out) {
-    for (const IncludeEdge& edge : graph.edges) {
+    for (const IncludeEdge& edge : edges) {
       if (edge.target_subdir.empty()) continue;
       adjacency_[edge.path].push_back(&edge);
     }
@@ -216,8 +208,8 @@ void CheckLayering(const LintTree& tree, std::vector<Finding>* out) {
         "lowest line consistent with its includes"});
   }
 
-  const IncludeGraph graph = BuildIncludeGraph(tree);
-  for (const IncludeEdge& edge : graph.edges) {
+  const std::vector<IncludeEdge> edges = BuildIncludeGraph(tree);
+  for (const IncludeEdge& edge : edges) {
     if (edge.target_subdir.empty() || edge.target_subdir == edge.subdir) {
       continue;
     }
@@ -235,7 +227,7 @@ void CheckLayering(const LintTree& tree, std::vector<Finding>* out) {
     }
   }
 
-  CycleFinder(graph, out).Run();
+  CycleFinder(edges, out).Run();
 }
 
 }  // namespace lint

@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <tuple>
 
-#include "lint/include_graph.h"
-
 namespace ldpr {
 namespace lint {
 
@@ -14,6 +12,29 @@ namespace fs = std::filesystem;
 std::string FormatFinding(const Finding& finding) {
   return finding.path + ":" + std::to_string(finding.line) + ": [" +
          finding.rule + "] " + finding.message;
+}
+
+std::string FindingsToGithub(const std::vector<Finding>& findings) {
+  std::string out;
+  for (const Finding& f : findings) {
+    // Workflow-command escaping: %, CR, LF in the message body.
+    std::string message = "[" + f.rule + "] " + f.message;
+    std::string escaped;
+    for (char c : message) {
+      if (c == '%') {
+        escaped += "%25";
+      } else if (c == '\r') {
+        escaped += "%0D";
+      } else if (c == '\n') {
+        escaped += "%0A";
+      } else {
+        escaped += c;
+      }
+    }
+    out += "::error file=" + f.path + ",line=" + std::to_string(f.line) +
+           ",title=ldpr_lint " + f.rule + "::" + escaped + "\n";
+  }
+  return out;
 }
 
 const SourceFile* LintTree::Find(const std::string& path) const {
@@ -29,7 +50,6 @@ std::string PragmaKeyForRule(const std::string& rule) {
   if (rule == "R3") return "fp-order";
   if (rule == "R5") return "header-guard";
   if (rule == "R6") return "layering";
-  if (rule == "R7") return "par-capture";
   if (rule == "R8") return "seed";
   return "";  // R4 and allowlist errors have no pragma escape
 }
@@ -54,10 +74,9 @@ void LintOneFile(const LintTree& tree, const SourceFile& file,
   const bool in_examples = StartsWith(file.path, "examples/");
   if (in_src || in_tools || in_bench || in_examples) {
     CheckNondeterminismSources(file, findings);
-    // R7/R8 guard runtime code wherever it runs — the examples are
+    // R8 guards runtime code wherever it runs — the examples are
     // runnable code too, and tutorial snippets get copied verbatim.
     // tests/ stay exempt: fixtures pin literal seeds on purpose.
-    CheckParallelCaptures(file, findings);
     CheckSeedDiscipline(file, findings);
   }
   if (in_src) {
@@ -175,16 +194,6 @@ LintResult LintScannedTree(const LintTree& tree,
   LintResult result;
   result.findings = std::move(kept);
   result.files_scanned = tree.files.size();
-  bool has_src = false;
-  for (const SourceFile& file : tree.files) {
-    if (StartsWith(file.path, "src/")) has_src = true;
-  }
-  if (has_src) {
-    const SourceFile* layers_file = tree.Find("ci/lint_layers.txt");
-    std::vector<std::string> layers;
-    if (layers_file != nullptr) layers = ParseLayerOrder(*layers_file);
-    result.include_graph_dot = IncludeGraphDot(BuildIncludeGraph(tree), layers);
-  }
   return result;
 }
 
@@ -205,8 +214,9 @@ Status LoadInto(const fs::path& disk, const std::string& repo_path,
   return Status::Ok();
 }
 
-}  // namespace
-
+/// Scans the roots plus the repo-level inputs (CMakeLists.txt, the CI
+/// workflow, ci/lint_layers.txt) into a tree, without running any
+/// rule.
 StatusOr<LintTree> ScanTree(const LintOptions& options) {
   LintTree tree;
   tree.repo_root = options.repo_root;
@@ -268,6 +278,8 @@ StatusOr<LintTree> ScanTree(const LintOptions& options) {
   }
   return tree;
 }
+
+}  // namespace
 
 StatusOr<LintResult> RunLint(const LintOptions& options) {
   auto tree = ScanTree(options);

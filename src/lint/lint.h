@@ -34,20 +34,18 @@
 //   R6  the src/ include graph respects the declarative layer order
 //       in ci/lint_layers.txt (one subdir per line, low to high):
 //       a file may only include headers from its own or lower layers,
-//       and include cycles are rejected outright.  The measured DAG
-//       is emitted as DOT for the CI artifact trail.
-//   R7  lambdas handed to ParallelFor/Submit must not write through a
-//       by-reference capture unless the written slot is indexed by
-//       the loop variable (the one sanctioned "each iteration owns
-//       its slot" pattern) — anything else is a cross-iteration race
-//       that TSan only catches when the schedule cooperates.
+//       and include cycles are rejected outright.
+//   R7  retired, and the id is not reused.  It policed lambdas handed
+//       to ParallelFor; the TSan CI job runs every ParallelFor call
+//       site with several workers instead (docs/architecture.md,
+//       "Threading model").
 //   R8  every Rng constructed outside util/random and tests/ must be
 //       seeded from DeriveSeed(...) or a *_seed identifier, and Rng
 //       must never be passed by value (copying forks the stream).
 //
 // Escape hatches: a same/previous-line `// lint: <key>-ok(<reason>)`
 // pragma (keys: nondet, unordered-iter, fp-order, header-guard,
-// layering, par-capture, seed), or a `ci/lint_allowlist.txt` entry
+// layering, seed), or a `ci/lint_allowlist.txt` entry
 // `<rule> <path> <substring>`.  Stale allowlist entries (matching no
 // finding) are themselves findings, so suppressions cannot outlive
 // the code they excuse.
@@ -78,6 +76,11 @@ struct Finding {
 /// findings clickable in editors and CI logs).
 std::string FormatFinding(const Finding& finding);
 
+/// GitHub Actions annotations (`::error file=...,line=...::...`), one
+/// newline-terminated command per finding — the CI gate's format, so
+/// findings land inline on the PR diff.
+std::string FindingsToGithub(const std::vector<Finding>& findings);
+
 /// The scanned tree shared by all rules.
 struct LintTree {
   std::string repo_root;  // absolute; "" when scanning fixtures only
@@ -101,11 +104,11 @@ void CheckTestRegistration(const LintTree& tree,
                            std::vector<Finding>* out);  // R4 (repo-level)
 void CheckHeaderGuard(const SourceFile& file,
                       std::vector<Finding>* out);  // R5
-void CheckLayering(const LintTree& tree,
-                   std::vector<Finding>* out);  // R6 (repo-level;
-                                                // see include_graph.h)
-void CheckParallelCaptures(const SourceFile& file,
-                           std::vector<Finding>* out);  // R7
+/// R6 (repo-level; include_graph.cc), driven by the ci/lint_layers.txt
+/// file loaded into the tree (absent = skipped, so fixture trees opt
+/// in).  Findings: upward includes, includes of unlisted subdirs, src/
+/// subdirs missing from the layer file, and file-level include cycles.
+void CheckLayering(const LintTree& tree, std::vector<Finding>* out);
 void CheckSeedDiscipline(const SourceFile& file,
                          std::vector<Finding>* out);  // R8
 
@@ -127,21 +130,12 @@ struct LintOptions {
 struct LintResult {
   std::vector<Finding> findings;  // sorted by (path, line, rule)
   size_t files_scanned = 0;
-  /// DOT rendering of the src/ include DAG R6 measured ("" when the
-  /// scan covered no src/ files).  The CLI writes it via --dot=FILE;
-  /// CI attaches it as an artifact so layer drift is reviewable.
-  std::string include_graph_dot;
 };
 
 /// Scans the roots (plus the repo-level inputs: CMakeLists.txt, the
-/// CI workflow, ci/lint_layers.txt) into a tree without running any
-/// rule — the shared front half of RunLint, also used by --fix modes
-/// that need the scanned files themselves.
-StatusOr<LintTree> ScanTree(const LintOptions& options);
-
-/// Scans, runs every rule, applies pragmas and the allowlist.
-/// Returns an error only for environment problems (unreadable root);
-/// rule violations are findings, not errors.
+/// CI workflow, ci/lint_layers.txt), runs every rule, applies pragmas
+/// and the allowlist.  Returns an error only for environment problems
+/// (unreadable root); rule violations are findings, not errors.
 StatusOr<LintResult> RunLint(const LintOptions& options);
 
 /// Rule routing on an already-scanned tree (fixture tests use this to

@@ -67,6 +67,15 @@ StatusOr<int64_t> FlagParser::GetInt(const std::string& name,
   return static_cast<int64_t>(v);
 }
 
+StatusOr<int64_t> FlagParser::GetNonNegativeInt(const std::string& name,
+                                                int64_t fallback) const {
+  StatusOr<int64_t> v = GetInt(name, fallback);
+  if (v.ok() && *v < 0) {
+    return InvalidArgumentError("--" + name + " must be >= 0");
+  }
+  return v;
+}
+
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {
   queried_[name] = true;
   const auto it = flags_.find(name);

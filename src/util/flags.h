@@ -32,6 +32,12 @@ class FlagParser {
   /// Integer flag; returns an error when present but unparsable.
   StatusOr<int64_t> GetInt(const std::string& name, int64_t fallback) const;
 
+  /// GetInt for counts, seeds and thread budgets: a negative value is
+  /// an INVALID_ARGUMENT error, so callers may cast the result to an
+  /// unsigned type.
+  StatusOr<int64_t> GetNonNegativeInt(const std::string& name,
+                                      int64_t fallback) const;
+
   /// Boolean flag: present without value (or "true"/"1") => true.
   bool GetBool(const std::string& name, bool fallback) const;
 

@@ -45,6 +45,16 @@ TEST(FlagParserTest, MalformedNumbersAreErrors) {
   EXPECT_FALSE(flags.GetInt("trials", 0).ok());
 }
 
+TEST(FlagParserTest, NonNegativeIntRejectsNegatives) {
+  const auto flags = Parse({"--trials=-1", "--seed=0"});
+  const auto trials = flags.GetNonNegativeInt("trials", 5);
+  ASSERT_FALSE(trials.ok());
+  EXPECT_EQ(trials.status().ToString(),
+            "INVALID_ARGUMENT: --trials must be >= 0");
+  EXPECT_EQ(flags.GetNonNegativeInt("seed", 1).value(), 0);
+  EXPECT_EQ(flags.GetNonNegativeInt("absent", 3).value(), 3);
+}
+
 TEST(FlagParserTest, PositionalArguments) {
   const auto flags = Parse({"input.csv", "--k=3", "output.csv"});
   ASSERT_EQ(flags.positional().size(), 2u);

@@ -3,105 +3,43 @@
 //   # The CI gate — exits 0 only when the tree is clean:
 //   ldpr_lint --repo=. src tools bench tests examples
 //
-//   # Findings print as `file:line: [rule-id] message`.  For CI:
-//   ldpr_lint --repo=. --format=sarif src ...    # code-scanning upload
-//   ldpr_lint --repo=. --format=github src ...   # inline annotations
+//   # Findings print as `file:line: [rule-id] message`; CI asks for
+//   # GitHub annotations instead, so they land inline on the PR diff:
+//   ldpr_lint --repo=. --format=github src tools bench tests examples
 //
-//   # Write the measured src/ include DAG (R6's evidence):
-//   ldpr_lint --repo=. --dot=build/include_graph.dot src ...
+// Rules R1-R6 and R8 (R7 is retired) are documented in
+// src/lint/lint.h and docs/architecture.md ("Static guarantees").
+// Suppress a deliberate exception with a `// lint: <key>-ok(<reason>)`
+// pragma on (or just above) the line, or an entry in
+// ci/lint_allowlist.txt; stale allowlist entries are themselves
+// findings.
 //
-//   # Mechanical guard repair (R5): dry-run plan, then rewrite.
-//   # (--apply=1, not bare --apply: the flag parser would read a
-//   # following root as the flag's value.)
-//   ldpr_lint --repo=. --fix=header-guards src
-//   ldpr_lint --repo=. --fix=header-guards --apply=1 src
-//
-// Rules R1-R8 are documented in src/lint/lint.h and
-// docs/architecture.md ("Static guarantees").  Suppress a deliberate
-// exception with a `// lint: <key>-ok(<reason>)` pragma on (or just
-// above) the line, or an entry in ci/lint_allowlist.txt; stale
-// allowlist entries are themselves findings.
-//
-// Exit codes: 0 = clean (or no fixes pending), 1 = findings (or fixes
-// pending in --fix dry-run), 2 = usage or IO errors.
+// Exit codes: 0 = clean, 1 = findings, 2 = usage or IO errors.
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "lint/fix.h"
-#include "lint/format.h"
 #include "lint/lint.h"
 #include "util/flags.h"
 
 namespace ldpr {
 namespace {
 
-namespace fs = std::filesystem;
-
 int Usage() {
   std::fprintf(
       stderr,
       "usage: ldpr_lint [--repo=DIR] [--allowlist=FILE]\n"
-      "                 [--format=plain|sarif|github] [--dot=FILE]\n"
-      "                 [--fix=header-guards [--apply=1]] ROOT...\n"
+      "                 [--format=plain|github] ROOT...\n"
       "\n"
       "Scans the given directories (or files) for violations of the\n"
-      "repo's determinism/portability contracts (rules R1-R8; see\n"
-      "src/lint/lint.h).  --repo defaults to the current directory\n"
+      "repo's determinism/portability contracts (rules R1-R6 and R8;\n"
+      "see src/lint/lint.h).  --repo defaults to the current directory\n"
       "and locates CMakeLists.txt, the CI workflow, ci/lint_layers.txt\n"
       "and relative roots; --allowlist defaults to\n"
-      "ci/lint_allowlist.txt under the repo root.  --dot writes the\n"
-      "measured src/ include DAG.  --fix=header-guards plans R5 guard\n"
-      "renames (dry-run; exit 1 while fixes are pending) and rewrites\n"
-      "the headers in place under --apply.\n");
+      "ci/lint_allowlist.txt under the repo root.  --format=github\n"
+      "prints GitHub Actions annotations instead of plain lines.\n");
   return 2;
-}
-
-bool WriteFileOrComplain(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "ldpr_lint: cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-int RunFixHeaderGuards(const lint::LintOptions& options, bool apply) {
-  auto tree = lint::ScanTree(options);
-  if (!tree.ok()) {
-    std::fprintf(stderr, "ldpr_lint: %s\n", tree.status().ToString().c_str());
-    return 2;
-  }
-  const std::vector<lint::HeaderGuardFix> fixes =
-      lint::PlanHeaderGuardFixes(tree.value());
-  for (const lint::HeaderGuardFix& fix : fixes) {
-    std::printf("%s: %s -> %s%s\n", fix.path.c_str(), fix.old_guard.c_str(),
-                fix.new_guard.c_str(), apply ? "" : " (dry run)");
-    if (!apply) continue;
-    const fs::path disk = fs::path(options.repo_root) / fix.path;
-    std::ifstream in(disk, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in) {
-      std::fprintf(stderr, "ldpr_lint: cannot read %s\n", disk.c_str());
-      return 2;
-    }
-    if (!WriteFileOrComplain(disk.string(),
-                             lint::ApplyHeaderGuardFix(buffer.str(), fix))) {
-      return 2;
-    }
-  }
-  std::fprintf(stderr, "ldpr_lint: %zu header guard fix(es) %s\n",
-               fixes.size(), apply ? "applied" : "pending (use --apply)");
-  // Dry-run acts as a gate (pending fixes => dirty tree); after
-  // --apply the tree is fixed, so report success.
-  return apply || fixes.empty() ? 0 : 1;
 }
 
 int Run(int argc, char** argv) {
@@ -111,9 +49,6 @@ int Run(int argc, char** argv) {
   options.allowlist_path = flags.GetString("allowlist", "ci/lint_allowlist.txt");
   options.roots = flags.positional();
   const std::string format = flags.GetString("format", "plain");
-  const std::string dot_path = flags.GetString("dot", "");
-  const std::string fix_mode = flags.GetString("fix", "");
-  const bool apply = flags.GetBool("apply", false);
 
   const std::vector<std::string> unused = flags.unused_flags();
   if (!unused.empty()) {
@@ -121,19 +56,8 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   if (options.roots.empty()) return Usage();
-  if (format != "plain" && format != "sarif" && format != "github") {
+  if (format != "plain" && format != "github") {
     std::fprintf(stderr, "unknown --format=%s\n", format.c_str());
-    return Usage();
-  }
-  if (!fix_mode.empty()) {
-    if (fix_mode != "header-guards") {
-      std::fprintf(stderr, "unknown --fix=%s\n", fix_mode.c_str());
-      return Usage();
-    }
-    return RunFixHeaderGuards(options, apply);
-  }
-  if (apply) {
-    std::fprintf(stderr, "--apply requires --fix=MODE\n");
     return Usage();
   }
 
@@ -144,18 +68,12 @@ int Run(int argc, char** argv) {
     return 2;
   }
   const std::vector<lint::Finding>& findings = result.value().findings;
-  if (format == "sarif") {
-    std::fputs(lint::FindingsToSarif(findings).c_str(), stdout);
-  } else if (format == "github") {
+  if (format == "github") {
     std::fputs(lint::FindingsToGithub(findings).c_str(), stdout);
   } else {
     for (const lint::Finding& finding : findings) {
       std::printf("%s\n", lint::FormatFinding(finding).c_str());
     }
-  }
-  if (!dot_path.empty() &&
-      !WriteFileOrComplain(dot_path, result.value().include_graph_dot)) {
-    return 2;
   }
   std::fprintf(stderr, "ldpr_lint: %zu finding(s) in %zu file(s) scanned\n",
                findings.size(), result.value().files_scanned);
