@@ -10,9 +10,9 @@
 //                 (the standard post-processing baseline);
 //   NormSub       KKT projection of the poisoned estimate directly.
 //
-// The (cell x trial) grid fans out across LDPR_THREADS: trial t of
-// cell c runs on Rng(DeriveSeed(seed, c * trials + t)) and the
-// per-trial MSEs merge in trial order, so the output is
+// RunTrialTable fans the (cell x trial) grid out across LDPR_THREADS:
+// trial t of cell c runs on Rng(DeriveSeed(seed, c * trials + t)) and
+// the per-trial MSEs merge in trial order, so the output is
 // byte-identical at any thread count.
 
 #include <iterator>
@@ -32,12 +32,11 @@ namespace ldpr {
 namespace bench {
 namespace {
 
-struct TrialRow {
-  double before = 0, full = 0, nosub = 0, norefine = 0, clip = 0, normsub = 0;
-};
-
-TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
-                     const PipelineConfig& pconfig, uint64_t trial_seed) {
+// One trial's MSEs, in spec.columns order.
+std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
+                                const Dataset& dataset,
+                                const PipelineConfig& pconfig,
+                                uint64_t trial_seed) {
   RecoverOptions full;
   RecoverOptions no_sub;
   no_sub.ablate_no_subtraction = true;
@@ -46,70 +45,42 @@ TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
 
   Rng rng(trial_seed);
   const TrialOutput t = RunPoisoningTrial(protocol, pconfig, dataset, rng);
-  TrialRow row;
-  row.before = Mse(t.true_freqs, t.poisoned_freqs);
-  row.full =
-      Mse(t.true_freqs, LdpRecover(protocol, full).Recover(t.poisoned_freqs));
-  row.nosub =
-      Mse(t.true_freqs, LdpRecover(protocol, no_sub).Recover(t.poisoned_freqs));
-  row.norefine = Mse(t.true_freqs,
-                     LdpRecover(protocol, no_refine).Recover(t.poisoned_freqs));
-  row.clip = Mse(t.true_freqs, ClipAndRenormalize(t.poisoned_freqs));
-  row.normsub = Mse(t.true_freqs, NormSub(t.poisoned_freqs));
-  return row;
+  const auto mse = [&](const std::vector<double>& estimate) {
+    return Mse(t.true_freqs, estimate);
+  };
+  return {mse(t.poisoned_freqs),
+          mse(LdpRecover(protocol, full).Recover(t.poisoned_freqs)),
+          mse(LdpRecover(protocol, no_sub).Recover(t.poisoned_freqs)),
+          mse(LdpRecover(protocol, no_refine).Recover(t.poisoned_freqs)),
+          mse(ClipAndRenormalize(t.poisoned_freqs)),
+          mse(NormSub(t.poisoned_freqs))};
 }
 
 Status RunAblation(ScenarioContext& ctx) {
   const ScenarioSpec& spec = ctx.spec;
   const Dataset& ipums = ctx.datasets[0];
 
-  std::vector<ScenarioCell> cells;
-  for (AttackKind attack : spec.attacks) {
-    for (ProtocolKind kind : spec.protocols) cells.push_back({attack, kind});
-  }
+  std::vector<std::string> labels;
   std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (const ScenarioCell& cell : cells)
-    protocols.push_back(MakeProtocol(cell.protocol, ipums.domain_size(),
-                                     spec.defaults.epsilon));
+  for (AttackKind attack : spec.attacks) {
+    for (ProtocolKind kind : spec.protocols) {
+      labels.push_back(std::string(AttackKindName(attack)) + "-" +
+                       ProtocolKindName(kind));
+      protocols.push_back(
+          MakeProtocol(kind, ipums.domain_size(), spec.defaults.epsilon));
+    }
+  }
 
-  const size_t trials = ctx.trials;
-  ThreadBudget budget;
-  const std::vector<TrialRow> rows = RunTrialGrid<TrialRow>(
-      cells.size(), trials, ctx.seed,
+  RunTrialTable(
+      ctx, "Ablation (IPUMS): MSE", labels, ctx.seed,
       [&](size_t cell, size_t shards, uint64_t trial_seed) {
         PipelineConfig config;
-        config.attack = cells[cell].attack;
+        config.attack = spec.attacks[cell / spec.protocols.size()];
         config.beta = spec.defaults.beta;
         config.shards = shards;
         return RunOneTrial(*protocols[cell], ipums, config, trial_seed);
       },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Ablation (IPUMS): MSE", spec.columns);
-  for (size_t cell = 0; cell < cells.size(); ++cell) {
-    RunningStat before, full, nosub, norefine, clip, normsub;
-    for (size_t t = 0; t < trials; ++t) {
-      const TrialRow& row = rows[cell * trials + t];
-      before.Add(row.before);
-      full.Add(row.full);
-      nosub.Add(row.nosub);
-      norefine.Add(row.norefine);
-      clip.Add(row.clip);
-      normsub.Add(row.normsub);
-    }
-    const std::string name =
-        std::string(AttackKindName(cells[cell].attack)) + "-" +
-        ProtocolKindName(cells[cell].protocol);
-    ctx.sink.AddRow(name, {before.mean(), full.mean(), nosub.mean(),
-                           norefine.mean(), clip.mean(), normsub.mean()});
-    ++ctx.report.rows;
-    if ((cell + 1) % spec.protocols.size() == 0 && cell + 1 < cells.size())
-      ctx.sink.AddSeparator();
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+      /*group=*/spec.protocols.size());
   return Status::Ok();
 }
 

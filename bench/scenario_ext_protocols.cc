@@ -4,8 +4,8 @@
 // both as MSE and at the task level (how many attacker targets
 // survive in the published top-10 ranking).
 //
-// The (cell x trial) grid fans out across LDPR_THREADS on
-// counter-derived per-trial seeds, with per-trial metrics merged in
+// RunTrialTable fans the (cell x trial) grid out across LDPR_THREADS
+// on counter-derived per-trial seeds, with per-trial metrics merged in
 // trial order — byte-identical output at any thread count.
 
 #include <iterator>
@@ -25,89 +25,51 @@ namespace ldpr {
 namespace bench {
 namespace {
 
-struct TrialRow {
-  double mse_before = 0, mse_after = 0;
-  double hits_before = 0, hits_after = 0;
-  bool targeted = false;
-};
-
-TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
-                     const PipelineConfig& pconfig, uint64_t trial_seed) {
+// One trial's columns, in spec.columns order.  Only targeted attacks
+// declare targets, so untargeted cells (AA) record 0 target hits.
+std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
+                                const Dataset& dataset,
+                                const PipelineConfig& pconfig,
+                                uint64_t trial_seed) {
   Rng rng(trial_seed);
   const TrialOutput t = RunPoisoningTrial(protocol, pconfig, dataset, rng);
   RecoverOptions opts;
   if (!t.attack_targets.empty()) opts.known_targets = t.attack_targets;
   const LdpRecover recover(protocol, opts);
   const auto recovered = recover.Recover(t.poisoned_freqs);
-
-  TrialRow row;
-  row.mse_before = Mse(t.true_freqs, t.poisoned_freqs);
-  row.mse_after = Mse(t.true_freqs, recovered);
-  if (!t.attack_targets.empty()) {
-    row.targeted = true;
-    row.hits_before = static_cast<double>(
-        CountInTopK(t.poisoned_freqs, t.attack_targets, 10));
-    row.hits_after =
-        static_cast<double>(CountInTopK(recovered, t.attack_targets, 10));
-  }
-  return row;
+  const auto hits = [&](const std::vector<double>& estimate) {
+    return static_cast<double>(CountInTopK(estimate, t.attack_targets, 10));
+  };
+  return {Mse(t.true_freqs, t.poisoned_freqs), Mse(t.true_freqs, recovered),
+          hits(t.poisoned_freqs), hits(recovered)};
 }
 
 Status RunExtProtocols(ScenarioContext& ctx) {
   const ScenarioSpec& spec = ctx.spec;
   const Dataset& ipums = ctx.datasets[0];
 
-  std::vector<ScenarioCell> cells;
-  for (AttackKind attack : spec.attacks) {
-    for (ProtocolKind kind : spec.protocols) cells.push_back({attack, kind});
-  }
+  std::vector<std::string> labels;
   std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (const ScenarioCell& cell : cells)
-    protocols.push_back(MakeProtocol(cell.protocol, ipums.domain_size(),
-                                     spec.defaults.epsilon));
+  for (AttackKind attack : spec.attacks) {
+    for (ProtocolKind kind : spec.protocols) {
+      labels.push_back(std::string(AttackKindName(attack)) + "-" +
+                       ProtocolKindName(kind));
+      protocols.push_back(
+          MakeProtocol(kind, ipums.domain_size(), spec.defaults.epsilon));
+    }
+  }
 
-  const size_t trials = ctx.trials;
-  ThreadBudget budget;
-  const std::vector<TrialRow> rows = RunTrialGrid<TrialRow>(
-      cells.size(), trials, ctx.seed,
+  RunTrialTable(
+      ctx, "Extended protocols (IPUMS): MSE and targets in top-10", labels,
+      ctx.seed,
       [&](size_t cell, size_t shards, uint64_t trial_seed) {
         PipelineConfig config;
-        config.attack = cells[cell].attack;
+        config.attack = spec.attacks[cell / spec.protocols.size()];
         config.beta = spec.defaults.beta;
         config.shards = shards;
         return RunOneTrial(*protocols[cell], ipums, config, trial_seed);
       },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Extended protocols (IPUMS): MSE and targets in top-10",
-                      spec.columns);
-  const size_t per_attack = spec.protocols.size();
-  for (size_t cell = 0; cell < cells.size(); ++cell) {
-    RunningStat mse_before, mse_after, hits_before, hits_after;
-    for (size_t t = 0; t < trials; ++t) {
-      const TrialRow& row = rows[cell * trials + t];
-      mse_before.Add(row.mse_before);
-      mse_after.Add(row.mse_after);
-      if (row.targeted) {
-        hits_before.Add(row.hits_before);
-        hits_after.Add(row.hits_after);
-      }
-    }
-    const std::string name =
-        std::string(AttackKindName(cells[cell].attack)) + "-" +
-        ProtocolKindName(cells[cell].protocol);
-    ctx.sink.AddRow(name,
-                    {mse_before.mean(), mse_after.mean(),
-                     hits_before.count() ? hits_before.mean() : 0.0,
-                     hits_after.count() ? hits_after.mean() : 0.0});
-    ++ctx.report.rows;
-    if ((cell + 1) % per_attack == 0 && cell + 1 < cells.size())
-      ctx.sink.AddSeparator();
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+      /*group=*/spec.protocols.size());
   return Status::Ok();
 }
 

@@ -6,7 +6,7 @@
 // implementation partitions users into 1/xi disjoint subsets (see
 // recover/kmeans_defense.h), so xi is capped at 0.5 (two subsets).
 //
-// The (xi x trial) grid of each protocol fans out across
+// RunTrialTable fans the (xi x trial) grid of each protocol out across
 // LDPR_THREADS on counter-derived per-trial seeds; per-trial MSEs
 // merge in trial order and the full poisoned report set aggregates
 // through Aggregator::AddAllSharded, so output is byte-identical at
@@ -28,13 +28,12 @@ namespace ldpr {
 namespace bench {
 namespace {
 
-struct TrialRow {
-  double before = 0, kmeans_alone = 0, km = 0;
-};
-
-TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
-                     const std::vector<double>& truth, double xi, double beta,
-                     size_t shards, uint64_t trial_seed) {
+// One trial's MSEs, in spec.columns order.
+std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
+                                const Dataset& dataset,
+                                const std::vector<double>& truth, double xi,
+                                double beta, size_t shards,
+                                uint64_t trial_seed) {
   Rng rng(trial_seed);
   // Materialize the full IPA-poisoned report set: genuine users
   // perturb honestly, malicious users perturb attacker-chosen inputs
@@ -51,19 +50,17 @@ TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
   const auto attack = MakeAttack(pconfig, dataset.domain_size(), rng);
   attack->CraftBatch(protocol, m, rng, builder);
 
-  TrialRow row;
   Aggregator all(protocol);
   all.AddAllSharded(reports, shards);
-  row.before = Mse(truth, all.EstimateFrequencies());
+  const double before = Mse(truth, all.EstimateFrequencies());
 
   KMeansDefenseOptions opts;
   opts.sample_rate = xi;
   const KMeansDefenseResult defense =
       RunKMeansDefense(protocol, reports, opts, rng);
-  row.kmeans_alone = Mse(truth, defense.genuine_estimate);
-
-  row.km = Mse(truth, LdpRecoverKm(protocol, reports, opts, 0.2, rng));
-  return row;
+  const double kmeans_alone = Mse(truth, defense.genuine_estimate);
+  return {before, kmeans_alone,
+          Mse(truth, LdpRecoverKm(protocol, reports, opts, 0.2, rng))};
 }
 
 Status RunFig9(ScenarioContext& ctx) {
@@ -71,43 +68,26 @@ Status RunFig9(ScenarioContext& ctx) {
   const Dataset& ipums = ctx.datasets[0];
   const std::vector<double> truth = ipums.TrueFrequencies();
   const std::vector<double>& xis = spec.sweeps[0].values;
+  std::vector<std::string> labels;
+  for (double xi : xis) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "xi=%g", xi);
+    labels.push_back(name);
+  }
 
-  size_t protocol_index = 0;
-  for (ProtocolKind kind : spec.protocols) {
+  for (size_t p = 0; p < spec.protocols.size(); ++p) {
+    const ProtocolKind kind = spec.protocols[p];
     const auto protocol =
         MakeProtocol(kind, ipums.domain_size(), spec.defaults.epsilon);
-    const uint64_t protocol_seed = DeriveSeed(ctx.seed, protocol_index++);
-
-    const size_t trials = ctx.trials;
-    ThreadBudget budget;
-    const std::vector<TrialRow> rows = RunTrialGrid<TrialRow>(
-        xis.size(), trials, protocol_seed,
-        [&](size_t xi_index, size_t shards, uint64_t trial_seed) {
-          return RunOneTrial(*protocol, ipums, truth, xis[xi_index],
-                             spec.defaults.beta, shards, trial_seed);
-        },
-        &budget);
-    ctx.report.outer_workers = budget.outer;
-    ctx.report.shards = budget.inner;
-
-    ctx.sink.BeginTable(std::string("Figure 9 (IPUMS, MGA-IPA, ") +
-                            ProtocolKindName(kind) + "): MSE vs xi",
-                        spec.columns);
-    for (size_t x = 0; x < xis.size(); ++x) {
-      RunningStat before, kmeans_alone, km;
-      for (size_t t = 0; t < trials; ++t) {
-        const TrialRow& row = rows[x * trials + t];
-        before.Add(row.before);
-        kmeans_alone.Add(row.kmeans_alone);
-        km.Add(row.km);
-      }
-      char name[32];
-      std::snprintf(name, sizeof(name), "xi=%g", xis[x]);
-      ctx.sink.AddRow(name, {before.mean(), kmeans_alone.mean(), km.mean()});
-      ++ctx.report.rows;
-    }
-    ctx.sink.EndTable();
-    ++ctx.report.tables;
+    RunTrialTable(ctx,
+                  std::string("Figure 9 (IPUMS, MGA-IPA, ") +
+                      ProtocolKindName(kind) + "): MSE vs xi",
+                  labels, DeriveSeed(ctx.seed, p),
+                  [&](size_t xi_index, size_t shards, uint64_t trial_seed) {
+                    return RunOneTrial(*protocol, ipums, truth, xis[xi_index],
+                                       spec.defaults.beta, shards,
+                                       trial_seed);
+                  });
   }
   return Status::Ok();
 }

@@ -31,7 +31,7 @@
 //
 // Determinism: every fault plan derives from the trial seed
 // (DeriveSeed streams), the (cell x trial) grid fans out through
-// RunTrialGrid, and merging is associativity-exact integer sums — no
+// RunTrialTable, and merging is associativity-exact integer sums — no
 // timing columns, full byte-compare determinism
 // (tests/shard_scenario_test.cc, scenario_*_determinism ctest).
 
@@ -125,31 +125,37 @@ double PoisonedMseOr(const ShardTaskPlan& plan, const Dataset& data,
   return ComputeShardOutcome(plan, data, *merged).poisoned_mse;
 }
 
-// ------------------------------------------------------------- loss
+// One table with a row per spec protocol: fn(protocol, trial_seed)
+// returns one trial's columns.
+template <typename Fn>
+void RunProtocolTable(ScenarioContext& ctx, const std::string& title,
+                      const Fn& fn) {
+  std::vector<std::string> labels;
+  for (ProtocolKind kind : ctx.spec.protocols)
+    labels.push_back(ProtocolKindName(kind));
+  RunTrialTable(ctx, title, labels, ctx.seed,
+                [&](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
+                  return fn(ctx.spec.protocols[cell], trial_seed);
+                });
+}
 
-struct LossRow {
-  double gen_mse[3] = {0, 0, 0};
-  double mga_mse[3] = {0, 0, 0};
-  double rec_l0 = 0, rec_l50 = 0;
-};
+// ------------------------------------------------------------- loss
 
 Status RunShardFaultLoss(ScenarioContext& ctx) {
   const ScenarioSpec& spec = ctx.spec;
   const Dataset& data = ctx.datasets[0];
-  const size_t cells = spec.protocols.size();
   const double kill_fractions[3] = {0.0, 0.25, 0.5};
 
-  ThreadBudget budget;
-  const std::vector<LossRow> rows = RunTrialGrid<LossRow>(
-      cells, ctx.trials, ctx.seed,
-      [&](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
-        LossRow row;
-        const ShardTaskSpec gen_spec =
-            MakeFaultSpec(spec, data, spec.protocols[cell], AttackKind::kNone,
-                          ctx.scale, trial_seed);
-        const ShardTaskSpec mga_spec =
-            MakeFaultSpec(spec, data, spec.protocols[cell], AttackKind::kMga,
-                          ctx.scale, trial_seed);
+  RunProtocolTable(
+      ctx,
+      "Shard loss: estimate MSE vs killed-shard fraction (Zipf, 8 workers)",
+      [&](ProtocolKind protocol, uint64_t trial_seed) {
+        // Columns: GenL0..GenL50, MgaL0..MgaL50, RecL0, RecL50.
+        std::vector<double> row(spec.columns.size(), 0.0);
+        const ShardTaskSpec gen_spec = MakeFaultSpec(
+            spec, data, protocol, AttackKind::kNone, ctx.scale, trial_seed);
+        const ShardTaskSpec mga_spec = MakeFaultSpec(
+            spec, data, protocol, AttackKind::kMga, ctx.scale, trial_seed);
         auto gen_plan = BuildShardTaskPlan(gen_spec, data);
         auto mga_plan = BuildShardTaskPlan(mga_spec, data);
         if (!gen_plan.ok() || !mga_plan.ok())
@@ -165,73 +171,44 @@ Status RunShardFaultLoss(ScenarioContext& ctx) {
               MergeUnderFaults(*gen_plan, gen_lines, fault);
           const FaultedMerge mga =
               MergeUnderFaults(*mga_plan, mga_lines, fault);
-          row.gen_mse[k] = PoisonedMseOr(*gen_plan, data, gen.merged, nan);
-          row.mga_mse[k] = PoisonedMseOr(*mga_plan, data, mga.merged, nan);
+          row[k] = PoisonedMseOr(*gen_plan, data, gen.merged, nan);
+          row[3 + k] = PoisonedMseOr(*mga_plan, data, mga.merged, nan);
           if (k == 0 || k == 2) {
             double rec = nan;
             if (mga.merged.ok())
               rec = ComputeShardOutcome(*mga_plan, data, *mga.merged)
                         .recovered_mse;
-            (k == 0 ? row.rec_l0 : row.rec_l50) = rec;
+            row[k == 0 ? 6 : 7] = rec;
           }
         }
         return row;
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Shard loss: estimate MSE vs killed-shard fraction "
-                      "(Zipf, 8 workers)",
-                      spec.columns);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    RunningStat stats[8];
-    for (size_t t = 0; t < ctx.trials; ++t) {
-      const LossRow& row = rows[cell * ctx.trials + t];
-      for (int k = 0; k < 3; ++k) {
-        stats[k].Add(row.gen_mse[k]);
-        stats[3 + k].Add(row.mga_mse[k]);
-      }
-      stats[6].Add(row.rec_l0);
-      stats[7].Add(row.rec_l50);
-    }
-    std::vector<double> values;
-    for (RunningStat& stat : stats) values.push_back(stat.mean());
-    ctx.sink.AddRow(ProtocolKindName(spec.protocols[cell]), values);
-    ++ctx.report.rows;
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+      });
   return Status::Ok();
 }
 
 // ------------------------------------------------------------ mixed
 
-struct MixedRow {
-  double dup_drift = 0, torn_rej = 0, flip_rej = 0, straggler_loss = 0;
-  double fault_mse = 0;
-};
-
 Status RunShardFaultMixed(ScenarioContext& ctx) {
   const ScenarioSpec& spec = ctx.spec;
   const Dataset& data = ctx.datasets[0];
-  const size_t cells = spec.protocols.size();
 
-  ThreadBudget budget;
-  const std::vector<MixedRow> rows = RunTrialGrid<MixedRow>(
-      cells, ctx.trials, ctx.seed,
-      [&](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
-        MixedRow row;
-        const ShardTaskSpec task_spec =
-            MakeFaultSpec(spec, data, spec.protocols[cell], AttackKind::kMga,
-                          ctx.scale, trial_seed);
+  RunProtocolTable(
+      ctx,
+      "Shard faults: duplicates, torn writes, bit flips, stragglers (Zipf, "
+      "8 workers, MGA)",
+      [&](ProtocolKind protocol, uint64_t trial_seed) -> std::vector<double> {
+        const std::vector<double> zeros(spec.columns.size(), 0.0);
+        const ShardTaskSpec task_spec = MakeFaultSpec(
+            spec, data, protocol, AttackKind::kMga, ctx.scale, trial_seed);
         auto plan = BuildShardTaskPlan(task_spec, data);
-        if (!plan.ok()) return row;  // unreachable for the registered spec
+        if (!plan.ok()) return zeros;  // unreachable for the registered spec
         const auto lines = WorkerLines(*plan);
         const uint64_t total_chunks = plan->total_chunks();
 
         const auto clean = RunShardTaskInProcess(*plan, kFaultWorkers);
-        if (!clean.ok()) return row;
+        if (!clean.ok()) return zeros;
+
+        double dup_drift = 0, torn_rej = 0, flip_rej = 0, straggler_loss = 0;
 
         // Duplicate delivery must merge to the clean counts exactly.
         FaultSpec dup_fault;
@@ -240,12 +217,11 @@ Status RunShardFaultMixed(ScenarioContext& ctx) {
         const FaultedMerge dup = MergeUnderFaults(*plan, lines, dup_fault);
         if (dup.merged.ok()) {
           for (size_t v = 0; v < clean->genuine_counts.size(); ++v) {
-            row.dup_drift = std::max(
-                row.dup_drift,
-                std::abs(dup.merged->genuine_counts[v] -
-                         clean->genuine_counts[v]) +
-                    std::abs(dup.merged->malicious_counts[v] -
-                             clean->malicious_counts[v]));
+            dup_drift = std::max(
+                dup_drift, std::abs(dup.merged->genuine_counts[v] -
+                                    clean->genuine_counts[v]) +
+                               std::abs(dup.merged->malicious_counts[v] -
+                                        clean->malicious_counts[v]));
           }
         }
 
@@ -256,18 +232,16 @@ Status RunShardFaultMixed(ScenarioContext& ctx) {
         torn_fault.seed = DeriveSeed(trial_seed, 9200);
         const FaultedMerge torn = MergeUnderFaults(*plan, lines, torn_fault);
         if (torn.merged.ok() && torn.delivery.lines_torn > 0) {
-          row.torn_rej =
-              static_cast<double>(torn.merged->stats.lines_rejected) /
-              static_cast<double>(torn.delivery.lines_torn);
+          torn_rej = static_cast<double>(torn.merged->stats.lines_rejected) /
+                     static_cast<double>(torn.delivery.lines_torn);
         }
         FaultSpec flip_fault;
         flip_fault.bitflip_fraction = 0.25;
         flip_fault.seed = DeriveSeed(trial_seed, 9300);
         const FaultedMerge flip = MergeUnderFaults(*plan, lines, flip_fault);
         if (flip.merged.ok() && flip.delivery.lines_flipped > 0) {
-          row.flip_rej =
-              static_cast<double>(flip.merged->stats.lines_rejected) /
-              static_cast<double>(flip.delivery.lines_flipped);
+          flip_rej = static_cast<double>(flip.merged->stats.lines_rejected) /
+                     static_cast<double>(flip.delivery.lines_flipped);
         }
 
         // Stragglers: coverage lost to late arrivals.
@@ -277,7 +251,7 @@ Status RunShardFaultMixed(ScenarioContext& ctx) {
         const FaultedMerge straggler =
             MergeUnderFaults(*plan, lines, straggler_fault);
         if (straggler.merged.ok() && total_chunks > 0) {
-          row.straggler_loss =
+          straggler_loss =
               static_cast<double>(
                   straggler.merged->stats.genuine_chunks_lost +
                   straggler.merged->stats.malicious_chunks_lost) /
@@ -293,33 +267,9 @@ Status RunShardFaultMixed(ScenarioContext& ctx) {
         all_fault.bitflip_fraction = 0.125;
         all_fault.seed = DeriveSeed(trial_seed, 9500);
         const FaultedMerge all = MergeUnderFaults(*plan, lines, all_fault);
-        row.fault_mse = PoisonedMseOr(*plan, data, all.merged, std::nan(""));
-        return row;
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Shard faults: duplicates, torn writes, bit flips, "
-                      "stragglers (Zipf, 8 workers, MGA)",
-                      spec.columns);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    RunningStat dup, torn, flip, straggler, fault_mse;
-    for (size_t t = 0; t < ctx.trials; ++t) {
-      const MixedRow& row = rows[cell * ctx.trials + t];
-      dup.Add(row.dup_drift);
-      torn.Add(row.torn_rej);
-      flip.Add(row.flip_rej);
-      straggler.Add(row.straggler_loss);
-      fault_mse.Add(row.fault_mse);
-    }
-    ctx.sink.AddRow(ProtocolKindName(spec.protocols[cell]),
-                    {dup.mean(), torn.mean(), flip.mean(), straggler.mean(),
-                     fault_mse.mean()});
-    ++ctx.report.rows;
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+        return {dup_drift, torn_rej, flip_rej, straggler_loss,
+                PoisonedMseOr(*plan, data, all.merged, std::nan(""))};
+      });
   return Status::Ok();
 }
 

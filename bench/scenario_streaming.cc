@@ -25,7 +25,7 @@
 //                     first and last windows' genuine ground truth.
 //
 // Determinism: RunStream is serial per trial and the (cell x trial)
-// grid fans out through RunTrialGrid with per-trial derived seeds, so
+// grid fans out through RunTrialTable with per-trial derived seeds, so
 // every column is a pure function of (spec, seed, scale, trials) —
 // no timing columns, full byte-compare determinism
 // (tests/streaming_scenario_test.cc, scenario_*_determinism ctest).
@@ -88,35 +88,41 @@ Scenario MakeStreamingScenario(const char* id, const char* title,
   return scenario;
 }
 
+// Runs one table with a row per spec protocol: fn(protocol, shards,
+// trial_seed) returns one trial's columns.
+template <typename Fn>
+void RunProtocolTable(ScenarioContext& ctx, const std::string& title,
+                      const Fn& fn) {
+  const ScenarioSpec& spec = ctx.spec;
+  std::vector<std::string> labels;
+  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
+  for (ProtocolKind kind : spec.protocols) {
+    labels.push_back(ProtocolKindName(kind));
+    protocols.push_back(MakeProtocol(kind, ctx.datasets[0].domain_size(),
+                                     spec.defaults.epsilon));
+  }
+  RunTrialTable(ctx, title, labels, ctx.seed,
+                [&](size_t cell, size_t shards, uint64_t trial_seed) {
+                  return fn(*protocols[cell], shards, trial_seed);
+                });
+}
+
 // ------------------------------------------------------------ equiv
 
-struct EquivRow {
-  double stream_mse = 0, batch_mse = 0, drift = 0, detect = 0;
-};
-
 Status RunStreamingEquiv(ScenarioContext& ctx) {
-  const ScenarioSpec& spec = ctx.spec;
   const Dataset& data = ctx.datasets[0];
-  const size_t cells = spec.protocols.size();
-
-  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (ProtocolKind kind : spec.protocols)
-    protocols.push_back(
-        MakeProtocol(kind, data.domain_size(), spec.defaults.epsilon));
-
   StreamSpec stream;
   stream.total_reports = data.num_users();
   stream.window_reports = stream.total_reports;  // one window = the batch
   stream.item_counts = data.item_counts;
   stream.wave = WaveShape::kConstant;
   stream.attacker_fraction = 0.05;
-  stream.num_targets = spec.defaults.num_targets;
+  stream.num_targets = ctx.spec.defaults.num_targets;
 
-  ThreadBudget budget;
-  const std::vector<EquivRow> rows = RunTrialGrid<EquivRow>(
-      cells, ctx.trials, ctx.seed,
-      [&](size_t cell, size_t shards, uint64_t trial_seed) {
-        const FrequencyProtocol& protocol = *protocols[cell];
+  RunProtocolTable(
+      ctx, "Streaming vs batch equivalence (Zipf)",
+      [&](const FrequencyProtocol& protocol, size_t shards,
+          uint64_t trial_seed) -> std::vector<double> {
         StreamEngineOptions options =
             OptionsFor(protocol, stream.num_targets, stream.attacker_fraction);
         options.run_recovery = false;
@@ -126,70 +132,33 @@ Status RunStreamingEquiv(ScenarioContext& ctx) {
         // The batch path on the very same reports: replay the arrival
         // schedule (identical draws) and aggregate through
         // AddAllSharded.
-        const StreamReplay replay =
-            ReplayStream(protocol, stream, trial_seed);
+        const StreamReplay replay = ReplayStream(protocol, stream, trial_seed);
         Aggregator aggregator(protocol);
         aggregator.AddAllSharded(replay.reports, shards);
 
-        EquivRow row;
-        row.stream_mse = summary.mean_mse_estimate;
         uint64_t genuine = 0;
         for (uint64_t c : replay.genuine_item_counts) genuine += c;
         std::vector<double> true_freqs(replay.genuine_item_counts.size());
         for (size_t v = 0; v < true_freqs.size(); ++v)
           true_freqs[v] = static_cast<double>(replay.genuine_item_counts[v]) /
                           static_cast<double>(genuine);
-        row.batch_mse = Mse(true_freqs, aggregator.EstimateFrequencies());
         const std::vector<double>& batch_counts = aggregator.support_counts();
+        double drift = 0;
         for (size_t v = 0; v < batch_counts.size(); ++v) {
-          row.drift = std::max(
-              row.drift,
-              std::abs(summary.final_support_counts[v] - batch_counts[v]));
+          drift = std::max(
+              drift, std::abs(summary.final_support_counts[v] - batch_counts[v]));
         }
-        row.detect = DetectColumn(summary);
-        return row;
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Streaming vs batch equivalence (Zipf)", spec.columns);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    RunningStat stream_mse, batch_mse, drift, detect;
-    for (size_t t = 0; t < ctx.trials; ++t) {
-      const EquivRow& row = rows[cell * ctx.trials + t];
-      stream_mse.Add(row.stream_mse);
-      batch_mse.Add(row.batch_mse);
-      drift.Add(row.drift);
-      detect.Add(row.detect);
-    }
-    ctx.sink.AddRow(ProtocolKindName(spec.protocols[cell]),
-                    {stream_mse.mean(), batch_mse.mean(), drift.mean(),
-                     detect.mean()});
-    ++ctx.report.rows;
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+        return {summary.mean_mse_estimate,
+                Mse(true_freqs, aggregator.EstimateFrequencies()), drift,
+                DetectColumn(summary)};
+      });
   return Status::Ok();
 }
 
 // ------------------------------------------------------------- wave
 
-struct WaveRow {
-  double clean_mse = 0, wave_mse = 0, wave_rec = 0;
-  double clean_detect = 0, wave_detect = 0, detected = 0;
-};
-
 Status RunStreamingWave(ScenarioContext& ctx) {
-  const ScenarioSpec& spec = ctx.spec;
   const Dataset& data = ctx.datasets[0];
-  const size_t cells = spec.protocols.size();
-
-  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (ProtocolKind kind : spec.protocols)
-    protocols.push_back(
-        MakeProtocol(kind, data.domain_size(), spec.defaults.epsilon));
-
   const size_t total = data.num_users();
   const size_t window = DefaultWindowReports(total);
   // Sliding windows: stride = half a window (pane path), degrading to
@@ -203,7 +172,7 @@ Status RunStreamingWave(ScenarioContext& ctx) {
   clean.stride_reports = stride;
   clean.item_counts = data.item_counts;
   clean.wave = WaveShape::kNone;
-  clean.num_targets = spec.defaults.num_targets;
+  clean.num_targets = ctx.spec.defaults.num_targets;
 
   StreamSpec wave = clean;
   wave.wave = WaveShape::kWave;
@@ -211,139 +180,61 @@ Status RunStreamingWave(ScenarioContext& ctx) {
   wave.wave_start = total * 3 / 10;
   wave.wave_end = total * 7 / 10;
 
-  ThreadBudget budget;
-  const std::vector<WaveRow> rows = RunTrialGrid<WaveRow>(
-      cells, ctx.trials, ctx.seed,
-      [&](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
-        const FrequencyProtocol& protocol = *protocols[cell];
+  RunProtocolTable(
+      ctx, "Streaming MGA wave (Zipf): clean vs attacked",
+      [&](const FrequencyProtocol& protocol, size_t /*shards*/,
+          uint64_t trial_seed) -> std::vector<double> {
         const StreamEngineOptions options =
             OptionsFor(protocol, clean.num_targets, peak);
         const StreamSummary clean_run =
             RunStream(protocol, clean, options, trial_seed);
         const StreamSummary wave_run =
             RunStream(protocol, wave, options, trial_seed);
-        WaveRow row;
-        row.clean_mse = clean_run.mean_mse_estimate;
-        row.wave_mse = wave_run.mean_mse_estimate;
-        row.wave_rec = wave_run.mean_mse_recovered;
-        row.clean_detect = DetectColumn(clean_run);
-        row.wave_detect = DetectColumn(wave_run);
-        row.detected = wave_run.windows_to_detection != kNoDetection;
-        return row;
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Streaming MGA wave (Zipf): clean vs attacked",
-                      spec.columns);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    RunningStat clean_mse, wave_mse, wave_rec, clean_det, wave_det, rate;
-    for (size_t t = 0; t < ctx.trials; ++t) {
-      const WaveRow& row = rows[cell * ctx.trials + t];
-      clean_mse.Add(row.clean_mse);
-      wave_mse.Add(row.wave_mse);
-      wave_rec.Add(row.wave_rec);
-      clean_det.Add(row.clean_detect);
-      wave_det.Add(row.wave_detect);
-      rate.Add(row.detected);
-    }
-    ctx.sink.AddRow(ProtocolKindName(spec.protocols[cell]),
-                    {clean_mse.mean(), wave_mse.mean(), wave_rec.mean(),
-                     clean_det.mean(), wave_det.mean(), rate.mean()});
-    ++ctx.report.rows;
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+        return {clean_run.mean_mse_estimate,
+                wave_run.mean_mse_estimate,
+                wave_run.mean_mse_recovered,
+                DetectColumn(clean_run),
+                DetectColumn(wave_run),
+                wave_run.windows_to_detection != kNoDetection ? 1.0 : 0.0};
+      });
   return Status::Ok();
 }
 
 // ------------------------------------------------------------- ramp
 
-struct RampRow {
-  double mse = 0, rec = 0, first_atk = 0, last_atk = 0, detect = 0;
-};
-
 Status RunStreamingRamp(ScenarioContext& ctx) {
-  const ScenarioSpec& spec = ctx.spec;
   const Dataset& data = ctx.datasets[0];
-  const size_t cells = spec.protocols.size();
-
-  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (ProtocolKind kind : spec.protocols)
-    protocols.push_back(
-        MakeProtocol(kind, data.domain_size(), spec.defaults.epsilon));
-
   StreamSpec stream;
   stream.total_reports = data.num_users();
   stream.window_reports = DefaultWindowReports(stream.total_reports);
   stream.item_counts = data.item_counts;
   stream.wave = WaveShape::kRamp;
   stream.attacker_fraction = 0.3;
-  stream.num_targets = spec.defaults.num_targets;
+  stream.num_targets = ctx.spec.defaults.num_targets;
 
-  ThreadBudget budget;
-  const std::vector<RampRow> rows = RunTrialGrid<RampRow>(
-      cells, ctx.trials, ctx.seed,
-      [&](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
-        const FrequencyProtocol& protocol = *protocols[cell];
+  RunProtocolTable(
+      ctx, "Streaming ramping attacker fraction (Zipf)",
+      [&](const FrequencyProtocol& protocol, size_t /*shards*/,
+          uint64_t trial_seed) -> std::vector<double> {
         const StreamEngineOptions options = OptionsFor(
             protocol, stream.num_targets, stream.attacker_fraction);
         const StreamSummary summary =
             RunStream(protocol, stream, options, trial_seed);
-        RampRow row;
-        row.mse = summary.mean_mse_estimate;
-        row.rec = summary.mean_mse_recovered;
+        double first_atk = 0, last_atk = 0;
         if (!summary.windows.empty()) {
-          row.first_atk =
-              static_cast<double>(summary.windows.front().attackers);
-          row.last_atk = static_cast<double>(summary.windows.back().attackers);
+          first_atk = static_cast<double>(summary.windows.front().attackers);
+          last_atk = static_cast<double>(summary.windows.back().attackers);
         }
-        row.detect = DetectColumn(summary);
-        return row;
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Streaming ramping attacker fraction (Zipf)",
-                      spec.columns);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    RunningStat mse, rec, first_atk, last_atk, detect;
-    for (size_t t = 0; t < ctx.trials; ++t) {
-      const RampRow& row = rows[cell * ctx.trials + t];
-      mse.Add(row.mse);
-      rec.Add(row.rec);
-      first_atk.Add(row.first_atk);
-      last_atk.Add(row.last_atk);
-      detect.Add(row.detect);
-    }
-    ctx.sink.AddRow(ProtocolKindName(spec.protocols[cell]),
-                    {mse.mean(), rec.mean(), first_atk.mean(),
-                     last_atk.mean(), detect.mean()});
-    ++ctx.report.rows;
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+        return {summary.mean_mse_estimate, summary.mean_mse_recovered,
+                first_atk, last_atk, DetectColumn(summary)};
+      });
   return Status::Ok();
 }
 
 // ------------------------------------------------------------ drift
 
-struct DriftRow {
-  double mse = 0, rec = 0, true_drift = 0, detect = 0;
-};
-
 Status RunStreamingDrift(ScenarioContext& ctx) {
-  const ScenarioSpec& spec = ctx.spec;
   const Dataset& data = ctx.datasets[0];
-  const size_t cells = spec.protocols.size();
-
-  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (ProtocolKind kind : spec.protocols)
-    protocols.push_back(
-        MakeProtocol(kind, data.domain_size(), spec.defaults.epsilon));
-
   const size_t total = data.num_users();
   StreamSpec stream;
   stream.total_reports = total;
@@ -356,23 +247,18 @@ Status RunStreamingDrift(ScenarioContext& ctx) {
   stream.attacker_fraction = 0.2;
   stream.wave_start = total * 4 / 10;
   stream.wave_end = total * 7 / 10;
-  stream.num_targets = spec.defaults.num_targets;
+  stream.num_targets = ctx.spec.defaults.num_targets;
 
-  ThreadBudget budget;
-  const std::vector<DriftRow> rows = RunTrialGrid<DriftRow>(
-      cells, ctx.trials, ctx.seed,
-      [&](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
-        const FrequencyProtocol& protocol = *protocols[cell];
+  RunProtocolTable(
+      ctx, "Streaming drifting Zipf + wave",
+      [&](const FrequencyProtocol& protocol, size_t /*shards*/,
+          uint64_t trial_seed) -> std::vector<double> {
         const StreamEngineOptions options = OptionsFor(
             protocol, stream.num_targets, stream.attacker_fraction);
         const StreamSummary summary =
             RunStream(protocol, stream, options, trial_seed);
-        DriftRow row;
-        row.mse = summary.mean_mse_estimate;
-        row.rec = summary.mean_mse_recovered;
+        double true_drift = 0;
         if (summary.windows.size() >= 2) {
-          const WindowResult& first = summary.windows.front();
-          const WindowResult& last = summary.windows.back();
           const auto freqs = [](const WindowResult& w) {
             uint64_t genuine = 0;
             for (uint64_t c : w.genuine_tally) genuine += c;
@@ -384,32 +270,12 @@ Status RunStreamingDrift(ScenarioContext& ctx) {
             }
             return f;
           };
-          row.true_drift = L1Distance(freqs(first), freqs(last));
+          true_drift = L1Distance(freqs(summary.windows.front()),
+                                  freqs(summary.windows.back()));
         }
-        row.detect = DetectColumn(summary);
-        return row;
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Streaming drifting Zipf + wave", spec.columns);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    RunningStat mse, rec, true_drift, detect;
-    for (size_t t = 0; t < ctx.trials; ++t) {
-      const DriftRow& row = rows[cell * ctx.trials + t];
-      mse.Add(row.mse);
-      rec.Add(row.rec);
-      true_drift.Add(row.true_drift);
-      detect.Add(row.detect);
-    }
-    ctx.sink.AddRow(ProtocolKindName(spec.protocols[cell]),
-                    {mse.mean(), rec.mean(), true_drift.mean(),
-                     detect.mean()});
-    ++ctx.report.rows;
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
+        return {summary.mean_mse_estimate, summary.mean_mse_recovered,
+                true_drift, DetectColumn(summary)};
+      });
   return Status::Ok();
 }
 

@@ -145,6 +145,7 @@ int RunCommand(const FlagParser& flags) {
       RunPoisoningTrial(*protocol, config.pipeline, dataset, rng);
   RecoverOptions ropts;
   ropts.eta = config.eta;
+  ropts.paper_literal_subdomain_sum = config.paper_literal_subdomain_sum;
   if (!t.attack_targets.empty()) ropts.known_targets = t.attack_targets;
   const LdpRecover recover(*protocol, ropts);
   const auto recovered = recover.Recover(t.poisoned_freqs);

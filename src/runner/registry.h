@@ -5,9 +5,11 @@
 //
 //   - format_row: maps one lowered row's ExperimentResults onto the
 //     spec's output columns (grid scenarios);
-//   - run: a full custom run loop writing through the ResultSink
-//     (bespoke scenarios: ablation, ext_protocols, fig9) — when set,
-//     the generic grid engine is bypassed.
+//   - run: a custom run function (bespoke scenarios: ablation,
+//     ext_protocols, fig9, streaming_*, shard_fault_*) that computes
+//     each trial's columns and hands its tables to RunTrialTable
+//     (runner/scenario_runner.h) — when set, the generic grid engine
+//     is bypassed.
 //
 // Registration is explicit (bench/scenarios.h's
 // RegisterAllScenarios()), not static-initializer magic, so linking
@@ -32,9 +34,9 @@ namespace ldpr {
 struct ScenarioRunReport {
   size_t tables = 0;
   size_t rows = 0;
-  /// Top-level split of the thread budget over the scenario's
-  /// parallel units (configs for grid scenarios, cell x trial for
-  /// bespoke grids): `outer_workers` concurrent units, each with
+  /// Split of the thread budget over the scenario's flat fan-out
+  /// units (config x trial for grid scenarios, cell x trial for
+  /// bespoke tables): `outer_workers` concurrent units, each with
   /// `shards` within-trial aggregation workers.
   size_t outer_workers = 1;
   size_t shards = 1;
@@ -46,13 +48,12 @@ struct ScenarioRunReport {
 
 /// Everything a custom scenario run receives: the resolved knobs, the
 /// already-resolved datasets (spec.datasets order), the sink to write
-/// through, and the report to fill in.
+/// through, and the report to fill in (RunTrialTable does both).
 struct ScenarioContext {
   const ScenarioSpec& spec;
   uint64_t seed = 0;
   size_t trials = 1;
   double scale = 1.0;
-  size_t threads = 1;
   const std::vector<Dataset>& datasets;
   ResultSink& sink;
   ScenarioRunReport& report;

@@ -1,27 +1,48 @@
 #include "runner/scenario_runner.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <map>
+#include <tuple>
 
 #include "data/synthetic.h"
 #include "util/logging.h"
-#include "util/math_util.h"
+#include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace ldpr {
 
-double DefaultBenchScale() {
+namespace {
+
+// The environment knobs behind ScenarioRunOptions' zero fields,
+// parsed strictly: the whole value must be a number in range, or the
+// run fails naming the variable (unset keeps the default).
+StatusOr<double> BenchScaleFromEnv() {
   const char* env = std::getenv("LDPR_BENCH_SCALE");
   if (env == nullptr) return 0.05;
-  return Clamp(std::atof(env), 1e-4, 1.0);
+  char* end = nullptr;
+  errno = 0;
+  const double scale = std::strtod(env, &end);
+  if (*env == '\0' || *end != '\0' || errno != 0 || !(scale > 0.0) ||
+      scale > 1.0) {
+    return InvalidArgumentError("LDPR_BENCH_SCALE must be a number in (0, 1]"
+                                ", got '" + std::string(env) + "'");
+  }
+  return scale;
 }
 
-size_t DefaultBenchTrials() {
+StatusOr<size_t> BenchTrialsFromEnv() {
   const char* env = std::getenv("LDPR_BENCH_TRIALS");
-  if (env == nullptr) return 3;
-  const long v = std::atol(env);
-  return v < 1 ? 1 : static_cast<size_t>(v);
+  if (env == nullptr) return size_t{3};
+  char* end = nullptr;
+  errno = 0;
+  const long long trials = std::strtoll(env, &end, 10);
+  if (*env == '\0' || *end != '\0' || errno != 0 || trials < 1) {
+    return InvalidArgumentError("LDPR_BENCH_TRIALS must be an integer >= 1"
+                                ", got '" + std::string(env) + "'");
+  }
+  return static_cast<size_t>(trials);
 }
-
-namespace {
 
 // The registered bench dataset generators.  A generator owns its
 // default shape; the resizable synthetic families additionally accept
@@ -95,129 +116,59 @@ std::string BenchDatasetDisplayName(const std::string& name) {
   return gen != nullptr ? gen->display : name;
 }
 
-std::vector<ExperimentResult> RunExperimentGrid(
-    const std::vector<ExperimentConfig>& configs, const Dataset& dataset,
-    ThreadBudget* budget_out) {
-  // Split the pool between the configuration fan-out and each
-  // experiment's own trial fan-out (the shared SplitThreadBudget
-  // policy); the remainder of the division goes to the first configs
-  // so no worker sits idle (results don't depend on thread counts,
-  // so this stays deterministic).
-  const size_t threads = DefaultThreadCount();
-  const ThreadBudget budget = SplitThreadBudget(threads, configs.size());
-  if (budget_out != nullptr) *budget_out = budget;
-  const size_t used = budget.inner * budget.outer;
-  const size_t remainder = threads > used ? threads - used : 0;
-
-  std::vector<ExperimentResult> results(configs.size());
-  ParallelFor(budget.outer, configs.size(), [&](size_t i) {
-    ExperimentConfig config = configs[i];
-    config.threads = budget.inner + (i < remainder ? 1 : 0);
-    results[i] = RunExperiment(config, dataset);
-  });
-  return results;
-}
-
 namespace {
 
-// Runs a lowered grid scenario.  Per dataset, rows group by their
-// dataset *variant* — the row-level n/d overrides of the scaling-law
-// axes; rows without overrides share the pre-resolved dataset — and
-// each variant's configs batch into one RunExperimentGrid call (so
-// the pool still sees whole grids at once, as the old sweep benches
-// did).  Results scatter back to their (table, row) slots and emit in
-// lowering order, so the sink output is independent of the grouping.
+// Records the thread split the shared fan-out applies to `units`.
+void RecordThreadSplit(size_t units, ScenarioRunReport& report) {
+  const ThreadBudget budget = SplitThreadBudget(0, units);
+  report.outer_workers = budget.outer;
+  report.shards = budget.inner;
+}
+
+// Runs a lowered grid scenario: every config of every table runs in
+// one flat (config x trial) fan-out.  Rows with n/d overrides (the
+// dataset-axis sweeps) run on their dataset variant, resolved once
+// per distinct (dataset, n, d); the other rows share the pre-resolved
+// datasets.  Results come back in lowering order, row by row.
 Status RunGridScenario(const Scenario& scenario, const LoweredScenario& lowered,
                        const std::vector<Dataset>& datasets,
                        ScenarioContext& ctx) {
-  const std::vector<std::string>& columns = scenario.spec.columns;
-  std::vector<std::vector<std::vector<ExperimentResult>>> results(
-      lowered.tables.size());
-  for (size_t t = 0; t < lowered.tables.size(); ++t)
-    results[t].resize(lowered.tables[t].rows.size());
-
-  // The manifest records one representative thread split; the largest
-  // batch's split is the one that dominated the run.
-  size_t largest_batch = 0;
-  for (size_t ds = 0; ds < datasets.size(); ++ds) {
-    struct RowRef {
-      size_t table;
-      size_t row;
-    };
-    struct Variant {
-      uint64_t n;
-      size_t d;
-      std::vector<RowRef> rows;
-    };
-    std::vector<Variant> variants;  // first-appearance order
-    for (size_t t = 0; t < lowered.tables.size(); ++t) {
-      const LoweredTable& table = lowered.tables[t];
-      if (table.dataset_index != ds) continue;
-      for (size_t r = 0; r < table.rows.size(); ++r) {
-        const LoweredRow& row = table.rows[r];
-        Variant* variant = nullptr;
-        for (Variant& v : variants) {
-          if (v.n == row.n_override && v.d == row.d_override) {
-            variant = &v;
-            break;
-          }
+  std::map<std::tuple<size_t, uint64_t, size_t>, Dataset> variants;
+  std::vector<ExperimentCell> cells;
+  for (const LoweredTable& table : lowered.tables) {
+    for (const LoweredRow& row : table.rows) {
+      const Dataset* dataset = &datasets[table.dataset_index];
+      if (row.n_override != 0 || row.d_override != 0) {
+        const auto key = std::make_tuple(table.dataset_index, row.n_override,
+                                         row.d_override);
+        auto variant = variants.find(key);
+        if (variant == variants.end()) {
+          auto resolved =
+              ResolveBenchDataset(ctx.spec.datasets[table.dataset_index],
+                                  ctx.scale, row.d_override, row.n_override);
+          if (!resolved.ok()) return resolved.status();
+          variant = variants.emplace(key, std::move(*resolved)).first;
         }
-        if (variant == nullptr) {
-          variants.push_back({row.n_override, row.d_override, {}});
-          variant = &variants.back();
-        }
-        variant->rows.push_back({t, r});
+        dataset = &variant->second;
       }
-    }
-
-    for (const Variant& variant : variants) {
-      std::vector<ExperimentConfig> batch;
-      for (const RowRef& ref : variant.rows) {
-        const std::vector<ExperimentConfig>& configs =
-            lowered.tables[ref.table].rows[ref.row].configs;
-        batch.insert(batch.end(), configs.begin(), configs.end());
-      }
-      if (batch.empty()) continue;
-
-      Dataset resized;
-      const Dataset* dataset = &datasets[ds];
-      if (variant.n != 0 || variant.d != 0) {
-        auto resolved = ResolveBenchDataset(ctx.spec.datasets[ds], ctx.scale,
-                                            variant.d, variant.n);
-        if (!resolved.ok()) return resolved.status();
-        resized = std::move(*resolved);
-        dataset = &resized;
-      }
-
-      ThreadBudget budget;
-      const std::vector<ExperimentResult> batch_results =
-          RunExperimentGrid(batch, *dataset, &budget);
-      if (batch.size() >= largest_batch) {
-        largest_batch = batch.size();
-        ctx.report.outer_workers = budget.outer;
-        ctx.report.shards = budget.inner;
-      }
-
-      size_t next = 0;
-      for (const RowRef& ref : variant.rows) {
-        const size_t count =
-            lowered.tables[ref.table].rows[ref.row].configs.size();
-        results[ref.table][ref.row].assign(batch_results.begin() + next,
-                                           batch_results.begin() + next +
-                                               count);
-        next += count;
-      }
-      LDPR_CHECK(next == batch_results.size());
+      for (const ExperimentConfig& config : row.configs)
+        cells.push_back({&config, dataset});
     }
   }
+  const std::vector<ExperimentResult> results =
+      RunExperiments(cells, /*threads=*/0);
+  RecordThreadSplit(cells.size() * ctx.trials, ctx.report);
 
-  for (size_t t = 0; t < lowered.tables.size(); ++t) {
-    const LoweredTable& table = lowered.tables[t];
+  const std::vector<std::string>& columns = scenario.spec.columns;
+  auto next = results.begin();
+  for (const LoweredTable& table : lowered.tables) {
     ctx.sink.BeginTable(table.title, columns);
-    for (size_t r = 0; r < table.rows.size(); ++r) {
-      const std::vector<double> values = scenario.format_row(results[t][r]);
+    for (const LoweredRow& row : table.rows) {
+      const std::vector<double> values = scenario.format_row(
+          std::vector<ExperimentResult>(next, next + row.configs.size()));
+      next += row.configs.size();
       LDPR_CHECK(values.size() == columns.size());
-      ctx.sink.AddRow(table.rows[r].label, values);
+      ctx.sink.AddRow(row.label, values);
       ++ctx.report.rows;
     }
     ctx.sink.EndTable();
@@ -228,6 +179,39 @@ Status RunGridScenario(const Scenario& scenario, const LoweredScenario& lowered,
 
 }  // namespace
 
+void RunTrialTable(ScenarioContext& ctx, const std::string& title,
+                   const std::vector<std::string>& row_labels, uint64_t seed,
+                   const TrialColumnsFn& fn, size_t group) {
+  const size_t cells = row_labels.size();
+  const size_t trials = ctx.trials;
+  const std::vector<std::vector<double>> runs =
+      FanOutTrials<std::vector<double>>(
+          /*num_threads=*/0, cells, trials,
+          [&](size_t cell, size_t trial, size_t shards) {
+            return fn(cell, shards, DeriveSeed(seed, cell * trials + trial));
+          });
+  RecordThreadSplit(cells * trials, ctx.report);
+
+  const std::vector<std::string>& columns = ctx.spec.columns;
+  ctx.sink.BeginTable(title, columns);
+  for (size_t cell = 0; cell < cells; ++cell) {
+    std::vector<RunningStat> stats(columns.size());
+    for (size_t t = 0; t < trials; ++t) {
+      const std::vector<double>& values = runs[cell * trials + t];
+      LDPR_CHECK(values.size() == columns.size());
+      for (size_t k = 0; k < values.size(); ++k) stats[k].Add(values[k]);
+    }
+    std::vector<double> means;
+    for (const RunningStat& stat : stats) means.push_back(stat.mean());
+    ctx.sink.AddRow(row_labels[cell], means);
+    ++ctx.report.rows;
+    if (group != 0 && (cell + 1) % group == 0 && cell + 1 < cells)
+      ctx.sink.AddSeparator();
+  }
+  ctx.sink.EndTable();
+  ++ctx.report.tables;
+}
+
 StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
                                         const ScenarioRunOptions& options,
                                         ResultSink& sink) {
@@ -236,10 +220,18 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
   if (!valid.ok()) return valid;
 
   const uint64_t seed = options.seed != 0 ? options.seed : spec.defaults.seed;
-  const size_t trials =
-      options.trials != 0 ? options.trials : DefaultBenchTrials();
-  const double scale = options.scale != 0 ? options.scale : DefaultBenchScale();
-  const size_t threads = DefaultThreadCount();
+  size_t trials = options.trials;
+  if (trials == 0) {
+    auto env = BenchTrialsFromEnv();
+    if (!env.ok()) return env.status();
+    trials = *env;
+  }
+  double scale = options.scale;
+  if (scale == 0) {
+    auto env = BenchScaleFromEnv();
+    if (!env.ok()) return env.status();
+    scale = *env;
+  }
 
   // Grid scenarios lower before the banner renders: a dataset whose
   // every row overrides the shape (the dataset-axis sweeps) never
@@ -270,7 +262,7 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
   info.seed = seed;
   info.scale = scale;
   info.trials = trials;
-  info.threads = threads;
+  info.threads = DefaultThreadCount();
   for (size_t ds = 0; ds < spec.datasets.size(); ++ds) {
     auto dataset = ResolveBenchDataset(spec.datasets[ds], scale);
     if (!dataset.ok()) return dataset.status();
@@ -284,16 +276,11 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
 
   ScenarioRunReport report;
   report.info = info;
-  ScenarioContext ctx{spec,    seed, trials, scale, threads,
-                      datasets, sink, report};
+  ScenarioContext ctx{spec, seed, trials, scale, datasets, sink, report};
 
-  if (spec.custom) {
-    Status status = scenario.run(ctx);
-    if (!status.ok()) return status;
-    return report;
-  }
-
-  Status status = RunGridScenario(scenario, lowered, datasets, ctx);
+  const Status status = spec.custom
+                            ? scenario.run(ctx)
+                            : RunGridScenario(scenario, lowered, datasets, ctx);
   if (!status.ok()) return status;
   return report;
 }

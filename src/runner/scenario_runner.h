@@ -1,10 +1,10 @@
 // The scenario run engine: resolves run knobs (seed/scale/trials from
 // options, environment, or spec defaults), lowers grid scenarios to
-// their ExperimentConfig grids, fans the grid across the thread
-// budget, and streams every row through the ResultSink.  Custom
-// scenarios get a ScenarioContext and the RunTrialGrid helper
-// instead (the streaming_* scenarios run one RunStream per trial
-// inside RunTrialGrid — serial per trial, parallel across cells).
+// their ExperimentConfig grids and runs every config x trial of a
+// scenario in one flat fan-out (RunExperiments), and streams every row
+// through the ResultSink.  Custom scenarios get a ScenarioContext and
+// the RunTrialTable helper instead, which runs their (cell x trial)
+// grid through the same fan-out (FanOutTrials in util/thread_pool.h).
 //
 // Determinism: a scenario's sink output is a pure function of
 // (spec, seed, scale, trials) — the thread budget never reaches the
@@ -16,6 +16,7 @@
 #define LDPR_RUNNER_SCENARIO_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,24 +24,19 @@
 #include "runner/registry.h"
 #include "runner/result_sink.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace ldpr {
 
 /// Run knobs; zero fields fall back to the environment
 /// (LDPR_BENCH_SCALE, LDPR_BENCH_TRIALS) and then to the paper
-/// defaults (scale 0.05, trials 3, spec seed).
+/// defaults (scale 0.05, trials 3, spec seed).  A malformed
+/// environment value, a scale outside (0, 1], or trials < 1 fails the
+/// run with InvalidArgument naming the variable.
 struct ScenarioRunOptions {
   uint64_t seed = 0;
   size_t trials = 0;
   double scale = 0;
 };
-
-/// LDPR_BENCH_SCALE, clamped to [1e-4, 1]; default 0.05.
-double DefaultBenchScale();
-
-/// LDPR_BENCH_TRIALS, at least 1; default 3.
-size_t DefaultBenchTrials();
 
 /// Builds the dataset a spec names — one of the registered bench
 /// generators ("ipums", "fire", "zipf", "uniform") — scaled by
@@ -66,39 +62,22 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
                                         const ScenarioRunOptions& options,
                                         ResultSink& sink);
 
-/// Runs every config against `dataset`, fanning the (config, trial)
-/// grid across the LDPR_THREADS worker pool: configurations run
-/// concurrently on the outer pool and each experiment's trials split
-/// whatever threads remain.  Results are returned in input order and
-/// are bit-identical to running each config serially.  When
-/// `budget_out` is set, the applied split is recorded there (the
-/// manifest's outer_workers/shards).
-std::vector<ExperimentResult> RunExperimentGrid(
-    const std::vector<ExperimentConfig>& configs, const Dataset& dataset,
-    ThreadBudget* budget_out = nullptr);
+/// One trial of a custom scenario: the cell's column values, in
+/// spec.columns order.
+using TrialColumnsFn = std::function<std::vector<double>(
+    size_t cell, size_t shards, uint64_t trial_seed)>;
 
-/// Runs the (cell x trial) grid of a custom scenario across the
-/// LDPR_THREADS budget: flat index i = cell * trials + trial runs
-/// fn(cell, shards, DeriveSeed(seed, i)) on the budgeted outer
-/// fan-out (SplitThreadBudget in util/thread_pool.h), where `shards`
-/// is each trial's within-trial aggregation share.  Rows come back
-/// in flat order, so merging them per cell in trial order keeps
-/// scenario output byte-identical at any thread count.  When
-/// `budget_out` is set, the applied split is recorded there (custom
-/// scenarios forward it to their ScenarioRunReport).
-template <typename Row, typename TrialFn>
-std::vector<Row> RunTrialGrid(size_t cells, size_t trials, uint64_t seed,
-                              const TrialFn& fn,
-                              ThreadBudget* budget_out = nullptr) {
-  const size_t total = cells * trials;
-  const ThreadBudget budget = SplitThreadBudget(0, total);
-  if (budget_out != nullptr) *budget_out = budget;
-  std::vector<Row> rows(total);
-  ParallelFor(budget.outer, total, [&](size_t i) {
-    rows[i] = fn(i / trials, budget.inner, DeriveSeed(seed, i));
-  });
-  return rows;
-}
+/// Runs one table of a custom scenario: trial t of cell c runs
+/// fn(c, shards, DeriveSeed(seed, c * ctx.trials + t)) on the shared
+/// (cell x trial) fan-out, where `shards` is the trial's within-trial
+/// aggregation share.  Row c, labelled row_labels[c], is the
+/// per-column mean of the cell's trials, merged in trial order, so
+/// the table is byte-identical at any thread count.  A separator
+/// follows every `group` rows when `group` is non-zero.  Records the
+/// table, its rows and the thread split in ctx.report.
+void RunTrialTable(ScenarioContext& ctx, const std::string& title,
+                   const std::vector<std::string>& row_labels, uint64_t seed,
+                   const TrialColumnsFn& fn, size_t group = 0);
 
 }  // namespace ldpr
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <vector>
 
 #include "ldp/factory.h"
@@ -187,43 +188,60 @@ void MergeTrialMetrics(const TrialMetrics& trial, ExperimentResult& result) {
   add(trial.mse_malicious_recover_star, result.mse_malicious_recover_star);
 }
 
+std::vector<ExperimentResult> RunExperiments(
+    const std::vector<ExperimentCell>& cells, size_t threads) {
+  if (cells.empty()) return {};
+  const size_t trials = cells[0].config->trials;
+  LDPR_CHECK(trials >= 1);
+  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
+  for (const ExperimentCell& cell : cells) {
+    LDPR_CHECK(cell.config->trials == trials);
+    protocols.push_back(MakeProtocol(cell.config->protocol,
+                                     cell.dataset->domain_size(),
+                                     cell.config->epsilon));
+  }
+
+  // Every trial runs on its own counter-derived RNG stream and writes
+  // its own slot; the slots merge per cell in trial order below, so
+  // the result is bit-identical no matter how trials land on workers.
+  // Timing rides along in the slot: wall clocks are machine-dependent,
+  // but merging them in trial order keeps the deterministic metrics
+  // untouched.
+  struct TimedTrial {
+    TrialMetrics metrics;
+    double seconds = 0;
+  };
+  const std::vector<TimedTrial> runs = FanOutTrials<TimedTrial>(
+      threads, cells.size(), trials,
+      [&](size_t c, size_t trial, size_t shards) {
+        ExperimentConfig config = *cells[c].config;
+        config.pipeline.shards = shards;
+        const auto start = std::chrono::steady_clock::now();
+        TimedTrial run;
+        run.metrics = RunTrialWithProtocol(*protocols[c], config,
+                                           *cells[c].dataset,
+                                           DeriveSeed(config.seed, trial));
+        run.seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        return run;
+      });
+
+  std::vector<ExperimentResult> results(cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    for (size_t trial = 0; trial < trials; ++trial) {
+      const TimedTrial& run = runs[c * trials + trial];
+      MergeTrialMetrics(run.metrics, results[c]);
+      results[c].trial_seconds.Add(run.seconds);
+    }
+    results[c].users_per_trial = cells[c].dataset->num_users();
+  }
+  return results;
+}
+
 ExperimentResult RunExperiment(const ExperimentConfig& config,
                                const Dataset& dataset) {
-  LDPR_CHECK(config.trials >= 1);
-  const std::unique_ptr<FrequencyProtocol> protocol =
-      MakeProtocol(config.protocol, dataset.domain_size(), config.epsilon);
-
-  // Split the thread budget between the two parallelism levels so
-  // they never oversubscribe: with many trials the fan-out takes the
-  // whole budget and each trial aggregates serially; with few (down
-  // to one) trials the leftover goes to within-trial aggregation
-  // shards.
-  const ThreadBudget budget = SplitThreadBudget(config.threads, config.trials);
-  ExperimentConfig budgeted = config;
-  budgeted.pipeline.shards = budget.inner;
-
-  // Every trial runs on its own counter-derived RNG stream, writes
-  // its own slot, and the slots merge in trial order below — so the
-  // result is bit-identical no matter how trials land on workers.
-  // Timing rides along in its own slot vector: wall clocks are
-  // machine-dependent, but merging them in trial order keeps the
-  // deterministic metrics untouched.
-  std::vector<TrialMetrics> trials(config.trials);
-  std::vector<double> seconds(config.trials);
-  ParallelFor(budget.outer, config.trials, [&](size_t trial) {
-    const auto start = std::chrono::steady_clock::now();
-    trials[trial] = RunTrialWithProtocol(*protocol, budgeted, dataset,
-                                         DeriveSeed(config.seed, trial));
-    seconds[trial] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-  });
-
-  ExperimentResult result;
-  for (const TrialMetrics& trial : trials) MergeTrialMetrics(trial, result);
-  for (double s : seconds) result.trial_seconds.Add(s);
-  result.users_per_trial = dataset.num_users();
-  return result;
+  return RunExperiments({{&config, &dataset}}, config.threads)[0];
 }
 
 }  // namespace ldpr

@@ -13,15 +13,13 @@
 // MSE is measured against the exact genuine frequencies f_X; FG is
 // measured against the genuine LDP estimate f~_X per Eq. (37).
 //
-// Threading contract (docs/architecture.md): RunExperiment owns one
-// thread budget (config.threads, 0 = auto) and splits it between two
-// levels of parallelism — the trial fan-out and each trial's
-// within-trial aggregation shards — so the two levels never
-// oversubscribe the machine: trial_workers = min(threads, trials),
-// shards = threads / trial_workers.  Many trials => trials fan out
-// and aggregation runs serially inside each; a single huge trial =>
-// the whole budget goes to its aggregation shards.  Results are
-// byte-identical under every split because per-trial and per-shard
+// Threading contract (docs/architecture.md): every trial grid runs
+// through one flat (cell x trial) fan-out (FanOutTrials in
+// util/thread_pool.h) on one thread budget (0 = auto).  Several
+// trials fan out across the pool and each aggregates serially
+// (nested ParallelFor calls run inline); a single trial gets the
+// whole budget for its within-trial aggregation shards.  Results are
+// byte-identical under every budget because per-trial and per-shard
 // RNG streams are counter-derived and every merge happens in index
 // order.
 
@@ -31,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "data/dataset.h"
 #include "sim/pipeline.h"
@@ -55,14 +54,14 @@ struct ExperimentConfig {
   /// Reproduce the paper's literal Eq. (28); see
   /// recover/malicious_stats.h.
   bool paper_literal_subdomain_sum = false;
-  /// Worker-thread budget shared by the trial fan-out and the
-  /// within-trial aggregation shards: 0 = auto (LDPR_THREADS or
-  /// hardware concurrency), 1 = fully serial.  RunExperiment splits
-  /// the budget (see the file header); pipeline.shards is overridden
-  /// with the within-trial share.  Results are bit-identical at
-  /// every thread count: each trial runs on its own counter-derived
-  /// RNG stream, sharded aggregation chunks likewise, and all merges
-  /// happen in index order.
+  /// Worker-thread budget of RunExperiment: 0 = auto (LDPR_THREADS or
+  /// hardware concurrency), 1 = fully serial.  It is split between
+  /// the trial fan-out and the within-trial aggregation shards (see
+  /// the file header); pipeline.shards is overridden with the
+  /// within-trial share.  Results are bit-identical at every thread
+  /// count: each trial runs on its own counter-derived RNG stream,
+  /// sharded aggregation chunks likewise, and all merges happen in
+  /// index order.
   size_t threads = 0;
 };
 
@@ -97,8 +96,8 @@ struct ExperimentResult {
   /// f~*_Y against the trial's actual f~_Y.
   RunningStat mse_malicious_recover;
   RunningStat mse_malicious_recover_star;
-  /// Wall-clock seconds per trial, measured around RunSingleTrial by
-  /// RunExperiment.  Machine-dependent by nature — scenarios may only
+  /// Wall-clock seconds per trial, measured around each trial by
+  /// RunExperiments.  Machine-dependent by nature — scenarios may only
   /// surface it through columns listed in ScenarioSpec.timing_columns,
   /// which result comparisons (ldpr_diff) exclude from exact checks.
   RunningStat trial_seconds;
@@ -123,17 +122,30 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
 /// fresh Rng(trial_seed).  Pure in (config, dataset, trial_seed):
 /// same inputs, same metrics, regardless of what else is running.
 /// `config.trials` and `config.threads` are ignored here; the trial
-/// fan-out lives in RunExperiment.
+/// fan-out lives in RunExperiments.
 TrialMetrics RunSingleTrial(const ExperimentConfig& config,
                             const Dataset& dataset, uint64_t trial_seed);
 
 /// Folds one trial's metrics into the running averages.
 void MergeTrialMetrics(const TrialMetrics& trial, ExperimentResult& result);
 
-/// Runs config.trials trials across config.threads workers (0 =
-/// auto).  Deterministic in config.seed alone: trial t runs on
-/// Rng(DeriveSeed(config.seed, t)) and results merge in trial order,
-/// so the output is bit-identical at any thread count.
+/// One experiment of a batch: a config and the dataset it runs on.
+struct ExperimentCell {
+  const ExperimentConfig* config;
+  const Dataset* dataset;
+};
+
+/// Runs every cell's trials in one flat (cell x trial) fan-out on
+/// `threads` workers (0 = auto), building each cell's protocol once.
+/// Every cell must share one config.trials.  Deterministic in each
+/// config.seed alone: trial t of a cell runs on
+/// Rng(DeriveSeed(config.seed, t)) and results merge per cell in
+/// trial order, so the output is bit-identical at any thread count.
+/// Results come back in cell order.
+std::vector<ExperimentResult> RunExperiments(
+    const std::vector<ExperimentCell>& cells, size_t threads);
+
+/// RunExperiments on one cell with config.threads workers.
 ExperimentResult RunExperiment(const ExperimentConfig& config,
                                const Dataset& dataset);
 

@@ -57,7 +57,7 @@ struct PipelineConfig {
   /// byte-identical at every value — the population splits into
   /// fixed-size chunks whose RNG streams are derived from the trial
   /// seed, and partial counts merge in chunk order — so this knob
-  /// only decides how many cores one trial may use.  RunExperiment
+  /// only decides how many cores one trial may use.  RunExperiments
   /// budgets it against the trial-level fan-out (see experiment.h).
   size_t shards = 1;
 };

@@ -11,9 +11,9 @@ namespace ldpr {
 
 namespace {
 // The pool whose WorkerLoop owns this thread (null on non-worker
-// threads).  Lets the free ParallelFor recognize nested calls (which
-// must not re-enter the pool they run on — see the header) and lets
-// Wait() trap same-pool re-entry, the one call shape that deadlocks.
+// threads).  Lets the free ParallelFor run nested calls inline (see
+// the header) and lets Wait() trap same-pool re-entry, the one call
+// shape that deadlocks.
 thread_local const ThreadPool* t_worker_pool = nullptr;
 }  // namespace
 
@@ -117,11 +117,8 @@ size_t DefaultThreadCount() {
 
 ThreadBudget SplitThreadBudget(size_t num_threads, size_t n) {
   if (num_threads == 0) num_threads = DefaultThreadCount();
-  ThreadBudget budget;
-  budget.outer = n < 1 ? 1 : (num_threads < n ? num_threads : n);
-  budget.inner = num_threads / budget.outer;
-  if (budget.inner < 1) budget.inner = 1;
-  return budget;
+  if (n <= 1) return {1, num_threads};
+  return {num_threads < n ? num_threads : n, 1};
 }
 
 ThreadPool& GlobalThreadPool() {
@@ -134,24 +131,11 @@ bool InThreadPoolWorker() { return t_worker_pool != nullptr; }
 void ParallelFor(size_t num_threads, size_t n,
                  const std::function<void(size_t)>& fn) {
   if (num_threads == 0) num_threads = DefaultThreadCount();
-  if (num_threads <= 1 || n <= 1) {
+  if (num_threads <= 1 || n <= 1 || InThreadPoolWorker()) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  if (!InThreadPoolWorker()) {
-    ThreadPool& pool = GlobalThreadPool();
-    // The shared pool serves any request it can cover; oversized
-    // requests (more workers than LDPR_THREADS / the hardware has)
-    // keep the old transient-pool semantics below.
-    if (num_threads <= pool.num_threads()) {
-      pool.ParallelFor(0, n, fn, /*max_runners=*/num_threads);
-      return;
-    }
-  }
-  // Nested inside a pool task, or wider than the global pool: a
-  // transient pool sized by the caller's (budgeted) request.
-  ThreadPool pool(num_threads < n ? num_threads : n);
-  pool.ParallelFor(0, n, fn);
+  GlobalThreadPool().ParallelFor(0, n, fn, /*max_runners=*/num_threads);
 }
 
 }  // namespace ldpr

@@ -1,6 +1,5 @@
-// Fixed-size worker thread pool and the ParallelFor helper that the
-// experiment engine, the sharded aggregation path, and the figure
-// benches schedule work on.
+// Fixed-size worker thread pool, the ParallelFor helper, and the one
+// (cell x trial) fan-out every trial grid in the repo runs through.
 //
 // Public contract (see also docs/architecture.md):
 //
@@ -21,14 +20,12 @@
 //    rethrown on the calling thread after all workers finish.
 //
 //  - The free ParallelFor reuses one process-wide lazily-created
-//    pool (GlobalThreadPool()) instead of spawning a transient pool
-//    per call, so many small parallel loops pay thread-spawn cost
-//    once.  Calls *nested inside* a pool task — e.g. shard-level
-//    aggregation inside a trial-level fan-out — never re-enter the
-//    caller's pool (that would deadlock: the task would Wait() on a
-//    queue it occupies); they run on a small transient pool instead,
-//    budgeted by the caller (see RunExperiment's split of the thread
-//    budget between trials and shards).
+//    pool (GlobalThreadPool()), so many small parallel loops pay
+//    thread-spawn cost once.  A call *nested inside* a pool task —
+//    e.g. shard-level aggregation inside a trial-level fan-out — runs
+//    inline on the calling worker, in index order: the outer fan-out
+//    already owns the workers, and re-entering the pool from its own
+//    task would deadlock.
 //
 // Thread count resolution: an explicit count wins; 0 means "auto",
 // which honors the LDPR_THREADS environment variable and falls back
@@ -108,28 +105,46 @@ ThreadPool& GlobalThreadPool();
 /// ParallelFor uses this to detect nested parallelism.
 bool InThreadPoolWorker();
 
-/// Two-level split of one worker-thread budget: `outer` workers fan
-/// an n-item grid out and every item gets `inner` workers for its
-/// own nested parallelism, with outer * inner <= the budget — the
-/// policy RunExperiment applies to (trials x aggregation shards) and
-/// the bench grids apply to (cells x shards).  `num_threads` 0 means
-/// auto (DefaultThreadCount()).  Splitting never affects results,
-/// only which level the cores serve.
+/// How one worker-thread budget serves n parallel units: `outer`
+/// workers fan the units out and every unit gets `inner` workers for
+/// its own nested parallelism.  A single unit gets the whole budget
+/// (inner = threads); several units run their nested loops serially
+/// (inner = 1), since nested ParallelFor calls run inline anyway.
+/// `num_threads` 0 means auto (DefaultThreadCount()).  Splitting
+/// never affects results, only which level the cores serve.
 struct ThreadBudget {
   size_t outer;
   size_t inner;
 };
 ThreadBudget SplitThreadBudget(size_t num_threads, size_t n);
 
-/// Parallel loop: runs fn(0) ... fn(n-1) on `num_threads` workers
-/// (0 = DefaultThreadCount()).  Runs inline without touching any
-/// pool when num_threads <= 1 or n <= 1; otherwise schedules on
-/// GlobalThreadPool() — or, when called from inside a pool task
-/// (nested parallelism) or when more than DefaultThreadCount()
-/// workers are requested, on a transient pool of its own.  Blocks
-/// until done and rethrows the first exception.
+/// Parallel loop: runs fn(0) ... fn(n-1) on up to `num_threads`
+/// workers of GlobalThreadPool() (0 = DefaultThreadCount(); a wider
+/// request is capped at the pool's size).  Runs inline, in index
+/// order, when num_threads <= 1, n <= 1, or when called from inside a
+/// pool task.  Blocks until done and rethrows the first exception.
 void ParallelFor(size_t num_threads, size_t n,
                  const std::function<void(size_t)>& fn);
+
+/// The (cell x trial) fan-out: runs fn(cell, trial, shards) for every
+/// cell < cells and trial < trials as one flat ParallelFor over
+/// i = cell * trials + trial on `num_threads` workers (0 = auto), where
+/// `shards` is each unit's within-trial share of the budget
+/// (SplitThreadBudget).  Results come back in flat order; callers
+/// derive each unit's seed from (cell, trial) and merge per cell in
+/// trial order, which keeps the output bit-identical at any thread
+/// count.
+template <typename Result, typename Fn>
+std::vector<Result> FanOutTrials(size_t num_threads, size_t cells,
+                                 size_t trials, const Fn& fn) {
+  const size_t total = cells * trials;
+  const ThreadBudget budget = SplitThreadBudget(num_threads, total);
+  std::vector<Result> results(total);
+  ParallelFor(budget.outer, total, [&](size_t i) {
+    results[i] = fn(i / trials, i % trials, budget.inner);
+  });
+  return results;
+}
 
 }  // namespace ldpr
 

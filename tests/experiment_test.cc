@@ -1,5 +1,8 @@
 #include "sim/experiment.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -22,6 +25,29 @@ TEST(ExperimentTest, DeterministicInSeed) {
   EXPECT_DOUBLE_EQ(a.mse_recover.mean(), b.mse_recover.mean());
 }
 
+// Bit-equality of two results: every metric's count, mean and
+// variance, plus the user count.
+void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b,
+                      const std::string& context) {
+  const auto expect_same = [&context](const RunningStat& x,
+                                      const RunningStat& y) {
+    EXPECT_EQ(x.count(), y.count()) << context;
+    EXPECT_EQ(x.mean(), y.mean()) << context;
+    EXPECT_EQ(x.variance(), y.variance()) << context;
+  };
+  expect_same(a.mse_before, b.mse_before);
+  expect_same(a.mse_recover, b.mse_recover);
+  expect_same(a.mse_recover_star, b.mse_recover_star);
+  expect_same(a.mse_detection, b.mse_detection);
+  expect_same(a.fg_before, b.fg_before);
+  expect_same(a.fg_recover, b.fg_recover);
+  expect_same(a.fg_recover_star, b.fg_recover_star);
+  expect_same(a.fg_detection, b.fg_detection);
+  expect_same(a.mse_malicious_recover, b.mse_malicious_recover);
+  expect_same(a.mse_malicious_recover_star, b.mse_malicious_recover_star);
+  EXPECT_EQ(a.users_per_trial, b.users_per_trial) << context;
+}
+
 // The parallel engine's core guarantee: every trial runs on its own
 // counter-derived RNG stream and metrics merge in trial order, so the
 // result is bit-identical at any thread count.
@@ -37,24 +63,41 @@ TEST(ExperimentTest, BitIdenticalAcrossThreadCounts) {
   const ExperimentResult serial = RunExperiment(config, ds);
   for (size_t threads : {2u, 8u}) {
     config.threads = threads;
-    const ExperimentResult parallel = RunExperiment(config, ds);
-    const auto expect_same = [threads](const RunningStat& a,
-                                       const RunningStat& b) {
-      EXPECT_EQ(a.count(), b.count()) << "threads=" << threads;
-      EXPECT_EQ(a.mean(), b.mean()) << "threads=" << threads;
-      EXPECT_EQ(a.variance(), b.variance()) << "threads=" << threads;
-    };
-    expect_same(serial.mse_before, parallel.mse_before);
-    expect_same(serial.mse_recover, parallel.mse_recover);
-    expect_same(serial.mse_recover_star, parallel.mse_recover_star);
-    expect_same(serial.mse_detection, parallel.mse_detection);
-    expect_same(serial.fg_before, parallel.fg_before);
-    expect_same(serial.fg_recover, parallel.fg_recover);
-    expect_same(serial.fg_recover_star, parallel.fg_recover_star);
-    expect_same(serial.fg_detection, parallel.fg_detection);
-    expect_same(serial.mse_malicious_recover, parallel.mse_malicious_recover);
-    expect_same(serial.mse_malicious_recover_star,
-                parallel.mse_malicious_recover_star);
+    ExpectSameResult(serial, RunExperiment(config, ds),
+                     "threads=" + std::to_string(threads));
+  }
+}
+
+// The grid path (one flat fan-out over several configs, each trial
+// aggregating serially) must match each config run on its own (a
+// single trial, so the whole budget goes to its aggregation shards),
+// even when the grid has fewer units than threads.
+TEST(ExperimentTest, GridMatchesPerConfigRuns) {
+  const Dataset small = SmallDataset();
+  const Dataset large = MakeZipfDataset("z", 40, 200000, 1.0, 5);
+  std::vector<ExperimentConfig> configs(3);
+  configs[0].protocol = ProtocolKind::kOue;
+  configs[0].pipeline.attack = AttackKind::kMga;
+  configs[1].protocol = ProtocolKind::kOlh;
+  configs[1].pipeline.attack = AttackKind::kAdaptive;
+  configs[2].protocol = ProtocolKind::kGrr;
+  configs[2].pipeline.attack = AttackKind::kNone;
+  const std::vector<const Dataset*> datasets = {&large, &small, &large};
+  std::vector<ExperimentCell> cells;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    configs[c].trials = 1;
+    configs[c].seed = 31 + c;
+    configs[c].threads = 8;
+    cells.push_back({&configs[c], datasets[c]});
+  }
+
+  const std::vector<ExperimentResult> grid = RunExperiments(cells, 8);
+  ASSERT_EQ(grid.size(), configs.size());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const ExperimentResult alone = RunExperiment(configs[c], *datasets[c]);
+    ExpectSameResult(grid[c], alone, "config " + std::to_string(c));
+    EXPECT_EQ(grid[c].mse_before.count(), 1u);
+    EXPECT_EQ(grid[c].trial_seconds.count(), 1u);
   }
 }
 

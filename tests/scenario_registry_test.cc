@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -277,6 +278,115 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
             std::string::npos);
 
   std::filesystem::remove_all(dir);
+}
+
+// Counts what a run emits and checks every row against its table's
+// width.
+class CountingSink : public ResultSink {
+ public:
+  void BeginTable(const std::string& /*title*/,
+                  const std::vector<std::string>& columns) override {
+    width_ = columns.size();
+    ++tables;
+  }
+  void AddRow(const std::string& /*label*/,
+              const std::vector<double>& values) override {
+    EXPECT_EQ(values.size(), width_);
+    ++rows;
+  }
+  void AddSeparator() override { ++separators; }
+  Status Finish() override { return Status::Ok(); }
+
+  size_t tables = 0, rows = 0, separators = 0;
+
+ private:
+  size_t width_ = 0;
+};
+
+// Runs every registered scenario body once — the grid engine and all
+// custom run functions — so the sanitizer builds (scenario_registry_test
+// runs under TSan, ASan and UBSan with LDPR_THREADS=4) cover each of
+// them.  Scale 1e-4 puts every dataset at its floor of one user per
+// item, the smallest run any scenario accepts.
+TEST_F(ScenarioRegistryTest, EveryScenarioRunsOnce) {
+  for (const Scenario* scenario : ScenarioRegistry::Global().scenarios()) {
+    const ScenarioSpec& spec = scenario->spec;
+    CountingSink sink;
+    ScenarioRunOptions options;
+    options.trials = 1;
+    options.scale = 1e-4;
+    const auto report = RunScenario(*scenario, options, sink);
+    ASSERT_TRUE(report.ok()) << spec.id << ": " << report.status().ToString();
+    EXPECT_GT(sink.rows, 0u) << spec.id;
+    EXPECT_EQ(report->rows, sink.rows) << spec.id;
+    EXPECT_EQ(report->tables, sink.tables) << spec.id;
+    EXPECT_GE(report->outer_workers, 1u) << spec.id;
+    EXPECT_GE(report->shards, 1u) << spec.id;
+    // The attack-grouped custom tables separate their attack groups.
+    if (spec.id == "ablation" || spec.id == "ext_protocols") {
+      EXPECT_EQ(sink.separators, spec.attacks.size() - 1) << spec.id;
+    }
+  }
+}
+
+// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) old_ = old;
+    had_old_ = old != nullptr;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      setenv(name_, old_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+  bool had_old_ = false;
+};
+
+TEST_F(ScenarioRegistryTest, MalformedBenchEnvKnobsFailTheRun) {
+  const Scenario* table1 = ScenarioRegistry::Global().Find("table1");
+  ASSERT_NE(table1, nullptr);
+  const struct {
+    const char* name;
+    const char* value;
+  } cases[] = {{"LDPR_BENCH_SCALE", "abc"}, {"LDPR_BENCH_SCALE", "5"},
+               {"LDPR_BENCH_SCALE", "0"},   {"LDPR_BENCH_SCALE", "0.5x"},
+               {"LDPR_BENCH_TRIALS", "abc"}, {"LDPR_BENCH_TRIALS", "0"},
+               {"LDPR_BENCH_TRIALS", "-2"},  {"LDPR_BENCH_TRIALS", "3x"}};
+  for (const auto& c : cases) {
+    const ScopedEnv env(c.name, c.value);
+    CountingSink sink;
+    const auto report = RunScenario(*table1, ScenarioRunOptions(), sink);
+    ASSERT_FALSE(report.ok()) << c.name << "=" << c.value;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find(c.name), std::string::npos)
+        << report.status().ToString();
+    EXPECT_EQ(sink.rows, 0u);
+  }
+
+  // Well-formed values run; explicit options never read the variables.
+  const ScopedEnv scale("LDPR_BENCH_SCALE", "0.002");
+  const ScopedEnv trials("LDPR_BENCH_TRIALS", "1");
+  CountingSink sink;
+  const auto report = RunScenario(*table1, ScenarioRunOptions(), sink);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->info.scale, 0.002);
+  EXPECT_EQ(report->info.trials, 1u);
+  const ScopedEnv bad("LDPR_BENCH_SCALE", "abc");
+  ScenarioRunOptions options;
+  options.scale = 0.002;
+  options.trials = 1;
+  CountingSink explicit_sink;
+  EXPECT_TRUE(RunScenario(*table1, options, explicit_sink).ok());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,13 +119,64 @@ TEST(GlobalThreadPoolTest, WorkerFlagIsVisibleInsideTasksOnly) {
 
 TEST(GlobalThreadPoolTest, NestedParallelForInsidePoolTaskCompletes) {
   // A ParallelFor issued from inside a pool task must not re-enter
-  // the pool it runs on (deadlock); it gets a transient pool instead.
-  std::vector<int> hits(64, 0);
-  GlobalThreadPool().Submit([&hits] {
-    ParallelFor(4, hits.size(), [&hits](size_t i) { ++hits[i]; });
+  // the pool it runs on (deadlock); it runs inline on the calling
+  // worker, in index order.
+  std::vector<size_t> order;
+  std::vector<std::thread::id> runners;
+  std::thread::id worker;
+  GlobalThreadPool().Submit([&] {
+    worker = std::this_thread::get_id();
+    ParallelFor(4, 64, [&](size_t i) {
+      order.push_back(i);
+      runners.push_back(std::this_thread::get_id());
+    });
   });
   GlobalThreadPool().Wait();
-  for (int h : hits) EXPECT_EQ(h, 1);
+  std::vector<size_t> expected(64);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  for (const std::thread::id& id : runners) EXPECT_EQ(id, worker);
+}
+
+TEST(ParallelForTest, WiderThanPoolCoversEachIndexOnce) {
+  // A request wider than the global pool is capped at the pool's size
+  // instead of spawning extra threads; every index still runs once.
+  const size_t threads = GlobalThreadPool().num_threads() * 4 + 3;
+  std::vector<int> hits(1000, 0);
+  ParallelFor(threads, hits.size(), [&hits](size_t i) { ++hits[i]; });
+  for (int h : hits) ASSERT_EQ(h, 1);
+}
+
+TEST(SplitThreadBudgetTest, SingleUnitTakesWholeBudget) {
+  EXPECT_EQ(SplitThreadBudget(8, 1).outer, 1u);
+  EXPECT_EQ(SplitThreadBudget(8, 1).inner, 8u);
+  EXPECT_EQ(SplitThreadBudget(8, 3).outer, 3u);
+  EXPECT_EQ(SplitThreadBudget(8, 3).inner, 1u);
+  EXPECT_EQ(SplitThreadBudget(4, 100).outer, 4u);
+  EXPECT_EQ(SplitThreadBudget(4, 100).inner, 1u);
+}
+
+TEST(FanOutTrialsTest, FlatOrderAndIndices) {
+  // Unit i = cell * trials + trial comes back in slot i, whatever
+  // worker ran it; several units run their nested loops serially.
+  struct Unit {
+    size_t cell = 0, trial = 0, shards = 0;
+  };
+  for (size_t threads : {1u, 3u, 8u}) {
+    const std::vector<Unit> units = FanOutTrials<Unit>(
+        threads, 5, 3, [](size_t cell, size_t trial, size_t shards) {
+          return Unit{cell, trial, shards};
+        });
+    ASSERT_EQ(units.size(), 15u);
+    for (size_t i = 0; i < units.size(); ++i) {
+      EXPECT_EQ(units[i].cell, i / 3);
+      EXPECT_EQ(units[i].trial, i % 3);
+      EXPECT_EQ(units[i].shards, 1u);
+    }
+  }
+  const std::vector<size_t> single = FanOutTrials<size_t>(
+      8, 1, 1, [](size_t, size_t, size_t shards) { return shards; });
+  EXPECT_EQ(single, std::vector<size_t>{8});
 }
 
 TEST(ThreadPoolTest, MemberParallelForHonorsMaxRunners) {
