@@ -1,17 +1,20 @@
 // Engineering micro-benchmarks (google-benchmark): protocol perturb /
 // aggregate throughput, closed-form vs exact aggregation sampling,
-// and the recovery solve itself.  Not a paper figure; quantifies the
+// the local-hashing kernels per SIMD backend (MGA's OLH/BLH seed
+// search, OLH support counting), and the recovery solve itself.  Not a paper figure; quantifies the
 // fast-path trade-off of docs/architecture.md ("Closed-form
 // approximations").
 
 #include <benchmark/benchmark.h>
 
+#include "attack/mga.h"
 #include "data/synthetic.h"
 #include "ldp/factory.h"
 #include "recover/ldprecover.h"
 #include "recover/simplex_projection.h"
 #include "sim/pipeline.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace ldpr {
 namespace {
@@ -28,6 +31,8 @@ constexpr uint64_t kSampleSeed = 3;
 constexpr uint64_t kExactAggSeed = 4;
 constexpr uint64_t kProjectionSeed = 5;
 constexpr uint64_t kRecoverSeed = 6;
+constexpr uint64_t kCraftSeed = 7;
+constexpr uint64_t kOlhSupportSeed = 8;
 
 // Reports per generated / accumulated batch: one flush buffer.
 constexpr uint64_t kBatchReports = kBatchFlushReports;
@@ -101,6 +106,89 @@ BENCHMARK(BM_ExactGenuineAggregation)
     ->Args({1})
     ->Args({2})
     ->ArgNames({"protocol"});
+
+// Pins the SIMD backend named by a benchmark argument (a SimdBackend
+// value) for the scope; false, with the run skipped, when the machine
+// cannot run it.
+class ScopedBenchBackend {
+ public:
+  ScopedBenchBackend(benchmark::State& state, int64_t backend)
+      : backend_(static_cast<SimdBackend>(backend)),
+        ok_(SimdBackendAvailable(backend_)) {
+    if (ok_) {
+      SetSimdBackendForTest(backend_);
+      state.SetLabel(SimdBackendName(backend_));
+    } else {
+      state.SkipWithError("SIMD backend not available on this machine");
+    }
+  }
+  ~ScopedBenchBackend() {
+    if (ok_) ClearSimdBackendForTest();
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  SimdBackend backend_;
+  bool ok_;
+};
+
+constexpr int64_t kScalarArg = static_cast<int64_t>(SimdBackend::kScalar);
+constexpr int64_t kAvx2Arg = static_cast<int64_t>(SimdBackend::kAvx2);
+constexpr int64_t kAvx512Arg = static_cast<int64_t>(SimdBackend::kAvx512);
+
+// MGA's OLH/BLH seed search (64 tries per report) at the paper's
+// d = 102 and r = 10, for epsilon = 0.5 and 1.6 (OLH g = 3 and 6;
+// BLH g = 2).
+void BM_MgaCraftBatch(benchmark::State& state) {
+  const ScopedBenchBackend backend(state, state.range(2));
+  if (!backend.ok()) return;
+  constexpr size_t kD = 102;
+  constexpr size_t kReports = 1024;
+  const auto proto =
+      MakeProtocol(static_cast<ProtocolKind>(state.range(0)), kD,
+                   static_cast<double>(state.range(1)) / 10.0);
+  Rng rng(kCraftSeed);
+  const MgaAttack attack(MgaAttack::SampleTargets(kD, 10, rng));
+  ReportBatch batch;
+  for (auto _ : state) {
+    batch.Clear();
+    ReportBatch::Builder builder(batch);
+    attack.CraftBatch(*proto, kReports, rng, builder);
+    benchmark::DoNotOptimize(batch.seeds());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kReports);
+}
+BENCHMARK(BM_MgaCraftBatch)
+    ->ArgsProduct({{static_cast<int64_t>(ProtocolKind::kOlh),
+                    static_cast<int64_t>(ProtocolKind::kBlh)},
+                   {5, 16},
+                   {kScalarArg, kAvx2Arg, kAvx512Arg}})
+    ->ArgNames({"protocol", "eps_x10", "backend"});
+
+// SimdOlhSupportAdd over one flush buffer of OLH reports at d = 490.
+void BM_OlhSupportAdd(benchmark::State& state) {
+  const ScopedBenchBackend backend(state, state.range(1));
+  if (!backend.ok()) return;
+  constexpr size_t kD = 490;
+  const auto olh = MakeProtocol(ProtocolKind::kOlh, kD,
+                                static_cast<double>(state.range(0)) / 10.0);
+  Rng rng(kOlhSupportSeed);
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  for (ItemId v = 0; v < kBatchReports; ++v)
+    olh->AppendGenuineReports(v % kD, 1, rng, builder);
+  std::vector<double> counts(kD, 0.0);
+  for (auto _ : state) {
+    olh->AccumulateSupportsBatch(batch, counts);
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatchReports);
+}
+BENCHMARK(BM_OlhSupportAdd)
+    ->ArgsProduct({{5, 16}, {kScalarArg, kAvx2Arg, kAvx512Arg}})
+    ->ArgNames({"eps_x10", "backend"});
 
 void BM_SimplexProjection(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

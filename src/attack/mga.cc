@@ -6,12 +6,14 @@
 #include "ldp/olh.h"
 #include "ldp/unary.h"
 #include "util/logging.h"
+#include "util/simd.h"
 
 namespace ldpr {
 
 MgaAttack::MgaAttack(std::vector<ItemId> targets, MgaOptions options)
     : targets_(std::move(targets)), options_(options) {
   LDPR_CHECK(!targets_.empty());
+  LDPR_CHECK(options_.olh_seed_tries >= 1);
 }
 
 std::vector<ItemId> MgaAttack::SampleTargets(size_t d, size_t r, Rng& rng) {
@@ -67,38 +69,63 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
     }
     case ProtocolKind::kOlh:
     case ProtocolKind::kBlh: {
-      const auto& olh = static_cast<const OlhBase&>(protocol);
-      const uint32_t g = olh.g();
-      const FastMod mod(g);
-      // The targets are fixed across all m reports and all seed
-      // tries: precompute each target's item-only xxHash half once
-      // (bit-identical hashing — util/hash_family.h).
-      std::vector<uint64_t> round0(targets_.size());
-      for (size_t j = 0; j < targets_.size(); ++j)
-        round0[j] = XxHash64Round0(targets_[j]);
-      std::vector<uint32_t> bucket_hits(g);
+      // The serial search draws one seed per try and keeps the first
+      // try whose fullest bucket beats every earlier one, stopping
+      // early once a try puts all r targets in one bucket.  It runs
+      // here in blocks of kLocalHashLanes tries: the block's seeds
+      // are drawn on a copy of the Rng and counted per bucket in one
+      // LocalHashBlock call, the lanes are then scanned in try order,
+      // and the real Rng advances by exactly the tries the serial loop
+      // would have made.
+      constexpr size_t kLanes = kLocalHashLanes;
+      const uint32_t g = static_cast<const OlhBase&>(protocol).g();
+      const size_t r = targets_.size();
+      const LocalHashBlock block(targets_.data(), r, g);
+      // counts[b * kLanes + k]: targets of lane k in bucket b.
+      std::vector<uint32_t> counts(size_t{g} * kLanes);
       out.Reserve(m);
       for (size_t i = 0; i < m; ++i) {
         uint64_t best_seed = 0;
         uint32_t best_value = 0;
-        size_t best_hits = 0;
-        for (size_t attempt = 0; attempt < options_.olh_seed_tries;
-             ++attempt) {
-          const uint64_t seed = rng.Next();
-          const uint64_t seed_acc = XxHash64SeedAcc(seed);
-          std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
-          for (size_t j = 0; j < targets_.size(); ++j) {
-            ++bucket_hits[mod(XxHash64Key8WithRound0(round0[j], seed_acc))];
+        uint32_t best_hits = 0;
+        size_t tried = 0;
+        while (tried < options_.olh_seed_tries && best_hits < r) {
+          const size_t lanes =
+              std::min(kLanes, options_.olh_seed_tries - tried);
+          uint64_t seeds[kLanes] = {};
+          Rng ahead = rng;
+          for (size_t k = 0; k < lanes; ++k) seeds[k] = ahead.Next();
+          uint32_t lane_max[kLanes];
+          block.CountBuckets(seeds, counts.data(), lane_max);
+          // Lanes whose fullest bucket beats the best so far, as a bit
+          // mask in try order; only the lanes that win in turn pay
+          // for the bucket scan.
+          const auto beating = [&](size_t from) {
+            uint32_t mask = 0;
+            for (size_t k = from; k < lanes; ++k)
+              mask |= uint32_t{lane_max[k] > best_hits} << k;
+            return mask;
+          };
+          size_t used = lanes;
+          for (uint32_t beat = beating(0); beat != 0;) {
+            const size_t k = static_cast<size_t>(__builtin_ctz(beat));
+            best_hits = lane_max[k];
+            best_seed = seeds[k];
+            // max_element's choice: the lowest bucket reaching the max.
+            best_value = 0;
+            while (counts[best_value * kLanes + k] != best_hits) ++best_value;
+            if (best_hits == r) {  // cannot do better
+              used = k + 1;
+              break;
+            }
+            beat = beating(k + 1);
           }
-          const auto it =
-              std::max_element(bucket_hits.begin(), bucket_hits.end());
-          const size_t hits = *it;
-          if (hits > best_hits) {
-            best_hits = hits;
-            best_seed = seed;
-            best_value = static_cast<uint32_t>(it - bucket_hits.begin());
-            if (best_hits == targets_.size()) break;  // cannot do better
+          if (used == lanes) {
+            rng = ahead;
+          } else {
+            for (size_t k = 0; k < used; ++k) rng.Next();
           }
+          tried += used;
         }
         LDPR_CHECK(best_hits >= 1);
         out.AddSeedValue(best_seed, best_value);

@@ -13,7 +13,10 @@
 //             that simple length-based anomaly checks do not flag it;
 //   * OLH   — the attacker searches random hash seeds for one whose
 //             induced partition maps many targets into a common
-//             bucket, then reports (seed, that bucket).
+//             bucket, then reports (seed, that bucket).  The search
+//             runs in blocks of 8 seeds through util/simd.h's
+//             LocalHashBlock and reproduces the serial one-seed-at-a-
+//             time loop exactly: same reports, same Rng position.
 
 #ifndef LDPR_ATTACK_MGA_H_
 #define LDPR_ATTACK_MGA_H_
@@ -26,14 +29,15 @@ namespace ldpr {
 struct MgaOptions {
   /// Pad crafted OUE vectors to the expected genuine 1-count.
   bool pad_oue = true;
-  /// Random seeds tried per crafted OLH report.
+  /// Random seeds tried per crafted OLH report; must be >= 1.
   size_t olh_seed_tries = 64;
 };
 
 class MgaAttack final : public Attack {
  public:
   /// `targets` must be non-empty and within the domain of every
-  /// protocol this attack is used with.
+  /// protocol this attack is used with; options.olh_seed_tries must
+  /// be at least 1 (checked here, whatever the protocol).
   MgaAttack(std::vector<ItemId> targets, MgaOptions options = MgaOptions());
 
   std::string Name() const override { return "MGA"; }
@@ -41,10 +45,12 @@ class MgaAttack final : public Attack {
 
   /// GRR: one uniformly drawn target per report.  OUE/SUE: every
   /// target bit set in the packed row, padded with random bits up to
-  /// the genuine 1-count when pad_oue.  OLH/BLH: the best of
-  /// olh_seed_tries random seeds, each target's item-only xxHash half
-  /// hoisted out of the seed-try loop (util/hash_family.h), emitted
-  /// as (seed, fullest bucket).
+  /// the genuine 1-count when pad_oue.  OLH/BLH: the first seed, of
+  /// up to olh_seed_tries drawn one per try, whose fullest bucket
+  /// beats every earlier try's (stopping at one holding all r
+  /// targets), emitted as (seed, lowest fullest bucket).  Tries are
+  /// counted 8 at a time by LocalHashBlock on seeds drawn from a copy
+  /// of `rng`; `rng` then advances by exactly the tries made.
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
                   ReportBatch::Builder& out) const override;
 

@@ -128,6 +128,12 @@ TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
     LDPR_CHECK(attack != nullptr);
     out.attack_targets = attack->targets();
     ReportBatch::Builder builder(out.malicious_reports);
+    // One exact-size allocation for all m reports (unary rows are
+    // m * d bytes): attacks that append report by report would
+    // otherwise regrow it, and the freed tens-of-MB blocks of
+    // successive trials fragment the allocator's per-thread arenas,
+    // so peak RSS creeps with the number of trials run.
+    builder.Reserve(out.m);
     attack->CraftBatch(protocol, out.m, rng, builder);
     LDPR_CHECK(out.malicious_reports.size() == out.m);
     Aggregator malicious_agg(protocol);

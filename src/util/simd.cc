@@ -20,9 +20,9 @@
 #endif
 
 // The LDPR_SIMD CMake option narrows what DetectBackend may pick:
-// LDPR_SIMD_MODE 0=off 1=auto 2=avx2 3=sse2 4=neon.  Pinning an
-// unavailable backend degrades to scalar (the manifest's `simd` field
-// records what actually ran).
+// LDPR_SIMD_MODE 0=off 1=auto 2=avx2 3=sse2 4=neon.  Only auto picks
+// AVX-512.  Pinning an unavailable backend degrades to scalar (the
+// manifest's `simd` field records what actually ran).
 #ifndef LDPR_SIMD_MODE
 #define LDPR_SIMD_MODE 1
 #endif
@@ -39,6 +39,17 @@ bool ForceScalarEnv() {
 bool Avx2Available() {
 #if defined(LDPR_SIMD_X86)
   return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+// avx512f + avx512dq (vpmullq, vcvtuqq2pd); libgcc's cpuid probe also
+// checks that the OS saves the zmm state.
+bool Avx512Available() {
+#if defined(LDPR_SIMD_X86)
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq");
 #else
   return false;
 #endif
@@ -70,6 +81,7 @@ SimdBackend DetectBackend() {
     return Sse2Available() ? SimdBackend::kSse2 : SimdBackend::kScalar;
   if (LDPR_SIMD_MODE == 4)
     return NeonAvailable() ? SimdBackend::kNeon : SimdBackend::kScalar;
+  if (Avx512Available()) return SimdBackend::kAvx512;
   if (Avx2Available()) return SimdBackend::kAvx2;
   if (Sse2Available()) return SimdBackend::kSse2;
   if (NeonAvailable()) return SimdBackend::kNeon;
@@ -91,8 +103,26 @@ const char* SimdBackendName(SimdBackend backend) {
       return "avx2";
     case SimdBackend::kNeon:
       return "neon";
+    case SimdBackend::kAvx512:
+      return "avx512";
   }
   return "unknown";
+}
+
+bool SimdBackendAvailable(SimdBackend backend) {
+  switch (backend) {
+    case SimdBackend::kScalar:
+      return true;
+    case SimdBackend::kSse2:
+      return Sse2Available();
+    case SimdBackend::kAvx2:
+      return Avx2Available();
+    case SimdBackend::kNeon:
+      return NeonAvailable();
+    case SimdBackend::kAvx512:
+      return Avx512Available();
+  }
+  return false;
 }
 
 SimdBackend ActiveSimdBackend() {
@@ -220,6 +250,7 @@ template <typename RowAt>
 void UnaryColumnsDispatch(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
   switch (ActiveSimdBackend()) {
 #if defined(LDPR_SIMD_X86)
+    case SimdBackend::kAvx512:
     case SimdBackend::kAvx2:
       UnaryColumnsAvx2(row_at, n, d, acc);
       return;
@@ -300,22 +331,43 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 }
 
 // ==================================================================
-// OLH/BLH batched support counting.
+// Local hashing (OLH/BLH): H_seed(item) = XXH64(item, seed) mod g.
 //
-// The scalar reference evaluates the canonical SeededHash per
-// (report, item) pair — an out-of-line XxHash64 call plus a hardware
-// modulo.  The accelerated path is the algebraically identical
-// split-hash evaluation of util/hash_family.h: the item-only xxHash
-// round hoists out of the per-seed loop, the per-seed finish inlines
-// to four multiplies, and FastMod strength-reduces `% g` (a mask for
-// the power-of-two g of the default OLH/BLH parameterizations).  The
-// four-way unrolled loop keeps those multiply chains pipelined.
+// Three implementations, bit-identical:
+//
+//  * scalar — the canonical SeededHash per (seed, item) pair, an
+//    out-of-line XxHash64 call plus a hardware modulo;
+//  * portable (SSE2/AVX2/NEON) — the split evaluation of
+//    util/hash_family.h: the item-only xxHash round hoists out of the
+//    per-seed loop, the per-seed finish inlines to four multiplies,
+//    and FastMod strength-reduces `% g`;
+//  * AVX-512 — the same split finish on 8 seeds at once (vpmullq),
+//    then an exact vector `mod g`: for support counting when
+//    g < kAvx512MaxG, for MGA's bucket counts when g <=
+//    kAvx512MaxCountG (larger g takes the portable path).
+//
+// The AVX-512 reduction.  A power-of-two g is a mask.  Otherwise,
+// with h = 2^32·hi + lo and c = 2^32 mod g,
+//     y = hi·c + lo ≡ h (mod g),  0 <= y <= (2^32 - 1)·g < 2^53,
+// so y converts to a double exactly.  With u = 2^-53, fl(1/g) and the
+// product each add a relative error of at most u, so
+// |fl(y·fl(1/g)) - y/g| <= (y/g)·(2u + u^2) < 2^32·2^-51 < 1, and
+// q = floor(fl(y·fl(1/g))) is floor(y/g) - 1, floor(y/g) or
+// floor(y/g) + 1 — and below 2^32, since y/g <= 2^32 - 1.
+// r = y - q·g is then exact in 64-bit integer arithmetic and lies in
+// [-g, 2g): one correction on each side gives y mod g = h mod g.
 
 namespace {
 
+constexpr size_t kReportTile = 256;
+
+constexpr size_t kLanes = kLocalHashLanes;
+
+// 2^32 mod g, the fold constant of the AVX-512 reduction.
+uint64_t Fold32(uint32_t g) { return (uint64_t{1} << 32) % g; }
+
 void OlhSupportScalar(const uint64_t* seeds, const uint32_t* values, size_t n,
                       size_t d, uint32_t g, double* counts) {
-  constexpr size_t kReportTile = 256;
   for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
     const size_t i1 = std::min(n, i0 + kReportTile);
     for (size_t v = 0; v < d; ++v) {
@@ -328,10 +380,9 @@ void OlhSupportScalar(const uint64_t* seeds, const uint32_t* values, size_t n,
   }
 }
 
-void OlhSupportFast(const uint64_t* seeds, const uint32_t* values, size_t n,
-                    size_t d, uint32_t g, double* counts) {
+void OlhSupportPortable(const uint64_t* seeds, const uint32_t* values,
+                        size_t n, size_t d, uint32_t g, double* counts) {
   const FastMod mod(g);
-  constexpr size_t kReportTile = 256;
   uint64_t seed_accs[kReportTile];
   for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
     const size_t tn = std::min(n - i0, kReportTile);
@@ -355,15 +406,284 @@ void OlhSupportFast(const uint64_t* seeds, const uint32_t* values, size_t n,
   }
 }
 
+// LocalHashBlock::CountBuckets off AVX-512: zeroes counts and
+// lane_max, then ++counts[bucket_of(j, k) * kLanes + k] for j < r,
+// raising lane_max[k] along the way.
+template <typename BucketOf>
+void ScatterCounts(size_t r, uint32_t g, BucketOf bucket_of,
+                   uint32_t* counts, uint32_t* lane_max) {
+  std::fill(counts, counts + kLanes * size_t{g}, 0u);
+  std::fill(lane_max, lane_max + kLanes, 0u);
+  for (size_t j = 0; j < r; ++j) {
+    for (size_t k = 0; k < kLanes; ++k) {
+      const uint32_t c = ++counts[bucket_of(j, k) * kLanes + k];
+      lane_max[k] = std::max(lane_max[k], c);
+    }
+  }
+}
+
+#if defined(LDPR_SIMD_X86)
+
+// The AVX-512 reduction needs (2^32 - 1)·g < 2^53.
+constexpr uint32_t kAvx512MaxG = uint32_t{1} << 21;
+
+// The AVX-512 bucket counter compares every bucket against every
+// hashed target, r·g/2 compares per block; up to this g that beats the
+// portable path's scalar hashing and scattered increments.
+constexpr uint32_t kAvx512MaxCountG = 64;
+
+// Targets hashed per stack tile by the AVX-512 bucket counter.
+constexpr size_t kTargetTile = 32;
+
+#define LDPR_AVX512 __attribute__((target("avx512f,avx512dq")))
+
+// GCC 12's AVX-512 intrinsics seed their unused pass-through operand
+// with a self-initialized placeholder that -Wmaybe-uninitialized
+// flags once inlined (GCC bug 105593, fixed in GCC 13).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+LDPR_AVX512 inline __m512i Broadcast(uint64_t x) {
+  return _mm512_set1_epi64(static_cast<long long>(x));
+}
+
+// Lane-broadcast constants of the exact `mod g`, g < kAvx512MaxG.
+struct Avx512Mod {
+  bool pow2;
+  __m512i mask;  // g - 1
+  __m512i fold;  // 2^32 mod g
+  __m512i g;
+  __m512d inv_g;  // fl(1/g)
+};
+
+LDPR_AVX512 inline Avx512Mod MakeAvx512Mod(uint32_t g, uint64_t fold,
+                                           double inv_g) {
+  Avx512Mod mod;
+  mod.pow2 = (g & (g - 1)) == 0;
+  mod.mask = Broadcast(g - 1);
+  mod.fold = Broadcast(fold);
+  mod.g = Broadcast(g);
+  mod.inv_g = _mm512_set1_pd(inv_g);
+  return mod;
+}
+
+// h mod g in every lane: the exact reduction of the section comment.
+LDPR_AVX512 inline __m512i Reduce8(__m512i h, const Avx512Mod& mod) {
+  if (mod.pow2) return _mm512_and_si512(h, mod.mask);
+  const __m512i y = _mm512_add_epi64(
+      _mm512_mul_epu32(_mm512_srli_epi64(h, 32), mod.fold),
+      _mm512_and_si512(h, Broadcast(0xffffffffu)));
+  const __m512i q = _mm512_cvt_roundpd_epu64(
+      _mm512_mul_pd(_mm512_cvtepu64_pd(y), mod.inv_g),
+      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  // q < 2^32, so the 32x32-bit multiply forms q·g exactly.  Each
+  // correction is an unsigned min that keeps whichever operand is in
+  // range: r + g for a negative (wrapped) r, r - g for r >= g.
+  __m512i rem = _mm512_sub_epi64(y, _mm512_mul_epu32(q, mod.g));
+  rem = _mm512_min_epu64(rem, _mm512_add_epi64(rem, mod.g));
+  return _mm512_min_epu64(rem, _mm512_sub_epi64(rem, mod.g));
+}
+
+// The 8-lane routine: H_seed(item) for 8 seeds, given the seeds'
+// XxHash64SeedAcc lanes and the item's broadcast XxHash64Round0 —
+// XxHash64Key8WithRound0 lane for lane, then Reduce8.
+LDPR_AVX512 inline __m512i LocalHash8(__m512i seed_acc, __m512i round0,
+                                      const Avx512Mod& mod) {
+  using namespace xxhash_detail;
+  __m512i h = _mm512_rol_epi64(_mm512_xor_si512(seed_acc, round0), 27);
+  h = _mm512_add_epi64(_mm512_mullo_epi64(h, Broadcast(kPrime1)),
+                       Broadcast(kPrime4));
+  h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 33));
+  h = _mm512_mullo_epi64(h, Broadcast(kPrime2));
+  h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 29));
+  h = _mm512_mullo_epi64(h, Broadcast(kPrime3));
+  h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 32));
+  return Reduce8(h, mod);
+}
+
+LDPR_AVX512 void OlhSupportAvx512(const uint64_t* seeds,
+                                  const uint32_t* values, size_t n, size_t d,
+                                  uint32_t g, double* counts) {
+  const Avx512Mod mod = MakeAvx512Mod(g, Fold32(g), 1.0 / g);
+  const __m512i seed_acc_offset = Broadcast(XxHash64SeedAcc(0));
+  const __m512i one = Broadcast(1);
+  alignas(64) uint64_t tile_seeds[kReportTile];
+  alignas(64) uint64_t tile_values[kReportTile];
+  for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
+    const size_t tn = std::min(n - i0, kReportTile);
+    // Pad the tile to whole vectors with value g, which no bucket
+    // equals, so the padding lanes never count.
+    const size_t padded = (tn + kLanes - 1) / kLanes * kLanes;
+    for (size_t i = 0; i < padded; ++i) {
+      tile_seeds[i] = i < tn ? seeds[i0 + i] : 0;
+      tile_values[i] = i < tn ? values[i0 + i] : g;
+    }
+    for (size_t v = 0; v < d; ++v) {
+      const __m512i round0 = Broadcast(XxHash64Round0(v));
+      __m512i supported = _mm512_setzero_si512();
+      for (size_t i = 0; i < padded; i += kLanes) {
+        const __m512i seed_acc = _mm512_add_epi64(
+            _mm512_load_si512(tile_seeds + i), seed_acc_offset);
+        const __mmask8 hit = _mm512_cmpeq_epi64_mask(
+            LocalHash8(seed_acc, round0, mod),
+            _mm512_load_si512(tile_values + i));
+        supported = _mm512_mask_add_epi64(supported, hit, supported, one);
+      }
+      const long long total = _mm512_reduce_add_epi64(supported);
+      if (total != 0) counts[v] += static_cast<double>(total);
+    }
+  }
+}
+
+// LocalHashBlock::CountBuckets on AVX-512, g <= kAvx512MaxCountG.
+// Targets are hashed into a stack tile of 32-bit buckets, two targets
+// per 16-lane vector, and each bucket b is counted with one compare
+// per vector — no memory round trip per target.
+LDPR_AVX512 void CountBucketsAvx512(const uint64_t* seeds,
+                                    const uint64_t* round0, size_t r,
+                                    uint32_t g, uint64_t fold, double inv_g,
+                                    uint32_t* counts, uint32_t* lane_max) {
+  static_assert(kLanes == 8, "one __m512i of seeds per block");
+  const Avx512Mod mod = MakeAvx512Mod(g, fold, inv_g);
+  const __m512i seed_acc = _mm512_add_epi64(_mm512_loadu_si512(seeds),
+                                            Broadcast(XxHash64SeedAcc(0)));
+  const __m512i one = _mm512_set1_epi32(1);
+  alignas(64) uint32_t tile[kTargetTile * kLanes];
+  std::memset(counts, 0, sizeof(uint32_t) * kLanes * g);
+  for (size_t j0 = 0; j0 < r; j0 += kTargetTile) {
+    const size_t tn = std::min(r - j0, kTargetTile);
+    for (size_t j = 0; j < tn; ++j) {
+      _mm256_store_si256(
+          reinterpret_cast<__m256i*>(tile + j * kLanes),
+          _mm512_cvtepi64_epi32(
+              LocalHash8(seed_acc, Broadcast(round0[j0 + j]), mod)));
+    }
+    // An odd tile ends in a half vector of g, which no bucket equals.
+    const size_t pairs = (tn + 1) / 2;
+    if (tn % 2 != 0) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(tile + tn * kLanes),
+                         _mm256_set1_epi32(static_cast<int>(g)));
+    }
+    for (uint32_t b = 0; b < g; ++b) {
+      const __m512i bucket = _mm512_set1_epi32(static_cast<int>(b));
+      __m512i hits = _mm512_setzero_si512();
+      for (size_t p = 0; p < pairs; ++p) {
+        const __mmask16 eq = _mm512_cmpeq_epi32_mask(
+            _mm512_load_si512(tile + 2 * p * kLanes), bucket);
+        hits = _mm512_mask_add_epi32(hits, eq, hits, one);
+      }
+      __m256i* row = reinterpret_cast<__m256i*>(counts + b * kLanes);
+      _mm256_storeu_si256(
+          row, _mm256_add_epi32(
+                   _mm256_loadu_si256(row),
+                   _mm256_add_epi32(_mm512_castsi512_si256(hits),
+                                    _mm512_extracti64x4_epi64(hits, 1))));
+    }
+  }
+  __m256i max = _mm256_setzero_si256();
+  for (uint32_t b = 0; b < g; ++b) {
+    max = _mm256_max_epu32(
+        max, _mm256_loadu_si256(
+                 reinterpret_cast<const __m256i*>(counts + b * kLanes)));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lane_max), max);
+}
+
+LDPR_AVX512 void ReduceModAvx512(const uint64_t* x, size_t n, uint32_t g,
+                                 uint32_t* out) {
+  const Avx512Mod mod = MakeAvx512Mod(g, Fold32(g), 1.0 / g);
+  alignas(64) uint64_t lanes[kLanes];
+  for (size_t i0 = 0; i0 < n; i0 += kLanes) {
+    const size_t tn = std::min(n - i0, kLanes);
+    for (size_t k = 0; k < kLanes; ++k) lanes[k] = k < tn ? x[i0 + k] : 0;
+    _mm512_store_si512(lanes, Reduce8(_mm512_load_si512(lanes), mod));
+    for (size_t k = 0; k < tn; ++k) out[i0 + k] = static_cast<uint32_t>(lanes[k]);
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+#undef LDPR_AVX512
+
+#endif  // LDPR_SIMD_X86
+
 }  // namespace
 
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, double* counts) {
-  if (ActiveSimdBackend() == SimdBackend::kScalar) {
-    OlhSupportScalar(seeds, values, n, d, g, counts);
-  } else {
-    OlhSupportFast(seeds, values, n, d, g, counts);
+  switch (ActiveSimdBackend()) {
+    case SimdBackend::kScalar:
+      OlhSupportScalar(seeds, values, n, d, g, counts);
+      return;
+#if defined(LDPR_SIMD_X86)
+    case SimdBackend::kAvx512:
+      if (g < kAvx512MaxG) {
+        OlhSupportAvx512(seeds, values, n, d, g, counts);
+        return;
+      }
+      break;
+#endif
+    default:
+      break;
   }
+  OlhSupportPortable(seeds, values, n, d, g, counts);
+}
+
+void SimdReduceModForTest(const uint64_t* x, size_t n, uint32_t g,
+                          uint32_t* out) {
+  LDPR_CHECK(g >= 1);
+#if defined(LDPR_SIMD_X86)
+  if (ActiveSimdBackend() == SimdBackend::kAvx512 && g < kAvx512MaxG) {
+    ReduceModAvx512(x, n, g, out);
+    return;
+  }
+#endif
+  const FastMod mod(g);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(mod(x[i]));
+}
+
+LocalHashBlock::LocalHashBlock(const uint32_t* items, size_t r, uint32_t g)
+    : backend_(ActiveSimdBackend()),
+      g_(g),
+      mod_(g),
+      fold_(Fold32(g)),
+      inv_g_(1.0 / g),
+      items_(items, items + r) {
+  LDPR_CHECK(g >= 1);
+  round0_.reserve(r);
+  for (uint32_t item : items_) round0_.push_back(XxHash64Round0(item));
+}
+
+void LocalHashBlock::CountBuckets(const uint64_t* seeds, uint32_t* counts,
+                                  uint32_t* lane_max) const {
+  const size_t r = items_.size();
+#if defined(LDPR_SIMD_X86)
+  if (backend_ == SimdBackend::kAvx512 && g_ <= kAvx512MaxCountG) {
+    CountBucketsAvx512(seeds, round0_.data(), r, g_, fold_, inv_g_, counts,
+                       lane_max);
+    return;
+  }
+#endif
+  if (backend_ == SimdBackend::kScalar) {
+    ScatterCounts(
+        r, g_,
+        [&](size_t j, size_t k) { return SeededHash(seeds[k], g_)(items_[j]); },
+        counts, lane_max);
+    return;
+  }
+  uint64_t seed_accs[kLanes];
+  for (size_t k = 0; k < kLanes; ++k) seed_accs[k] = XxHash64SeedAcc(seeds[k]);
+  ScatterCounts(
+      r, g_,
+      [&](size_t j, size_t k) {
+        return static_cast<uint32_t>(
+            mod_(XxHash64Key8WithRound0(round0_[j], seed_accs[k])));
+      },
+      counts, lane_max);
 }
 
 }  // namespace ldpr

@@ -1,24 +1,28 @@
 // Portable SIMD layer for the batched aggregation kernels.
 //
-// Three hot kernels dominate report-heavy aggregation (see
+// Three kernels dominate report-heavy aggregation and crafting (see
 // docs/architecture.md):
 //
 //   * column sums over packed unary 0/1 bit rows (OUE/SUE),
 //   * the GRR value histogram,
-//   * batched SeededHash evaluation for OLH/BLH report tiles.
+//   * local hashing H_seed(item) = XXH64(item, seed) mod g for OLH/BLH:
+//     support counting over report tiles, and the 8-seed blocks of
+//     MGA's seed search (attack/mga.h).
 //
 // Each kernel ships a scalar reference implementation (always
 // compiled, the exact shape of the pre-SIMD per-report code) plus
 // accelerated paths: AVX2/SSE2 byte-lane accumulation for the unary
-// columns, bank-interleaved counting for the histogram, and the
-// inline split-xxHash + FastMod evaluation of util/hash_family.h for
-// local hashing.  Dispatch is compile-time (only backends the target
-// architecture can express are compiled; see the LDPR_SIMD CMake
-// option) narrowed at runtime by cpuid, and every kernel is bit-exact
-// across backends: support counts are integer sums, so regrouped or
-// vectorized accumulation yields byte-identical doubles
-// (tests/report_gen_batch_test.cc locks each kernel to its scalar
-// reference).
+// columns, bank-interleaved counting for the histogram, and for local
+// hashing an 8-lane AVX-512 routine (vpmullq xxHash finish plus an
+// exact double-precision `mod g`), with the inline split-xxHash +
+// FastMod evaluation of util/hash_family.h on the other backends.
+// Dispatch is compile-time (only backends the target architecture can
+// express are compiled; see the LDPR_SIMD CMake option) narrowed at
+// runtime by cpuid, and every kernel is bit-exact across backends:
+// support counts are integer sums, so regrouped or vectorized
+// accumulation yields byte-identical doubles, and every hash bucket
+// is the exact remainder (tests/report_gen_batch_test.cc locks each
+// kernel to its scalar reference on every backend the machine runs).
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
 // reference paths — the lever the CI determinism job uses to prove
@@ -29,17 +33,25 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
+
+#include "util/hash_family.h"
 
 namespace ldpr {
 
 /// The kernel implementations this build can dispatch to.  kScalar is
 /// always available; the others require both compile-time support and
-/// (on x86) a runtime cpuid check.
+/// (on x86) a runtime cpuid check.  kAvx512 (avx512f + avx512dq) runs
+/// the 8-lane local-hashing routine and the AVX2 code of the other
+/// kernels.  The `auto` mode dispatches to the first available of
+/// kAvx512, kAvx2, kSse2, kNeon; a pinned mode (say LDPR_SIMD=avx2)
+/// only ever dispatches to its own backend.
 enum class SimdBackend {
   kScalar,
   kSse2,
   kAvx2,
   kNeon,
+  kAvx512,
 };
 
 const char* SimdBackendName(SimdBackend backend);
@@ -51,9 +63,13 @@ const char* SimdBackendName(SimdBackend backend);
 SimdBackend ActiveSimdBackend();
 const char* ActiveSimdBackendName();
 
+/// True iff this build compiled `backend` and the running machine can
+/// execute it (kScalar always can) — whether or not dispatch picks it.
+bool SimdBackendAvailable(SimdBackend backend);
+
 /// Test hooks: pin dispatch to `backend` / restore auto-detection.
-/// The caller must only pin backends available on the running
-/// machine (kScalar always is).
+/// The caller must only pin backends for which SimdBackendAvailable
+/// holds.
 void SetSimdBackendForTest(SimdBackend backend);
 void ClearSimdBackendForTest();
 
@@ -80,6 +96,45 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 /// sweep; any n works.
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, double* counts);
+
+/// Seeds per LocalHashBlock::CountBuckets call: the lanes of one
+/// AVX-512 vector.
+inline constexpr size_t kLocalHashLanes = 8;
+
+/// Local hashing of a fixed item set under blocks of kLocalHashLanes
+/// seeds, counted per bucket — one block of MGA's OLH/BLH seed search
+/// (attack/mga.h), which hashes its r targets under 8 candidate seeds
+/// at a time.  The per-item xxHash halves and the `mod g` constants
+/// are computed once, at construction, which also fixes the
+/// dispatched backend.
+class LocalHashBlock {
+ public:
+  /// Hashes `items[0..r)` into range g >= 1.
+  LocalHashBlock(const uint32_t* items, size_t r, uint32_t g);
+
+  /// For each lane k < kLocalHashLanes and bucket b < g, overwrites
+  /// counts[b * kLocalHashLanes + k] with |{ j : H_{seeds[k]}(items[j])
+  /// == b }| (H bit-identical to SeededHash) and lane_max[k] with the
+  /// largest of lane k's counts.  `seeds` holds kLocalHashLanes seeds,
+  /// `counts` g * kLocalHashLanes entries, `lane_max` kLocalHashLanes.
+  void CountBuckets(const uint64_t* seeds, uint32_t* counts,
+                    uint32_t* lane_max) const;
+
+ private:
+  SimdBackend backend_;
+  uint32_t g_;
+  FastMod mod_;                   // portable path
+  uint64_t fold_;                 // 2^32 mod g: AVX-512 path
+  double inv_g_;                  // fl(1/g): AVX-512 path
+  std::vector<uint32_t> items_;   // the scalar reference hashes these
+  std::vector<uint64_t> round0_;  // XxHash64Round0 of each item
+};
+
+/// Test hook: out[i] = x[i] mod g (g >= 1) through the reduction the
+/// active backend's local-hashing kernels use — the exact AVX-512
+/// vector reduction for g < 2^21 on kAvx512, FastMod otherwise.
+void SimdReduceModForTest(const uint64_t* x, size_t n, uint32_t g,
+                          uint32_t* out);
 
 }  // namespace ldpr
 

@@ -127,5 +127,13 @@ TEST(MgaDeathTest, RejectsEmptyTargets) {
   EXPECT_DEATH(MgaAttack({}), "LDPR_CHECK");
 }
 
+// Zero seed tries would leave an OLH/BLH report without a seed; the
+// constructor rejects it for every protocol, not just at craft time.
+TEST(MgaDeathTest, RejectsZeroSeedTries) {
+  MgaOptions options;
+  options.olh_seed_tries = 0;
+  EXPECT_DEATH(MgaAttack({1, 2}, options), "olh_seed_tries");
+}
+
 }  // namespace
 }  // namespace ldpr

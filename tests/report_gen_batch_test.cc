@@ -12,13 +12,18 @@
 //    kReportsPerAggregationShard boundaries (8191/8192/8193) agree
 //    across the unsharded and sharded aggregation routes;
 //  * every SIMD kernel is bit-equal to its scalar reference on every
-//    backend the running machine offers (SetSimdBackendForTest);
-//  * the exact-arithmetic building blocks (FastMod, the split 8-byte
-//    xxHash) match their generic counterparts on extreme inputs.
+//    backend the running machine offers (SetSimdBackendForTest), and
+//    MGA's blocked OLH/BLH seed search matches the serial oracle on
+//    each of them;
+//  * the exact-arithmetic building blocks (FastMod, the AVX-512 vector
+//    reduction, the split 8-byte xxHash) match their generic
+//    counterparts on extreme inputs.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,7 +36,9 @@
 #include "attack/manip.h"
 #include "attack/mga.h"
 #include "attack/multi_attacker.h"
+#include "ldp/blh.h"
 #include "ldp/factory.h"
+#include "ldp/olh.h"
 #include "ldp/protocol.h"
 #include "ldp/report_batch.h"
 #include "recover/detection.h"
@@ -338,11 +345,12 @@ TEST(ReportGenBatchTest, DetectionExactGenuineMatchesOracleFilter) {
 // bit-equal to the scalar reference on every kernel.
 
 std::vector<SimdBackend> TestableBackends() {
-  std::vector<SimdBackend> backends = {SimdBackend::kScalar};
-  // ActiveSimdBackend() only reports backends the machine supports,
-  // so it is always safe to pin.
-  if (ActiveSimdBackend() != SimdBackend::kScalar)
-    backends.push_back(ActiveSimdBackend());
+  std::vector<SimdBackend> backends;
+  for (SimdBackend backend :
+       {SimdBackend::kScalar, SimdBackend::kSse2, SimdBackend::kAvx2,
+        SimdBackend::kNeon, SimdBackend::kAvx512}) {
+    if (SimdBackendAvailable(backend)) backends.push_back(backend);
+  }
   return backends;
 }
 
@@ -400,17 +408,33 @@ TEST(SimdKernelTest, ValueHistogramMatchesScalarAcrossBackends) {
   }
 }
 
+TEST(SimdKernelTest, ScalarAndActiveBackendsAreTestable) {
+  const std::vector<SimdBackend> backends = TestableBackends();
+  ASSERT_FALSE(backends.empty());
+  EXPECT_EQ(backends.front(), SimdBackend::kScalar);
+  EXPECT_NE(std::find(backends.begin(), backends.end(), ActiveSimdBackend()),
+            backends.end());
+}
+
 TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
   Rng rng(303);
   const size_t d = 33;
-  for (uint32_t g : {2u, 4u, 3u, 7u}) {  // pow2 and non-pow2 ranges
-    for (size_t n : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
-                     size_t{257}, size_t{1000}}) {
+  // Mask (pow2), AVX-512 vector reduction (g < 2^21) and the FastMod
+  // fallback above it; n around the 8-lane vector and the 256-report
+  // tile.
+  for (uint32_t g : {2u, 3u, 4u, 6u, 7u, 9u, 150u, (1u << 21) - 1,
+                     (1u << 21) + 1}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{255}, size_t{256}, size_t{257}, size_t{1000}}) {
       std::vector<uint64_t> seeds(n);
       std::vector<uint32_t> values(n);
       for (size_t i = 0; i < n; ++i) {
         seeds[i] = rng.Next();
-        values[i] = static_cast<uint32_t>(rng.UniformU64(g));
+        // Half the reports support a real item, so large g still
+        // produces matches.
+        values[i] = (i % 2 == 0)
+                        ? SeededHash(seeds[i], g)(static_cast<uint64_t>(i % d))
+                        : static_cast<uint32_t>(rng.UniformU64(g));
       }
       std::vector<double> reference(d, 1.0);  // nonzero carry-in
       {
@@ -427,6 +451,59 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
       }
     }
   }
+}
+
+// MGA's OLH/BLH seed search runs in blocks of kLocalHashLanes tries
+// (attack/mga.cc).  On every backend it must pick the serial oracle's
+// seeds and buckets and leave the Rng where the oracle does: partial
+// last blocks (tries % 8 != 0), early stops inside a block, every
+// bucket-counting path (mask, compare-counted, scatter-counted g) and
+// r spanning several target tiles.
+TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
+  constexpr size_t kD = 211;
+  constexpr size_t kReports = 24;
+  std::vector<std::unique_ptr<OlhBase>> protocols;
+  for (uint32_t g : {2u, 3u, 5u, 8u, 9u, 17u, 150u})
+    protocols.push_back(std::make_unique<Olh>(kD, 1.0, g));
+  protocols.push_back(std::make_unique<Blh>(kD, 1.0));
+  bool stopped_mid_block = false;
+  for (const auto& proto : protocols) {
+    for (size_t r : {size_t{1}, size_t{2}, size_t{10}, size_t{200}}) {
+      Rng target_rng(r);
+      const std::vector<ItemId> targets =
+          MgaAttack::SampleTargets(kD, r, target_rng);
+      for (size_t tries : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                           size_t{64}}) {
+        MgaOptions options;
+        options.olh_seed_tries = tries;
+        const MgaAttack attack(targets, options);
+        const uint64_t seed = 1000 * r + 10 * tries + proto->g();
+        Rng oracle_rng(seed);
+        std::vector<Report> expected;
+        for (size_t i = 0; i < kReports; ++i) {
+          size_t used = 0;
+          expected.push_back(oracle::CraftMgaOlh(*proto, targets, options,
+                                                 oracle_rng, &used));
+          if (used < tries && used % kLocalHashLanes != 0)
+            stopped_mid_block = true;
+        }
+        for (SimdBackend backend : TestableBackends()) {
+          ScopedBackend scoped(backend);
+          const std::string what = proto->Name() + " g=" +
+                                   std::to_string(proto->g()) +
+                                   " r=" + std::to_string(r) +
+                                   " tries=" + std::to_string(tries) + " " +
+                                   SimdBackendName(backend);
+          Rng batch_rng(seed);
+          ExpectSameReports(CraftReports(attack, *proto, kReports, batch_rng),
+                            expected, what);
+          Rng oracle_after = oracle_rng;
+          EXPECT_EQ(oracle_after.Next(), batch_rng.Next()) << what;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(stopped_mid_block);
 }
 
 // ------------------------------------------------------------------
@@ -449,6 +526,62 @@ TEST(FastModTest, MatchesModuloOnExtremesAndRandomInputs) {
     for (int i = 0; i < 1000; ++i) {
       const uint64_t x = rng.Next();
       EXPECT_EQ(mod(x), x % g) << "g=" << g << " x=" << x;
+    }
+  }
+}
+
+// An x whose AVX-512 fold hi·(2^32 mod g) + lo (the `y` of the exact
+// reduction in util/simd.cc) equals y, if one exists.
+std::optional<uint64_t> WithFold(uint32_t g, uint64_t y) {
+  const uint64_t c = (uint64_t{1} << 32) % g;
+  const uint64_t hi = c == 0 ? 0 : std::min<uint64_t>(y / c, 0xffffffff);
+  const uint64_t lo = y - hi * c;
+  if (lo > 0xffffffff) return std::nullopt;
+  return (hi << 32) | lo;
+}
+
+// The reduction behind the local-hashing kernels (on AVX-512 the exact
+// double-precision `mod g` of util/simd.cc) at the edges of its proof:
+// multiples of g and their predecessors, both as x and as the folded
+// y (up to the largest y a g can reach, where the quotient estimate
+// errs), multiples of 2^32 (lo = 0), all-ones halves, and g
+// straddling the 2^21 limit.  g = 49 drives the quotient estimate
+// one low (y = g); g = 2096612 drives it one high near the top.
+TEST(SimdKernelTest, ReduceModMatchesModuloAtEdges) {
+  const uint64_t max64 = ~uint64_t{0};
+  Rng rng(606);
+  for (uint32_t g : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 49u, 150u, 1000u, 65535u,
+                     65536u, 65537u, (1u << 20) + 7, 2096612u, (1u << 21) - 1,
+                     1u << 21, (1u << 21) + 1, 4294967291u}) {
+    std::vector<uint64_t> x = {0, 1, max64, max64 - 1, max64 - g};
+    for (uint64_t k : {uint64_t{1}, uint64_t{2}, uint64_t{1} << 31,
+                       uint64_t{1} << 32, (uint64_t{1} << 32) + 1,
+                       max64 / g - 1, max64 / g}) {
+      x.push_back(k * g - 1);
+      x.push_back(k * g);
+    }
+    for (uint64_t c : {uint64_t{1}, uint64_t{2}, uint64_t{3},
+                       uint64_t{0xffffffff}, uint64_t{1} << 31}) {
+      x.push_back(c << 32);
+      x.push_back((c << 32) - 1);
+      x.push_back((c << 32) | 0xffffffff);
+    }
+    const uint64_t y_top = 0xffffffff * ((uint64_t{1} << 32) % g + 1);
+    for (uint64_t k : {uint64_t{1}, uint64_t{2}, (y_top + 1) / g - 1,
+                       (y_top + 1) / g}) {
+      for (uint64_t y : {k * g - 1, k * g}) {
+        if (const auto folded = WithFold(g, y)) x.push_back(*folded);
+      }
+    }
+    for (int i = 0; i < 200; ++i) x.push_back(rng.Next());
+    for (SimdBackend backend : TestableBackends()) {
+      ScopedBackend scoped(backend);
+      std::vector<uint32_t> reduced(x.size());
+      SimdReduceModForTest(x.data(), x.size(), g, reduced.data());
+      for (size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(reduced[i], x[i] % g)
+            << SimdBackendName(backend) << " g=" << g << " x=" << x[i];
+      }
     }
   }
 }

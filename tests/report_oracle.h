@@ -155,14 +155,17 @@ inline Report CraftMgaOue(const UnaryEncoding& oue,
 }
 
 // MGA against a local-hashing protocol: the best of olh_seed_tries
-// random seeds, reporting its fullest target bucket.
+// random seeds, reporting its fullest target bucket.  `tries`, when
+// given, receives the number of seeds drawn.
 inline Report CraftMgaOlh(const OlhBase& olh,
                           const std::vector<ItemId>& targets,
-                          const MgaOptions& options, Rng& rng) {
+                          const MgaOptions& options, Rng& rng,
+                          size_t* tries = nullptr) {
   Report best;
   size_t best_hits = 0;
   std::vector<uint32_t> bucket_hits(olh.g());
   for (size_t attempt = 0; attempt < options.olh_seed_tries; ++attempt) {
+    if (tries != nullptr) *tries = attempt + 1;
     const uint64_t seed = rng.Next();
     std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
     for (ItemId t : targets) ++bucket_hits[olh.Hash(seed, t)];
