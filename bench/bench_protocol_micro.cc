@@ -12,7 +12,6 @@
 #include "ldp/factory.h"
 #include "recover/ldprecover.h"
 #include "recover/simplex_projection.h"
-#include "sim/pipeline.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -96,8 +95,7 @@ void BM_ExactGenuineAggregation(benchmark::State& state) {
   const Dataset ds = ScaleDataset(MakeIpumsLike(), 0.01);
   Rng rng(kExactAggSeed);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ExactGenuineSupportCounts(*proto, ds.item_counts, rng));
+    benchmark::DoNotOptimize(proto->ExactSupportCounts(ds.item_counts, rng));
   }
   state.SetItemsProcessed(state.iterations() * ds.num_users());
 }

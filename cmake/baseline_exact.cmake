@@ -1,0 +1,37 @@
+# Result identity against the committed reference tree: a fresh
+# CI-scale `ldpr_bench --scenario all` run must pass
+# `ldpr_diff --exact ci/baseline`, so a change that moves any result
+# (an RNG stream, a law, an estimator) fails here.  Such a change
+# regenerates ci/baseline (recipe in ci/baseline/README.md) in the
+# same commit; the check itself never loosens to --tolerance.
+#
+# Usage: cmake -DLDPR_BENCH=<path> -DLDPR_DIFF=<path>
+#        -DBASELINE=<ci/baseline dir> -DWORK_DIR=<dir>
+#        -P baseline_exact.cmake
+
+if(NOT LDPR_BENCH OR NOT LDPR_DIFF OR NOT BASELINE OR NOT WORK_DIR)
+  message(FATAL_ERROR "LDPR_BENCH, LDPR_DIFF, BASELINE, and WORK_DIR must "
+                      "be set")
+endif()
+
+# The knobs ci/baseline was generated with (ci/baseline/README.md).
+set(ENV{LDPR_BENCH_SCALE} "0.01")
+set(ENV{LDPR_BENCH_TRIALS} "2")
+
+set(tree "${WORK_DIR}/fresh")
+file(REMOVE_RECURSE "${tree}")
+execute_process(COMMAND ${LDPR_BENCH} --scenario=all --out=${tree}
+                OUTPUT_QUIET RESULT_VARIABLE rc_bench)
+if(NOT rc_bench EQUAL 0)
+  message(FATAL_ERROR "ldpr_bench --scenario all failed (rc=${rc_bench})")
+endif()
+
+execute_process(COMMAND ${LDPR_DIFF} --exact ${BASELINE} ${tree}
+                OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
+                RESULT_VARIABLE rc_exact)
+if(NOT rc_exact EQUAL 0)
+  message(FATAL_ERROR
+          "fresh tree differs from ${BASELINE} under ldpr_diff --exact "
+          "(rc=${rc_exact})\n${diff_out}\n${diff_err}")
+endif()
+message(STATUS "ci/baseline: fresh tree is identical under --exact")

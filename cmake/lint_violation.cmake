@@ -14,16 +14,18 @@ set(tree "${WORK_DIR}/${RULE}")
 file(REMOVE_RECURSE "${tree}")
 file(MAKE_DIRECTORY "${tree}/src")
 
-# Every scratch tree carries the layer contract so R6 is armed.
-file(WRITE "${tree}/ci/lint_layers.txt" "util\nldp\n")
-
+# Every scratch tree carries the layer contract so R6 is armed.  It
+# lists only the layers the tree has files in: a line naming a missing
+# src/ subdirectory is itself an R6 finding.
 if(RULE STREQUAL "R6")
   # util (layer 0) reaches up into ldp (layer 1).
+  file(WRITE "${tree}/ci/lint_layers.txt" "util\nldp\n")
   file(WRITE "${tree}/src/ldp/b.h"
        "#ifndef LDPR_LDP_B_H_\n#define LDPR_LDP_B_H_\n#endif\n")
   file(WRITE "${tree}/src/util/a.cc" "#include \"ldp/b.h\"\nint x;\n")
   set(expect "src/util/a.cc:1: [R6]")
 elseif(RULE STREQUAL "R8")
+  file(WRITE "${tree}/ci/lint_layers.txt" "util\n")
   file(WRITE "${tree}/src/util/a.cc" "void F() {\n  Rng rng(123);\n}\n")
   set(expect "src/util/a.cc:2: [R8]")
 else()

@@ -4,9 +4,9 @@
 // single-bit reports; included as an extra pure protocol the paper's
 // recovery framework covers.
 //
-// Aggregation (streaming, closed-form, and the sharded
-// SampleSupportCountsRange/Sharded pair) is inherited wholesale from
-// OlhBase with q = 1/2.
+// Aggregation (batched, and the closed-form SampleSupportCountsRange
+// behind the whole-population and sharded samplers) is inherited
+// wholesale from OlhBase with q = 1/2.
 
 #ifndef LDPR_LDP_BLH_H_
 #define LDPR_LDP_BLH_H_

@@ -69,14 +69,17 @@ double Grr::CountVariance(double f, size_t n) const {
          nd * f * (dd - 2.0) / (e - 1.0);
 }
 
-std::vector<double> Grr::SampleSupportCounts(
-    const std::vector<uint64_t>& item_counts, Rng& rng) const {
+std::vector<double> Grr::SampleSupportCountsRange(
+    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
+    uint64_t user_end, Rng& rng) const {
   LDPR_CHECK(item_counts.size() == d_);
+  const std::vector<uint64_t> in_range =
+      RestrictItemCountsToUsers(item_counts, user_begin, user_end);
   std::vector<double> counts(d_, 0.0);
   // Reusable uniform weights over d-1 "other" bins.
   std::vector<double> uniform_other(d_ - 1, 1.0);
   for (ItemId item = 0; item < d_; ++item) {
-    const uint64_t n_item = item_counts[item];
+    const uint64_t n_item = in_range[item];
     if (n_item == 0) continue;
     const uint64_t kept = rng.Binomial(n_item, p_);
     counts[item] += static_cast<double>(kept);

@@ -44,18 +44,15 @@ class Grr final : public FrequencyProtocol {
   ///                        + n*f*(d-2)/(e^eps-1).
   double CountVariance(double f, size_t n) const override;
 
-  /// Exact closed-form sampling: kept reports are Binomial(n_v, p);
-  /// each misreport lands uniformly on one of the d-1 other items, so
-  /// misreports from item v spread multinomially.  O(d^2) worst case,
-  /// O(#populated items * d) in practice.
-  ///
-  /// The sharded aggregation path uses the inherited
-  /// SampleSupportCountsRange (restrict histogram, then this sampler):
-  /// the binomial/multinomial split decomposes over user subsets, and
-  /// the n_item == 0 fast path below already skips every item absent
-  /// from a chunk, so no bespoke range override is needed.
-  std::vector<double> SampleSupportCounts(
-      const std::vector<uint64_t>& item_counts, Rng& rng) const override;
+  /// Exact closed-form sampling of the canonical users [user_begin,
+  /// user_end): the histogram is restricted to them, then kept
+  /// reports are Binomial(n_v, p) and each misreport lands uniformly
+  /// on one of the d-1 other items, so misreports from item v spread
+  /// multinomially.  O(d^2) worst case, O(#populated items * d) in
+  /// practice — items absent from the range cost no draws.
+  std::vector<double> SampleSupportCountsRange(
+      const std::vector<uint64_t>& item_counts, uint64_t user_begin,
+      uint64_t user_end, Rng& rng) const override;
 
  private:
   double p_;

@@ -60,21 +60,6 @@ double OlhBase::CountVariance(double f, size_t n) const {
   return static_cast<double>(n) * q_ * (1.0 - q_) / (diff * diff);
 }
 
-std::vector<double> OlhBase::SampleSupportCounts(
-    const std::vector<uint64_t>& item_counts, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  uint64_t n = 0;
-  for (uint64_t c : item_counts) n += c;
-  std::vector<double> counts(d_);
-  for (size_t v = 0; v < d_; ++v) {
-    const uint64_t own = item_counts[v];
-    const uint64_t from_own = rng.Binomial(own, p_);
-    const uint64_t from_rest = rng.Binomial(n - own, q_);
-    counts[v] = static_cast<double>(from_own + from_rest);
-  }
-  return counts;
-}
-
 std::vector<double> OlhBase::SampleSupportCountsRange(
     const std::vector<uint64_t>& item_counts, uint64_t user_begin,
     uint64_t user_end, Rng& rng) const {

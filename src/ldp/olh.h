@@ -65,20 +65,13 @@ class OlhBase : public FrequencyProtocol {
   /// the integrality of g.
   double CountVariance(double f, size_t n) const override;
 
-  /// Per-item-exact fast sampling: each item's support count is
-  /// exactly Binomial(n_v, p) + Binomial(n - n_v, 1/g).  Cross-item
-  /// correlation through shared seeds is not reproduced; see
-  /// docs/architecture.md ("Closed-form approximations") and
-  /// tests/sim_equivalence_test.cc.  The binomials decompose over user
-  /// subsets, so the sharded path recomposes the exact same per-item
-  /// law.
-  std::vector<double> SampleSupportCounts(
-      const std::vector<uint64_t>& item_counts, Rng& rng) const override;
-
-  /// Shard building block: the two binomials above, restricted to the
-  /// canonical users [user_begin, user_end), without materializing
-  /// the restricted histogram.  Draws in the same order as
-  /// SampleSupportCounts on the restriction (bit-compatible).
+  /// Per-item-exact fast sampling of the canonical users
+  /// [user_begin, user_end) (chunk_n of them): each item's support
+  /// count is exactly Binomial(own_v, p) + Binomial(chunk_n - own_v,
+  /// 1/g), own_v counted without materializing the restricted
+  /// histogram.  Cross-item correlation through shared seeds is not
+  /// reproduced; see docs/architecture.md ("Closed-form
+  /// approximations") and tests/sim_equivalence_test.cc.
   std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const override;

@@ -119,15 +119,9 @@ std::vector<double> FrequencyProtocol::ExactSupportCounts(
 
 std::vector<double> FrequencyProtocol::SampleSupportCounts(
     const std::vector<uint64_t>& item_counts, Rng& rng) const {
-  return ExactSupportCounts(item_counts, rng);
-}
-
-std::vector<double> FrequencyProtocol::SampleSupportCountsRange(
-    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-    uint64_t user_end, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  return SampleSupportCounts(
-      RestrictItemCountsToUsers(item_counts, user_begin, user_end), rng);
+  uint64_t n = 0;
+  for (uint64_t c : item_counts) n += c;
+  return SampleSupportCountsRange(item_counts, 0, n, rng);
 }
 
 std::vector<double> ShardedSupportCounts(
@@ -220,15 +214,6 @@ void Aggregator::AddAllSharded(const std::vector<Report>& reports,
   ReportBatch batch;
   for (const Report& report : reports) batch.Append(report);
   AddAllSharded(batch, shards);
-}
-
-void Aggregator::AddSampledPopulation(const std::vector<uint64_t>& item_counts,
-                                      uint64_t seed, size_t shards) {
-  uint64_t n = 0;
-  for (uint64_t c : item_counts) n += c;
-  AddSampledCounts(protocol_.SampleSupportCountsSharded(item_counts, seed,
-                                                        shards),
-                   static_cast<size_t>(n));
 }
 
 void Aggregator::AddSampledCounts(const std::vector<double>& counts,

@@ -18,9 +18,11 @@
 //  1. Batched: Aggregator::AddAll folds materialized reports a
 //     ReportBatch at a time through AccumulateSupportsBatch (O(d)
 //     counters, any report source).
-//  2. Closed-form sampling: SampleSupportCounts draws the aggregate
-//     support-count vector of a whole genuine population directly
+//  2. Closed-form sampling: each protocol's one genuine sampler,
+//     SampleSupportCountsRange, draws the aggregate support-count
+//     vector of the canonical users [user_begin, user_end) directly
 //     from its distribution, without per-user reports.
+//     SampleSupportCounts is the whole-population call of it.
 //  3. Sharded: the *Sharded variants split the population (or report
 //     batch) into fixed-size contiguous chunks, process chunk c on
 //     its own Rng(DeriveSeed(seed, c)), and merge partial
@@ -204,30 +206,27 @@ class FrequencyProtocol {
   /// with true frequency f: CountVariance / n^2.
   double FrequencyVariance(double f, size_t n) const;
 
-  /// Samples the support-count vector the server would observe from
-  /// genuine users holding `item_counts[v]` copies of each item,
-  /// without materializing per-user reports.
-  ///
-  /// The default implementation simulates each user exactly.  GRR and
-  /// OUE override with exact closed-form sampling (multinomial /
-  /// independent binomials); OLH overrides with per-item-exact
-  /// binomials (the per-item marginal law is exactly binomial; only
-  /// the cross-item correlation induced by shared hash seeds is
-  /// dropped — see docs/architecture.md, "Closed-form
-  /// approximations").
-  virtual std::vector<double> SampleSupportCounts(
-      const std::vector<uint64_t>& item_counts, Rng& rng) const;
-
   /// Samples the support-count contribution of the canonical users
-  /// [user_begin, user_end) only — the shard-level building block of
-  /// SampleSupportCountsSharded.  Every closed-form sampler
-  /// decomposes over user subsets (sums of independent binomials /
-  /// multinomials recompose), so the default restricts the histogram
-  /// and delegates to SampleSupportCounts; OLH and the unary family
-  /// override to skip the intermediate histogram.
+  /// [user_begin, user_end) from its closed-form law, without
+  /// materializing per-user reports — each protocol's one genuine
+  /// sampler, and the shard-level building block of
+  /// SampleSupportCountsSharded.  GRR and the unary family sample
+  /// exactly (multinomial / independent binomials); OLH/BLH sample
+  /// per-item-exact binomials (the per-item marginal law is exactly
+  /// binomial; only the cross-item correlation induced by shared hash
+  /// seeds is dropped — see docs/architecture.md, "Closed-form
+  /// approximations").  Every law decomposes over user subsets (sums
+  /// of independent binomials / multinomials recompose), so sampling
+  /// [b, e) of a histogram draws exactly what sampling [0, e - b) of
+  /// its restriction (RestrictItemCountsToUsers) draws.
   virtual std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-      uint64_t user_end, Rng& rng) const;
+      uint64_t user_end, Rng& rng) const = 0;
+
+  /// The whole population: SampleSupportCountsRange(item_counts, 0,
+  /// n, rng) with n = sum(item_counts).
+  std::vector<double> SampleSupportCounts(
+      const std::vector<uint64_t>& item_counts, Rng& rng) const;
 
   /// Batched genuine report generation for a whole population: for
   /// each item in ascending order, appends item_counts[v] perturbed
@@ -240,9 +239,9 @@ class FrequencyProtocol {
   /// generates every user's report through AppendGenuineReports (in
   /// the canonical per-user Rng draw order) and accumulates through
   /// the batched path in kBatchFlushReports-sized SoA flushes.
-  /// Non-virtual — the shared engine of the default
-  /// SampleSupportCounts and the exact-genuine reference path
-  /// (sim/pipeline's ExactGenuineSupportCounts).
+  /// The exact-genuine reference path the closed-form samplers are
+  /// validated against (sharded by sim/pipeline's
+  /// ExactGenuineSupportCountsSharded).
   std::vector<double> ExactSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const;
 
@@ -291,8 +290,8 @@ class FrequencyProtocol {
 /// same size, so it also caps that path's peak_buffered_reports.
 inline constexpr size_t kBatchFlushReports = 4096;
 
-/// Server-side aggregator: folds report batches (and sampled genuine
-/// populations) into the d support counters.
+/// Server-side aggregator: folds report batches (and pre-sampled
+/// support counts) into the d support counters.
 class Aggregator {
  public:
   explicit Aggregator(const FrequencyProtocol& protocol);
@@ -313,13 +312,6 @@ class Aggregator {
   /// Packs `reports` into a batch and folds it as above.  An adapter
   /// for the AoS fig9 replay in perf/src/replay.cc; delete with it.
   void AddAllSharded(const std::vector<Report>& reports, size_t shards);
-
-  /// Samples and folds the aggregate of a whole genuine population
-  /// via the protocol's sharded closed-form sampler (see
-  /// FrequencyProtocol::SampleSupportCountsSharded for the
-  /// determinism contract).
-  void AddSampledPopulation(const std::vector<uint64_t>& item_counts,
-                            uint64_t seed, size_t shards);
 
   /// Number of reports aggregated so far.
   size_t report_count() const { return report_count_; }

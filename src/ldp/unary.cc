@@ -68,20 +68,6 @@ double UnaryEncoding::CountVariance(double f, size_t n) const {
          (diff * diff);
 }
 
-std::vector<double> UnaryEncoding::SampleSupportCounts(
-    const std::vector<uint64_t>& item_counts, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  uint64_t n = 0;
-  for (uint64_t c : item_counts) n += c;
-  std::vector<double> counts(d_);
-  for (size_t v = 0; v < d_; ++v) {
-    const uint64_t own = item_counts[v];
-    counts[v] = static_cast<double>(rng.Binomial(own, p_keep_) +
-                                    rng.Binomial(n - own, q_flip_));
-  }
-  return counts;
-}
-
 std::vector<double> UnaryEncoding::SampleSupportCountsRange(
     const std::vector<uint64_t>& item_counts, uint64_t user_begin,
     uint64_t user_end, Rng& rng) const {

@@ -39,18 +39,11 @@ class UnaryEncoding : public FrequencyProtocol {
   /// Var[Phi(v)] = (n f p(1-p) + n(1-f) q(1-q)) / (p-q)^2.
   double CountVariance(double f, size_t n) const override;
 
-  /// Exact closed-form sampling: bits are independent across items,
-  /// so per-item support counts are Binomial(n_v, p) +
-  /// Binomial(n - n_v, q) jointly independently.  Both binomials
-  /// decompose over user subsets, so the sharded path recomposes the
-  /// exact same joint law.
-  std::vector<double> SampleSupportCounts(
-      const std::vector<uint64_t>& item_counts, Rng& rng) const override;
-
-  /// Shard building block: the same two binomials restricted to the
-  /// canonical users [user_begin, user_end), without materializing
-  /// the restricted histogram.  Draws in the same order as
-  /// SampleSupportCounts on the restriction (bit-compatible).
+  /// Exact closed-form sampling of the canonical users [user_begin,
+  /// user_end) (chunk_n of them): bits are independent across items,
+  /// so per-item support counts are Binomial(own_v, p) +
+  /// Binomial(chunk_n - own_v, q) jointly independently, own_v
+  /// counted without materializing the restricted histogram.
   std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const override;

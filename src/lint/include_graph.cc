@@ -7,7 +7,10 @@
 // paths the scanner recorded) and enforces the layer order committed
 // as ci/lint_layers.txt: a file in src/<X>/ may include its own
 // subdirectory or any subdirectory listed on an earlier line, nothing
-// later.
+// later.  The layer file itself must list exactly the src/
+// subdirectories: a missing one and a stale line (its directory is
+// gone) are both findings.  The stale check is the rule's one disk
+// probe, so that a partial scan does not report unscanned layers.
 //
 // Include lines are taken from raw_lines (the scanner blanks string
 // literals, which is exactly where the include path lives) but only
@@ -15,6 +18,7 @@
 // commented-out include is not an edge.
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -26,6 +30,8 @@
 namespace ldpr {
 namespace lint {
 namespace {
+
+namespace fs = std::filesystem;
 
 bool StartsWith(const std::string& s, const char* prefix_cstr) {
   const std::string prefix(prefix_cstr);
@@ -106,19 +112,38 @@ std::vector<IncludeEdge> BuildIncludeGraph(const LintTree& tree) {
   return edges;
 }
 
+/// One line of the committed layer order.
+struct Layer {
+  std::string subdir;
+  size_t line = 0;  // 1-based line in ci/lint_layers.txt
+};
+
 /// The committed layer order: one subdir per line, '#' comments and
 /// blank lines skipped, lowest layer first.
-std::vector<std::string> ParseLayerOrder(const SourceFile& layers_file) {
-  std::vector<std::string> layers;
-  for (std::string line : layers_file.raw_lines) {
+std::vector<Layer> ParseLayerOrder(const SourceFile& layers_file) {
+  std::vector<Layer> layers;
+  for (size_t i = 0; i < layers_file.raw_lines.size(); ++i) {
+    std::string line = layers_file.raw_lines[i];
     const size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     const size_t first = line.find_first_not_of(" \t");
     if (first == std::string::npos) continue;
     const size_t last = line.find_last_not_of(" \t");
-    layers.push_back(line.substr(first, last - first + 1));
+    layers.push_back(Layer{line.substr(first, last - first + 1), i + 1});
   }
   return layers;
+}
+
+/// Whether src/<subdir>/ still exists: some scanned file lives there
+/// or, for a tree scanned from a repo, the directory is on disk.
+bool LayerExists(const LintTree& tree, const std::string& subdir) {
+  const std::string prefix = "src/" + subdir + "/";
+  for (const SourceFile& file : tree.files) {
+    if (StartsWith(file.path, prefix.c_str())) return true;
+  }
+  std::error_code ec;
+  return !tree.repo_root.empty() &&
+         fs::is_directory(fs::path(tree.repo_root) / "src" / subdir, ec);
 }
 
 /// Depth-first cycle search over the file-level include graph.  Every
@@ -190,9 +215,19 @@ class CycleFinder {
 void CheckLayering(const LintTree& tree, std::vector<Finding>* out) {
   const SourceFile* layers_file = tree.Find("ci/lint_layers.txt");
   if (layers_file == nullptr) return;  // fixture trees without the contract
-  const std::vector<std::string> layers = ParseLayerOrder(*layers_file);
+  const std::vector<Layer> layers = ParseLayerOrder(*layers_file);
   std::map<std::string, size_t> rank;
-  for (size_t i = 0; i < layers.size(); ++i) rank[layers[i]] = i;
+  for (size_t i = 0; i < layers.size(); ++i) rank[layers[i].subdir] = i;
+
+  // Every line must still name a src/ subdir, the way stale allowlist
+  // entries are findings: a layer must not outlive its code.
+  for (const Layer& layer : layers) {
+    if (LayerExists(tree, layer.subdir)) continue;
+    out->push_back(Finding{
+        "ci/lint_layers.txt", layer.line, "R6",
+        "stale layer '" + layer.subdir + "': src/" + layer.subdir +
+            "/ does not exist — delete the line"});
+  }
 
   // Every src/ subdir must be in the committed order.
   std::set<std::string> unlisted;

@@ -107,7 +107,8 @@ void CheckHeaderGuard(const SourceFile& file,
 /// R6 (repo-level; include_graph.cc), driven by the ci/lint_layers.txt
 /// file loaded into the tree (absent = skipped, so fixture trees opt
 /// in).  Findings: upward includes, includes of unlisted subdirs, src/
-/// subdirs missing from the layer file, and file-level include cycles.
+/// subdirs missing from the layer file, stale layer lines naming a
+/// subdir that no longer exists, and file-level include cycles.
 void CheckLayering(const LintTree& tree, std::vector<Finding>* out);
 void CheckSeedDiscipline(const SourceFile& file,
                          std::vector<Finding>* out);  // R8

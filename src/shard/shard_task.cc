@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ldp/factory.h"
+#include "sim/experiment.h"
 #include "sim/pipeline.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -27,8 +28,18 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
   if (spec.chunking.users_per_chunk == 0 ||
       spec.chunking.reports_per_chunk == 0)
     return InvalidArgumentError("chunk sizes must be positive");
-  if (dataset.domain_size() < 2)
-    return InvalidArgumentError("dataset domain too small for a protocol");
+  ExperimentConfig config;
+  config.protocol = spec.protocol;
+  config.epsilon = spec.epsilon;
+  config.eta = spec.eta;
+  config.pipeline.attack = spec.attack;
+  config.pipeline.beta = spec.beta;
+  config.pipeline.num_targets = spec.num_targets;
+  // The same user-input checks `ldpr run` applies, so a bad spec is
+  // an error status here rather than a CHECK abort below.
+  if (const Status valid = ValidateExperimentInputs(config, dataset);
+      !valid.ok())
+    return valid;
 
   ShardTaskPlan plan;
   plan.spec = spec;
@@ -38,28 +49,17 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
   plan.n = dataset.num_users();
   plan.genuine_chunks = UserChunkCount(plan.n, spec.chunking.users_per_chunk);
 
-  // The trial RNG sequence of RunPoisoningTrial, draw for draw: one
-  // Next() keys the genuine fan-out, then attack construction and
-  // crafting consume the stream.  This is what makes the merged
-  // multi-process result equal the in-process trial bit for bit.
+  // The trial RNG sequence of RunPoisoningTrial: one Next() keys the
+  // genuine fan-out, then the shared malicious step consumes the
+  // stream.  This is what makes the merged multi-process result equal
+  // the in-process trial bit for bit.
   Rng rng(spec.seed);
   plan.genuine_seed = rng.Next();
-
-  if (spec.attack != AttackKind::kNone) {
+  if (spec.attack != AttackKind::kNone)
     plan.m = MaliciousUserCount(spec.beta, plan.n);
-    PipelineConfig config;
-    config.attack = spec.attack;
-    config.beta = spec.beta;
-    config.num_targets = spec.num_targets;
-    const std::unique_ptr<Attack> attack =
-        MakeAttack(config, dataset.domain_size(), rng);
-    LDPR_CHECK(attack != nullptr);
-    plan.targets = attack->targets();
-    if (plan.m > 0) {
-      ReportBatch::Builder builder(plan.malicious_reports);
-      attack->CraftBatch(*plan.protocol, plan.m, rng, builder);
-      LDPR_CHECK(plan.malicious_reports.size() == plan.m);
-    }
+  if (plan.m > 0) {
+    CraftMaliciousReports(*plan.protocol, config.pipeline, plan.m, rng,
+                          plan.malicious_reports);
   }
   plan.malicious_chunks =
       ReportChunkCount(plan.m, spec.chunking.reports_per_chunk);

@@ -20,11 +20,10 @@
 //
 // RNG discipline mirrors sim/pipeline.cc RunPoisoningTrial exactly:
 // the trial Rng(seed) first yields the genuine fan-out seed, then
-// drives attack construction and crafting.  Every worker that owns
-// malicious chunks replays the full (serial) craft — crafting is a
-// stateful sampler and cannot be entered mid-stream — while
-// genuine-only workers skip it entirely since the genuine stream is
-// keyed off genuine_seed alone.
+// drives the malicious step both share (CraftMaliciousReports).  Each
+// worker builds the whole plan, so each replays the full (serial)
+// craft — crafting is a stateful sampler and cannot be entered
+// mid-stream; the genuine stream is keyed off genuine_seed alone.
 
 #ifndef LDPR_SHARD_SHARD_TASK_H_
 #define LDPR_SHARD_SHARD_TASK_H_
@@ -64,7 +63,6 @@ struct ShardTaskPlan {
   uint64_t genuine_seed = 0;    // keys the genuine chunk fan-out
   uint64_t genuine_chunks = 0;  // G
   uint64_t malicious_chunks = 0;  // M
-  std::vector<ItemId> targets;
   /// Builder-mode batch of all m crafted reports (empty when the
   /// attack is none); chunk j aggregates Slice(j*rpc, ...) of it.
   ReportBatch malicious_reports;
@@ -73,8 +71,11 @@ struct ShardTaskPlan {
 };
 
 /// Resolves `spec` against an already-loaded dataset, replaying the
-/// trial RNG sequence of RunPoisoningTrial (genuine seed draw, attack
-/// construction, report crafting).  `dataset.domain_size()` fixes d.
+/// trial RNG sequence of RunPoisoningTrial (genuine seed draw, then
+/// the shared CraftMaliciousReports step).  `dataset.domain_size()`
+/// fixes d.  A spec `ldpr run` would reject (ValidateExperimentInputs:
+/// epsilon, beta, eta, targets vs d, an empty or degenerate dataset)
+/// or a zero chunk size returns InvalidArgument.
 StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
                                            const Dataset& dataset);
 

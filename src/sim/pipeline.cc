@@ -69,13 +69,24 @@ std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
   return nullptr;
 }
 
-std::vector<double> ExactGenuineSupportCounts(
-    const FrequencyProtocol& protocol,
-    const std::vector<uint64_t>& item_counts, Rng& rng) {
-  // Perturbation draws stay in per-user order (unchanged RNG stream);
-  // generation and accumulation run through the protocol's batched
-  // SoA path (byte-identical: integer sums regroup exactly).
-  return protocol.ExactSupportCounts(item_counts, rng);
+std::vector<ItemId> CraftMaliciousReports(const FrequencyProtocol& protocol,
+                                          const PipelineConfig& config,
+                                          size_t m, Rng& rng,
+                                          ReportBatch& reports) {
+  LDPR_CHECK(m > 0);
+  const std::unique_ptr<Attack> attack =
+      MakeAttack(config, protocol.domain_size(), rng);
+  LDPR_CHECK(attack != nullptr);
+  ReportBatch::Builder builder(reports);
+  // One exact-size allocation for all m reports (unary rows are
+  // m * d bytes): attacks that append report by report would
+  // otherwise regrow it, and the freed tens-of-MB blocks of
+  // successive trials fragment the allocator's per-thread arenas,
+  // so peak RSS creeps with the number of trials run.
+  builder.Reserve(m);
+  attack->CraftBatch(protocol, m, rng, builder);
+  LDPR_CHECK(reports.size() == m);
+  return attack->targets();
 }
 
 std::vector<double> ExactGenuineSupportCountsSharded(
@@ -87,8 +98,8 @@ std::vector<double> ExactGenuineSupportCountsSharded(
   return ShardedSupportCounts(
       n, protocol.domain_size(), seed, shards,
       [&](uint64_t begin, uint64_t end, Rng& rng) {
-        return ExactGenuineSupportCounts(
-            protocol, RestrictItemCountsToUsers(item_counts, begin, end), rng);
+        return protocol.ExactSupportCounts(
+            RestrictItemCountsToUsers(item_counts, begin, end), rng);
       });
 }
 
@@ -124,18 +135,8 @@ TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
   // part for OLH/unary — shards over the report chunks.
   std::vector<double> malicious_counts(d, 0.0);
   if (out.m > 0) {
-    const std::unique_ptr<Attack> attack = MakeAttack(config, d, rng);
-    LDPR_CHECK(attack != nullptr);
-    out.attack_targets = attack->targets();
-    ReportBatch::Builder builder(out.malicious_reports);
-    // One exact-size allocation for all m reports (unary rows are
-    // m * d bytes): attacks that append report by report would
-    // otherwise regrow it, and the freed tens-of-MB blocks of
-    // successive trials fragment the allocator's per-thread arenas,
-    // so peak RSS creeps with the number of trials run.
-    builder.Reserve(out.m);
-    attack->CraftBatch(protocol, out.m, rng, builder);
-    LDPR_CHECK(out.malicious_reports.size() == out.m);
+    out.attack_targets = CraftMaliciousReports(protocol, config, out.m, rng,
+                                               out.malicious_reports);
     Aggregator malicious_agg(protocol);
     malicious_agg.AddAllSharded(out.malicious_reports, config.shards);
     malicious_counts = malicious_agg.support_counts();

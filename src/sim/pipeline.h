@@ -92,16 +92,21 @@ size_t MaliciousUserCount(double beta, uint64_t n);
 std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
                                    Rng& rng);
 
+/// The malicious side of one trial, shared by RunPoisoningTrial and
+/// the shard planner (shard/shard_task.h) so both consume the trial
+/// RNG identically: instantiates `config`'s attack on `rng` (MakeAttack),
+/// reserves all `m` reports in `reports` at once, crafts them with
+/// CraftBatch, and returns the attack's declared targets.  Requires
+/// m > 0 and an attack other than kNone.
+std::vector<ItemId> CraftMaliciousReports(const FrequencyProtocol& protocol,
+                                          const PipelineConfig& config,
+                                          size_t m, Rng& rng,
+                                          ReportBatch& reports);
+
 /// Runs one poisoning trial of `config` for `protocol` on `dataset`.
 TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
                               const PipelineConfig& config,
                               const Dataset& dataset, Rng& rng);
-
-/// Per-user exact genuine aggregation (the reference path the fast
-/// samplers are validated against).
-std::vector<double> ExactGenuineSupportCounts(
-    const FrequencyProtocol& protocol, const std::vector<uint64_t>& item_counts,
-    Rng& rng);
 
 /// Sharded per-user exact aggregation: canonical user chunk c
 /// perturbs on Rng(DeriveSeed(seed, c)) and partial support counts

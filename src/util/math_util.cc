@@ -69,8 +69,4 @@ bool IsProbabilityVector(const std::vector<double>& v, double tolerance) {
   return std::fabs(total - 1.0) <= tolerance * static_cast<double>(v.size());
 }
 
-double Clamp(double x, double lo, double hi) {
-  return x < lo ? lo : (x > hi ? hi : x);
-}
-
 }  // namespace ldpr

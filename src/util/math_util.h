@@ -44,9 +44,6 @@ std::vector<double> Normalize(const std::vector<double>& v);
 bool IsProbabilityVector(const std::vector<double>& v,
                          double tolerance = 1e-9);
 
-/// Clamps x into [lo, hi].
-double Clamp(double x, double lo, double hi);
-
 }  // namespace ldpr
 
 #endif  // LDPR_UTIL_MATH_UTIL_H_

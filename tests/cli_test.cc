@@ -42,6 +42,38 @@ TEST(CliTest, NegativeCountsAreRejected) {
   EXPECT_EQ(RunMain({"shard-worker", "--seed=-1"}), 1);
 }
 
+// The shard commands run the same input checks as `ldpr run`, so a
+// spec the trial cannot honour is an error message and exit 1, not a
+// CHECK abort inside the planner.
+TEST(CliTest, ShardCommandsRejectBadTrialInputs) {
+  const struct {
+    std::vector<std::string> flags;
+    const char* error;
+  } kCases[] = {
+      {{"--beta=1.5"}, "beta must be in [0, 1)"},
+      {{"--beta=-0.2"}, "beta must be in [0, 1)"},
+      {{"--beta=1"}, "beta must be in [0, 1)"},
+      {{"--epsilon=0"}, "epsilon must be > 0"},
+      {{"--targets=40", "--d=32"}, "targets must be in [1, domain size]"},
+  };
+  for (const auto& c : kCases) {
+    for (const char* command : {"shard-worker", "shard-merge"}) {
+      std::vector<std::string> args = {command, "--attack=MGA", "--n=2000"};
+      if (std::string(command) == "shard-merge") {
+        args.push_back("--inprocess");
+      }
+      args.insert(args.end(), c.flags.begin(), c.flags.end());
+      testing::internal::CaptureStderr();
+      const int rc = RunMain(args);
+      const std::string err = testing::internal::GetCapturedStderr();
+      EXPECT_EQ(rc, 1) << command << " " << c.flags[0];
+      EXPECT_NE(err.find(std::string("INVALID_ARGUMENT: ") + c.error),
+                std::string::npos)
+          << command << " " << c.flags[0] << ": " << err;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cli
 }  // namespace ldpr

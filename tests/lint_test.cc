@@ -397,15 +397,32 @@ TEST(RuleLayeringTest, DownwardIncludesAreClean) {
 TEST(RuleLayeringTest, FlagsUnlistedSubdir) {
   const auto findings = Lint(TreeOf({
       {"ci/lint_layers.txt", kTwoLayers},
-      {"src/newdir/a.cc", "int x;\n"},
+      {"src/util/a.cc", "int x;\n"},
+      {"src/ldp/b.cc", "int y;\n"},
+      {"src/newdir/a.cc", "int z;\n"},
   }));
+  ASSERT_EQ(findings.size(), 1u);
   ASSERT_TRUE(HasFinding(findings, "R6", "ci/lint_layers.txt", 1));
   EXPECT_NE(findings[0].message.find("src/newdir/"), std::string::npos);
+}
+
+TEST(RuleLayeringTest, FlagsStaleLayerLine) {
+  // A line naming a src/ subdir that no longer exists is reported at
+  // that line, the way stale allowlist entries are.
+  const auto findings = Lint(TreeOf({
+      {"ci/lint_layers.txt", "util\nkv\nldp\n"},
+      {"src/util/a.cc", "int x;\n"},
+      {"src/ldp/b.cc", "int y;\n"},
+  }));
+  ASSERT_EQ(findings.size(), 1u);
+  ASSERT_TRUE(HasFinding(findings, "R6", "ci/lint_layers.txt", 2));
+  EXPECT_NE(findings[0].message.find("stale layer 'kv'"), std::string::npos);
 }
 
 TEST(RuleLayeringTest, FlagsIncludeCycle) {
   const auto findings = Lint(TreeOf({
       {"ci/lint_layers.txt", kTwoLayers},
+      {"src/util/c.cc", "int x;\n"},
       {"src/ldp/a.h",
        "#ifndef LDPR_LDP_A_H_\n#define LDPR_LDP_A_H_\n"
        "#include \"ldp/b.h\"\n#endif\n"},

@@ -73,11 +73,5 @@ TEST(IsProbabilityVectorTest, ToleranceScalesWithSize) {
   EXPECT_TRUE(IsProbabilityVector(v));
 }
 
-TEST(ClampTest, Basic) {
-  EXPECT_DOUBLE_EQ(Clamp(0.5, 0.0, 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(Clamp(-1.0, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(Clamp(2.0, 0.0, 1.0), 1.0);
-}
-
 }  // namespace
 }  // namespace ldpr

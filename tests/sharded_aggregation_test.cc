@@ -14,7 +14,6 @@
 
 #include "data/synthetic.h"
 #include "ldp/factory.h"
-#include "ldp/harmony.h"
 #include "recover/detection.h"
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
@@ -68,8 +67,9 @@ TEST(ShardedAggregationTest, MillionUserSampleIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardedAggregationTest, RangeSamplersMatchRestrictedHistogram) {
-  // The OLH/unary SampleSupportCountsRange overrides must draw
-  // exactly what the default restrict-then-sample path draws.
+  // Every protocol's range sampler must draw exactly what sampling
+  // the whole restricted histogram draws (the decomposition the
+  // sharded paths rely on).
   const Dataset dataset = MakeZipfDataset("z", /*d=*/32, /*n=*/150000,
                                           /*s=*/1.1, /*shuffle_seed=*/3);
   const uint64_t begin = 70000, end = 120000;
@@ -101,23 +101,6 @@ TEST(ShardedAggregationTest, ExactPerUserPathIdenticalAcrossShardCounts) {
                                                shards),
               reference)
         << "shards=" << shards;
-  }
-}
-
-TEST(ShardedAggregationTest, AddSampledPopulationMatchesDirectSample) {
-  const Dataset dataset = MakeZipfDataset("z", /*d=*/32, /*n=*/300000,
-                                          /*s=*/1.0, /*shuffle_seed=*/5);
-  for (ProtocolKind kind : kExtendedProtocolKinds) {
-    const auto protocol = MakeProtocol(kind, dataset.domain_size(), 0.5);
-    const auto direct =
-        protocol->SampleSupportCountsSharded(dataset.item_counts, 55, 1);
-    for (size_t shards : kShardCounts) {
-      Aggregator agg(*protocol);
-      agg.AddSampledPopulation(dataset.item_counts, 55, shards);
-      EXPECT_EQ(agg.support_counts(), direct)
-          << ProtocolKindName(kind) << " shards=" << shards;
-      EXPECT_EQ(agg.report_count(), dataset.num_users());
-    }
   }
 }
 
@@ -235,19 +218,6 @@ TEST(ShardedAggregationTest, DetectionShardedEstimateIsSane) {
   const std::vector<double> estimate = filter.Estimate();
   for (ItemId v : {ItemId(0), ItemId(7), ItemId(20)}) {
     EXPECT_NEAR(estimate[v], truth[v], 0.1) << "item " << v;
-  }
-}
-
-TEST(ShardedAggregationTest, HarmonyShardedMeanMatchesSerial) {
-  const Harmony harmony(0.5);
-  Rng rng(21);
-  ReportBatch reports;
-  ReportBatch::Builder builder(reports);
-  for (size_t i = 0; i < 30000; ++i) harmony.Perturb(0.3, rng, builder);
-  const double serial = harmony.EstimateMean(reports);
-  for (size_t shards : kShardCounts) {
-    EXPECT_EQ(harmony.EstimateMeanSharded(reports, shards), serial)
-        << "shards=" << shards;
   }
 }
 

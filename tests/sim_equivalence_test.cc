@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "ldp/factory.h"
-#include "sim/pipeline.h"
+#include "util/random.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -33,7 +33,7 @@ TEST_P(SimEquivalenceTest, MeansAgree) {
   for (int t = 0; t < kTrials; ++t) {
     const auto cf = proto->SampleSupportCounts(item_counts, rng);
     fast.Add(proto->EstimateFrequencies(cf, n)[0]);
-    const auto ce = ExactGenuineSupportCounts(*proto, item_counts, rng);
+    const auto ce = proto->ExactSupportCounts(item_counts, rng);
     exact.Add(proto->EstimateFrequencies(ce, n)[0]);
   }
   const double sigma =
@@ -55,7 +55,7 @@ TEST_P(SimEquivalenceTest, VariancesAgreeWithTheory) {
   for (int t = 0; t < kTrials; ++t) {
     const auto cf = proto->SampleSupportCounts(item_counts, rng);
     fast.Add(proto->EstimateFrequencies(cf, n)[3]);
-    const auto ce = ExactGenuineSupportCounts(*proto, item_counts, rng);
+    const auto ce = proto->ExactSupportCounts(item_counts, rng);
     exact.Add(proto->EstimateFrequencies(ce, n)[3]);
   }
   const double theory = proto->FrequencyVariance(1.0 / d, n);
