@@ -79,11 +79,8 @@ int Run(int argc, char** argv) {
   const auto reps = flags.GetInt("reps", 3);
   const std::string protocol_filter = flags.GetString("protocol", "");
   for (const Status& status :
-       {d.ok() ? Status::Ok() : d.status(),
-        epsilon.ok() ? Status::Ok() : epsilon.status(),
-        targets.ok() ? Status::Ok() : targets.status(),
-        reports_flag.ok() ? Status::Ok() : reports_flag.status(),
-        reps.ok() ? Status::Ok() : reps.status()}) {
+       {d.status(), epsilon.status(), targets.status(), reports_flag.status(),
+        reps.status()}) {
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;

@@ -9,7 +9,7 @@
 //   # Machine-readable run: per-scenario results.csv / results.jsonl
 //   # plus a manifest.json recording seed/scale/threads/git version,
 //   # and a top-level results/manifest.json indexing the whole tree
-//   # (the input ldpr_diff compares across runs):
+//   # (the input `ldpr diff` compares across runs):
 //   ldpr_bench --scenario fig3 --out results/
 //
 //   # Paper fidelity:
@@ -25,7 +25,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,12 +66,16 @@ void PrintScenarioList() {
       "[--scale F] [--trials N] [--seed N] [--threads N]\n");
 }
 
-// A sink forwarding the banner to the console only: the console child
-// of a --out run prints it, while the data files stay banner-free.
-// On --out runs the completed scenario is appended to `tree` for the
-// top-level tree manifest.
+int Fail(const std::string& id, const Status& status) {
+  std::fprintf(stderr, "error: scenario %s: %s\n", id.c_str(),
+               status.ToString().c_str());
+  return 1;
+}
+
+// Runs one scenario to the console and, on --out runs (`tree` set),
+// into its directory of the result tree.
 int RunScenarioById(const std::string& id, const ScenarioRunOptions& options,
-                    const std::string& out_dir, TreeManifest& tree) {
+                    ResultTreeWriter* tree, const std::string& out_dir) {
   const Scenario* scenario = ScenarioRegistry::Global().Find(id);
   if (scenario == nullptr) {
     std::fprintf(stderr, "error: unknown scenario '%s' (try --list)\n",
@@ -82,65 +85,24 @@ int RunScenarioById(const std::string& id, const ScenarioRunOptions& options,
 
   std::vector<std::unique_ptr<ResultSink>> sinks;
   sinks.push_back(std::make_unique<ConsoleSink>());
-  std::string scenario_dir;
-  if (!out_dir.empty()) {
-    scenario_dir = out_dir + "/" + id;
-    std::error_code ec;
-    std::filesystem::create_directories(scenario_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "error: cannot create %s: %s\n",
-                   scenario_dir.c_str(), ec.message().c_str());
-      return 1;
-    }
-    auto csv = std::make_unique<CsvSink>(scenario_dir + "/results.csv");
-    auto jsonl = std::make_unique<JsonlSink>(scenario_dir + "/results.jsonl");
-    if (!csv->ok() || !jsonl->ok()) {
-      std::fprintf(stderr, "error: cannot open result files under %s\n",
-                   scenario_dir.c_str());
-      return 1;
-    }
-    sinks.push_back(std::move(csv));
-    sinks.push_back(std::move(jsonl));
+  if (tree != nullptr) {
+    const Status opened = tree->OpenScenario(id, sinks);
+    if (!opened.ok()) return Fail(id, opened);
   }
   MultiSink sink(std::move(sinks));
 
   const auto report = RunScenario(*scenario, options, sink);
-  if (!report.ok()) {
-    std::fprintf(stderr, "error: scenario %s: %s\n", id.c_str(),
-                 report.status().ToString().c_str());
-    return 1;
-  }
+  if (!report.ok()) return Fail(id, report.status());
   const Status finish = sink.Finish();
-  if (!finish.ok()) {
-    std::fprintf(stderr, "error: scenario %s: %s\n", id.c_str(),
-                 finish.ToString().c_str());
-    return 1;
-  }
+  if (!finish.ok()) return Fail(id, finish);
 
-  if (!scenario_dir.empty()) {
+  if (tree != nullptr) {
     // The report carries the resolved knobs/dataset sizes the sinks
     // saw, so the manifest is guaranteed to describe the actual run.
-    const RunManifest manifest = MakeRunManifest(
-        scenario->spec, report->info, *report,
-        {"results.csv", "results.jsonl"});
-    const Status written =
-        WriteManifest(scenario_dir + "/manifest.json", manifest);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: scenario %s: %s\n", id.c_str(),
-                   written.ToString().c_str());
-      return 1;
-    }
-    TreeManifest::Entry entry;
-    entry.id = id;
-    entry.seed = report->info.seed;
-    entry.scale = report->info.scale;
-    entry.trials = report->info.trials;
-    for (const std::string& file : manifest.files)
-      entry.files.push_back(id + "/" + file);
-    entry.files.push_back(id + "/manifest.json");
-    tree.scenarios.push_back(std::move(entry));
-    std::printf("wrote %s/{results.csv,results.jsonl,manifest.json}\n\n",
-                scenario_dir.c_str());
+    const Status closed = tree->CloseScenario(scenario->spec, *report);
+    if (!closed.ok()) return Fail(id, closed);
+    std::printf("wrote %s/%s/{results.csv,results.jsonl,manifest.json}\n\n",
+                out_dir.c_str(), id.c_str());
   }
   return 0;
 }
@@ -158,10 +120,7 @@ int Run(int argc, char** argv) {
   const auto threads = flags.GetNonNegativeInt("threads", 0);
 
   for (const Status& status :
-       {seed.ok() ? Status::Ok() : seed.status(),
-        trials.ok() ? Status::Ok() : trials.status(),
-        scale.ok() ? Status::Ok() : scale.status(),
-        threads.ok() ? Status::Ok() : threads.status()}) {
+       {seed.status(), trials.status(), scale.status(), threads.status()}) {
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
@@ -205,24 +164,23 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: --scenario list is empty (try --list)\n");
     return 1;
   }
-  TreeManifest tree;
-  tree.git_describe = GitDescribe();
+  std::unique_ptr<ResultTreeWriter> tree;
+  if (!out_dir.empty()) tree = std::make_unique<ResultTreeWriter>(out_dir);
   for (const std::string& id : ids) {
-    const int rc = RunScenarioById(id, options, out_dir, tree);
+    const int rc = RunScenarioById(id, options, tree.get(), out_dir);
     if (rc != 0) return rc;
   }
-  if (!out_dir.empty()) {
-    // The top-level manifest makes the tree self-describing for
-    // ldpr_diff: which scenarios ran, under which knobs, into which
+  if (tree != nullptr) {
+    // The tree manifest makes the tree self-describing for
+    // `ldpr diff`: which scenarios ran, under which knobs, into which
     // files.
-    const Status written =
-        WriteTreeManifest(out_dir + "/manifest.json", tree);
+    const Status written = tree->Finish();
     if (!written.ok()) {
       std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("wrote %s/manifest.json (%zu scenario%s)\n", out_dir.c_str(),
-                tree.scenarios.size(), tree.scenarios.size() == 1 ? "" : "s");
+                tree->scenarios(), tree->scenarios() == 1 ? "" : "s");
   }
   return 0;
 }

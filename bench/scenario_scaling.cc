@@ -18,7 +18,7 @@
 // O(beta·n) for materialized malicious reports.  The timing columns
 // ("secs/trial", "users/s") are wall-clock measurements and are
 // declared in timing_columns, which keeps them out of exact result
-// comparisons (ldpr_diff --exact, the determinism ctest entries).
+// comparisons (`ldpr diff`, the determinism ctest entries).
 
 #include <iterator>
 

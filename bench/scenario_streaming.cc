@@ -8,7 +8,7 @@
 //                     the streaming engine's support counts and
 //                     Aggregator::AddAllSharded on the replayed batch
 //                     — exactly 0.0 by the batch-equivalence
-//                     contract, so ldpr_diff gates the equivalence
+//                     contract, so `ldpr diff` gates the equivalence
 //                     from day one.
 //   streaming_wave    a mid-stream MGA wave (on at 30%, off at 70% of
 //                     the stream) vs a clean run of the same

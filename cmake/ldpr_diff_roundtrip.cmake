@@ -1,16 +1,16 @@
-# The ldpr_diff round-trip contract (ISSUE 4 acceptance):
+# The `ldpr diff` round-trip contract:
 #
 #   1. two same-seed `ldpr_bench --scenario all --out` runs at
-#      different LDPR_THREADS pass `ldpr_diff --exact`;
-#   2. perturbing one metric makes `--exact` (and a tight
+#      different LDPR_THREADS pass the exact `ldpr diff`;
+#   2. perturbing one metric makes the exact diff (and a tight
 #      `--tolerance`) fail with a non-zero exit and a drift report
 #      naming the (scenario, table, row, column).
 #
-# Usage: cmake -DLDPR_BENCH=<path> -DLDPR_DIFF=<path> -DWORK_DIR=<dir>
+# Usage: cmake -DLDPR_BENCH=<path> -DLDPR_CLI=<path> -DWORK_DIR=<dir>
 #        -P ldpr_diff_roundtrip.cmake
 
-if(NOT LDPR_BENCH OR NOT LDPR_DIFF OR NOT WORK_DIR)
-  message(FATAL_ERROR "LDPR_BENCH, LDPR_DIFF, and WORK_DIR must be set")
+if(NOT LDPR_BENCH OR NOT LDPR_CLI OR NOT WORK_DIR)
+  message(FATAL_ERROR "LDPR_BENCH, LDPR_CLI, and WORK_DIR must be set")
 endif()
 
 set(ENV{LDPR_BENCH_SCALE} "0.005")
@@ -35,12 +35,12 @@ if(NOT rc_b EQUAL 0)
 endif()
 
 # 1. Same seed, different thread counts: trees must agree exactly.
-execute_process(COMMAND ${LDPR_DIFF} --exact ${out_a} ${out_b}
+execute_process(COMMAND ${LDPR_CLI} diff ${out_a} ${out_b}
                 OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
                 RESULT_VARIABLE rc_exact)
 if(NOT rc_exact EQUAL 0)
   message(FATAL_ERROR
-          "ldpr_diff --exact rejected two same-seed runs "
+          "ldpr diff rejected two same-seed runs "
           "(rc=${rc_exact})\n${diff_out}\n${diff_err}")
 endif()
 
@@ -55,11 +55,11 @@ if(perturbed STREQUAL rows)
 endif()
 file(WRITE "${out_c}/table1/results.jsonl" "${perturbed}")
 
-execute_process(COMMAND ${LDPR_DIFF} --exact ${out_a} ${out_c}
+execute_process(COMMAND ${LDPR_CLI} diff ${out_a} ${out_c}
                 OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
                 RESULT_VARIABLE rc_perturbed)
 if(rc_perturbed EQUAL 0)
-  message(FATAL_ERROR "ldpr_diff --exact accepted a perturbed tree")
+  message(FATAL_ERROR "ldpr diff accepted a perturbed tree")
 endif()
 foreach(needle "value-drift" "table1" "Before-Rec" "GRR")
   if(NOT diff_out MATCHES "${needle}")
@@ -68,11 +68,11 @@ foreach(needle "value-drift" "table1" "Before-Rec" "GRR")
   endif()
 endforeach()
 
-execute_process(COMMAND ${LDPR_DIFF} --tolerance=1e-6 ${out_a} ${out_c}
+execute_process(COMMAND ${LDPR_CLI} diff --tolerance=1e-6 ${out_a} ${out_c}
                 OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc_tolerance)
 if(rc_tolerance EQUAL 0)
-  message(FATAL_ERROR "ldpr_diff --tolerance=1e-6 accepted a perturbed tree")
+  message(FATAL_ERROR "ldpr diff --tolerance=1e-6 accepted a perturbed tree")
 endif()
 
-message(STATUS "ldpr_diff round-trip: exact across thread counts, "
+message(STATUS "ldpr diff round-trip: exact across thread counts, "
                "perturbation detected")

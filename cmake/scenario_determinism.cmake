@@ -2,10 +2,10 @@
 # LDPR_THREADS=1 and LDPR_THREADS=3 — at a tiny scale and fails unless
 # the two runs agree:
 #
-#   - LDPR_DIFF (when set): the result trees must pass
-#     `ldpr_diff --exact`, which joins rows by (scenario, table, row)
-#     and exempts the timing columns each scenario's manifest
-#     declares — the only columns that may legitimately differ.
+#   - LDPR_CLI (when set): the result trees must pass the exact
+#     `ldpr diff`, which joins rows by (scenario, table, row) and
+#     exempts the timing columns each scenario's manifest declares —
+#     the only columns that may legitimately differ.
 #   - Unless HAS_TIMING_COLUMNS: the result files must additionally
 #     be byte-identical and the console tables equal (the banner line
 #     reporting the thread count is stripped; scenarios with timing
@@ -13,7 +13,7 @@
 #     runs).
 #
 # Usage: cmake -DLDPR_BENCH=<path> -DSCENARIO=<id> -DWORK_DIR=<dir>
-#        [-DLDPR_DIFF=<path>] [-DHAS_TIMING_COLUMNS=1]
+#        [-DLDPR_CLI=<path>] [-DHAS_TIMING_COLUMNS=1]
 #        -P scenario_determinism.cmake
 
 if(NOT LDPR_BENCH OR NOT SCENARIO OR NOT WORK_DIR)
@@ -48,13 +48,13 @@ if(NOT rc_parallel EQUAL 0)
 endif()
 
 # The comparator view: row-joined, timing columns exempt.
-if(LDPR_DIFF)
-  execute_process(COMMAND ${LDPR_DIFF} --exact ${out_serial} ${out_parallel}
+if(LDPR_CLI)
+  execute_process(COMMAND ${LDPR_CLI} diff ${out_serial} ${out_parallel}
                   OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
                   RESULT_VARIABLE rc_diff)
   if(NOT rc_diff EQUAL 0)
     message(FATAL_ERROR
-            "${SCENARIO}: ldpr_diff --exact failed between LDPR_THREADS=1 "
+            "${SCENARIO}: ldpr diff failed between LDPR_THREADS=1 "
             "and 3 (rc=${rc_diff})\n${diff_out}\n${diff_err}")
   endif()
 endif()

@@ -1,16 +1,15 @@
 # Multi-process shard smoke: runs N real `ldpr shard-worker`
 # processes, merges their wire partials with `ldpr shard-merge`, and
-# fails unless the merged result tree is byte-identical
-# (`ldpr_diff --exact`) to the `--inprocess` reference computed from
+# fails unless the merged result tree is byte-identical (the exact
+# `ldpr diff`) to the `--inprocess` reference computed from
 # the same spec.  Also checks the failure contract: a torn partial
 # fails the strict merge and is tolerated (with loss accounting) under
 # --allow_missing.
 #
-# Usage: cmake -DLDPR_CLI=<path> -DLDPR_DIFF=<path> -DWORK_DIR=<dir>
-#        -P shard_smoke.cmake
+# Usage: cmake -DLDPR_CLI=<path> -DWORK_DIR=<dir> -P shard_smoke.cmake
 
-if(NOT LDPR_CLI OR NOT LDPR_DIFF OR NOT WORK_DIR)
-  message(FATAL_ERROR "LDPR_CLI, LDPR_DIFF, and WORK_DIR must be set")
+if(NOT LDPR_CLI OR NOT WORK_DIR)
+  message(FATAL_ERROR "LDPR_CLI and WORK_DIR must be set")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -52,7 +51,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "shard-merge --inprocess failed (rc=${rc})")
 endif()
 
-execute_process(COMMAND ${LDPR_DIFF} --exact
+execute_process(COMMAND ${LDPR_CLI} diff
                         ${WORK_DIR}/merged ${WORK_DIR}/reference
                 RESULT_VARIABLE rc OUTPUT_VARIABLE diff_out
                 ERROR_VARIABLE diff_err)

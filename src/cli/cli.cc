@@ -79,6 +79,7 @@ void PrintUsage(std::FILE* out) {
                "  stream        windowed streaming ingest replay\n"
                "  shard-worker  compute one worker's partial support counts\n"
                "  shard-merge   merge worker partials into a result tree\n"
+               "  diff          compare two result trees\n"
                "  list          subcommands and registered scenarios\n"
                "\n"
                "run `ldpr list` for the shared flags of each command.\n");
@@ -102,12 +103,13 @@ int Main(int argc, char** argv) {
     return 1;
   }
   // The subcommand's FlagParser sees argv[1] as its program name, so
-  // file operands of shard-merge land in positional().
+  // file operands of shard-merge and diff land in positional().
   const FlagParser flags(argc - 1, argv + 1);
   if (command == "run") return RunCommand(flags);
   if (command == "stream") return StreamCommand(flags);
   if (command == "shard-worker") return ShardWorkerCommand(flags);
   if (command == "shard-merge") return ShardMergeCommand(flags);
+  if (command == "diff") return DiffCommand(flags);
   if (command == "list") return ListCommand(flags);
   std::fprintf(stderr, "error: unknown command: %s\n", command.c_str());
   PrintUsage(stderr);

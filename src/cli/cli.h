@@ -5,6 +5,7 @@
 //   ldpr stream        windowed streaming ingest replay
 //   ldpr shard-worker  compute one worker's partial support counts
 //   ldpr shard-merge   merge worker partials into a result tree
+//   ldpr diff          compare two result trees
 //   ldpr list          subcommands and registered scenarios
 //
 // Shared flags (--protocol/--attack/--dataset/--epsilon/--beta/
@@ -13,6 +14,8 @@
 // rejects unknown flags via FlagParser::unused_flags().
 //
 // Exit codes: 0 success, 1 any error (bad flags, I/O, failed merge).
+// `ldpr diff` keeps a comparator's ladder instead: 0 agree,
+// 1 violations, 2 usage or load error.
 
 #ifndef LDPR_CLI_CLI_H_
 #define LDPR_CLI_CLI_H_
@@ -48,6 +51,7 @@ int RunCommand(const FlagParser& flags);
 int StreamCommand(const FlagParser& flags);
 int ShardWorkerCommand(const FlagParser& flags);
 int ShardMergeCommand(const FlagParser& flags);
+int DiffCommand(const FlagParser& flags);
 int ListCommand(const FlagParser& flags);
 
 void PrintUsage(std::FILE* out);

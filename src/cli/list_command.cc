@@ -31,6 +31,8 @@ int ListCommand(const FlagParser& flags) {
       "  shard-merge   spec flags plus partial files as operands,\n"
       "                --allow_missing, --out DIR, or --inprocess\n"
       "                --workers N for the in-process reference\n"
+      "  diff          [--tolerance=REL] TREE_A TREE_B; exact without\n"
+      "                --tolerance; exit 0 agree, 1 drift, 2 usage/load\n"
       "  list          this listing\n");
 
   const auto scenarios = ScenarioRegistry::Global().scenarios();

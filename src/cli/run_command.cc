@@ -51,18 +51,10 @@ int RunCommand(const FlagParser& flags) {
   const std::string out_path = flags.GetString("out", "");
 
   for (const Status& status :
-       {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
-        attack_or.ok() ? Status::Ok() : attack_or.status(),
-        dataset_or.ok() ? Status::Ok() : dataset_or.status(),
-        epsilon.ok() ? Status::Ok() : epsilon.status(),
-        beta.ok() ? Status::Ok() : beta.status(),
-        eta.ok() ? Status::Ok() : eta.status(),
-        targets.ok() ? Status::Ok() : targets.status(),
-        trials.ok() ? Status::Ok() : trials.status(),
-        seed.ok() ? Status::Ok() : seed.status(),
-        scale.ok() ? Status::Ok() : scale.status(),
-        top_k.ok() ? Status::Ok() : top_k.status(),
-        threads.ok() ? Status::Ok() : threads.status()}) {
+       {protocol_or.status(), attack_or.status(), dataset_or.status(),
+        epsilon.status(), beta.status(), eta.status(), targets.status(),
+        trials.status(), seed.status(), scale.status(), top_k.status(),
+        threads.status()}) {
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;

@@ -11,7 +11,7 @@
 //       --seed=7 --out=merged/ part0.jsonl part1.jsonl part2.jsonl
 //       part3.jsonl
 //
-//   # The in-process reference tree for ldpr_diff --exact:
+//   # The in-process reference tree for `ldpr diff`:
 //   ldpr shard-merge --protocol=OUE --attack=MGA --dataset=zipf
 //       --seed=7 --workers=4 --inprocess --out=reference/
 //
@@ -25,17 +25,24 @@
 //
 // shard-worker extras: --workers N, --worker I, --out FILE ("-" =
 // stdout).  shard-merge extras: partial files as positional operands,
-// --out DIR (result tree: results.csv/results.jsonl/manifest.json),
-// --allow_missing (estimate from surviving coverage instead of
-// failing), --inprocess + --workers N (compute the reference merge
-// without reading files).
+// --out DIR, --allow_missing (estimate from surviving coverage
+// instead of failing), --inprocess + --workers N (compute the
+// reference merge without reading files).
+//
+// shard-merge --out writes an ordinary result tree holding one
+// one-row scenario, `shard_merge`:
+//
+//   DIR/manifest.json
+//   DIR/shard_merge/{results.csv,results.jsonl,manifest.json}
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cli/cli.h"
 #include "ldp/factory.h"
+#include "runner/manifest.h"
 #include "runner/scenario_runner.h"
 #include "shard/merge.h"
 #include "shard/shard_task.h"
@@ -110,6 +117,55 @@ StatusOr<ShardTaskPlan> ResolvePlan(const ShardTaskSpec& spec,
   return plan;
 }
 
+// Writes the merge outcome as the one-row `shard_merge` scenario of a
+// result tree rooted at `root`, so a multi-process merge and its
+// --inprocess reference compare with `ldpr diff`.
+Status WriteMergeTree(const std::string& root, const ShardTaskPlan& plan,
+                      const Dataset& dataset, const ShardOutcome& outcome,
+                      const MergeStats& stats) {
+  ScenarioSpec spec;
+  spec.id = "shard_merge";
+  spec.title = "Sharded merge outcome";
+  spec.artifact = "extension";
+  spec.columns = {"PoisonedMSE", "RecoveredMSE", "Neff",
+                  "Meff",        "GenDigest",    "MalDigest",
+                  "ChunksLost",  "LinesRejected", "DupsDropped"};
+  ScenarioRunReport report;
+  report.tables = 1;
+  report.rows = 1;
+  report.info.id = spec.id;
+  report.info.seed = plan.spec.seed;
+  report.info.scale = plan.spec.scale;
+  report.info.trials = 1;
+  report.info.threads = 1;
+  report.info.datasets.push_back(
+      {dataset.name, dataset.domain_size(), dataset.num_users()});
+
+  ResultTreeWriter tree(root);
+  std::vector<std::unique_ptr<ResultSink>> sinks;
+  Status status = tree.OpenScenario(spec.id, sinks);
+  if (!status.ok()) return status;
+  MultiSink sink(std::move(sinks));
+  sink.BeginScenario(report.info);
+  sink.BeginTable("Shard merge (" + dataset.name + ")", spec.columns);
+  sink.AddRow(std::string(ProtocolKindName(plan.spec.protocol)) + "/" +
+                  AttackKindName(plan.spec.attack),
+              {outcome.poisoned_mse, outcome.recovered_mse,
+               static_cast<double>(outcome.n_eff),
+               static_cast<double>(outcome.m_eff), outcome.genuine_digest,
+               outcome.malicious_digest,
+               static_cast<double>(stats.genuine_chunks_lost +
+                                   stats.malicious_chunks_lost),
+               static_cast<double>(stats.lines_rejected),
+               static_cast<double>(stats.duplicates_dropped)});
+  sink.EndTable();
+  status = sink.Finish();
+  if (!status.ok()) return status;
+  status = tree.CloseScenario(spec, report);
+  if (!status.ok()) return status;
+  return tree.Finish();
+}
+
 int FailUnusedFlags(const FlagParser& flags) {
   for (const std::string& unused : flags.unused_flags()) {
     std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
@@ -126,9 +182,7 @@ int ShardWorkerCommand(const FlagParser& flags) {
   const auto worker = flags.GetInt("worker", 0);
   const std::string out_path = flags.GetString("out", "-");
   for (const Status& status :
-       {spec.ok() ? Status::Ok() : spec.status(),
-        workers.ok() ? Status::Ok() : workers.status(),
-        worker.ok() ? Status::Ok() : worker.status()}) {
+       {spec.status(), workers.status(), worker.status()}) {
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
@@ -174,8 +228,7 @@ int ShardMergeCommand(const FlagParser& flags) {
   const bool allow_missing = flags.GetBool("allow_missing", false);
   const std::string out_dir = flags.GetString("out", "");
   for (const Status& status :
-       {spec.ok() ? Status::Ok() : spec.status(),
-        workers.ok() ? Status::Ok() : workers.status()}) {
+       {spec.status(), workers.status()}) {
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
@@ -240,13 +293,14 @@ int ShardMergeCommand(const FlagParser& flags) {
 
   if (!out_dir.empty()) {
     const Status written =
-        WriteShardResultTree(out_dir, *plan, dataset, outcome, stats);
+        WriteMergeTree(out_dir, *plan, dataset, outcome, stats);
     if (!written.ok()) {
       std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s/{results.csv,results.jsonl,manifest.json}\n",
-                out_dir.c_str());
+    std::printf("wrote %s/manifest.json and %s/shard_merge/"
+                "{results.csv,results.jsonl,manifest.json}\n",
+                out_dir.c_str(), out_dir.c_str());
   }
   return 0;
 }

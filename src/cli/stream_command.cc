@@ -52,17 +52,10 @@ int StreamCommand(const FlagParser& flags) {
   const std::string out_path = flags.GetString("out", "");
 
   for (const Status& status :
-       {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
-        dataset_or.ok() ? Status::Ok() : dataset_or.status(),
-        epsilon.ok() ? Status::Ok() : epsilon.status(),
-        beta.ok() ? Status::Ok() : beta.status(),
-        eta.ok() ? Status::Ok() : eta.status(),
-        targets.ok() ? Status::Ok() : targets.status(),
-        seed.ok() ? Status::Ok() : seed.status(),
-        scale.ok() ? Status::Ok() : scale.status(),
-        window.ok() ? Status::Ok() : window.status(),
-        stride.ok() ? Status::Ok() : stride.status(),
-        wave_or.ok() ? Status::Ok() : wave_or.status()}) {
+       {protocol_or.status(), dataset_or.status(), epsilon.status(),
+        beta.status(), eta.status(), targets.status(), seed.status(),
+        scale.status(), window.status(), stride.status(),
+        wave_or.status()}) {
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;

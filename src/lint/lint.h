@@ -2,7 +2,7 @@
 //
 // The core guarantee of this codebase is bit-identical results at any
 // thread/shard/SIMD-backend count (docs/architecture.md).  The
-// runtime half of that contract is `ldpr_diff --exact`; this is the
+// runtime half of that contract is the exact `ldpr diff`; this is the
 // static half: a rule registry over a token-lite scan of src/,
 // tools/, bench/, and tests/ that rejects code which *could* violate
 // the contract before it ever produces a result tree.

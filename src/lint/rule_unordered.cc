@@ -2,7 +2,7 @@
 //
 // Hash-table iteration order is unspecified and varies across
 // libstdc++ versions, so letting it reach a sink, a table row, or a
-// support-count merge silently breaks `ldpr_diff --exact`.  Keyed
+// support-count merge silently breaks the exact `ldpr diff`.  Keyed
 // access (find/emplace/at/operator[]/count) is deterministic and
 // stays allowed; what this rule flags is *walking* the container:
 // range-for over it, explicit begin()/end(), or std::begin/std::end.

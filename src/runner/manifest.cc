@@ -1,6 +1,7 @@
 #include "runner/manifest.h"
 
 #include <cstdio>
+#include <filesystem>
 
 #include "util/json_writer.h"
 #include "util/simd.h"
@@ -15,65 +16,58 @@ std::string GitDescribe() {
 #endif
 }
 
-RunManifest MakeRunManifest(const ScenarioSpec& spec,
-                            const ScenarioRunInfo& info,
-                            const ScenarioRunReport& report,
-                            std::vector<std::string> files) {
-  RunManifest manifest;
-  manifest.scenario_id = spec.id;
-  manifest.artifact = spec.artifact;
-  manifest.title = spec.title;
-  manifest.seed = info.seed;
-  manifest.scale = info.scale;
-  manifest.trials = info.trials;
-  manifest.threads = info.threads;
-  manifest.outer_workers = report.outer_workers;
-  manifest.shards = report.shards;
-  manifest.tables = report.tables;
-  manifest.rows = report.rows;
-  manifest.simd = ActiveSimdBackendName();
-  manifest.git_describe = GitDescribe();
-  manifest.datasets = info.datasets;
-  manifest.columns = spec.columns;
-  manifest.timing_columns = spec.timing_columns;
-  manifest.files = std::move(files);
-  return manifest;
+namespace {
+
+/// Manifest schema version.  v2 added `schema_version` itself, the
+/// spec's `columns`/`timing_columns` (so comparators know which
+/// columns are wall-clock measurements), and the tree manifest.
+constexpr int kManifestSchemaVersion = 2;
+
+// Result files of one scenario, relative to its directory.
+const char* const kResultFiles[] = {"results.csv", "results.jsonl"};
+
+void StringArray(JsonWriter& w, const std::vector<std::string>& items) {
+  w.BeginArray();
+  for (const std::string& item : items) w.String(item);
+  w.EndArray();
 }
 
-std::string ManifestToJson(const RunManifest& manifest) {
+std::string RunManifestJson(const ScenarioSpec& spec,
+                            const ScenarioRunReport& report) {
+  const ScenarioRunInfo& info = report.info;
   JsonWriter w;
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(manifest.schema_version);
+  w.Int(kManifestSchemaVersion);
   w.Key("scenario");
-  w.String(manifest.scenario_id);
+  w.String(spec.id);
   w.Key("artifact");
-  w.String(manifest.artifact);
+  w.String(spec.artifact);
   w.Key("title");
-  w.String(manifest.title);
+  w.String(spec.title);
   w.Key("seed");
-  w.UInt(manifest.seed);
+  w.UInt(info.seed);
   w.Key("scale");
-  w.Number(manifest.scale);
+  w.Number(info.scale);
   w.Key("trials");
-  w.UInt(manifest.trials);
+  w.UInt(info.trials);
   w.Key("threads");
-  w.UInt(manifest.threads);
+  w.UInt(info.threads);
   w.Key("outer_workers");
-  w.UInt(manifest.outer_workers);
+  w.UInt(report.outer_workers);
   w.Key("shards");
-  w.UInt(manifest.shards);
+  w.UInt(report.shards);
   w.Key("tables");
-  w.UInt(manifest.tables);
+  w.UInt(report.tables);
   w.Key("rows");
-  w.UInt(manifest.rows);
+  w.UInt(report.rows);
   w.Key("simd");
-  w.String(manifest.simd);
+  w.String(ActiveSimdBackendName());
   w.Key("git_describe");
-  w.String(manifest.git_describe);
+  w.String(GitDescribe());
   w.Key("datasets");
   w.BeginArray();
-  for (const auto& ds : manifest.datasets) {
+  for (const auto& ds : info.datasets) {
     w.BeginObject();
     w.Key("name");
     w.String(ds.display);
@@ -85,22 +79,49 @@ std::string ManifestToJson(const RunManifest& manifest) {
   }
   w.EndArray();
   w.Key("columns");
-  w.BeginArray();
-  for (const std::string& column : manifest.columns) w.String(column);
-  w.EndArray();
+  StringArray(w, spec.columns);
   w.Key("timing_columns");
-  w.BeginArray();
-  for (const std::string& column : manifest.timing_columns) w.String(column);
-  w.EndArray();
+  StringArray(w, spec.timing_columns);
   w.Key("files");
   w.BeginArray();
-  for (const std::string& file : manifest.files) w.String(file);
+  for (const char* file : kResultFiles) w.String(file);
   w.EndArray();
   w.EndObject();
   return w.str();
 }
 
-namespace {
+std::string TreeManifestJson(const std::vector<ScenarioRunInfo>& scenarios) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("schema_version");
+  w.Int(kManifestSchemaVersion);
+  w.Key("kind");
+  w.String("ldpr_result_tree");
+  w.Key("git_describe");
+  w.String(GitDescribe());
+  w.Key("scenarios");
+  w.BeginArray();
+  for (const ScenarioRunInfo& info : scenarios) {
+    w.BeginObject();
+    w.Key("id");
+    w.String(info.id);
+    w.Key("seed");
+    w.UInt(info.seed);
+    w.Key("scale");
+    w.Number(info.scale);
+    w.Key("trials");
+    w.UInt(info.trials);
+    w.Key("files");
+    w.BeginArray();
+    for (const char* file : kResultFiles) w.String(info.id + "/" + file);
+    w.String(info.id + "/manifest.json");
+    w.EndArray();
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return w.str();
+}
 
 Status WriteJsonLine(const std::string& path, const std::string& body) {
   std::FILE* file = std::fopen(path.c_str(), "w");
@@ -118,45 +139,33 @@ Status WriteJsonLine(const std::string& path, const std::string& body) {
 
 }  // namespace
 
-Status WriteManifest(const std::string& path, const RunManifest& manifest) {
-  return WriteJsonLine(path, ManifestToJson(manifest));
+Status ResultTreeWriter::OpenScenario(
+    const std::string& id, std::vector<std::unique_ptr<ResultSink>>& sinks) {
+  const std::string dir = root_ + "/" + id;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return InternalError("cannot create " + dir + ": " + ec.message());
+  auto csv = std::make_unique<CsvSink>(dir + "/" + kResultFiles[0]);
+  auto jsonl = std::make_unique<JsonlSink>(dir + "/" + kResultFiles[1]);
+  if (!csv->ok() || !jsonl->ok())
+    return InternalError("cannot open result files under " + dir);
+  sinks.push_back(std::move(csv));
+  sinks.push_back(std::move(jsonl));
+  return Status::Ok();
 }
 
-std::string TreeManifestToJson(const TreeManifest& manifest) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("schema_version");
-  w.Int(manifest.schema_version);
-  w.Key("kind");
-  w.String("ldpr_result_tree");
-  w.Key("git_describe");
-  w.String(manifest.git_describe);
-  w.Key("scenarios");
-  w.BeginArray();
-  for (const TreeManifest::Entry& entry : manifest.scenarios) {
-    w.BeginObject();
-    w.Key("id");
-    w.String(entry.id);
-    w.Key("seed");
-    w.UInt(entry.seed);
-    w.Key("scale");
-    w.Number(entry.scale);
-    w.Key("trials");
-    w.UInt(entry.trials);
-    w.Key("files");
-    w.BeginArray();
-    for (const std::string& file : entry.files) w.String(file);
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
+Status ResultTreeWriter::CloseScenario(const ScenarioSpec& spec,
+                                       const ScenarioRunReport& report) {
+  const Status written = WriteJsonLine(root_ + "/" + spec.id + "/manifest.json",
+                                       RunManifestJson(spec, report));
+  if (!written.ok()) return written;
+  closed_.push_back(report.info);
+  closed_.back().id = spec.id;
+  return Status::Ok();
 }
 
-Status WriteTreeManifest(const std::string& path,
-                         const TreeManifest& manifest) {
-  return WriteJsonLine(path, TreeManifestToJson(manifest));
+Status ResultTreeWriter::Finish() {
+  return WriteJsonLine(root_ + "/manifest.json", TreeManifestJson(closed_));
 }
 
 }  // namespace ldpr

@@ -1,18 +1,26 @@
-// Per-run manifest: the machine-readable sidecar `ldpr_bench --out`
-// writes next to each scenario's result files, recording everything
-// needed to regenerate or diff a figure across machines — scenario
-// id, seed, scale, trials, thread budget and its top-level split,
-// the git version of the binary, and the resolved dataset sizes.
+// Result trees: the one on-disk layout `ldpr_bench --out` and
+// `ldpr shard-merge --out` write, and the one writer both use.
 //
-// The manifest deliberately carries the *machine-dependent* facts
-// (threads, split) so they stay out of the result files, which must
-// diff clean across thread counts.
+//   <root>/manifest.json         tree manifest: every scenario of the
+//                                run with its knobs and files
+//   <root>/<id>/results.csv      the scenario's rows (CsvSink)
+//   <root>/<id>/results.jsonl    the same rows (JsonlSink)
+//   <root>/<id>/manifest.json    run manifest: scenario id, seed,
+//                                scale, trials, thread budget and its
+//                                split, SIMD backend, git version,
+//                                resolved dataset sizes, columns
+//
+// The run manifest deliberately carries the *machine-dependent* facts
+// (threads, split, simd) so they stay out of the result files, which
+// must diff clean across thread counts.  LoadResultTree
+// (runner/result_diff.h) reads the tree back for `ldpr diff`.
 
 #ifndef LDPR_RUNNER_MANIFEST_H_
 #define LDPR_RUNNER_MANIFEST_H_
 
-#include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/registry.h"
@@ -26,76 +34,38 @@ namespace ldpr {
 /// built outside a git checkout).
 std::string GitDescribe();
 
-/// Manifest schema version.  v2 added `schema_version` itself, the
-/// spec's `columns`/`timing_columns` (so comparators know which
-/// columns are wall-clock measurements), and the top-level tree
-/// manifest `ldpr_bench --out` writes next to the scenario dirs.
-/// Readers treat a missing version as v1.
-inline constexpr int kManifestSchemaVersion = 2;
+/// Writes one result tree, scenario by scenario:
+///
+///   ResultTreeWriter tree(root);
+///   tree.OpenScenario(id, sinks);        // then run into the sinks
+///   ... sinks Finish() cleanly ...
+///   tree.CloseScenario(spec, report);    // <root>/<id>/manifest.json
+///   tree.Finish();                       // <root>/manifest.json
+class ResultTreeWriter {
+ public:
+  explicit ResultTreeWriter(std::string root) : root_(std::move(root)) {}
 
-struct RunManifest {
-  int schema_version = kManifestSchemaVersion;
-  std::string scenario_id;
-  std::string artifact;
-  std::string title;
-  uint64_t seed = 0;
-  double scale = 0;
-  size_t trials = 0;
-  size_t threads = 0;
-  size_t outer_workers = 0;
-  size_t shards = 0;
-  size_t tables = 0;
-  size_t rows = 0;
-  /// The SIMD backend the aggregation kernels dispatched to for this
-  /// run (see util/simd.h) — machine-dependent, like `threads`, and
-  /// recorded for the same reason: results must diff clean across it.
-  std::string simd;
-  std::string git_describe;
-  std::vector<ScenarioRunInfo::DatasetInfo> datasets;
-  /// The spec's output columns, and the subset holding wall-clock
-  /// measurements (ldpr_diff excludes the latter from exact
-  /// comparisons).
-  std::vector<std::string> columns;
-  std::vector<std::string> timing_columns;
-  /// Result files, relative to the manifest's directory.
-  std::vector<std::string> files;
+  /// Creates <root>/<id>/ and appends sinks for its results.csv and
+  /// results.jsonl to `sinks`.  Fails when the directory or either
+  /// file cannot be opened.
+  Status OpenScenario(const std::string& id,
+                      std::vector<std::unique_ptr<ResultSink>>& sinks);
+
+  /// Writes the run manifest of `spec`'s completed run (report.info
+  /// holds the knobs and dataset sizes the sinks saw) and records the
+  /// scenario for the tree manifest.
+  Status CloseScenario(const ScenarioSpec& spec,
+                       const ScenarioRunReport& report);
+
+  /// Writes the tree manifest listing every closed scenario.
+  Status Finish();
+
+  size_t scenarios() const { return closed_.size(); }
+
+ private:
+  std::string root_;
+  std::vector<ScenarioRunInfo> closed_;  // info.id is the spec id
 };
-
-/// Assembles the manifest of one completed scenario run.
-RunManifest MakeRunManifest(const ScenarioSpec& spec,
-                            const ScenarioRunInfo& info,
-                            const ScenarioRunReport& report,
-                            std::vector<std::string> files);
-
-/// Serializes the manifest as pretty-stable single-line JSON.
-std::string ManifestToJson(const RunManifest& manifest);
-
-/// Writes the manifest to `path`, failing on partial writes.
-Status WriteManifest(const std::string& path, const RunManifest& manifest);
-
-/// The top-level manifest `ldpr_bench --out DIR` writes at
-/// DIR/manifest.json, summarizing every scenario run of the
-/// invocation so the tree is self-describing for ldpr_diff.
-struct TreeManifest {
-  int schema_version = kManifestSchemaVersion;
-  std::string git_describe;
-  struct Entry {
-    std::string id;
-    uint64_t seed = 0;
-    double scale = 0;
-    size_t trials = 0;
-    /// Result files, relative to the tree root ("fig3/results.csv").
-    std::vector<std::string> files;
-  };
-  std::vector<Entry> scenarios;
-};
-
-/// Serializes the tree manifest as single-line JSON.
-std::string TreeManifestToJson(const TreeManifest& manifest);
-
-/// Writes the tree manifest to `path`, failing on partial writes.
-Status WriteTreeManifest(const std::string& path,
-                         const TreeManifest& manifest);
 
 }  // namespace ldpr
 

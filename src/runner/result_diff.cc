@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "util/json_reader.h"
@@ -35,19 +36,24 @@ std::vector<std::string> StringArrayOr(const JsonValue& object,
   return out;
 }
 
-// Loads one scenario directory: manifest.json (run knobs, timing
+// Loads scenario `id`'s directory: manifest.json (run knobs, timing
 // columns) + results.jsonl (the rows).
-StatusOr<ScenarioResults> LoadScenarioDir(const std::string& dir) {
-  auto manifest_text = ReadFile(dir + "/manifest.json");
+StatusOr<ScenarioResults> LoadScenarioDir(const std::string& dir,
+                                          const std::string& id) {
+  const std::string manifest_path = dir + "/manifest.json";
+  auto manifest_text = ReadFile(manifest_path);
   if (!manifest_text.ok()) return manifest_text.status();
   auto manifest = ParseJson(*manifest_text);
   if (!manifest.ok())
-    return InvalidArgumentError(dir + "/manifest.json: " +
+    return InvalidArgumentError(manifest_path + ": " +
                                 manifest.status().message());
 
   ScenarioResults scenario;
-  scenario.id = manifest->StringOr(
-      "scenario", std::filesystem::path(dir).filename().string());
+  scenario.id = manifest->StringOr("scenario", id);
+  if (scenario.id != id)
+    return InvalidArgumentError(manifest_path + ": names scenario '" +
+                                scenario.id + "', but the tree manifest "
+                                "lists '" + id + "'");
   scenario.schema_version =
       static_cast<int>(manifest->NumberOr("schema_version", 1));
   scenario.seed = static_cast<uint64_t>(manifest->NumberOr("seed", 0));
@@ -116,54 +122,35 @@ StatusOr<ResultTree> LoadResultTree(const std::string& root) {
   if (!std::filesystem::is_directory(root, ec))
     return InvalidArgumentError("not a directory: " + root);
 
+  // The tree manifest lists the scenarios; the files it names are not
+  // checked (a tree may drop its CSV copies), only each scenario's
+  // manifest.json and results.jsonl are read.
+  const std::string manifest_path = root + "/manifest.json";
+  auto text = ReadFile(manifest_path);
+  if (!text.ok())
+    return InvalidArgumentError(root + " is not a result tree: cannot read " +
+                                manifest_path);
+  auto manifest = ParseJson(*text);
+  if (!manifest.ok())
+    return InvalidArgumentError(manifest_path + ": " +
+                                manifest.status().message());
+  const JsonValue* scenarios = manifest->Find("scenarios");
+  if (scenarios == nullptr || !scenarios->is_array())
+    return InvalidArgumentError(manifest_path +
+                                ": not a tree manifest (no scenarios list)");
+
   ResultTree tree;
   tree.root = root;
-
-  const std::string top_manifest_path = root + "/manifest.json";
-  if (std::filesystem::exists(top_manifest_path, ec)) {
-    auto text = ReadFile(top_manifest_path);
-    if (!text.ok()) return text.status();
-    auto manifest = ParseJson(*text);
-    if (!manifest.ok())
-      return InvalidArgumentError(top_manifest_path + ": " +
-                                  manifest.status().message());
-    const JsonValue* scenarios = manifest->Find("scenarios");
-    if (scenarios != nullptr && scenarios->is_array()) {
-      // A tree manifest: load exactly the scenarios it lists.
-      for (const JsonValue& entry : scenarios->array()) {
-        const std::string id = entry.StringOr("id", "");
-        if (id.empty())
-          return InvalidArgumentError(top_manifest_path +
-                                      ": scenario entry without an id");
-        auto scenario = LoadScenarioDir(root + "/" + id);
-        if (!scenario.ok()) return scenario.status();
-        tree.scenarios.push_back(std::move(*scenario));
-      }
-      return tree;
-    }
-    // A per-scenario manifest: `root` is itself one scenario dir.
-    auto scenario = LoadScenarioDir(root);
-    if (!scenario.ok()) return scenario.status();
-    tree.scenarios.push_back(std::move(*scenario));
-    return tree;
-  }
-
-  // No top-level manifest (pre-v2 trees): scan subdirectories, in
-  // name order for a stable report.
-  std::vector<std::string> dirs;
-  for (const auto& entry : std::filesystem::directory_iterator(root, ec)) {
-    if (entry.is_directory() &&
-        std::filesystem::exists(entry.path() / "manifest.json"))
-      dirs.push_back(entry.path().string());
-  }
-  if (ec) return InternalError("cannot scan: " + root);
-  std::sort(dirs.begin(), dirs.end());
-  if (dirs.empty())
-    return InvalidArgumentError(root +
-                                " is not a result tree (no manifest.json "
-                                "at the root or in any subdirectory)");
-  for (const std::string& dir : dirs) {
-    auto scenario = LoadScenarioDir(dir);
+  std::set<std::string> ids;
+  for (const JsonValue& entry : scenarios->array()) {
+    const std::string id = entry.StringOr("id", "");
+    if (id.empty())
+      return InvalidArgumentError(manifest_path +
+                                  ": scenario entry without an id");
+    if (!ids.insert(id).second)
+      return InvalidArgumentError(manifest_path + ": scenario '" + id +
+                                  "' listed twice");
+    auto scenario = LoadScenarioDir(root + "/" + id, id);
     if (!scenario.ok()) return scenario.status();
     tree.scenarios.push_back(std::move(*scenario));
   }

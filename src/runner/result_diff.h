@@ -1,10 +1,11 @@
-// Result-tree comparison: the library behind tools/ldpr_diff.
+// Result-tree comparison: the library behind `ldpr diff`.
 //
-// An `ldpr_bench --out` tree is self-describing — per-scenario
-// results.jsonl rows keyed by (scenario, table, row) plus a
-// manifest.json carrying run knobs and the timing-column list.  This
-// module loads two such trees, joins their rows by key, and reports
-// per-metric relative drift:
+// A result tree (runner/manifest.h: `ldpr_bench --out`,
+// `ldpr shard-merge --out`) is self-describing — a tree manifest
+// listing its scenarios, and per scenario results.jsonl rows keyed by
+// (scenario, table, row) plus a manifest.json carrying run knobs and
+// the timing-column list.  This module loads two such trees, joins
+// their rows by key, and reports per-metric relative drift:
 //
 //   exact mode      — every non-timing value must be bit-equal (two
 //                     same-seed runs of the same binary, e.g. the
@@ -59,12 +60,10 @@ struct ResultTree {
   std::vector<ScenarioResults> scenarios;
 };
 
-/// Loads a result tree rooted at `root`.  Accepts three layouts: a
-/// tree with a top-level manifest.json listing its scenarios
-/// (ldpr_bench --out since schema v2), a tree of scenario
-/// subdirectories each holding a manifest.json (older trees), or a
-/// single scenario directory.  Duplicate (table, row) keys and
-/// malformed files are load errors.
+/// Loads the result tree rooted at `root`: exactly the scenarios its
+/// manifest.json lists.  Load errors: no tree manifest, an id listed
+/// twice, a scenario manifest naming a different id, duplicate
+/// (table, row) keys, and malformed files.
 StatusOr<ResultTree> LoadResultTree(const std::string& root);
 
 struct DiffOptions {

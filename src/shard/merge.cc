@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <utility>
 
 #include "recover/ldprecover.h"
-#include "runner/manifest.h"
-#include "runner/result_sink.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/xxhash.h"
@@ -194,81 +190,6 @@ ShardOutcome ComputeShardOutcome(const ShardTaskPlan& plan,
   outcome.malicious_digest =
       static_cast<double>(CountsDigest(merged.malicious_counts));
   return outcome;
-}
-
-Status WriteShardResultTree(const std::string& dir, const ShardTaskPlan& plan,
-                            const Dataset& dataset,
-                            const ShardOutcome& outcome,
-                            const MergeStats& stats) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return InternalError("cannot create " + dir + ": " + ec.message());
-
-  // A synthetic one-row scenario in the single-scenario-directory
-  // layout LoadResultTree accepts: `ldpr_diff --exact` between a
-  // multi-process tree and an --inprocess tree is the byte-identity
-  // gate CI runs.
-  ScenarioSpec spec;
-  spec.id = "shard_merge";
-  spec.title = "Sharded merge outcome";
-  spec.artifact = "extension";
-  spec.datasets = {plan.spec.dataset};
-  spec.protocols = {plan.spec.protocol};
-  spec.attacks = {plan.spec.attack};
-  spec.columns = {"PoisonedMSE", "RecoveredMSE", "Neff",
-                  "Meff",        "GenDigest",    "MalDigest",
-                  "ChunksLost",  "LinesRejected", "DupsDropped"};
-  spec.defaults.seed = plan.spec.seed;
-  spec.defaults.epsilon = plan.spec.epsilon;
-  spec.defaults.beta = plan.spec.beta;
-  spec.defaults.eta = plan.spec.eta;
-  spec.custom = true;
-
-  ScenarioRunInfo info;
-  info.id = spec.id;
-  info.title = spec.title;
-  info.seed = plan.spec.seed;
-  info.scale = plan.spec.scale;
-  info.trials = 1;
-  info.threads = 1;
-  info.datasets.push_back({dataset.name, dataset.domain_size(),
-                           dataset.num_users()});
-
-  CsvSink csv(dir + "/results.csv");
-  JsonlSink jsonl(dir + "/results.jsonl");
-  if (!csv.ok() || !jsonl.ok())
-    return InternalError("cannot open result files under " + dir);
-
-  const std::string row_label = std::string(ProtocolKindName(plan.spec.protocol)) +
-                                "/" + AttackKindName(plan.spec.attack);
-  const std::vector<double> values = {
-      outcome.poisoned_mse,
-      outcome.recovered_mse,
-      static_cast<double>(outcome.n_eff),
-      static_cast<double>(outcome.m_eff),
-      outcome.genuine_digest,
-      outcome.malicious_digest,
-      static_cast<double>(stats.genuine_chunks_lost +
-                          stats.malicious_chunks_lost),
-      static_cast<double>(stats.lines_rejected),
-      static_cast<double>(stats.duplicates_dropped)};
-  for (ResultSink* sink : {static_cast<ResultSink*>(&csv),
-                           static_cast<ResultSink*>(&jsonl)}) {
-    sink->BeginScenario(info);
-    sink->BeginTable("Shard merge (" + dataset.name + ")", spec.columns);
-    sink->AddRow(row_label, values);
-    sink->EndTable();
-    const Status finished = sink->Finish();
-    if (!finished.ok()) return finished;
-  }
-
-  ScenarioRunReport report;
-  report.tables = 1;
-  report.rows = 1;
-  report.info = info;
-  const RunManifest manifest =
-      MakeRunManifest(spec, info, report, {"results.csv", "results.jsonl"});
-  return WriteManifest(dir + "/manifest.json", manifest);
 }
 
 }  // namespace ldpr

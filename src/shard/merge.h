@@ -22,6 +22,10 @@
 // tolerates them and reports coverage in the stats — the fault
 // scenarios use that to measure estimate error as a function of the
 // lost-shard fraction.
+//
+// This layer stops at the outcome: `ldpr shard-merge --out` writes it
+// as an ordinary result tree (cli/shard_command.cc, through
+// runner/manifest.h's ResultTreeWriter).
 
 #ifndef LDPR_SHARD_MERGE_H_
 #define LDPR_SHARD_MERGE_H_
@@ -101,15 +105,6 @@ struct ShardOutcome {
 ShardOutcome ComputeShardOutcome(const ShardTaskPlan& plan,
                                  const Dataset& dataset,
                                  const MergedPartials& merged);
-
-/// Writes `dir`/results.csv, results.jsonl, and manifest.json in the
-/// single-scenario-directory layout LoadResultTree accepts, so two
-/// merge outputs (multi-process vs --inprocess) compare with
-/// `ldpr_diff --exact`.
-Status WriteShardResultTree(const std::string& dir, const ShardTaskPlan& plan,
-                            const Dataset& dataset,
-                            const ShardOutcome& outcome,
-                            const MergeStats& stats);
 
 }  // namespace ldpr
 

@@ -99,7 +99,7 @@ struct ExperimentResult {
   /// Wall-clock seconds per trial, measured around each trial by
   /// RunExperiments.  Machine-dependent by nature — scenarios may only
   /// surface it through columns listed in ScenarioSpec.timing_columns,
-  /// which result comparisons (ldpr_diff) exclude from exact checks.
+  /// which result comparisons (`ldpr diff`) exclude from exact checks.
   RunningStat trial_seconds;
   /// Genuine users each trial aggregated (the dataset's n), so
   /// scaling scenarios can derive throughput as

@@ -118,7 +118,7 @@ struct ScenarioSpec {
   /// The subset of `columns` holding wall-clock measurements
   /// (scaling-law scenarios).  Timing values are machine-dependent by
   /// nature, so they are carried in the run manifest and excluded
-  /// from exact result comparisons (`ldpr_diff --exact`, the
+  /// from exact result comparisons (`ldpr diff`, the
   /// determinism ctest entries); every other column must stay a pure
   /// function of (spec, seed, scale, trials).
   std::vector<std::string> timing_columns;

@@ -1,5 +1,5 @@
 // Minimal JSON parser — the read side of util/json_writer.h, used by
-// the ldpr_diff result-tree comparator to load manifests and JSONL
+// the `ldpr diff` result-tree comparator to load manifests and JSONL
 // rows.  Recursive-descent over the full JSON grammar; objects keep
 // their key order (result rows list metric columns in table order,
 // and drift reports should too).

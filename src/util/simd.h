@@ -26,7 +26,7 @@
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
 // reference paths — the lever the CI determinism job uses to prove
-// SIMD-vs-scalar result trees `ldpr_diff --exact`-identical.
+// SIMD-vs-scalar result trees identical under `ldpr diff`.
 
 #ifndef LDPR_UTIL_SIMD_H_
 #define LDPR_UTIL_SIMD_H_

@@ -1,9 +1,12 @@
 // Tests for the `ldpr` subcommand CLI (src/cli/), driven through
 // cli::Main exactly as tools/ldpr.cc calls it.  Every rejected case
-// fails at flag validation, before any experiment runs.
+// fails at flag validation, before any experiment runs; `ldpr diff`
+// runs on tiny hand-written result trees.
 
 #include "cli/cli.h"
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,56 @@ TEST(CliTest, ShardCommandsRejectBadTrialInputs) {
           << command << " " << c.flags[0] << ": " << err;
     }
   }
+}
+
+TEST(CliTest, DiffIsListed) {
+  for (const char* command : {"help", "list"}) {
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(RunMain({command}), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("\n  diff "), std::string::npos) << command;
+  }
+}
+
+// Writes a one-scenario result tree whose single metric is `value`.
+std::string WriteTree(const std::string& name, const std::string& value) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "ldpr_cli_test" / name;
+  std::filesystem::create_directories(root / "s1");
+  std::ofstream(root / "manifest.json")
+      << "{\"schema_version\":2,\"kind\":\"ldpr_result_tree\","
+         "\"scenarios\":[{\"id\":\"s1\"}]}\n";
+  std::ofstream(root / "s1" / "manifest.json")
+      << "{\"schema_version\":2,\"scenario\":\"s1\",\"seed\":7,"
+         "\"scale\":0.01,\"trials\":2,\"timing_columns\":[]}\n";
+  std::ofstream(root / "s1" / "results.jsonl")
+      << "{\"scenario\":\"s1\",\"table\":\"T\",\"row\":\"GRR\","
+         "\"values\":{\"M\":" << value << "}}\n";
+  return root.string();
+}
+
+TEST(CliTest, DiffExitCodes) {
+  const std::string a = WriteTree("a", "0.5");
+  const std::string b = WriteTree("b", "0.5");
+  const std::string c = WriteTree("c", "0.6");
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(RunMain({"diff", a, b}), 0);
+  EXPECT_EQ(RunMain({"diff", a, c}), 1);
+  EXPECT_EQ(RunMain({"diff", "--tolerance=0.2", a, c}), 0);
+  // Usage and load errors.
+  EXPECT_EQ(RunMain({"diff", a}), 2);
+  EXPECT_EQ(RunMain({"diff", a, a + "/no_such_dir"}), 2);
+  EXPECT_EQ(RunMain({"diff", "--exact", a, b}), 2);
+  EXPECT_EQ(RunMain({"diff", "--tolerance=-1", a, b}), 2);
+  EXPECT_EQ(RunMain({"diff", "--tolerance=abc", a, b}), 2);
+  const std::string out = testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(out.find("[value-drift] s1 | T | GRR | M"), std::string::npos)
+      << out;
+  EXPECT_NE(err.find("unknown flag --exact"), std::string::npos) << err;
+  std::filesystem::remove_all(std::filesystem::temp_directory_path() /
+                              "ldpr_cli_test");
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// runner/result_diff (the library behind tools/ldpr_diff): tree
+// runner/result_diff (the library behind `ldpr diff`): tree
 // loading, the (scenario, table, row) join, exact vs tolerance
 // gating, timing-column exemption, the structural error paths, and
 // the golden drift table.
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,12 +36,29 @@ class LdprDiffTest : public ::testing::Test {
     ASSERT_TRUE(out.good()) << path;
   }
 
-  // One scenario dir with a v2 manifest and the given JSONL rows.
+  // The tree manifest of `tree`, listing `ids`.
+  void WriteTreeManifest(const std::string& tree,
+                         const std::vector<std::string>& ids) {
+    std::string entries;
+    for (const std::string& id : ids) {
+      if (!entries.empty()) entries += ",";
+      entries += "{\"id\":\"" + id + "\"}";
+    }
+    WriteFile(root_ + "/" + tree + "/manifest.json",
+              "{\"schema_version\":2,\"kind\":\"ldpr_result_tree\","
+              "\"scenarios\":[" + entries + "]}\n");
+  }
+
+  // One scenario dir with a v2 manifest and the given JSONL rows,
+  // added to its tree's manifest.
   void WriteScenario(const std::string& tree, const std::string& id,
                      const std::vector<std::string>& rows,
                      const std::string& timing_columns = "[]",
                      const std::string& knobs =
                          "\"seed\":7,\"scale\":0.01,\"trials\":2") {
+    std::vector<std::string>& ids = tree_ids_[tree];
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+    WriteTreeManifest(tree, ids);
     const std::string dir = root_ + "/" + tree + "/" + id;
     WriteFile(dir + "/manifest.json",
               "{\"schema_version\":2,\"scenario\":\"" + id + "\"," + knobs +
@@ -62,6 +81,7 @@ class LdprDiffTest : public ::testing::Test {
   }
 
   std::string root_;
+  std::map<std::string, std::vector<std::string>> tree_ids_;
 };
 
 TEST_F(LdprDiffTest, RelativeDriftBasics) {
@@ -215,9 +235,7 @@ TEST_F(LdprDiffTest, TopLevelManifestSelectsScenarios) {
   WriteScenario("a", "s1", {Row("s1", "T", "GRR", "\"M\":1")});
   WriteScenario("a", "s2", {Row("s2", "T", "GRR", "\"M\":1")});
   // The tree manifest lists only s2: s1 must not load.
-  WriteFile(root_ + "/a/manifest.json",
-            "{\"schema_version\":2,\"kind\":\"ldpr_result_tree\","
-            "\"scenarios\":[{\"id\":\"s2\"}]}\n");
+  WriteTreeManifest("a", {"s2"});
   const ResultTree tree = Load("a");
   ASSERT_EQ(tree.scenarios.size(), 1u);
   EXPECT_EQ(tree.scenarios[0].id, "s2");
@@ -231,6 +249,7 @@ TEST_F(LdprDiffTest, LoadErrorPaths) {
   EXPECT_FALSE(LoadResultTree(root_ + "/empty").ok());
 
   // Malformed manifest JSON.
+  WriteTreeManifest("badman", {"s1"});
   WriteFile(root_ + "/badman/s1/manifest.json", "{nope\n");
   WriteFile(root_ + "/badman/s1/results.jsonl", "");
   EXPECT_FALSE(LoadResultTree(root_ + "/badman").ok());
@@ -255,6 +274,40 @@ TEST_F(LdprDiffTest, LoadErrorPaths) {
   // Non-numeric metric value.
   WriteScenario("badval", "s1", {Row("s1", "T", "GRR", "\"M\":\"oops\"")});
   EXPECT_FALSE(LoadResultTree(root_ + "/badval").ok());
+}
+
+TEST_F(LdprDiffTest, ScenarioManifestNamingAnotherIdIsALoadError) {
+  WriteScenario("a", "s1", {Row("s1", "T", "GRR", "\"M\":1")});
+  // The tree lists s1, but s1/ holds scenario s2's manifest.
+  WriteFile(root_ + "/a/s1/manifest.json",
+            "{\"schema_version\":2,\"scenario\":\"s2\",\"seed\":7}\n");
+  const auto loaded = LoadResultTree(root_ + "/a");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("names scenario 's2'"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(LdprDiffTest, DuplicateTreeManifestIdIsALoadError) {
+  WriteScenario("a", "s1", {Row("s1", "T", "GRR", "\"M\":1")});
+  WriteTreeManifest("a", {"s1", "s1"});
+  const auto loaded = LoadResultTree(root_ + "/a");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("'s1' listed twice"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(LdprDiffTest, ScenarioDirsWithoutATreeManifestAreALoadError) {
+  WriteScenario("a", "s1", {Row("s1", "T", "GRR", "\"M\":1")});
+  std::filesystem::remove(root_ + "/a/manifest.json");
+  const auto loaded = LoadResultTree(root_ + "/a");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find(root_ + "/a/manifest.json"),
+            std::string::npos)
+      << loaded.status().ToString();
+  // A single scenario directory is not a tree either.
+  EXPECT_FALSE(LoadResultTree(root_ + "/a/s1").ok());
 }
 
 TEST_F(LdprDiffTest, ExactModeIgnoresTheNoiseFloor) {

@@ -1,8 +1,9 @@
 // Registry round-trip for the scenario layer: every id ldpr_bench
 // --list reports resolves back through the registry, every grid spec
 // lowers to a valid ExperimentConfig grid whose shape matches the
-// declared columns, and a real (tiny) scenario run produces the
-// CSV/JSONL/manifest triple the --out contract promises.
+// declared columns, and a real (tiny) scenario run written through
+// the result-tree writer produces the CSV/JSONL/manifest triple the
+// --out contract promises and reads back through LoadResultTree.
 
 #include <algorithm>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "runner/manifest.h"
+#include "runner/result_diff.h"
 #include "runner/result_sink.h"
 #include "runner/scenario_runner.h"
 #include "scenarios.h"
@@ -222,15 +224,16 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   const Scenario* table1 = ScenarioRegistry::Global().Find("table1");
   ASSERT_NE(table1, nullptr);
 
-  const std::string dir =
+  const std::string root =
       (std::filesystem::temp_directory_path() / "ldpr_registry_test")
           .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(root);
 
+  // The --out path of ldpr_bench: the tree writer's sinks, then the
+  // scenario's manifest, then the tree manifest.
+  ResultTreeWriter tree(root);
   std::vector<std::unique_ptr<ResultSink>> sinks;
-  sinks.push_back(std::make_unique<CsvSink>(dir + "/results.csv"));
-  sinks.push_back(std::make_unique<JsonlSink>(dir + "/results.jsonl"));
+  ASSERT_TRUE(tree.OpenScenario("table1", sinks).ok());
   MultiSink sink(std::move(sinks));
 
   ScenarioRunOptions options;
@@ -240,10 +243,13 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   const auto report = RunScenario(*table1, options, sink);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(sink.Finish().ok());
+  ASSERT_TRUE(tree.CloseScenario(table1->spec, *report).ok());
+  ASSERT_TRUE(tree.Finish().ok());
   // Two datasets x one table x three protocol rows.
   EXPECT_EQ(report->tables, 2u);
   EXPECT_EQ(report->rows, 6u);
 
+  const std::string dir = root + "/table1";
   const std::string csv = ReadFileOrDie(dir + "/results.csv");
   // Header + 6 data rows.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 7);
@@ -259,15 +265,6 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
                        "\"row\":\"GRR\",\"values\":{\"Before-Rec\":"),
             std::string::npos);
 
-  // Manifest round-trip: fields survive serialization.
-  ScenarioRunInfo info;
-  info.seed = options.seed;
-  info.scale = options.scale;
-  info.trials = options.trials;
-  info.threads = 4;
-  RunManifest manifest = MakeRunManifest(table1->spec, info, *report,
-                                         {"results.csv", "results.jsonl"});
-  ASSERT_TRUE(WriteManifest(dir + "/manifest.json", manifest).ok());
   const std::string json = ReadFileOrDie(dir + "/manifest.json");
   EXPECT_NE(json.find("\"scenario\":\"table1\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":99"), std::string::npos);
@@ -276,8 +273,35 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   EXPECT_NE(json.find("\"git_describe\":"), std::string::npos);
   EXPECT_NE(json.find("\"files\":[\"results.csv\",\"results.jsonl\"]"),
             std::string::npos);
+  const std::string tree_json = ReadFileOrDie(root + "/manifest.json");
+  EXPECT_NE(tree_json.find("\"kind\":\"ldpr_result_tree\""),
+            std::string::npos);
+  EXPECT_NE(tree_json.find("\"files\":[\"table1/results.csv\","
+                           "\"table1/results.jsonl\","
+                           "\"table1/manifest.json\"]"),
+            std::string::npos);
 
-  std::filesystem::remove_all(dir);
+  // The tree reads back through the comparator's loader.
+  const auto loaded = LoadResultTree(root);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->scenarios.size(), 1u);
+  const ScenarioResults& results = loaded->scenarios[0];
+  EXPECT_EQ(results.id, "table1");
+  EXPECT_EQ(results.seed, 99u);
+  EXPECT_EQ(results.scale, 0.002);
+  EXPECT_EQ(results.trials, 1u);
+  EXPECT_EQ(results.timing_columns, table1->spec.timing_columns);
+  ASSERT_EQ(results.rows.size(), 6u);
+  EXPECT_EQ(results.rows[0].table,
+            "Table I (IPUMS): LDPRecover on unpoisoned frequencies");
+  EXPECT_EQ(results.rows[0].row, "GRR");
+  for (const ResultRow& row : results.rows) {
+    ASSERT_EQ(row.values.size(), table1->spec.columns.size()) << row.row;
+    for (size_t c = 0; c < row.values.size(); ++c)
+      EXPECT_EQ(row.values[c].first, table1->spec.columns[c]) << row.row;
+  }
+
+  std::filesystem::remove_all(root);
 }
 
 // Counts what a run emits and checks every row against its table's

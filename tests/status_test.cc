@@ -55,6 +55,14 @@ TEST(StatusOrTest, HoldsValue) {
   EXPECT_EQ(v.value_or(-1), 42);
 }
 
+// Callers pass x.status() straight into error checks, with no
+// x.ok() guard, so it must be OK while x holds a value.
+TEST(StatusOrTest, StatusIsOkWhileHoldingValue) {
+  StatusOr<int> v = 42;
+  EXPECT_TRUE(v.status().ok());
+  EXPECT_EQ(v.status(), Status::Ok());
+}
+
 TEST(StatusOrTest, HoldsError) {
   StatusOr<int> v = NotFoundError("nope");
   ASSERT_FALSE(v.ok());
