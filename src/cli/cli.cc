@@ -6,68 +6,133 @@
 #include <vector>
 
 #include "data/loader.h"
-#include "data/synthetic.h"
+#include "ldp/factory.h"
+#include "runner/scenario_runner.h"
 
 namespace ldpr {
 namespace cli {
 
-StatusOr<Dataset> ParseDatasetFlags(const FlagParser& flags) {
-  const std::string csv = flags.GetString("csv", "");
-  if (!csv.empty()) {
-    auto loaded = LoadItemCsv(csv);
-    if (!loaded.ok()) return loaded.status();
-    return std::move(loaded).value().dataset;
+StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
+                                     const std::string& default_dataset,
+                                     const std::string& default_attack) {
+  TrialFlags trial;
+  const auto protocol = ParseProtocolKind(flags.GetString("protocol", "GRR"));
+  if (!protocol.ok()) return protocol.status();
+  trial.protocol = *protocol;
+  if (!default_attack.empty()) {
+    const auto attack =
+        ParseAttackKind(flags.GetString("attack", default_attack));
+    if (!attack.ok()) return attack.status();
+    trial.attack = *attack;
   }
-  const std::string name = flags.GetString("dataset", "ipums");
-  const auto d = flags.GetInt("d", 102);
-  const auto n = flags.GetInt("n", 100000);
-  const auto s = flags.GetDouble("zipf_s", 1.0);
-  if (!d.ok()) return d.status();
-  if (!n.ok()) return n.status();
-  if (!s.ok()) return s.status();
-  if (*d < 2) return InvalidArgumentError("--d must be >= 2");
-  if (*n < 1) return InvalidArgumentError("--n must be >= 1");
-  if (name == "ipums") return MakeIpumsLike();
-  if (name == "fire") return MakeFireLike();
-  if (name == "zipf") {
-    return MakeZipfDataset("zipf", static_cast<size_t>(*d),
-                           static_cast<uint64_t>(*n), *s, /*shuffle_seed=*/17);
+  trial.csv = flags.GetString("csv", "");
+  if (!trial.csv.empty() &&
+      (flags.Has("dataset") || flags.Has("d") || flags.Has("n")))
+    return InvalidArgumentError(
+        "--csv fixes the population; drop --dataset/--d/--n");
+  trial.dataset = flags.GetString("dataset", default_dataset);
+  const auto d = flags.GetInt("d", 0);
+  const auto n = flags.GetInt("n", 0);
+  const auto scale = flags.GetDouble("scale", trial.scale);
+  const auto epsilon = flags.GetDouble("epsilon", trial.epsilon);
+  const auto beta = flags.GetDouble("beta", trial.beta);
+  const auto eta = flags.GetDouble("eta", trial.eta);
+  const auto targets = flags.GetNonNegativeInt("targets", 10);
+  const auto seed = flags.GetNonNegativeInt("seed", 1);
+  for (const Status& status :
+       {d.status(), n.status(), scale.status(), epsilon.status(),
+        beta.status(), eta.status(), targets.status(), seed.status()}) {
+    if (!status.ok()) return status;
   }
-  if (name == "uniform") {
-    return MakeUniformDataset("uniform", static_cast<size_t>(*d),
-                              static_cast<uint64_t>(*n));
-  }
-  return InvalidArgumentError("unknown dataset: " + name);
+  if (flags.Has("d") && *d < 2) return InvalidArgumentError("--d must be >= 2");
+  if (flags.Has("n") && *n < 1) return InvalidArgumentError("--n must be >= 1");
+  if (!(*scale > 0.0 && *scale <= 1.0))
+    return InvalidArgumentError("--scale must be in (0, 1]");
+  trial.d = static_cast<size_t>(*d);
+  trial.n = static_cast<uint64_t>(*n);
+  trial.scale = *scale;
+  trial.epsilon = *epsilon;
+  trial.beta = *beta;
+  trial.eta = *eta;
+  trial.targets = static_cast<uint64_t>(*targets);
+  trial.seed = static_cast<uint64_t>(*seed);
+  return trial;
 }
 
-StatusOr<std::unique_ptr<ResultSink>> MakeRunSink(
-    const std::string& out_path, const std::string& scenario_id) {
-  // The console table and the optional --out file are two sinks over
-  // one row stream, so the file always mirrors what was printed.
-  // Opened before the run so a bad path fails in milliseconds, not
-  // after a paper-scale experiment.
-  std::vector<std::unique_ptr<ResultSink>> sinks;
-  sinks.push_back(std::make_unique<ConsoleSink>());
-  if (!out_path.empty()) {
-    const bool jsonl = out_path.size() >= 6 &&
-                       out_path.compare(out_path.size() - 6, 6, ".jsonl") == 0;
-    if (jsonl) {
-      auto out_sink = std::make_unique<JsonlSink>(out_path);
-      if (!out_sink->ok())
-        return NotFoundError("cannot write " + out_path);
-      sinks.push_back(std::move(out_sink));
-    } else {
-      auto out_sink = std::make_unique<CsvSink>(out_path);
-      if (!out_sink->ok())
-        return NotFoundError("cannot write " + out_path);
-      sinks.push_back(std::move(out_sink));
+StatusOr<Dataset> ResolveTrialDataset(const TrialFlags& trial) {
+  if (trial.csv.empty())
+    return ResolveBenchDataset(trial.dataset, trial.scale, trial.d, trial.n);
+  auto loaded = LoadItemCsv(trial.csv);
+  if (!loaded.ok()) return loaded.status();
+  return ScaleDataset(loaded->dataset, trial.scale);
+}
+
+Status Require(bool condition, const std::string& message) {
+  return condition ? Status::Ok() : InvalidArgumentError(message);
+}
+
+int ExitStatus(const FlagParser& flags,
+               std::initializer_list<Status> statuses) {
+  for (const Status& status : statuses) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+      return 1;
     }
   }
-  auto sink = std::make_unique<MultiSink>(std::move(sinks));
-  ScenarioRunInfo info;
-  info.id = scenario_id;
-  sink->BeginScenario(info);
-  return StatusOr<std::unique_ptr<ResultSink>>(std::move(sink));
+  for (const std::string& unused : flags.unused_flags()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
+    return 1;
+  }
+  return 0;
+}
+
+ResultOutput::ResultOutput(ScenarioSpec spec, std::string out_dir,
+                           bool console)
+    : spec_(std::move(spec)),
+      out_dir_(std::move(out_dir)),
+      console_(console),
+      tree_(out_dir_) {
+  spec_.artifact = "extension";
+}
+
+Status ResultOutput::Open(const ScenarioRunReport& run,
+                          const Dataset& dataset) {
+  report_ = run;
+  report_.info.id = spec_.id;
+  report_.info.title = spec_.title;
+  report_.info.datasets.push_back(
+      {dataset.name, dataset.domain_size(), dataset.num_users()});
+  std::vector<std::unique_ptr<ResultSink>> sinks;
+  if (console_) sinks.push_back(std::make_unique<ConsoleSink>());
+  if (!out_dir_.empty()) {
+    const Status opened = tree_.OpenScenario(spec_.id, sinks);
+    if (!opened.ok()) return opened;
+  }
+  sink_ = std::make_unique<MultiSink>(std::move(sinks));
+  sink_->BeginScenario(report_.info);
+  return Status::Ok();
+}
+
+void ResultOutput::WriteTable(const std::string& title,
+                              const std::vector<TableRow>& rows) {
+  sink_->BeginTable(title, spec_.columns);
+  for (const auto& [label, values] : rows) sink_->AddRow(label, values);
+  sink_->EndTable();
+  ++report_.tables;
+  report_.rows += rows.size();
+}
+
+Status ResultOutput::Finish() {
+  Status status = sink_->Finish();
+  if (!status.ok() || out_dir_.empty()) return status;
+  status = tree_.CloseScenario(spec_, report_);
+  if (!status.ok()) return status;
+  status = tree_.Finish();
+  if (!status.ok()) return status;
+  std::printf("wrote %s/manifest.json and %s/%s/"
+              "{results.csv,results.jsonl,manifest.json}\n",
+              out_dir_.c_str(), out_dir_.c_str(), spec_.id.c_str());
+  return Status::Ok();
 }
 
 void PrintUsage(std::FILE* out) {

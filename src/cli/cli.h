@@ -8,10 +8,10 @@
 //   ldpr diff          compare two result trees
 //   ldpr list          subcommands and registered scenarios
 //
-// Shared flags (--protocol/--attack/--dataset/--epsilon/--beta/
-// --eta/--targets/--seed/--scale/...) parse identically across
-// subcommands; each subcommand validates the subset it uses and
-// rejects unknown flags via FlagParser::unused_flags().
+// One path per job: the trial flags parse in ParseTrialFlags, named
+// datasets resolve through the runner's table (ResolveBenchDataset),
+// errors and unknown flags exit through ExitStatus, and every
+// `--out DIR` of run/stream/shard-merge is a result tree (ResultOutput).
 //
 // Exit codes: 0 success, 1 any error (bad flags, I/O, failed merge).
 // `ldpr diff` keeps a comparator's ladder instead: 0 agree,
@@ -20,30 +20,91 @@
 #ifndef LDPR_CLI_CLI_H_
 #define LDPR_CLI_CLI_H_
 
+#include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.h"
+#include "ldp/protocol.h"
+#include "runner/manifest.h"
+#include "runner/registry.h"
 #include "runner/result_sink.h"
+#include "sim/pipeline.h"
 #include "util/flags.h"
 #include "util/status.h"
 
 namespace ldpr {
 namespace cli {
 
-/// Dataset selection shared by `run` and `stream`: --csv FILE, or
-/// --dataset (ipums|fire|zipf|uniform) with --d/--n/--zipf_s shape
-/// knobs for the synthetic generators.
-StatusOr<Dataset> ParseDatasetFlags(const FlagParser& flags);
+/// The trial the shared flags describe; every command reads it
+/// through ParseTrialFlags, so a flag means the same thing everywhere.
+struct TrialFlags {
+  ProtocolKind protocol = ProtocolKind::kGrr;
+  AttackKind attack = AttackKind::kNone;
+  std::string dataset;  // a ResolveBenchDataset generator name
+  std::string csv;      // --csv FILE: load the population instead
+  size_t d = 0;         // --d/--n shape overrides; 0 = generator default
+  uint64_t n = 0;
+  double scale = 1.0;
+  double epsilon = 0.5;
+  double beta = 0.05;
+  double eta = 0.2;
+  uint64_t targets = 10;
+  uint64_t seed = 1;
+};
 
-/// The console-plus-optional-file sink `run` and `stream` write
-/// through: always a ConsoleSink, plus a CsvSink (or JsonlSink when
-/// `out_path` ends in .jsonl) when `out_path` is non-empty.  The
-/// scenario banner carries `scenario_id`.  Errors when the file
-/// cannot be opened — callers fail fast before any expensive run.
-StatusOr<std::unique_ptr<ResultSink>> MakeRunSink(
-    const std::string& out_path, const std::string& scenario_id);
+/// Reads the trial flags with the command's defaults; an empty
+/// `default_attack` leaves --attack unread (an unknown flag).  --d < 2,
+/// --n < 1, --scale outside (0, 1] and --csv with --dataset/--d/--n
+/// are errors.
+StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
+                                     const std::string& default_dataset,
+                                     const std::string& default_attack);
+
+/// The --csv file or the named generator (ResolveBenchDataset, which
+/// rejects --d/--n on a fixed-shape dataset), scaled by --scale.
+StatusOr<Dataset> ResolveTrialDataset(const TrialFlags& trial);
+
+/// InvalidArgument(`message`) unless `condition` holds.
+Status Require(bool condition, const std::string& message);
+
+/// The one failure path of every command but `diff`: prints the first
+/// non-OK status, or else the first flag the command never read, as
+/// `error: ...` on stderr and returns 1; returns 0 when there is none.
+int ExitStatus(const FlagParser& flags, std::initializer_list<Status> statuses);
+
+/// One row of a command's result table.
+using TableRow = std::pair<std::string, std::vector<double>>;
+
+/// A command's one result table: on the console under the standard
+/// scenario banner (when `console`), and with a non-empty `out_dir`
+/// as the one-scenario result tree of `spec` (runner/manifest.h),
+/// an "extension" artifact.
+class ResultOutput {
+ public:
+  ResultOutput(ScenarioSpec spec, std::string out_dir, bool console = true);
+
+  /// Prints the banner of `run.info` plus `dataset` and opens the
+  /// result files, so an unwritable --out fails before the work starts.
+  Status Open(const ScenarioRunReport& run, const Dataset& dataset);
+
+  void WriteTable(const std::string& title, const std::vector<TableRow>& rows);
+
+  /// Flushes every sink and writes both manifests.
+  Status Finish();
+
+ private:
+  ScenarioSpec spec_;
+  std::string out_dir_;
+  bool console_;
+  ScenarioRunReport report_;
+  ResultTreeWriter tree_;
+  std::unique_ptr<MultiSink> sink_;
+};
 
 /// Subcommand entry points; each consumes the flags *after* the
 /// subcommand word and returns the process exit code.

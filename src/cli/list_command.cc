@@ -12,28 +12,26 @@ namespace ldpr {
 namespace cli {
 
 int ListCommand(const FlagParser& flags) {
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
+  if (const int rc = ExitStatus(flags, {})) return rc;
   std::printf(
       "commands:\n"
-      "  run           --protocol --attack --dataset|--csv --epsilon --beta\n"
-      "                --eta --targets --trials --seed --scale --top_k\n"
-      "                --threads --out FILE\n"
-      "  stream        --protocol --dataset|--csv --epsilon --beta --eta\n"
-      "                --targets --seed --scale --window --stride --wave\n"
-      "                --out FILE\n"
-      "  shard-worker  spec flags (--protocol --attack --dataset --d --n\n"
-      "                --scale --epsilon --beta --targets --eta --seed\n"
-      "                --users_per_chunk --reports_per_chunk) plus\n"
-      "                --workers N --worker I --out FILE|-\n"
-      "  shard-merge   spec flags plus partial files as operands,\n"
-      "                --allow_missing, --out DIR, or --inprocess\n"
-      "                --workers N for the in-process reference\n"
+      "  run           trial flags plus --trials --top_k --threads\n"
+      "                --out DIR\n"
+      "  stream        trial flags except --attack, plus --window\n"
+      "                --stride --wave --out DIR\n"
+      "  shard-worker  trial flags plus --users_per_chunk\n"
+      "                --reports_per_chunk --workers N --worker I\n"
+      "                --out FILE|-\n"
+      "  shard-merge   shard-worker's spec flags, partial files as\n"
+      "                operands, --allow_missing, --out DIR, or\n"
+      "                --inprocess --workers N (in-process reference)\n"
       "  diff          [--tolerance=REL] TREE_A TREE_B; exact without\n"
       "                --tolerance; exit 0 agree, 1 drift, 2 usage/load\n"
-      "  list          this listing\n");
+      "  list          this listing\n"
+      "\n"
+      "trial flags: --protocol --attack --dataset --d --n (zipf|uniform)\n"
+      "  --csv FILE (run, stream) --scale --epsilon --beta --eta --targets\n"
+      "  --seed; every --out DIR is a result tree for `ldpr diff`\n");
 
   const auto scenarios = ScenarioRegistry::Global().scenarios();
   if (scenarios.empty()) {

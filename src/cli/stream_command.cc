@@ -6,16 +6,19 @@
 //   ldpr stream --protocol=OUE --dataset=zipf
 //       --wave=wave --beta=0.25 --window=10000 --stride=5000
 //
-// Extra knobs over the shared layer: --window [n/10 reports],
-// --stride [0 = tumbling], --wave [constant]
+// Flags: the trial flags (cli.h) with the `ldpr run` defaults, minus
+// --attack (the attack is the MGA wave); --beta is the (peak)
+// attacker fraction and --targets the MGA target count.  Extra knobs:
+// --window [n/10 reports], --stride [0 = tumbling], --wave [constant]
 // (none|constant|wave|ramp; `wave` switches the MGA cohort on over
-// the middle [0.3n, 0.7n) of the stream), with --beta as the (peak)
-// attacker fraction and --targets as the MGA target count.
+// the middle [0.3n, 0.7n) of the stream), and --out DIR (a result
+// tree with the one scenario `cli-stream`).
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.h"
@@ -37,40 +40,17 @@ StatusOr<WaveShape> ParseWaveShape(const std::string& name) {
 }  // namespace
 
 int StreamCommand(const FlagParser& flags) {
-  const auto protocol_or =
-      ParseProtocolKind(flags.GetString("protocol", "GRR"));
-  auto dataset_or = ParseDatasetFlags(flags);
-  const auto epsilon = flags.GetDouble("epsilon", 0.5);
-  const auto beta = flags.GetDouble("beta", 0.05);
-  const auto eta = flags.GetDouble("eta", 0.2);
-  const auto targets = flags.GetNonNegativeInt("targets", 10);
-  const auto seed = flags.GetNonNegativeInt("seed", 1);
-  const auto scale = flags.GetDouble("scale", 1.0);
+  const auto trial = ParseTrialFlags(flags, "ipums", /*default_attack=*/"");
   const auto window = flags.GetNonNegativeInt("window", 0);
   const auto stride = flags.GetNonNegativeInt("stride", 0);
   const auto wave_or = ParseWaveShape(flags.GetString("wave", "constant"));
-  const std::string out_path = flags.GetString("out", "");
-
-  for (const Status& status :
-       {protocol_or.status(), dataset_or.status(), epsilon.status(),
-        beta.status(), eta.status(), targets.status(), seed.status(),
-        scale.status(), window.status(), stride.status(),
-        wave_or.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
-  if (!(*scale > 0.0 && *scale <= 1.0)) {
-    std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --scale must be in (0, 1]\n");
-    return 1;
-  }
-  const Dataset dataset = ScaleDataset(*dataset_or, *scale);
+  const std::string out_dir = flags.GetString("out", "");
+  if (const int rc = ExitStatus(flags, {trial.status(), window.status(),
+                                        stride.status(), wave_or.status()}))
+    return rc;
+  const auto dataset_or = ResolveTrialDataset(*trial);
+  if (const int rc = ExitStatus(flags, {dataset_or.status()})) return rc;
+  const Dataset& dataset = *dataset_or;
 
   StreamSpec spec;
   spec.total_reports = dataset.num_users();
@@ -80,53 +60,53 @@ int StreamCommand(const FlagParser& flags) {
   spec.stride_reports = static_cast<size_t>(*stride);
   spec.item_counts = dataset.item_counts;
   spec.wave = *wave_or;
-  spec.attacker_fraction = spec.wave == WaveShape::kNone ? 0.0 : *beta;
-  spec.num_targets = static_cast<size_t>(*targets);
+  spec.attacker_fraction = spec.wave == WaveShape::kNone ? 0.0 : trial->beta;
+  spec.num_targets = static_cast<size_t>(trial->targets);
   if (spec.wave == WaveShape::kWave) {
     spec.wave_start = spec.total_reports * 3 / 10;
     spec.wave_end = spec.total_reports * 7 / 10;
   }
-  if (const Status valid = ValidateStreamSpec(spec); !valid.ok()) {
-    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
-    return 1;
-  }
-
-  auto sink_or = MakeRunSink(out_path, "cli-stream");
-  if (!sink_or.ok()) {
-    std::fprintf(stderr, "error: %s\n", sink_or.status().ToString().c_str());
-    return 1;
-  }
-  ResultSink& sink = **sink_or;
+  if (const int rc = ExitStatus(flags, {ValidateStreamSpec(spec)})) return rc;
 
   const auto protocol =
-      MakeProtocol(*protocol_or, dataset.domain_size(), *epsilon);
+      MakeProtocol(trial->protocol, dataset.domain_size(), trial->epsilon);
   StreamEngineOptions options;
-  options.recover.eta = *eta;
+  options.recover.eta = trial->eta;
   const double base = ApproxGenuineSuspicionRate(*protocol, spec.num_targets);
   const double peak =
       spec.attacker_fraction > 0.0 ? spec.attacker_fraction : 0.25;
   options.detect_fraction = base + peak * (1.0 - base) / 2.0;
 
-  std::printf("ldpr stream: %s on %s (d=%zu, n=%llu), eps=%g, "
-              "wave=%s, beta=%g, window=%zu, stride=%zu\n\n",
-              ProtocolKindName(*protocol_or), dataset.name.c_str(),
-              dataset.domain_size(),
-              static_cast<unsigned long long>(spec.total_reports), *epsilon,
-              WaveShapeName(spec.wave), spec.attacker_fraction,
-              spec.window_reports, spec.stride_reports);
+  ScenarioSpec scenario;
+  scenario.id = "cli-stream";
+  char title[160];
+  std::snprintf(title, sizeof(title),
+                "ldpr stream: %s, eps=%g, wave=%s, beta=%g, window=%zu, "
+                "stride=%zu",
+                ProtocolKindName(trial->protocol), trial->epsilon,
+                WaveShapeName(spec.wave), spec.attacker_fraction,
+                spec.window_reports, spec.stride_reports);
+  scenario.title = title;
+  scenario.columns = {"Reports", "Attackers", "MSE", "RecMSE", "Detected"};
+  ScenarioRunReport run;
+  run.info.seed = trial->seed;
+  run.info.scale = trial->scale;
+  run.info.trials = 1;
+  run.info.threads = 1;  // the streaming engine is serial
+  ResultOutput output(std::move(scenario), out_dir);
+  if (const int rc = ExitStatus(flags, {output.Open(run, dataset)})) return rc;
 
   const StreamSummary summary =
-      RunStream(*protocol, spec, options, static_cast<uint64_t>(*seed));
+      RunStream(*protocol, spec, options, trial->seed);
 
-  sink.BeginTable("Streaming windows",
-                  {"Reports", "Attackers", "MSE", "RecMSE", "Detected"});
+  std::vector<TableRow> rows;
   for (const WindowResult& w : summary.windows) {
-    sink.AddRow("win" + std::to_string(w.index),
-                {static_cast<double>(w.report_count),
-                 static_cast<double>(w.attackers), w.mse_estimate,
-                 w.mse_recovered, w.detected ? 1.0 : 0.0});
+    rows.push_back({"win" + std::to_string(w.index),
+                    {static_cast<double>(w.report_count),
+                     static_cast<double>(w.attackers), w.mse_estimate,
+                     w.mse_recovered, w.detected ? 1.0 : 0.0}});
   }
-  sink.EndTable();
+  output.WriteTable("Streaming windows", rows);
 
   if (summary.windows_to_detection == kNoDetection) {
     std::printf("windows to detection: none flagged\n");
@@ -140,13 +120,7 @@ int StreamCommand(const FlagParser& flags) {
               summary.peak_buffered_reports, summary.mean_mse_estimate,
               summary.mean_mse_recovered);
 
-  const Status finish = sink.Finish();
-  if (!finish.ok()) {
-    std::fprintf(stderr, "error: %s\n", finish.ToString().c_str());
-    return 1;
-  }
-  if (!out_path.empty()) std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  return ExitStatus(flags, {output.Finish()});
 }
 
 }  // namespace cli

@@ -1,5 +1,5 @@
-// Result trees: the one on-disk layout `ldpr_bench --out` and
-// `ldpr shard-merge --out` write, and the one writer both use.
+// Result trees: the one on-disk layout `ldpr_bench --out` and every
+// `ldpr` command's `--out DIR` write, and the one writer they use.
 //
 //   <root>/manifest.json         tree manifest: every scenario of the
 //                                run with its knobs and files

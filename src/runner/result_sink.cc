@@ -12,8 +12,6 @@ void ResultSink::BeginScenario(const ScenarioRunInfo& info) { info_ = info; }
 
 void ConsoleSink::BeginScenario(const ScenarioRunInfo& info) {
   ResultSink::BeginScenario(info);
-  // An info without a title is a bare id tag (the CLI): no banner.
-  if (info.title.empty()) return;
   std::printf("%s\n", info.title.c_str());
   std::printf("scenario=%s seed=%llu scale=%.3g trials=%zu\n",
               info.id.c_str(), static_cast<unsigned long long>(info.seed),

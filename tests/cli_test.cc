@@ -1,16 +1,19 @@
 // Tests for the `ldpr` subcommand CLI (src/cli/), driven through
 // cli::Main exactly as tools/ldpr.cc calls it.  Every rejected case
 // fails at flag validation, before any experiment runs; `ldpr diff`
-// runs on tiny hand-written result trees.
+// runs on tiny hand-written result trees and on small `run`/`stream`
+// trees.
 
 #include "cli/cli.h"
 
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "runner/result_diff.h"
 
 namespace ldpr {
 namespace cli {
@@ -21,6 +24,19 @@ int RunMain(std::vector<std::string> args) {
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
   return Main(static_cast<int>(argv.size()), argv.data());
+}
+
+// Runs `args` with stdout captured; returns (exit code, stderr).
+std::pair<int, std::string> RunQuiet(const std::vector<std::string>& args) {
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = RunMain(args);
+  testing::internal::GetCapturedStdout();
+  return {rc, testing::internal::GetCapturedStderr()};
+}
+
+std::filesystem::path TestDir() {
+  return std::filesystem::temp_directory_path() / "ldpr_cli_test";
 }
 
 TEST(CliTest, ListSucceeds) { EXPECT_EQ(RunMain({"list"}), 0); }
@@ -77,6 +93,108 @@ TEST(CliTest, ShardCommandsRejectBadTrialInputs) {
   }
 }
 
+// Named datasets resolve through the runner's one generator table, so
+// every command rejects --d/--n on a fixed-shape dataset instead of
+// silently running its native shape.
+TEST(CliTest, FixedShapeDatasetsRejectShapeFlags) {
+  const std::vector<std::vector<std::string>> kCases = {
+      {"run", "--dataset=ipums", "--d=50"},
+      {"stream", "--dataset=ipums", "--d=50"},
+      {"stream", "--dataset=fire", "--d=50", "--n=10"},
+      {"shard-worker", "--dataset=ipums", "--d=50"},
+  };
+  for (const auto& args : kCases) {
+    const auto [rc, err] = RunQuiet(args);
+    EXPECT_EQ(rc, 1) << args[0] << " " << args[1];
+    EXPECT_NE(err.find("has a fixed shape and accepts no d/n overrides"),
+              std::string::npos)
+        << args[0] << " " << args[1] << ": " << err;
+  }
+}
+
+TEST(CliTest, TrialFlagErrors) {
+  const struct {
+    std::vector<std::string> args;
+    const char* error;
+  } kCases[] = {
+      {{"run", "--dataset=zipf", "--zipf_s=1.1"}, "unknown flag --zipf_s"},
+      {{"stream", "--dataset=zipf", "--zipf_s=1.1"}, "unknown flag --zipf_s"},
+      {{"run", "--dataset=zipf", "--d=1"}, "--d must be >= 2"},
+      {{"stream", "--dataset=zipf", "--n=0"}, "--n must be >= 1"},
+      {{"shard-worker", "--d=0"}, "--d must be >= 2"},
+      {{"run", "--csv=items.csv", "--d=50"}, "--csv fixes the population"},
+      {{"shard-merge", "--inprocess", "--csv=items.csv"}, "not --csv"},
+      {{"run", "--scale=2"}, "--scale must be in (0, 1]"},
+  };
+  for (const auto& c : kCases) {
+    const auto [rc, err] = RunQuiet(c.args);
+    EXPECT_EQ(rc, 1) << c.args[1];
+    EXPECT_NE(err.find(c.error), std::string::npos) << c.args[1] << ": " << err;
+  }
+}
+
+// A switch followed by an operand used to swallow it as its value
+// (`--allow_missing torn.jsonl` read as allow_missing=torn.jsonl, then
+// false).  Now the value is an error naming the flag and the token.
+TEST(CliTest, SwitchesRejectSwallowedOperands) {
+  const std::string spec[] = {"--attack=MGA", "--n=2000"};
+  for (const char* flag : {"--allow_missing", "--inprocess"}) {
+    const auto [rc, err] = RunQuiet(
+        {"shard-merge", spec[0], spec[1], flag, "part0.jsonl"});
+    EXPECT_EQ(rc, 1) << flag;
+    EXPECT_NE(err.find(std::string("INVALID_ARGUMENT: flag ") + flag),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("got: part0.jsonl"), std::string::npos) << err;
+  }
+  EXPECT_EQ(RunQuiet({"shard-merge", spec[0], spec[1], "--inprocess=true",
+                      "--allow_missing=0"})
+                .first,
+            0);
+}
+
+// The stream example README.md and docs/benchmarks.md document, at a
+// small --n.
+TEST(CliTest, DocumentedStreamCommandRuns) {
+  EXPECT_EQ(RunQuiet({"stream", "--protocol=OUE", "--dataset=zipf",
+                      "--wave=wave", "--beta=0.25", "--n=5000"})
+                .first,
+            0);
+}
+
+// `run --out` and `stream --out` write result trees `ldpr diff` reads;
+// the trees of one spec agree exactly at any thread count.
+TEST(CliTest, RunAndStreamOutAreDiffableTrees) {
+  const std::string root = (TestDir() / "out").string();
+  const std::vector<std::string> run = {
+      "run",     "--protocol=OUE", "--attack=MGA", "--dataset=zipf",
+      "--d=16", "--n=5000",       "--trials=2"};
+  const std::vector<std::string> stream = {
+      "stream", "--protocol=OUE", "--dataset=zipf", "--d=16",
+      "--n=5000", "--wave=wave",  "--beta=0.2"};
+  for (const auto& [args, id] :
+       {std::pair(run, "cli"), std::pair(stream, "cli-stream")}) {
+    for (const char* threads : {"1", "4"}) {
+      std::vector<std::string> with_out = args;
+      with_out.push_back("--out=" + root + "/" + args[0] + threads);
+      if (args[0] == "run")
+        with_out.push_back(std::string("--threads=") + threads);
+      EXPECT_EQ(RunQuiet(with_out).first, 0) << args[0];
+      const auto tree = LoadResultTree(root + "/" + args[0] + threads);
+      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+      ASSERT_EQ(tree->scenarios.size(), 1u);
+      EXPECT_EQ(tree->scenarios[0].id, id);
+      EXPECT_FALSE(tree->scenarios[0].rows.empty());
+    }
+    EXPECT_EQ(RunQuiet({"diff", root + "/" + args[0] + "1",
+                        root + "/" + args[0] + "4"})
+                  .first,
+              0)
+        << args[0];
+  }
+  std::filesystem::remove_all(root);
+}
+
 TEST(CliTest, DiffIsListed) {
   for (const char* command : {"help", "list"}) {
     testing::internal::CaptureStdout();
@@ -88,8 +206,7 @@ TEST(CliTest, DiffIsListed) {
 
 // Writes a one-scenario result tree whose single metric is `value`.
 std::string WriteTree(const std::string& name, const std::string& value) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "ldpr_cli_test" / name;
+  const std::filesystem::path root = TestDir() / name;
   std::filesystem::create_directories(root / "s1");
   std::ofstream(root / "manifest.json")
       << "{\"schema_version\":2,\"kind\":\"ldpr_result_tree\","
@@ -123,8 +240,7 @@ TEST(CliTest, DiffExitCodes) {
   EXPECT_NE(out.find("[value-drift] s1 | T | GRR | M"), std::string::npos)
       << out;
   EXPECT_NE(err.find("unknown flag --exact"), std::string::npos) << err;
-  std::filesystem::remove_all(std::filesystem::temp_directory_path() /
-                              "ldpr_cli_test");
+  std::filesystem::remove_all(TestDir());
 }
 
 }  // namespace
