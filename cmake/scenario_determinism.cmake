@@ -1,6 +1,7 @@
 # Runs `ldpr_bench --scenario ${SCENARIO} --out` twice —
-# LDPR_THREADS=1 and LDPR_THREADS=3 — at a tiny scale and fails unless
-# the two runs agree:
+# LDPR_THREADS=1 and LDPR_THREADS=3 — at SCALE (default 0.02, a tiny
+# scale) with TRIALS trials per cell (default 2) and fails unless the
+# two runs agree:
 #
 #   - LDPR_CLI (when set): the result trees must pass the exact
 #     `ldpr diff`, which joins rows by (scenario, table, row) and
@@ -14,14 +15,21 @@
 #
 # Usage: cmake -DLDPR_BENCH=<path> -DSCENARIO=<id> -DWORK_DIR=<dir>
 #        [-DLDPR_CLI=<path>] [-DHAS_TIMING_COLUMNS=1]
+#        [-DSCALE=<s>] [-DTRIALS=<t>]
 #        -P scenario_determinism.cmake
 
 if(NOT LDPR_BENCH OR NOT SCENARIO OR NOT WORK_DIR)
   message(FATAL_ERROR "LDPR_BENCH, SCENARIO, and WORK_DIR must be set")
 endif()
 
-set(ENV{LDPR_BENCH_SCALE} "0.02")
-set(ENV{LDPR_BENCH_TRIALS} "2")
+if(NOT SCALE)
+  set(SCALE "0.02")
+endif()
+if(NOT TRIALS)
+  set(TRIALS "2")
+endif()
+set(ENV{LDPR_BENCH_SCALE} "${SCALE}")
+set(ENV{LDPR_BENCH_TRIALS} "${TRIALS}")
 
 set(out_serial "${WORK_DIR}/${SCENARIO}-t1")
 set(out_parallel "${WORK_DIR}/${SCENARIO}-t3")

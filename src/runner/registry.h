@@ -36,8 +36,9 @@ struct ScenarioRunReport {
   size_t rows = 0;
   /// Split of the thread budget over the scenario's flat fan-out
   /// units (config x trial for grid scenarios, cell x trial for
-  /// bespoke tables): `outer_workers` concurrent units, each with
-  /// `shards` within-trial aggregation workers.
+  /// bespoke tables): `outer_workers` concurrent units, each of
+  /// which may use `shards` (the whole budget) within-trial
+  /// aggregation workers.
   size_t outer_workers = 1;
   size_t shards = 1;
   /// The resolved run knobs and dataset sizes this run used — the

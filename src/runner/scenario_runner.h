@@ -70,7 +70,7 @@ using TrialColumnsFn = std::function<std::vector<double>(
 /// Runs one table of a custom scenario: trial t of cell c runs
 /// fn(c, shards, DeriveSeed(seed, c * ctx.trials + t)) on the shared
 /// (cell x trial) fan-out, where `shards` is the trial's within-trial
-/// aggregation share.  Row c, labelled row_labels[c], is the
+/// aggregation budget.  Row c, labelled row_labels[c], is the
 /// per-column mean of the cell's trials, merged in trial order, so
 /// the table is byte-identical at any thread count.  A separator
 /// follows every `group` rows when `group` is non-zero.  Records the

@@ -15,13 +15,12 @@
 //
 // Threading contract (docs/architecture.md): every trial grid runs
 // through one flat (cell x trial) fan-out (FanOutTrials in
-// util/thread_pool.h) on one thread budget (0 = auto).  Several
-// trials fan out across the pool and each aggregates serially
-// (nested ParallelFor calls run inline); a single trial gets the
-// whole budget for its within-trial aggregation shards.  Results are
-// byte-identical under every budget because per-trial and per-shard
-// RNG streams are counter-derived and every merge happens in index
-// order.
+// util/thread_pool.h) on one thread budget (0 = auto).  Up to
+// `threads` trials run at once and every trial may use the whole
+// budget for its within-trial aggregation shards, whose chunks run on
+// whichever pool workers are idle.  Results are byte-identical under
+// every budget because per-trial and per-shard RNG streams are
+// counter-derived and every merge happens in index order.
 
 #ifndef LDPR_SIM_EXPERIMENT_H_
 #define LDPR_SIM_EXPERIMENT_H_
@@ -55,13 +54,12 @@ struct ExperimentConfig {
   /// recover/malicious_stats.h.
   bool paper_literal_subdomain_sum = false;
   /// Worker-thread budget of RunExperiment: 0 = auto (LDPR_THREADS or
-  /// hardware concurrency), 1 = fully serial.  It is split between
-  /// the trial fan-out and the within-trial aggregation shards (see
-  /// the file header); pipeline.shards is overridden with the
-  /// within-trial share.  Results are bit-identical at every thread
-  /// count: each trial runs on its own counter-derived RNG stream,
-  /// sharded aggregation chunks likewise, and all merges happen in
-  /// index order.
+  /// hardware concurrency), 1 = fully serial.  It is shared by the
+  /// trial fan-out and the within-trial aggregation shards (see the
+  /// file header); pipeline.shards is overridden with the budget.
+  /// Results are bit-identical at every thread count: each trial runs
+  /// on its own counter-derived RNG stream, sharded aggregation chunks
+  /// likewise, and all merges happen in index order.
   size_t threads = 0;
 };
 

@@ -58,7 +58,7 @@ struct PipelineConfig {
   /// fixed-size chunks whose RNG streams are derived from the trial
   /// seed, and partial counts merge in chunk order — so this knob
   /// only decides how many cores one trial may use.  RunExperiments
-  /// budgets it against the trial-level fan-out (see experiment.h).
+  /// sets it to the whole thread budget (see experiment.h).
   size_t shards = 1;
 };
 

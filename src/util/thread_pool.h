@@ -17,19 +17,26 @@
 //    including the serial threads <= 1 fast path.
 //
 //  - The first exception thrown by any index is captured and
-//    rethrown on the calling thread after all workers finish.
+//    rethrown on the calling thread once every index has finished.
+//
+//  - Each ParallelFor call keeps its own index counter and done
+//    count and waits on that count, never on the pool-wide Wait(), so
+//    loops may nest: a loop issued from inside a pool task — e.g.
+//    shard-level aggregation inside a trial-level fan-out — queues
+//    helper tasks that idle workers pick up while the caller claims
+//    indices itself.  A caller runs indices only when it is a worker
+//    of the pool the loop runs on; any other caller just waits, so a
+//    pool of N never has more than N busy threads.  Which thread runs
+//    an index never affects results (the determinism contract above).
 //
 //  - The free ParallelFor reuses one process-wide lazily-created
 //    pool (GlobalThreadPool()), so many small parallel loops pay
-//    thread-spawn cost once.  A call *nested inside* a pool task —
-//    e.g. shard-level aggregation inside a trial-level fan-out — runs
-//    inline on the calling worker, in index order: the outer fan-out
-//    already owns the workers, and re-entering the pool from its own
-//    task would deadlock.
+//    thread-spawn cost once.
 //
 // Thread count resolution: an explicit count wins; 0 means "auto",
-// which honors the LDPR_THREADS environment variable and falls back
-// to std::thread::hardware_concurrency().
+// which honors the LDPR_THREADS environment variable (a whole integer;
+// anything else aborts naming the variable) and falls back to
+// std::thread::hardware_concurrency().
 
 #ifndef LDPR_UTIL_THREAD_POOL_H_
 #define LDPR_UTIL_THREAD_POOL_H_
@@ -71,9 +78,12 @@ class ThreadPool {
 
   /// Runs fn(begin) ... fn(end-1) across the pool's workers and
   /// blocks until all indices are done.  Rethrows the first
-  /// exception any index threw.  `max_runners` caps how many workers
-  /// participate (0 = all of them) so a shared pool can serve a
-  /// caller that asked for fewer threads than the pool holds.
+  /// exception any index threw.  `max_runners` caps how many threads
+  /// run indices of this loop (0 = the pool's size), counting the
+  /// caller when it is one of this pool's workers, so a shared pool
+  /// can serve a caller that asked for fewer threads than it holds.
+  /// Safe to call from inside this pool's own tasks (see the file
+  /// header).
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn,
                    size_t max_runners = 0);
@@ -90,8 +100,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// LDPR_THREADS if set (clamped to >= 1), else hardware concurrency,
-/// else 1.  This is the pool size every "0 = auto" caller gets.
+/// LDPR_THREADS if set (clamped to >= 1; a value that is not a whole
+/// integer aborts with a message naming the variable), else hardware
+/// concurrency, else 1.  This is the pool size every "0 = auto"
+/// caller gets.
 size_t DefaultThreadCount();
 
 /// The process-wide pool the free ParallelFor schedules on, created
@@ -101,17 +113,12 @@ size_t DefaultThreadCount();
 /// exit.
 ThreadPool& GlobalThreadPool();
 
-/// True iff the calling thread is a ThreadPool worker (any pool).
-/// ParallelFor uses this to detect nested parallelism.
-bool InThreadPoolWorker();
-
-/// How one worker-thread budget serves n parallel units: `outer`
-/// workers fan the units out and every unit gets `inner` workers for
-/// its own nested parallelism.  A single unit gets the whole budget
-/// (inner = threads); several units run their nested loops serially
-/// (inner = 1), since nested ParallelFor calls run inline anyway.
-/// `num_threads` 0 means auto (DefaultThreadCount()).  Splitting
-/// never affects results, only which level the cores serve.
+/// How one worker-thread budget serves n parallel units: `outer` =
+/// min(threads, n) workers fan the units out, and every unit may use
+/// `inner` = the whole budget for its own nested loops, which share
+/// whatever workers the other units leave idle.  `num_threads` 0
+/// means auto (DefaultThreadCount()).  The split never affects
+/// results, only how many threads may serve each level.
 struct ThreadBudget {
   size_t outer;
   size_t inner;
@@ -119,21 +126,21 @@ struct ThreadBudget {
 ThreadBudget SplitThreadBudget(size_t num_threads, size_t n);
 
 /// Parallel loop: runs fn(0) ... fn(n-1) on up to `num_threads`
-/// workers of GlobalThreadPool() (0 = DefaultThreadCount(); a wider
+/// threads of GlobalThreadPool() (0 = DefaultThreadCount(); a wider
 /// request is capped at the pool's size).  Runs inline, in index
-/// order, when num_threads <= 1, n <= 1, or when called from inside a
-/// pool task.  Blocks until done and rethrows the first exception.
+/// order, when num_threads <= 1 or n <= 1.  Blocks until done and
+/// rethrows the first exception.
 void ParallelFor(size_t num_threads, size_t n,
                  const std::function<void(size_t)>& fn);
 
 /// The (cell x trial) fan-out: runs fn(cell, trial, shards) for every
 /// cell < cells and trial < trials as one flat ParallelFor over
 /// i = cell * trials + trial on `num_threads` workers (0 = auto), where
-/// `shards` is each unit's within-trial share of the budget
-/// (SplitThreadBudget).  Results come back in flat order; callers
-/// derive each unit's seed from (cell, trial) and merge per cell in
-/// trial order, which keeps the output bit-identical at any thread
-/// count.
+/// `shards` is each unit's budget for its within-trial loops
+/// (SplitThreadBudget: the whole budget).  Results come back in flat
+/// order; callers derive each unit's seed from (cell, trial) and merge
+/// per cell in trial order, which keeps the output bit-identical at any
+/// thread count.
 template <typename Result, typename Fn>
 std::vector<Result> FanOutTrials(size_t num_threads, size_t cells,
                                  size_t trials, const Fn& fn) {

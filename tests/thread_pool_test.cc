@@ -2,6 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -100,6 +106,29 @@ TEST(DefaultThreadCountTest, IsAtLeastOne) {
   EXPECT_GE(DefaultThreadCount(), 1u);
 }
 
+TEST(DefaultThreadCountDeathTest, RejectsMalformedEnv) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // setenv runs in the death-test child only.
+  EXPECT_DEATH(
+      {
+        setenv("LDPR_THREADS", "four", 1);
+        DefaultThreadCount();
+      },
+      "LDPR_THREADS must be an integer, got 'four'");
+  EXPECT_DEATH(
+      {
+        setenv("LDPR_THREADS", "4x", 1);
+        DefaultThreadCount();
+      },
+      "LDPR_THREADS must be an integer, got '4x'");
+  EXPECT_DEATH(
+      {
+        setenv("LDPR_THREADS", "", 1);
+        DefaultThreadCount();
+      },
+      "LDPR_THREADS");
+}
+
 TEST(GlobalThreadPoolTest, IsProcessWideAndReused) {
   ThreadPool& a = GlobalThreadPool();
   ThreadPool& b = GlobalThreadPool();
@@ -107,35 +136,112 @@ TEST(GlobalThreadPoolTest, IsProcessWideAndReused) {
   EXPECT_EQ(a.num_threads(), DefaultThreadCount());
 }
 
-TEST(GlobalThreadPoolTest, WorkerFlagIsVisibleInsideTasksOnly) {
-  EXPECT_FALSE(InThreadPoolWorker());
-  std::atomic<int> inside{-1};
-  GlobalThreadPool().Submit(
-      [&inside] { inside.store(InThreadPoolWorker() ? 1 : 0); });
-  GlobalThreadPool().Wait();
-  EXPECT_EQ(inside.load(), 1);
-  EXPECT_FALSE(InThreadPoolWorker());
-}
-
 TEST(GlobalThreadPoolTest, NestedParallelForInsidePoolTaskCompletes) {
-  // A ParallelFor issued from inside a pool task must not re-enter
-  // the pool it runs on (deadlock); it runs inline on the calling
-  // worker, in index order.
-  std::vector<size_t> order;
-  std::vector<std::thread::id> runners;
-  std::thread::id worker;
-  GlobalThreadPool().Submit([&] {
-    worker = std::this_thread::get_id();
-    ParallelFor(4, 64, [&](size_t i) {
-      order.push_back(i);
-      runners.push_back(std::this_thread::get_id());
-    });
+  // A ParallelFor issued from inside a pool task neither deadlocks nor
+  // waits for the pool to drain: the calling worker claims indices
+  // alongside helpers that idle workers pick up, and every index runs
+  // exactly once.
+  std::vector<int> hits(64, 0);
+  GlobalThreadPool().Submit([&hits] {
+    ParallelFor(4, hits.size(), [&hits](size_t i) { ++hits[i]; });
   });
   GlobalThreadPool().Wait();
-  std::vector<size_t> expected(64);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-  for (const std::thread::id& id : runners) EXPECT_EQ(id, worker);
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, NestedLoopIsHelpedByIdleWorkers) {
+  // Index 0 of a loop nested in a pool task blocks until another
+  // thread has started index 1.  With the old inline contract the
+  // nested loop ran serially on one worker and this timed out.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool second_started = false;
+  bool helped = false;
+  pool.Submit([&] {
+    pool.ParallelFor(0, 2, [&](size_t i) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (i == 1) {
+        second_started = true;
+        cv.notify_all();
+        return;
+      }
+      helped = cv.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return second_started; });
+    });
+  });
+  pool.Wait();
+  EXPECT_TRUE(helped) << "no other thread started index 1 within 10 s";
+}
+
+TEST(ThreadPoolTest, ThreeLevelNestingCoversEachIndexOnce) {
+  // Every level is wider than the pool, so inner loops queue helpers
+  // while every worker is already busy with an outer index.
+  ThreadPool pool(3);
+  constexpr size_t kWidth = 7;
+  std::vector<std::atomic<int>> hits(kWidth * kWidth * kWidth);
+  pool.ParallelFor(0, kWidth, [&](size_t a) {
+    pool.ParallelFor(0, kWidth, [&](size_t b) {
+      pool.ParallelFor(0, kWidth, [&](size_t c) {
+        hits[(a * kWidth + b) * kWidth + c].fetch_add(1);
+      });
+    });
+  });
+  for (const std::atomic<int>& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, NestedExceptionFromHelperReachesOuterCaller) {
+  // Only a helper throws: an index that lands on the nested loop's
+  // calling worker holds it (bounded) until a helper has thrown.
+  ThreadPool pool(4);
+  std::atomic<bool> helper_threw{false};
+  EXPECT_THROW(
+      pool.ParallelFor(0, 1,
+                       [&](size_t) {
+                         const std::thread::id caller =
+                             std::this_thread::get_id();
+                         pool.ParallelFor(0, 2, [&](size_t) {
+                           if (std::this_thread::get_id() != caller) {
+                             helper_threw.store(true);
+                             throw std::runtime_error("nested boom");
+                           }
+                           const auto deadline =
+                               std::chrono::steady_clock::now() +
+                               std::chrono::seconds(10);
+                           while (!helper_threw.load() &&
+                                  std::chrono::steady_clock::now() < deadline)
+                             std::this_thread::yield();
+                         });
+                       }),
+      std::runtime_error);
+  EXPECT_TRUE(helper_threw.load());
+}
+
+TEST(ThreadPoolTest, LoopReturnsBeforeQueuedHelpersRun) {
+  // A two-worker pool: worker A runs a nested loop whose helper queues
+  // behind a task that keeps worker B busy, so the loop finishes on A
+  // and returns before the helper dequeues.  Its fn lives on the heap
+  // and is freed as soon as the loop returns: the stale helper must
+  // find the loop exhausted and touch nothing else (ASan reports a
+  // use after free otherwise).
+  ThreadPool pool(2);
+  std::atomic<bool> loop_returned{false};
+  std::atomic<bool> b_busy{false};
+  std::atomic<int> ran{0};
+  pool.Submit([&] {
+    b_busy.store(true);
+    while (!loop_returned.load()) std::this_thread::yield();
+  });
+  pool.Submit([&] {
+    while (!b_busy.load()) std::this_thread::yield();
+    auto fn = std::make_unique<std::function<void(size_t)>>(
+        [&ran](size_t) { ran.fetch_add(1); });
+    pool.ParallelFor(0, 8, *fn);
+    fn.reset();
+    loop_returned.store(true);
+  });
+  pool.Wait();
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ParallelForTest, WiderThanPoolCoversEachIndexOnce) {
@@ -147,18 +253,21 @@ TEST(ParallelForTest, WiderThanPoolCoversEachIndexOnce) {
   for (int h : hits) ASSERT_EQ(h, 1);
 }
 
-TEST(SplitThreadBudgetTest, SingleUnitTakesWholeBudget) {
+TEST(SplitThreadBudgetTest, EveryUnitMayUseWholeBudget) {
+  // outer = min(threads, units); inner = the whole budget, since
+  // nested loops share whatever workers the other units leave idle.
   EXPECT_EQ(SplitThreadBudget(8, 1).outer, 1u);
   EXPECT_EQ(SplitThreadBudget(8, 1).inner, 8u);
   EXPECT_EQ(SplitThreadBudget(8, 3).outer, 3u);
-  EXPECT_EQ(SplitThreadBudget(8, 3).inner, 1u);
+  EXPECT_EQ(SplitThreadBudget(8, 3).inner, 8u);
   EXPECT_EQ(SplitThreadBudget(4, 100).outer, 4u);
-  EXPECT_EQ(SplitThreadBudget(4, 100).inner, 1u);
+  EXPECT_EQ(SplitThreadBudget(4, 100).inner, 4u);
 }
 
 TEST(FanOutTrialsTest, FlatOrderAndIndices) {
   // Unit i = cell * trials + trial comes back in slot i, whatever
-  // worker ran it; several units run their nested loops serially.
+  // worker ran it; every unit gets the whole budget for its nested
+  // loops.
   struct Unit {
     size_t cell = 0, trial = 0, shards = 0;
   };
@@ -171,12 +280,25 @@ TEST(FanOutTrialsTest, FlatOrderAndIndices) {
     for (size_t i = 0; i < units.size(); ++i) {
       EXPECT_EQ(units[i].cell, i / 3);
       EXPECT_EQ(units[i].trial, i % 3);
-      EXPECT_EQ(units[i].shards, 1u);
+      EXPECT_EQ(units[i].shards, threads);
     }
   }
   const std::vector<size_t> single = FanOutTrials<size_t>(
       8, 1, 1, [](size_t, size_t, size_t shards) { return shards; });
   EXPECT_EQ(single, std::vector<size_t>{8});
+}
+
+TEST(FanOutTrialsTest, NestedLoopsCoverEachIndexOnce) {
+  // Units of a fan-out run nested loops on their full budget; the
+  // nested indices all run exactly once.
+  std::vector<std::atomic<int>> hits(6 * 40);
+  FanOutTrials<int>(4, 3, 2, [&](size_t cell, size_t trial, size_t shards) {
+    const size_t unit = cell * 2 + trial;
+    ParallelFor(shards, 40,
+                [&](size_t i) { hits[unit * 40 + i].fetch_add(1); });
+    return 0;
+  });
+  for (const std::atomic<int>& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, MemberParallelForHonorsMaxRunners) {
