@@ -151,8 +151,8 @@ TEST(GlobalThreadPoolTest, NestedParallelForInsidePoolTaskCompletes) {
 
 TEST(ThreadPoolTest, NestedLoopIsHelpedByIdleWorkers) {
   // Index 0 of a loop nested in a pool task blocks until another
-  // thread has started index 1.  With the old inline contract the
-  // nested loop ran serially on one worker and this timed out.
+  // thread has started index 1; a nested loop run inline on the
+  // calling worker times out here.
   ThreadPool pool(4);
   std::mutex mu;
   std::condition_variable cv;
