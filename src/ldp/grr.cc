@@ -76,22 +76,28 @@ std::vector<double> Grr::SampleSupportCountsRange(
   const std::vector<uint64_t> in_range =
       RestrictItemCountsToUsers(item_counts, user_begin, user_end);
   std::vector<double> counts(d_, 0.0);
-  // Reusable uniform weights over d-1 "other" bins.
-  std::vector<double> uniform_other(d_ - 1, 1.0);
+  const size_t others = d_ - 1;
   for (ItemId item = 0; item < d_; ++item) {
     const uint64_t n_item = in_range[item];
     if (n_item == 0) continue;
     const uint64_t kept = rng.Binomial(n_item, p_);
     counts[item] += static_cast<double>(kept);
-    const uint64_t misreports = n_item - kept;
-    if (misreports == 0) continue;
-    // Spread misreports uniformly over the other d-1 items.
-    const std::vector<uint64_t> spread =
-        SampleMultinomial(misreports, uniform_other, rng);
-    for (size_t j = 0; j < spread.size(); ++j) {
-      const size_t target = (j < item) ? j : j + 1;
-      counts[target] += static_cast<double>(spread[j]);
+    uint64_t remaining = n_item - kept;
+    if (remaining == 0) continue;
+    // Spread the misreports uniformly over the d-1 other items, in
+    // place: SampleMultinomial's conditional binomials over unit
+    // weights, draw for draw.  Other-bin j is item j, or j + 1 from
+    // `item` on; the last bin takes whatever is left.
+    double remaining_weight = static_cast<double>(others);
+    for (size_t j = 0; j + 1 < others && remaining > 0; ++j) {
+      const uint64_t c = rng.Binomial(remaining, 1.0 / remaining_weight);
+      remaining_weight -= 1.0;
+      if (c == 0) continue;
+      counts[j < item ? j : j + 1] += static_cast<double>(c);
+      remaining -= c;
     }
+    counts[others - 1 < item ? others - 1 : others] +=
+        static_cast<double>(remaining);
   }
   return counts;
 }

@@ -48,8 +48,11 @@ class Grr final : public FrequencyProtocol {
   /// user_end): the histogram is restricted to them, then kept
   /// reports are Binomial(n_v, p) and each misreport lands uniformly
   /// on one of the d-1 other items, so misreports from item v spread
-  /// multinomially.  O(d^2) worst case, O(#populated items * d) in
-  /// practice — items absent from the range cost no draws.
+  /// multinomially, one conditional binomial per other item, written
+  /// straight into the counts.  O(#populated items * d) draws, O(d^2)
+  /// worst case — items absent from the range cost none.  Nearly all
+  /// of those binomials have n*p << 1 and cost one uniform and one
+  /// compare; pow() runs only for a draw that lands near a hit.
   std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const override;

@@ -8,14 +8,6 @@
 
 namespace ldpr {
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 uint64_t SplitMix64::Next() {
   uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -29,18 +21,6 @@ Rng::Rng(uint64_t seed) {
   // Guard against the (astronomically unlikely) all-zero state, which
   // is the one fixed point of xoshiro.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 void Rng::Jump() {
@@ -83,23 +63,17 @@ uint64_t Rng::UniformU64(uint64_t n) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-double Rng::UniformDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return UniformDouble() < p;
 }
 
-uint64_t Rng::BinomialInversion(uint64_t n, double p) {
-  // Sequential search on the CDF; O(n*p) expected iterations.
+uint64_t Rng::BinomialInversion(uint64_t n, double p, double u) {
   const double q = 1.0 - p;
   const double s = p / q;
   const double a = static_cast<double>(n + 1) * s;
   double r = std::pow(q, static_cast<double>(n));
-  double u = UniformDouble();
   uint64_t x = 0;
   while (u > r) {
     u -= r;
@@ -163,16 +137,6 @@ uint64_t Rng::BinomialBtrs(uint64_t n, double p) {
         StirlingTail(nd - k);
     if (v <= upper) return static_cast<uint64_t>(k);
   }
-}
-
-uint64_t Rng::Binomial(uint64_t n, double p) {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  const bool flip = p > 0.5;
-  const double pp = flip ? 1.0 - p : p;
-  const double np = static_cast<double>(n) * pp;
-  uint64_t x = (np < 10.0) ? BinomialInversion(n, pp) : BinomialBtrs(n, pp);
-  return flip ? n - x : x;
 }
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {

@@ -51,14 +51,26 @@ class Rng {
 
   /// Returns the next raw 64-bit output.
   uint64_t operator()() { return Next(); }
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, n).  Uses Lemire's unbiased multiply-shift
   /// rejection method.  Requires n > 0.
   uint64_t UniformU64(uint64_t n);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double UniformDouble();
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli draw: true with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
@@ -68,19 +80,52 @@ class Rng {
   /// Uses inversion for small n*p and the BTRS transformed-rejection
   /// algorithm (Hormann 1993) otherwise, so sampling counts for
   /// hundreds of thousands of users is O(1) per item instead of
-  /// O(n).  Self-contained: never calls libc lgamma, whose glibc
-  /// implementation writes the global signgam — important because
-  /// sharded aggregation samples binomials from many threads at
-  /// once.
-  uint64_t Binomial(uint64_t n, double p);
+  /// O(n).  An inversion draw whose uniform falls clearly below
+  /// P(X = 0) returns 0 without evaluating pow(), so a draw with
+  /// n*p << 1 costs one uniform and one compare.  Self-contained:
+  /// never calls libc lgamma, whose glibc implementation writes the
+  /// global signgam — important because sharded aggregation samples
+  /// binomials from many threads at once.
+  uint64_t Binomial(uint64_t n, double p) {
+    if (n == 0 || p <= 0.0) return 0;
+    if (p >= 1.0) return n;
+    const bool flip = p > 0.5;
+    const double pp = flip ? 1.0 - p : p;
+    const double nd = static_cast<double>(n);
+    const double np = nd * pp;
+    uint64_t x = 0;
+    if (np < 10.0) {
+      const double u = UniformDouble();
+      // The CDF search returns 0 iff u <= r = pow(fl(1 - pp), n).
+      // Bernoulli's inequality gives (1 - pp)^n >= 1 - n*pp.  fl(1 - pp)
+      // is off by at most 2^-54, which costs n * 2^-54 after the
+      // power; pow is within 1 ulp (<= 2^-53 here); and forming np and
+      // this bound rounds by a few 2^-53 more.  The margin
+      // (n + 2) * 2^-50 exceeds their sum, so below the bound the
+      // search would stop at its first test with the same u: skipping
+      // it changes no value and, like the search, consumes exactly one
+      // uniform.  FMA contraction only removes roundings.
+      if (u >= 1.0 - np - (nd + 2.0) * 0x1.0p-50) {
+        x = BinomialInversion(n, pp, u);
+      }
+    } else {
+      x = BinomialBtrs(n, pp);
+    }
+    return flip ? n - x : x;
+  }
 
   /// Jumps the generator forward by 2^128 steps; handy for carving
   /// independent substreams out of one seed.
   void Jump();
 
  private:
-  uint64_t PoissonApproxBinomial(uint64_t n, double p);
-  uint64_t BinomialInversion(uint64_t n, double p);
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  /// Sequential search on the CDF of Binomial(n, p) for the uniform
+  /// `u` (p <= 0.5, n*p < 10); O(n*p) expected iterations.
+  static uint64_t BinomialInversion(uint64_t n, double p, double u);
   uint64_t BinomialBtrs(uint64_t n, double p);
 
   uint64_t s_[4];

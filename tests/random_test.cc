@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +114,208 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1000ULL, 0.97),   // flip + inversion
                       std::make_tuple(100000ULL, 0.3),  // big BTRS
                       std::make_tuple(389894ULL, 0.05)));  // IPUMS scale
+
+// Rng::Binomial as it stood before the early-zero inversion test:
+// every small-n*p draw evaluated pow(q, n) before its one uniform.  It
+// shares no code with Rng::Binomial, only Rng::UniformDouble, so the
+// draw-for-draw tests below hold the production sampler to the same
+// values and the same RNG consumption.
+namespace reference {
+
+double StirlingTail(double k) {
+  static constexpr double kTail[] = {
+      0.0810614667953272,  0.0413406959554092,  0.0276779256849983,
+      0.02079067210376509, 0.0166446911898211,  0.0138761288230707,
+      0.0118967099458917,  0.0104112652619720,  0.00925546218271273,
+      0.00833056343336287};
+  if (k <= 9.0) return kTail[static_cast<int>(k)];
+  const double kp1sq = (k + 1.0) * (k + 1.0);
+  return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 / kp1sq) / kp1sq) / (k + 1.0);
+}
+
+uint64_t Inversion(uint64_t n, double p, Rng& rng) {
+  const double q = 1.0 - p;
+  const double s = p / q;
+  const double a = static_cast<double>(n + 1) * s;
+  double r = std::pow(q, static_cast<double>(n));
+  double u = rng.UniformDouble();
+  uint64_t x = 0;
+  while (u > r) {
+    u -= r;
+    ++x;
+    if (x > n) return n;
+    r *= (a / static_cast<double>(x)) - s;
+  }
+  return x;
+}
+
+uint64_t Btrs(uint64_t n, double p, Rng& rng) {
+  const double nd = static_cast<double>(n);
+  const double stddev = std::sqrt(nd * p * (1.0 - p));
+  const double b = 1.15 + 2.53 * stddev;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double v_r = 0.92 - 4.2 / b;
+  const double r = p / (1.0 - p);
+  const double alpha = (2.83 + 5.1 / b) * stddev;
+  const double m = std::floor((nd + 1.0) * p);
+  for (;;) {
+    const double u = rng.UniformDouble() - 0.5;
+    double v = rng.UniformDouble();
+    const double us = 0.5 - std::fabs(u);
+    const double k = std::floor((2.0 * a / us + b) * u + c);
+    if (us >= 0.07 && v <= v_r) return static_cast<uint64_t>(k);
+    if (k < 0.0 || k > nd) continue;
+    v = std::log(v * alpha / (a / (us * us) + b));
+    const double upper =
+        (m + 0.5) * std::log((m + 1.0) / (r * (nd - m + 1.0))) +
+        (nd + 1.0) * std::log((nd - m + 1.0) / (nd - k + 1.0)) +
+        (k + 0.5) * std::log(r * (nd - k + 1.0) / (k + 1.0)) +
+        StirlingTail(m) + StirlingTail(nd - m) - StirlingTail(k) -
+        StirlingTail(nd - k);
+    if (v <= upper) return static_cast<uint64_t>(k);
+  }
+}
+
+uint64_t Binomial(uint64_t n, double p, Rng& rng) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  const bool flip = p > 0.5;
+  const double pp = flip ? 1.0 - p : p;
+  const double np = static_cast<double>(n) * pp;
+  const uint64_t x = (np < 10.0) ? Inversion(n, pp, rng) : Btrs(n, pp, rng);
+  return flip ? n - x : x;
+}
+
+}  // namespace reference
+
+// At least 10^6 draws per regime.
+constexpr int64_t kDrawsPerRegime = int64_t{1} << 20;
+
+// Draws Binomial(n, p) from two equally seeded generators, one through
+// Rng::Binomial and one through the reference, for each (n, p) that
+// `next_params(previous_draw)` yields, and checks that the values and
+// the Next() output after every draw agree.
+template <typename NextParams>
+void ExpectDrawForDraw(uint64_t seed, int64_t draws, NextParams next_params) {
+  Rng fast(seed);
+  Rng ref(seed);
+  uint64_t previous = 0;
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < draws; ++i) {
+    const std::pair<uint64_t, double> params = next_params(previous);
+    const uint64_t n = params.first;
+    const double p = params.second;
+    const uint64_t got = fast.Binomial(n, p);
+    const uint64_t want = reference::Binomial(n, p, ref);
+    const uint64_t got_next = fast.Next();
+    const uint64_t want_next = ref.Next();
+    if (got != want || got_next != want_next) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "draw " << i << ": Binomial(" << n << ", " << p
+                      << ") = " << got << " (reference " << want << ")"
+                      << (got_next != want_next ? ", streams diverged" : "");
+      }
+      fast = ref;  // resynchronise so later draws are still checked
+    }
+    previous = want;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Cycles through a fixed list of (n, p) pairs.
+std::pair<uint64_t, double> Cycle(
+    const std::vector<std::pair<uint64_t, double>>& params, size_t& at) {
+  const std::pair<uint64_t, double> out = params[at];
+  at = (at + 1) % params.size();
+  return out;
+}
+
+class BinomialDrawForDrawTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Each n against p from 1e-15 to 1 - 1e-9, so a large n covers n*p from
+// ~1e-6 (early zero almost always) up into BTRS and the p > 0.5 flip.
+TEST_P(BinomialDrawForDrawTest, AcrossP) {
+  const uint64_t n = GetParam();
+  std::vector<std::pair<uint64_t, double>> params;
+  for (int k = 0; k <= 60; ++k) {
+    params.emplace_back(n, std::pow(10.0, -15.0 + k / 4.0));
+  }
+  for (double p : {0.5, 0.7, 0.9, 0.999, 1.0 - 1e-9}) params.emplace_back(n, p);
+  size_t at = 0;
+  ExpectDrawForDraw(n, kDrawsPerRegime,
+                    [&](uint64_t) { return Cycle(params, at); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BinomialDrawForDrawTest,
+                         ::testing::Values(1ULL, 2ULL, 24ULL, 1000ULL,
+                                           1000000ULL, 1000000000ULL));
+
+// n*p a few ulps and a few parts per billion either side of `np`, for
+// n from 24 to 10^9.  Around 1 the early-zero bound is close to 0;
+// around 10 the sampler switches between inversion and BTRS.
+void ExpectDrawForDrawAround(double np, uint64_t seed) {
+  std::vector<std::pair<uint64_t, double>> params;
+  for (uint64_t n : {24ULL, 1000ULL, 1000000ULL, 1000000000ULL}) {
+    const double p = np / static_cast<double>(n);
+    double below = p;
+    double above = p;
+    params.emplace_back(n, p);
+    for (int step = 0; step < 4; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+      params.emplace_back(n, below);
+      params.emplace_back(n, above);
+    }
+    for (double rel : {1e-15, 1e-12, 1e-9, 1e-6}) {
+      params.emplace_back(n, p * (1.0 - rel));
+      params.emplace_back(n, p * (1.0 + rel));
+    }
+  }
+  size_t at = 0;
+  ExpectDrawForDraw(seed, kDrawsPerRegime,
+                    [&](uint64_t) { return Cycle(params, at); });
+}
+
+TEST(BinomialDrawForDrawTest, NpAroundOne) { ExpectDrawForDrawAround(1.0, 41); }
+
+TEST(BinomialDrawForDrawTest, NpAroundTen) {
+  ExpectDrawForDrawAround(10.0, 43);
+}
+
+TEST(BinomialDrawForDrawTest, PExactlyHalf) {
+  std::vector<std::pair<uint64_t, double>> params;
+  for (uint64_t n = 1; n <= 40; ++n) params.emplace_back(n, 0.5);
+  for (uint64_t n : {1000ULL, 1000000ULL, 1000000000ULL}) {
+    params.emplace_back(n, 0.5);
+  }
+  size_t at = 0;
+  ExpectDrawForDraw(47, kDrawsPerRegime,
+                    [&](uint64_t) { return Cycle(params, at); });
+}
+
+// The sequence GRR's uniform spread draws: bin j of B gets
+// Binomial(remaining, 1 / (B - j)), until one bin is left or nothing
+// remains, for several domain sizes and misreport counts.
+TEST(BinomialDrawForDrawTest, UniformSpreadSequence) {
+  const std::vector<uint64_t> bins = {5, 2047, 4095};
+  const std::vector<uint64_t> misreports = {1, 3, 40, 700, 20000, 90000};
+  size_t bins_at = 0;
+  size_t misreports_at = 0;
+  uint64_t remaining = 0;
+  double remaining_weight = 0.0;
+  ExpectDrawForDraw(53, kDrawsPerRegime, [&](uint64_t previous) {
+    remaining -= previous;
+    remaining_weight -= 1.0;
+    if (remaining == 0 || remaining_weight < 2.0) {
+      remaining = misreports[misreports_at];
+      remaining_weight = static_cast<double>(bins[bins_at]);
+      misreports_at = (misreports_at + 1) % misreports.size();
+      if (misreports_at == 0) bins_at = (bins_at + 1) % bins.size();
+    }
+    return std::make_pair(remaining, 1.0 / remaining_weight);
+  });
+}
 
 TEST(RngTest, JumpDecorrelates) {
   Rng a(31);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic.h"
 #include "ldp/factory.h"
 #include "util/random.h"
 
@@ -90,6 +91,41 @@ TEST(SamplerGoldenTest, UserRangeStreamsArePinned) {
         << protocol->Name() << " n=" << n;
     EXPECT_EQ(rng.Next(), c.range.next) << protocol->Name();
   }
+}
+
+// GRR's spread of misreports walks up to d - 1 bins per item, so the
+// d = 6 cases above never run a long spread loop.  This case does:
+// d = 2048 zipf (the scenario runner's s = 1.0, shuffle seed 17),
+// n = 100,000.  It pins sum_i (i + 1) * count(i) and the next Rng
+// output; the values were recorded with the pow-per-bin sampler that
+// preceded the early-zero binomial inversion.
+double IndexWeightedSum(const std::vector<double>& counts) {
+  double sum = 0.0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    sum += static_cast<double>(i + 1) * counts[i];
+  }
+  return sum;
+}
+
+TEST(SamplerGoldenTest, LargeDomainGrrStreamsArePinned) {
+  constexpr size_t kDomain = 2048;
+  constexpr uint64_t kUsers = 100000;
+  const std::vector<uint64_t> item_counts =
+      MakeZipfDataset("zipf", kDomain, kUsers, /*s=*/1.0,
+                      /*shuffle_seed=*/17)
+          .item_counts;
+  const auto protocol = MakeProtocol(ProtocolKind::kGrr, kDomain, kEpsilon);
+
+  Rng rng(kSeed);
+  EXPECT_EQ(IndexWeightedSum(protocol->SampleSupportCounts(item_counts, rng)),
+            102193968.0);
+  EXPECT_EQ(rng.Next(), 6463656683687139058u);
+
+  rng = Rng(kSeed);
+  EXPECT_EQ(IndexWeightedSum(protocol->SampleSupportCountsRange(
+                item_counts, kUsers / 5, kUsers - kUsers / 4, rng)),
+            56329937.0);
+  EXPECT_EQ(rng.Next(), 2136772376594975254u);
 }
 
 }  // namespace
