@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -48,6 +49,12 @@ StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
   if (flags.Has("n") && *n < 1) return InvalidArgumentError("--n must be >= 1");
   if (!(*scale > 0.0 && *scale <= 1.0))
     return InvalidArgumentError("--scale must be in (0, 1]");
+  if (!(*epsilon > 0.0 && *epsilon <= kMaxEpsilon)) {  // NaN fails too
+    char message[48];
+    std::snprintf(message, sizeof(message), "--epsilon must be in (0, %g]",
+                  kMaxEpsilon);
+    return InvalidArgumentError(message);
+  }
   trial.d = static_cast<size_t>(*d);
   trial.n = static_cast<uint64_t>(*n);
   trial.scale = *scale;
@@ -140,12 +147,10 @@ void PrintUsage(std::FILE* out) {
                "usage: ldpr <command> [--flags]\n"
                "\n"
                "commands:\n"
-               "  run           batch poisoning + recovery pipeline\n"
-               "  stream        windowed streaming ingest replay\n"
-               "  shard-worker  compute one worker's partial support counts\n"
-               "  shard-merge   merge worker partials into a result tree\n"
-               "  diff          compare two result trees\n"
-               "  list          subcommands and registered scenarios\n"
+               "  run     batch poisoning + recovery pipeline\n"
+               "  stream  windowed streaming ingest replay\n"
+               "  diff    compare two result trees\n"
+               "  list    subcommands and registered scenarios\n"
                "\n"
                "run `ldpr list` for the shared flags of each command.\n");
 }
@@ -168,12 +173,10 @@ int Main(int argc, char** argv) {
     return 1;
   }
   // The subcommand's FlagParser sees argv[1] as its program name, so
-  // file operands of shard-merge and diff land in positional().
+  // the tree operands of diff land in positional().
   const FlagParser flags(argc - 1, argv + 1);
   if (command == "run") return RunCommand(flags);
   if (command == "stream") return StreamCommand(flags);
-  if (command == "shard-worker") return ShardWorkerCommand(flags);
-  if (command == "shard-merge") return ShardMergeCommand(flags);
   if (command == "diff") return DiffCommand(flags);
   if (command == "list") return ListCommand(flags);
   std::fprintf(stderr, "error: unknown command: %s\n", command.c_str());

@@ -1,19 +1,17 @@
 // The `ldpr` subcommand CLI: one binary fronting every interactive
 // entry point of the library behind a shared flag layer.
 //
-//   ldpr run           batch poisoning + recovery pipeline
-//   ldpr stream        windowed streaming ingest replay
-//   ldpr shard-worker  compute one worker's partial support counts
-//   ldpr shard-merge   merge worker partials into a result tree
-//   ldpr diff          compare two result trees
-//   ldpr list          subcommands and registered scenarios
+//   ldpr run     batch poisoning + recovery pipeline
+//   ldpr stream  windowed streaming ingest replay
+//   ldpr diff    compare two result trees
+//   ldpr list    subcommands and registered scenarios
 //
 // One path per job: the trial flags parse in ParseTrialFlags, named
 // datasets resolve through the runner's table (ResolveBenchDataset),
 // errors and unknown flags exit through ExitStatus, and every
-// `--out DIR` of run/stream/shard-merge is a result tree (ResultOutput).
+// `--out DIR` of run/stream is a result tree (ResultOutput).
 //
-// Exit codes: 0 success, 1 any error (bad flags, I/O, failed merge).
+// Exit codes: 0 success, 1 any error (bad flags, I/O).
 // `ldpr diff` keeps a comparator's ladder instead: 0 agree,
 // 1 violations, 2 usage or load error.
 
@@ -40,6 +38,14 @@
 namespace ldpr {
 namespace cli {
 
+/// The largest --epsilon any command accepts.  OLH's hash range
+/// g = ceil(e^eps + 1) grows with e^eps, and MGA's seed search against
+/// OLH touches all g buckets per crafted report, so a trial stays
+/// cheap only while g does: at the cap g = 2,982, and one paper-scale
+/// IPUMS OLH/MGA trial takes well under a second on 4 x86-64 cores.
+/// The paper's evaluation tops out at eps = 1.6.
+inline constexpr double kMaxEpsilon = 8.0;
+
 /// The trial the shared flags describe; every command reads it
 /// through ParseTrialFlags, so a flag means the same thing everywhere.
 struct TrialFlags {
@@ -59,8 +65,8 @@ struct TrialFlags {
 
 /// Reads the trial flags with the command's defaults; an empty
 /// `default_attack` leaves --attack unread (an unknown flag).  --d < 2,
-/// --n < 1, --scale outside (0, 1] and --csv with --dataset/--d/--n
-/// are errors.
+/// --n < 1, --scale outside (0, 1], --epsilon outside (0, kMaxEpsilon]
+/// (NaN included) and --csv with --dataset/--d/--n are errors.
 StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
                                      const std::string& default_dataset,
                                      const std::string& default_attack);
@@ -110,8 +116,6 @@ class ResultOutput {
 /// subcommand word and returns the process exit code.
 int RunCommand(const FlagParser& flags);
 int StreamCommand(const FlagParser& flags);
-int ShardWorkerCommand(const FlagParser& flags);
-int ShardMergeCommand(const FlagParser& flags);
 int DiffCommand(const FlagParser& flags);
 int ListCommand(const FlagParser& flags);
 

@@ -1,5 +1,5 @@
 // `ldpr diff`: compares two result trees (`ldpr_bench --out`,
-// `ldpr shard-merge --out`) by (scenario, table, row) join instead of
+// `ldpr run/stream --out`) by (scenario, table, row) join instead of
 // byte-diff, so runs from different machines — or different
 // revisions, where RNG streams legitimately change — stay comparable.
 //

@@ -15,23 +15,17 @@ int ListCommand(const FlagParser& flags) {
   if (const int rc = ExitStatus(flags, {})) return rc;
   std::printf(
       "commands:\n"
-      "  run           trial flags plus --trials --top_k --threads\n"
-      "                --out DIR\n"
-      "  stream        trial flags except --attack, plus --window\n"
-      "                --stride --wave --out DIR\n"
-      "  shard-worker  trial flags plus --users_per_chunk\n"
-      "                --reports_per_chunk --workers N --worker I\n"
-      "                --out FILE|-\n"
-      "  shard-merge   shard-worker's spec flags, partial files as\n"
-      "                operands, --allow_missing, --out DIR, or\n"
-      "                --inprocess --workers N (in-process reference)\n"
-      "  diff          [--tolerance=REL] TREE_A TREE_B; exact without\n"
-      "                --tolerance; exit 0 agree, 1 drift, 2 usage/load\n"
-      "  list          this listing\n"
+      "  run     trial flags plus --trials --top_k --threads --out DIR\n"
+      "  stream  trial flags except --attack, plus --window --stride\n"
+      "          --wave --out DIR\n"
+      "  diff    [--tolerance=REL] TREE_A TREE_B; exact without\n"
+      "          --tolerance; exit 0 agree, 1 drift, 2 usage/load\n"
+      "  list    this listing\n"
       "\n"
       "trial flags: --protocol --attack --dataset --d --n (zipf|uniform)\n"
-      "  --csv FILE (run, stream) --scale --epsilon --beta --eta --targets\n"
-      "  --seed; every --out DIR is a result tree for `ldpr diff`\n");
+      "  --csv FILE --scale --epsilon (0, %g] --beta --eta --targets\n"
+      "  --seed; every --out DIR is a result tree for `ldpr diff`\n",
+      kMaxEpsilon);
 
   const auto scenarios = ScenarioRegistry::Global().scenarios();
   if (scenarios.empty()) {

@@ -1,5 +1,6 @@
 #include "runner/manifest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -141,6 +142,9 @@ Status WriteJsonLine(const std::string& path, const std::string& body) {
 
 Status ResultTreeWriter::OpenScenario(
     const std::string& id, std::vector<std::unique_ptr<ResultSink>>& sinks) {
+  if (std::find(opened_.begin(), opened_.end(), id) != opened_.end())
+    return InvalidArgumentError("scenario '" + id + "' already written to " +
+                                root_);
   const std::string dir = root_ + "/" + id;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -151,6 +155,7 @@ Status ResultTreeWriter::OpenScenario(
     return InternalError("cannot open result files under " + dir);
   sinks.push_back(std::move(csv));
   sinks.push_back(std::move(jsonl));
+  opened_.push_back(id);
   return Status::Ok();
 }
 

@@ -46,8 +46,10 @@ class ResultTreeWriter {
   explicit ResultTreeWriter(std::string root) : root_(std::move(root)) {}
 
   /// Creates <root>/<id>/ and appends sinks for its results.csv and
-  /// results.jsonl to `sinks`.  Fails when the directory or either
-  /// file cannot be opened.
+  /// results.jsonl to `sinks`.  Fails, before touching any file, when
+  /// this tree already opened `id` (a second run would truncate the
+  /// first's results and list the id twice); fails when the directory
+  /// or either file cannot be opened.
   Status OpenScenario(const std::string& id,
                       std::vector<std::unique_ptr<ResultSink>>& sinks);
 
@@ -64,6 +66,7 @@ class ResultTreeWriter {
 
  private:
   std::string root_;
+  std::vector<std::string> opened_;
   std::vector<ScenarioRunInfo> closed_;  // info.id is the spec id
 };
 

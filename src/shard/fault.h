@@ -1,4 +1,4 @@
-// Deterministic fault injection for the multi-process shard pipeline.
+// Deterministic fault injection for the sharded aggregation pipeline.
 //
 // A FaultSpec names the failure modes of one delivery — killed
 // workers, stragglers that miss the merge deadline, duplicate

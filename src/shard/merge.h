@@ -1,4 +1,4 @@
-// The merger side of multi-process sharded aggregation: validates a
+// The merger side of sharded aggregation: validates a
 // set of wire lines against one trial's canonical chunk geometry,
 // combines the surviving partials in ascending chunk order, and turns
 // the merged support counts into the trial's frequency estimates.
@@ -22,10 +22,6 @@
 // tolerates them and reports coverage in the stats — the fault
 // scenarios use that to measure estimate error as a function of the
 // lost-shard fraction.
-//
-// This layer stops at the outcome: `ldpr shard-merge --out` writes it
-// as an ordinary result tree (cli/shard_command.cc, through
-// runner/manifest.h's ResultTreeWriter).
 
 #ifndef LDPR_SHARD_MERGE_H_
 #define LDPR_SHARD_MERGE_H_
@@ -80,8 +76,8 @@ StatusOr<MergedPartials> MergeShardPartials(const ShardTaskPlan& plan,
 
 /// The in-process reference: computes every worker's partials,
 /// serializes them through the wire format, and merges strictly —
-/// the path `ldpr shard-merge --inprocess` runs and the equivalence
-/// tests lock against Aggregator::AddAllSharded.
+/// the fault scenarios' clean reference, which the equivalence tests
+/// lock against Aggregator::AddAllSharded.
 StatusOr<MergedPartials> RunShardTaskInProcess(const ShardTaskPlan& plan,
                                                uint64_t num_workers);
 

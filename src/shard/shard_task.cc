@@ -51,7 +51,7 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
 
   // The trial RNG sequence of RunPoisoningTrial: one Next() keys the
   // genuine fan-out, then the shared malicious step consumes the
-  // stream.  This is what makes the merged multi-process result equal
+  // stream.  This is what makes the merged sharded result equal
   // the in-process trial bit for bit.
   Rng rng(spec.seed);
   plan.genuine_seed = rng.Next();

@@ -1,4 +1,4 @@
-// The worker side of multi-process sharded aggregation: turns a
+// The worker side of sharded aggregation: turns a
 // ShardTaskSpec into the canonical chunk decomposition of one
 // poisoning trial and computes a worker's partial support counts.
 //

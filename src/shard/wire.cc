@@ -2,8 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 
 #include "ldp/factory.h"
 #include "util/json_reader.h"
@@ -287,35 +285,6 @@ StatusOr<PartialRecord> DecodePartialLine(const std::string& line) {
     record.counts.push_back(c.number());
   }
   return record;
-}
-
-Status WritePartialFile(const std::string& path,
-                        const std::vector<PartialRecord>& records) {
-  std::string out;
-  for (const PartialRecord& record : records) out += EncodePartialLine(record);
-  if (path == "-") {
-    std::cout << out;
-    std::cout.flush();
-    if (!std::cout) return InternalError("stdout write failed");
-    return Status::Ok();
-  }
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return NotFoundError("cannot open for write: " + path);
-  file << out;
-  file.flush();
-  if (!file) return InternalError("short write: " + path);
-  return Status::Ok();
-}
-
-StatusOr<std::vector<std::string>> ReadPartialLines(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return NotFoundError("cannot open partial file: " + path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
 }
 
 }  // namespace ldpr

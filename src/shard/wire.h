@@ -1,6 +1,6 @@
 // The shard wire format: one partial support-count vector per line,
-// versioned and checksummed, exchanged between `ldpr shard-worker`
-// processes and the `ldpr shard-merge` merger over files or pipes.
+// versioned and checksummed, exchanged between shard workers and the
+// merger (shard_task.h, merge.h) as encoded lines.
 //
 // Line layout (JSONL — one record per '\n'-terminated line):
 //
@@ -60,15 +60,14 @@ struct ShardChunking {
 
 /// Everything that identifies one shard-aggregated trial.  Workers
 /// and the merger each derive their view of the trial from this spec
-/// alone (plus the dataset), so two processes with equal specs agree
+/// alone (plus the dataset), so two workers with equal specs agree
 /// on every chunk boundary and every RNG stream.
 struct ShardTaskSpec {
   ProtocolKind protocol = ProtocolKind::kGrr;
   double epsilon = 0.5;
   /// Dataset descriptor: a runner generator name ("ipums", "fire",
   /// "zipf", "uniform") resolvable via ResolveBenchDataset, or
-  /// "custom" for in-memory datasets (scenarios) — the CLI rejects
-  /// "custom" since it cannot rebuild the data.
+  /// "custom" for in-memory datasets (scenarios).
   std::string dataset = "zipf";
   /// Pre-scale d/n overrides for the resizable generators; 0 = the
   /// generator's default shape.
@@ -112,15 +111,6 @@ std::string EncodePartialLine(const PartialRecord& record);
 /// Rejects torn frames, checksum mismatches, unknown versions, and
 /// structurally invalid payloads with an error naming the cause.
 StatusOr<PartialRecord> DecodePartialLine(const std::string& line);
-
-/// Writes records as wire lines to `path` ("-" for stdout), failing
-/// on partial writes.
-Status WritePartialFile(const std::string& path,
-                        const std::vector<PartialRecord>& records);
-
-/// Reads the raw lines of a partial file (no decoding — the merger
-/// decides how to treat undecodable lines).
-StatusOr<std::vector<std::string>> ReadPartialLines(const std::string& path);
 
 }  // namespace ldpr
 

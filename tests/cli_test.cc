@@ -6,6 +6,8 @@
 
 #include "cli/cli.h"
 
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -58,13 +60,11 @@ TEST(CliTest, NegativeCountsAreRejected) {
        {"--window=-5", "--stride=-5", "--targets=-1", "--seed=-1"}) {
     EXPECT_EQ(RunMain({"stream", flag}), 1) << flag;
   }
-  EXPECT_EQ(RunMain({"shard-worker", "--seed=-1"}), 1);
 }
 
-// The shard commands run the same input checks as `ldpr run`, so a
-// spec the trial cannot honour is an error message and exit 1, not a
-// CHECK abort inside the planner.
-TEST(CliTest, ShardCommandsRejectBadTrialInputs) {
+// A trial the inputs cannot honour is an error message and exit 1,
+// not a CHECK abort inside the pipeline.
+TEST(CliTest, RunRejectsBadTrialInputs) {
   const struct {
     std::vector<std::string> flags;
     const char* error;
@@ -72,24 +72,53 @@ TEST(CliTest, ShardCommandsRejectBadTrialInputs) {
       {{"--beta=1.5"}, "beta must be in [0, 1)"},
       {{"--beta=-0.2"}, "beta must be in [0, 1)"},
       {{"--beta=1"}, "beta must be in [0, 1)"},
-      {{"--epsilon=0"}, "epsilon must be > 0"},
+      {{"--epsilon=0"}, "--epsilon must be in (0, 8]"},
       {{"--targets=40", "--d=32"}, "targets must be in [1, domain size]"},
   };
   for (const auto& c : kCases) {
-    for (const char* command : {"shard-worker", "shard-merge"}) {
-      std::vector<std::string> args = {command, "--attack=MGA", "--n=2000"};
-      if (std::string(command) == "shard-merge") {
-        args.push_back("--inprocess");
-      }
-      args.insert(args.end(), c.flags.begin(), c.flags.end());
-      testing::internal::CaptureStderr();
-      const int rc = RunMain(args);
-      const std::string err = testing::internal::GetCapturedStderr();
-      EXPECT_EQ(rc, 1) << command << " " << c.flags[0];
-      EXPECT_NE(err.find(std::string("INVALID_ARGUMENT: ") + c.error),
+    std::vector<std::string> args = {"run", "--dataset=zipf", "--attack=MGA",
+                                     "--n=2000"};
+    args.insert(args.end(), c.flags.begin(), c.flags.end());
+    const auto [rc, err] = RunQuiet(args);
+    EXPECT_EQ(rc, 1) << c.flags[0];
+    EXPECT_NE(err.find(std::string("INVALID_ARGUMENT: ") + c.error),
+              std::string::npos)
+        << c.flags[0] << ": " << err;
+  }
+}
+
+// --epsilon is checked once, in the shared trial-flag parser: a value
+// outside (0, kMaxEpsilon] used to abort `stream` on a CHECK, hang GRR
+// (e^eps overflowing to inf/inf) or exhaust memory in MGA's search
+// over OLH's e^eps + 1 hash buckets.
+TEST(CliTest, EpsilonOutsideItsRangeIsAFlagError) {
+  char cap[32], above[32];
+  std::snprintf(cap, sizeof(cap), "--epsilon=%.17g", kMaxEpsilon);
+  std::snprintf(above, sizeof(above), "--epsilon=%.17g",
+                std::nextafter(kMaxEpsilon, HUGE_VAL));
+  for (const char* command : {"run", "stream"}) {
+    for (const char* flag : {"--epsilon=0", "--epsilon=-1", "--epsilon=nan",
+                             "--epsilon=inf", static_cast<const char*>(above)}) {
+      const auto [rc, err] = RunQuiet({command, "--dataset=zipf", flag});
+      EXPECT_EQ(rc, 1) << command << " " << flag;
+      EXPECT_NE(err.find("INVALID_ARGUMENT: --epsilon must be in (0, 8]"),
                 std::string::npos)
-          << command << " " << c.flags[0] << ": " << err;
+          << command << " " << flag << ": " << err;
     }
+  }
+  // Every protocol runs a cheap trial at the cap itself.
+  for (const char* protocol : {"GRR", "OUE", "OLH", "SUE", "BLH"}) {
+    const std::string p = std::string("--protocol=") + protocol;
+    EXPECT_EQ(RunQuiet({"run", p, "--attack=MGA", "--dataset=zipf", "--d=16",
+                        "--n=2000", "--trials=1", cap})
+                  .first,
+              0)
+        << protocol;
+    EXPECT_EQ(RunQuiet({"stream", p, "--dataset=zipf", "--d=16", "--n=2000",
+                        cap})
+                  .first,
+              0)
+        << protocol;
   }
 }
 
@@ -101,7 +130,6 @@ TEST(CliTest, FixedShapeDatasetsRejectShapeFlags) {
       {"run", "--dataset=ipums", "--d=50"},
       {"stream", "--dataset=ipums", "--d=50"},
       {"stream", "--dataset=fire", "--d=50", "--n=10"},
-      {"shard-worker", "--dataset=ipums", "--d=50"},
   };
   for (const auto& args : kCases) {
     const auto [rc, err] = RunQuiet(args);
@@ -121,9 +149,7 @@ TEST(CliTest, TrialFlagErrors) {
       {{"stream", "--dataset=zipf", "--zipf_s=1.1"}, "unknown flag --zipf_s"},
       {{"run", "--dataset=zipf", "--d=1"}, "--d must be >= 2"},
       {{"stream", "--dataset=zipf", "--n=0"}, "--n must be >= 1"},
-      {{"shard-worker", "--d=0"}, "--d must be >= 2"},
       {{"run", "--csv=items.csv", "--d=50"}, "--csv fixes the population"},
-      {{"shard-merge", "--inprocess", "--csv=items.csv"}, "not --csv"},
       {{"run", "--scale=2"}, "--scale must be in (0, 1]"},
   };
   for (const auto& c : kCases) {
@@ -131,26 +157,6 @@ TEST(CliTest, TrialFlagErrors) {
     EXPECT_EQ(rc, 1) << c.args[1];
     EXPECT_NE(err.find(c.error), std::string::npos) << c.args[1] << ": " << err;
   }
-}
-
-// A switch followed by an operand used to swallow it as its value
-// (`--allow_missing torn.jsonl` read as allow_missing=torn.jsonl, then
-// false).  Now the value is an error naming the flag and the token.
-TEST(CliTest, SwitchesRejectSwallowedOperands) {
-  const std::string spec[] = {"--attack=MGA", "--n=2000"};
-  for (const char* flag : {"--allow_missing", "--inprocess"}) {
-    const auto [rc, err] = RunQuiet(
-        {"shard-merge", spec[0], spec[1], flag, "part0.jsonl"});
-    EXPECT_EQ(rc, 1) << flag;
-    EXPECT_NE(err.find(std::string("INVALID_ARGUMENT: flag ") + flag),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("got: part0.jsonl"), std::string::npos) << err;
-  }
-  EXPECT_EQ(RunQuiet({"shard-merge", spec[0], spec[1], "--inprocess=true",
-                      "--allow_missing=0"})
-                .first,
-            0);
 }
 
 // The stream example README.md and docs/benchmarks.md document, at a
@@ -195,12 +201,27 @@ TEST(CliTest, RunAndStreamOutAreDiffableTrees) {
   std::filesystem::remove_all(root);
 }
 
-TEST(CliTest, DiffIsListed) {
+TEST(CliTest, UsageAndListNameEveryCommand) {
   for (const char* command : {"help", "list"}) {
     testing::internal::CaptureStdout();
     EXPECT_EQ(RunMain({command}), 0);
     const std::string out = testing::internal::GetCapturedStdout();
-    EXPECT_NE(out.find("\n  diff "), std::string::npos) << command;
+    for (const char* listed : {"run", "stream", "diff", "list"}) {
+      EXPECT_NE(out.find(std::string("\n  ") + listed + " "),
+                std::string::npos)
+          << command << " " << listed;
+    }
+    EXPECT_EQ(out.find("shard"), std::string::npos) << command << ": " << out;
+  }
+}
+
+TEST(CliTest, UnknownCommandsAreRejected) {
+  for (const char* command : {"shard-worker", "shard-merge", "runn"}) {
+    const auto [rc, err] = RunQuiet({command});
+    EXPECT_EQ(rc, 1) << command;
+    EXPECT_NE(err.find(std::string("unknown command: ") + command),
+              std::string::npos)
+        << err;
   }
 }
 

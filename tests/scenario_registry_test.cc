@@ -304,6 +304,38 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   std::filesystem::remove_all(root);
 }
 
+// `ldpr_bench --scenario table1,table1 --out DIR` used to truncate the
+// first run's files and list table1 twice, a tree `ldpr diff` refuses.
+TEST_F(ScenarioRegistryTest, TreeWriterRejectsAnIdItAlreadyOpened) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "ldpr_registry_twice")
+          .string();
+  std::filesystem::remove_all(root);
+
+  ResultTreeWriter tree(root);
+  std::vector<std::unique_ptr<ResultSink>> sinks;
+  ASSERT_TRUE(tree.OpenScenario("s1", sinks).ok());
+  MultiSink sink(std::move(sinks));
+  sink.BeginTable("T", {"M"});
+  sink.AddRow("row", {1.0});
+  sink.EndTable();
+  ASSERT_TRUE(sink.Finish().ok());
+  const std::string csv = ReadFileOrDie(root + "/s1/results.csv");
+
+  std::vector<std::unique_ptr<ResultSink>> again;
+  const Status reopened = tree.OpenScenario("s1", again);
+  EXPECT_EQ(reopened.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reopened.ToString().find("scenario 's1' already written"),
+            std::string::npos)
+      << reopened.ToString();
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(ReadFileOrDie(root + "/s1/results.csv"), csv);
+  // Another id still opens.
+  EXPECT_TRUE(tree.OpenScenario("s2", again).ok());
+
+  std::filesystem::remove_all(root);
+}
+
 // Counts what a run emits and checks every row against its table's
 // width.
 class CountingSink : public ResultSink {

@@ -6,9 +6,7 @@
 // refuse to decode.
 
 #include <cstddef>
-#include <filesystem>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -122,35 +120,6 @@ TEST(ShardWireTest, GarbageIsRejected) {
         "{\"payload\":{\"version\":1},\"crc64\":\"zz\"}"}) {
     EXPECT_FALSE(DecodePartialLine(junk).ok()) << junk;
   }
-}
-
-TEST(ShardWireTest, FileRoundTrip) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "ldpr_shard_wire").string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/partial.jsonl";
-
-  PartialRecord second = MakeRecord();
-  second.source = kShardSourceMalicious;
-  second.chunk_begin = 0;
-  second.chunk_end = 1;
-  second.unit_begin = 0;
-  second.unit_end = 8;
-  second.counts = {1.0, 0.0, 5.0, 2.0};
-  const std::vector<PartialRecord> records = {MakeRecord(), second};
-
-  ASSERT_TRUE(WritePartialFile(path, records).ok());
-  const auto lines = ReadPartialLines(path);
-  ASSERT_TRUE(lines.ok()) << lines.status().ToString();
-  ASSERT_EQ(lines->size(), 2u);
-  for (size_t i = 0; i < records.size(); ++i) {
-    const auto decoded = DecodePartialLine((*lines)[i]);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->source, records[i].source);
-    EXPECT_EQ(decoded->counts, records[i].counts);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
