@@ -131,6 +131,7 @@ class ScopedBenchBackend {
 };
 
 constexpr int64_t kScalarArg = static_cast<int64_t>(SimdBackend::kScalar);
+constexpr int64_t kPortableArg = static_cast<int64_t>(SimdBackend::kPortable);
 constexpr int64_t kAvx2Arg = static_cast<int64_t>(SimdBackend::kAvx2);
 constexpr int64_t kAvx512Arg = static_cast<int64_t>(SimdBackend::kAvx512);
 
@@ -161,7 +162,7 @@ BENCHMARK(BM_MgaCraftBatch)
     ->ArgsProduct({{static_cast<int64_t>(ProtocolKind::kOlh),
                     static_cast<int64_t>(ProtocolKind::kBlh)},
                    {5, 16},
-                   {kScalarArg, kAvx2Arg, kAvx512Arg}})
+                   {kScalarArg, kPortableArg, kAvx2Arg, kAvx512Arg}})
     ->ArgNames({"protocol", "eps_x10", "backend"});
 
 // SimdOlhSupportAdd over one flush buffer of OLH reports at d = 490.
@@ -185,7 +186,8 @@ void BM_OlhSupportAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatchReports);
 }
 BENCHMARK(BM_OlhSupportAdd)
-    ->ArgsProduct({{5, 16}, {kScalarArg, kAvx2Arg, kAvx512Arg}})
+    ->ArgsProduct(
+        {{5, 16}, {kScalarArg, kPortableArg, kAvx2Arg, kAvx512Arg}})
     ->ArgNames({"eps_x10", "backend"});
 
 void BM_SimplexProjection(benchmark::State& state) {

@@ -16,9 +16,9 @@
 //   ldpr_bench --scenario all --scale=1 --trials=10 --out results/
 //
 // Flags (defaults in brackets): --scenario ID[,ID...]|all, --list,
-// --out DIR, --seed [scenario default, 20240213], --trials
-// [LDPR_BENCH_TRIALS or 3], --scale [LDPR_BENCH_SCALE or 0.05],
-// --threads [0 = auto: LDPR_THREADS or hardware concurrency].
+// --out DIR, --seed [scenario default, 20240213], --trials [3, at
+// least 1], --scale [0.05, in (0, 1]], --threads [0 = auto:
+// LDPR_THREADS or hardware concurrency].
 //
 // Output is byte-identical at any --threads value; the manifest (not
 // the result files) records the thread budget actually used.
@@ -125,6 +125,16 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
     }
+  }
+  // An explicit value is used as given: 0 would otherwise read as
+  // "unset" and silently run the default.
+  if (flags.Has("trials") && *trials < 1) {
+    std::fprintf(stderr, "error: --trials must be an integer >= 1\n");
+    return 1;
+  }
+  if (flags.Has("scale") && !(*scale > 0.0 && *scale <= 1.0)) {
+    std::fprintf(stderr, "error: --scale must be a number in (0, 1]\n");
+    return 1;
   }
   for (const std::string& unused : flags.unused_flags()) {
     std::fprintf(stderr, "error: unknown flag --%s (try --list)\n",

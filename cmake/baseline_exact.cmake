@@ -14,13 +14,11 @@ if(NOT LDPR_BENCH OR NOT LDPR_CLI OR NOT BASELINE OR NOT WORK_DIR)
                       "be set")
 endif()
 
-# The knobs ci/baseline was generated with (ci/baseline/README.md).
-set(ENV{LDPR_BENCH_SCALE} "0.01")
-set(ENV{LDPR_BENCH_TRIALS} "2")
-
 set(tree "${WORK_DIR}/fresh")
 file(REMOVE_RECURSE "${tree}")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=all --out=${tree}
+# The knobs ci/baseline was generated with (ci/baseline/README.md).
+execute_process(COMMAND ${LDPR_BENCH} --scenario=all --scale=0.01 --trials=2
+                        --out=${tree}
                 OUTPUT_QUIET RESULT_VARIABLE rc_bench)
 if(NOT rc_bench EQUAL 0)
   message(FATAL_ERROR "ldpr_bench --scenario all failed (rc=${rc_bench})")

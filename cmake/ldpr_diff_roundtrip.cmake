@@ -13,22 +13,21 @@ if(NOT LDPR_BENCH OR NOT LDPR_CLI OR NOT WORK_DIR)
   message(FATAL_ERROR "LDPR_BENCH, LDPR_CLI, and WORK_DIR must be set")
 endif()
 
-set(ENV{LDPR_BENCH_SCALE} "0.005")
-set(ENV{LDPR_BENCH_TRIALS} "1")
-
 set(out_a "${WORK_DIR}/all-t1")
 set(out_b "${WORK_DIR}/all-t2")
 file(REMOVE_RECURSE "${out_a}" "${out_b}" "${WORK_DIR}/perturbed")
 
 set(ENV{LDPR_THREADS} "1")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=all --out=${out_a}
+execute_process(COMMAND ${LDPR_BENCH} --scenario=all --scale=0.005
+                        --trials=1 --out=${out_a}
                 OUTPUT_QUIET RESULT_VARIABLE rc_a)
 if(NOT rc_a EQUAL 0)
   message(FATAL_ERROR "ldpr_bench --scenario all failed at LDPR_THREADS=1")
 endif()
 
 set(ENV{LDPR_THREADS} "2")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=all --out=${out_b}
+execute_process(COMMAND ${LDPR_BENCH} --scenario=all --scale=0.005
+                        --trials=1 --out=${out_b}
                 OUTPUT_QUIET RESULT_VARIABLE rc_b)
 if(NOT rc_b EQUAL 0)
   message(FATAL_ERROR "ldpr_bench --scenario all failed at LDPR_THREADS=2")

@@ -28,8 +28,6 @@ endif()
 if(NOT TRIALS)
   set(TRIALS "2")
 endif()
-set(ENV{LDPR_BENCH_SCALE} "${SCALE}")
-set(ENV{LDPR_BENCH_TRIALS} "${TRIALS}")
 
 set(out_serial "${WORK_DIR}/${SCENARIO}-t1")
 set(out_parallel "${WORK_DIR}/${SCENARIO}-t3")
@@ -37,7 +35,7 @@ file(REMOVE_RECURSE "${out_serial}" "${out_parallel}")
 
 set(ENV{LDPR_THREADS} "1")
 execute_process(COMMAND ${LDPR_BENCH} --scenario=${SCENARIO}
-                        --out=${out_serial}
+                        --scale=${SCALE} --trials=${TRIALS} --out=${out_serial}
                 OUTPUT_VARIABLE console_serial RESULT_VARIABLE rc_serial)
 if(NOT rc_serial EQUAL 0)
   message(FATAL_ERROR
@@ -47,7 +45,7 @@ endif()
 
 set(ENV{LDPR_THREADS} "3")
 execute_process(COMMAND ${LDPR_BENCH} --scenario=${SCENARIO}
-                        --out=${out_parallel}
+                        --scale=${SCALE} --trials=${TRIALS} --out=${out_parallel}
                 OUTPUT_VARIABLE console_parallel RESULT_VARIABLE rc_parallel)
 if(NOT rc_parallel EQUAL 0)
   message(FATAL_ERROR

@@ -11,15 +11,6 @@
 
 namespace ldpr {
 
-namespace {
-
-// How many of the r targets a report must support to be flagged.
-// GRR reports carry a single item, so supporting any target is the
-// crafted signature.  A crafted OUE vector sets *every* target bit
-// (Cao et al.'s MGA), while a genuine report hits all r only with
-// probability ~q^r — so the all-targets rule separates cleanly.  OLH
-// seed search packs most-but-not-always-all targets into one bucket;
-// a majority rule balances catch rate against collateral damage.
 size_t SuspicionThreshold(ProtocolKind kind, size_t num_targets) {
   switch (kind) {
     case ProtocolKind::kGrr:
@@ -33,8 +24,6 @@ size_t SuspicionThreshold(ProtocolKind kind, size_t num_targets) {
   }
   return 1;
 }
-
-}  // namespace
 
 DetectionFilter::DetectionFilter(const FrequencyProtocol& protocol,
                                  std::vector<ItemId> targets)

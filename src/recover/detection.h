@@ -18,12 +18,22 @@
 #ifndef LDPR_RECOVER_DETECTION_H_
 #define LDPR_RECOVER_DETECTION_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "ldp/protocol.h"
 #include "util/random.h"
 
 namespace ldpr {
+
+/// How many of the r targets a report must support to be flagged.
+/// GRR reports carry a single item, so supporting any target is the
+/// crafted signature.  A crafted OUE vector sets *every* target bit
+/// (Cao et al.'s MGA), while a genuine report hits all r only with
+/// probability ~q^r — so the all-targets rule separates cleanly.  OLH
+/// seed search packs most-but-not-always-all targets into one bucket;
+/// a majority rule balances catch rate against collateral damage.
+size_t SuspicionThreshold(ProtocolKind kind, size_t num_targets);
 
 class DetectionFilter {
  public:
@@ -33,7 +43,7 @@ class DetectionFilter {
                   std::vector<ItemId> targets);
 
   /// The protocol-specific suspicion threshold: a report is dropped
-  /// when it supports at least this many targets (see .cc).
+  /// when it supports at least this many targets (SuspicionThreshold).
   size_t threshold() const { return threshold_; }
 
   /// Feeds a batch: classification straight off the SoA field arrays

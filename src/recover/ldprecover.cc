@@ -25,12 +25,6 @@ LdpRecover::LdpRecover(const FrequencyProtocol& protocol,
   }
 }
 
-double LdpRecover::MaliciousSum() const {
-  if (options_.malicious_sum_override.has_value())
-    return *options_.malicious_sum_override;
-  return ExpectedMaliciousFrequencySum(protocol_);
-}
-
 std::vector<double> LdpRecover::EstimateMaliciousUniform(
     const std::vector<double>& poisoned) const {
   const size_t d = protocol_.domain_size();
@@ -45,7 +39,8 @@ std::vector<double> LdpRecover::EstimateMaliciousUniform(
   }
   std::vector<double> malicious(d, 0.0);
   if (d1_count == 0) return malicious;  // nothing positive: all zero
-  const double share = MaliciousSum() / static_cast<double>(d1_count);
+  const double share = ExpectedMaliciousFrequencySum(protocol_) /
+                       static_cast<double>(d1_count);
   for (size_t v = 0; v < d; ++v) {
     if (poisoned[v] > 0.0) malicious[v] = share;
   }
@@ -67,7 +62,8 @@ std::vector<double> LdpRecover::EstimateMaliciousWithTargets() const {
   // mass uniformly.
   const double non_target_sum = ZeroMassSubdomainSum(
       protocol_, non_target_count, options_.paper_literal_subdomain_sum);
-  const double target_sum = MaliciousSum() - non_target_sum;
+  const double target_sum =
+      ExpectedMaliciousFrequencySum(protocol_) - non_target_sum;
   const double non_target_share =
       non_target_sum / static_cast<double>(non_target_count);
   const double target_share = target_sum / static_cast<double>(target_count);

@@ -51,12 +51,6 @@ struct RecoverOptions {
   /// docs/architecture.md, "The subdomain-sum choice").
   bool paper_literal_subdomain_sum = true;
 
-  /// Override of the full-domain malicious frequency sum, replacing
-  /// Eq. (21).  LDPRecover-KM supplies a value learnt from the
-  /// malicious cluster because under input poisoning the crafted data
-  /// *does* pass through perturbation and Eq. (21) no longer applies.
-  std::optional<double> malicious_sum_override;
-
   /// Override of the full malicious frequency vector f~_Y, replacing
   /// the uniform split of Eq. (26) entirely (LDPRecover-KM's centroid
   /// estimate).  Must have domain size when set.
@@ -102,7 +96,6 @@ class LdpRecover {
   std::vector<double> EstimateMaliciousUniform(
       const std::vector<double>& poisoned) const;
   std::vector<double> EstimateMaliciousWithTargets() const;
-  double MaliciousSum() const;
 
   const FrequencyProtocol& protocol_;
   RecoverOptions options_;

@@ -6,16 +6,11 @@
 
 namespace ldpr {
 
-std::vector<double> BasePos(const std::vector<double>& estimate) {
+std::vector<double> ClipAndRenormalize(const std::vector<double>& estimate) {
+  LDPR_CHECK(!estimate.empty());
   std::vector<double> out(estimate.size());
   for (size_t v = 0; v < estimate.size(); ++v)
     out[v] = estimate[v] > 0.0 ? estimate[v] : 0.0;
-  return out;
-}
-
-std::vector<double> ClipAndRenormalize(const std::vector<double>& estimate) {
-  LDPR_CHECK(!estimate.empty());
-  std::vector<double> out = BasePos(estimate);
   const double total = Sum(out);
   if (total <= 0.0) {
     // Degenerate input: no information, return uniform.

@@ -10,9 +10,6 @@
 
 namespace ldpr {
 
-/// Base-Pos: clamps negative estimates to zero (no renormalization).
-std::vector<double> BasePos(const std::vector<double>& estimate);
-
 /// Clip-and-renormalize: clamps negatives to zero then rescales to
 /// sum 1.  Falls back to uniform when everything clamps to zero.
 std::vector<double> ClipAndRenormalize(const std::vector<double>& estimate);

@@ -1,7 +1,5 @@
 #include "runner/scenario_runner.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <tuple>
 
@@ -13,36 +11,6 @@
 namespace ldpr {
 
 namespace {
-
-// The environment knobs behind ScenarioRunOptions' zero fields,
-// parsed strictly: the whole value must be a number in range, or the
-// run fails naming the variable (unset keeps the default).
-StatusOr<double> BenchScaleFromEnv() {
-  const char* env = std::getenv("LDPR_BENCH_SCALE");
-  if (env == nullptr) return 0.05;
-  char* end = nullptr;
-  errno = 0;
-  const double scale = std::strtod(env, &end);
-  if (*env == '\0' || *end != '\0' || errno != 0 || !(scale > 0.0) ||
-      scale > 1.0) {
-    return InvalidArgumentError("LDPR_BENCH_SCALE must be a number in (0, 1]"
-                                ", got '" + std::string(env) + "'");
-  }
-  return scale;
-}
-
-StatusOr<size_t> BenchTrialsFromEnv() {
-  const char* env = std::getenv("LDPR_BENCH_TRIALS");
-  if (env == nullptr) return size_t{3};
-  char* end = nullptr;
-  errno = 0;
-  const long long trials = std::strtoll(env, &end, 10);
-  if (*env == '\0' || *end != '\0' || errno != 0 || trials < 1) {
-    return InvalidArgumentError("LDPR_BENCH_TRIALS must be an integer >= 1"
-                                ", got '" + std::string(env) + "'");
-  }
-  return static_cast<size_t>(trials);
-}
 
 // The registered bench dataset generators.  A generator owns its
 // default shape; the resizable synthetic families additionally accept
@@ -91,7 +59,7 @@ const BenchDatasetGenerator* FindBenchDatasetGenerator(
 StatusOr<Dataset> ResolveBenchDataset(const std::string& name, double scale,
                                       size_t d_override,
                                       uint64_t n_override) {
-  if (scale <= 0.0 || scale > 1.0)
+  if (!(scale > 0.0 && scale <= 1.0))
     return InvalidArgumentError("dataset scale out of (0, 1]");
   const BenchDatasetGenerator* gen = FindBenchDatasetGenerator(name);
   if (gen == nullptr)
@@ -220,18 +188,8 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
   if (!valid.ok()) return valid;
 
   const uint64_t seed = options.seed != 0 ? options.seed : spec.defaults.seed;
-  size_t trials = options.trials;
-  if (trials == 0) {
-    auto env = BenchTrialsFromEnv();
-    if (!env.ok()) return env.status();
-    trials = *env;
-  }
-  double scale = options.scale;
-  if (scale == 0) {
-    auto env = BenchScaleFromEnv();
-    if (!env.ok()) return env.status();
-    scale = *env;
-  }
+  const size_t trials = options.trials != 0 ? options.trials : 3;
+  const double scale = options.scale != 0 ? options.scale : 0.05;
 
   // Grid scenarios lower before the banner renders: a dataset whose
   // every row overrides the shape (the dataset-axis sweeps) never

@@ -1,8 +1,8 @@
 // The scenario run engine: resolves run knobs (seed/scale/trials from
-// options, environment, or spec defaults), lowers grid scenarios to
-// their ExperimentConfig grids and runs every config x trial of a
-// scenario in one flat fan-out (RunExperiments), and streams every row
-// through the ResultSink.  Custom scenarios get a ScenarioContext and
+// options or defaults), lowers grid scenarios to their
+// ExperimentConfig grids and runs every config x trial of a scenario
+// in one flat fan-out (RunExperiments), and streams every row through
+// the ResultSink.  Custom scenarios get a ScenarioContext and
 // the RunTrialTable helper instead, which runs their (cell x trial)
 // grid through the same fan-out (FanOutTrials in util/thread_pool.h).
 //
@@ -27,11 +27,9 @@
 
 namespace ldpr {
 
-/// Run knobs; zero fields fall back to the environment
-/// (LDPR_BENCH_SCALE, LDPR_BENCH_TRIALS) and then to the paper
-/// defaults (scale 0.05, trials 3, spec seed).  A malformed
-/// environment value, a scale outside (0, 1], or trials < 1 fails the
-/// run with InvalidArgument naming the variable.
+/// Run knobs; zero fields fall back to the defaults (scale 0.05,
+/// trials 3, the spec's seed).  A scale outside (0, 1] fails the run
+/// with InvalidArgument.
 struct ScenarioRunOptions {
   uint64_t seed = 0;
   size_t trials = 0;

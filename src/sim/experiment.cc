@@ -147,18 +147,13 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
             "targets must be in [1, domain size] for MGA attacks");
       }
       break;
-    case AttackKind::kManip:
-      if (!(p.manip_domain_fraction >= 0.0 &&
-            p.manip_domain_fraction <= 1.0)) {
-        return InvalidArgumentError("Manip domain fraction must be in [0, 1]");
-      }
-      break;
     case AttackKind::kMultiAdaptive:
       if (p.num_attackers < 1) {
         return InvalidArgumentError("MUL-AA needs at least 1 attacker");
       }
       break;
     case AttackKind::kNone:
+    case AttackKind::kManip:
     case AttackKind::kAdaptive:
       break;
   }

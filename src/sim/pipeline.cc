@@ -50,11 +50,8 @@ std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
   switch (config.attack) {
     case AttackKind::kNone:
       return nullptr;
-    case AttackKind::kManip: {
-      ManipOptions opts;
-      opts.domain_fraction = config.manip_domain_fraction;
-      return std::make_unique<ManipAttack>(opts);
-    }
+    case AttackKind::kManip:
+      return std::make_unique<ManipAttack>();  // |H| / |D| = 0.5
     case AttackKind::kMga:
       return std::make_unique<MgaAttack>(
           MgaAttack::SampleTargets(d, config.num_targets, rng));

@@ -216,7 +216,7 @@ double ApproxGenuineSuspicionRate(const FrequencyProtocol& protocol,
       // recurrence — no libm special functions (glibc lgamma writes
       // the global signgam; see util/random.h).
       const size_t threshold =
-          std::max<size_t>(1, (num_targets + 1) / 2);
+          SuspicionThreshold(protocol.kind(), num_targets);
       double pmf = std::pow(1.0 - q, r);
       double tail = 0.0;
       for (size_t k = 0; k <= num_targets; ++k) {

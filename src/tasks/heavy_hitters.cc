@@ -36,19 +36,6 @@ std::vector<uint8_t> TopKMask(const std::vector<ItemId>& top, size_t d) {
 
 }  // namespace
 
-std::vector<HeavyHitter> IdentifyHeavyHitters(
-    const std::vector<double>& frequencies,
-    const HeavyHitterOptions& options) {
-  LDPR_CHECK(!frequencies.empty());
-  LDPR_CHECK(options.k >= 1);
-  std::vector<HeavyHitter> hitters;
-  for (ItemId id : TopKIds(frequencies, options.k)) {
-    if (frequencies[id] <= options.min_frequency) break;  // sorted: done
-    hitters.push_back(HeavyHitter{id, frequencies[id]});
-  }
-  return hitters;
-}
-
 double TopKDisplacement(const std::vector<double>& true_frequencies,
                         const std::vector<double>& estimated_frequencies,
                         size_t k) {

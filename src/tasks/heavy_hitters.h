@@ -4,10 +4,9 @@
 // targeted poisoning hurts most (MGA exists to push attacker items
 // into the published top-k).
 //
-// The module identifies top-k items from any frequency vector and
-// quantifies how much an attack corrupted a published ranking, so the
-// paper's recovery can be evaluated on the task-level outcome rather
-// than raw MSE.
+// The module quantifies how much an attack corrupted a published
+// top-k ranking, so the paper's recovery can be evaluated on the
+// task-level outcome rather than raw MSE.
 
 #ifndef LDPR_TASKS_HEAVY_HITTERS_H_
 #define LDPR_TASKS_HEAVY_HITTERS_H_
@@ -18,27 +17,6 @@
 #include "ldp/report.h"
 
 namespace ldpr {
-
-struct HeavyHitter {
-  ItemId item = 0;
-  double frequency = 0.0;
-};
-
-struct HeavyHitterOptions {
-  /// How many hitters to report.
-  size_t k = 10;
-  /// Discard candidates whose estimated frequency is below this
-  /// threshold (estimates can be noisy near zero).
-  double min_frequency = 0.0;
-};
-
-/// The top-k items of a frequency vector, sorted by decreasing
-/// frequency (ties broken by item id for determinism).  Items whose
-/// frequency is <= min_frequency are excluded, so fewer than k
-/// entries may be returned.
-std::vector<HeavyHitter> IdentifyHeavyHitters(
-    const std::vector<double>& frequencies,
-    const HeavyHitterOptions& options = {});
 
 /// Fraction of the *true* top-k that is missing from the estimate's
 /// top-k (0 = ranking intact, 1 = completely displaced).  The

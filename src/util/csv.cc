@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace ldpr {
 
@@ -93,19 +92,6 @@ bool CsvWriter::Close() {
   file_ = nullptr;
   close_result_ = !write_error_ && flushed && closed_ok;
   return close_result_;
-}
-
-void CsvWriter::WriteNumericRow(const std::string& label,
-                                const std::vector<double>& values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size() + 1);
-  fields.push_back(label);
-  for (double v : values) {
-    std::ostringstream ss;
-    ss << v;
-    fields.push_back(ss.str());
-  }
-  WriteRow(fields);
 }
 
 }  // namespace ldpr

@@ -50,10 +50,6 @@ class CsvWriter {
   /// Short writes latch a failure reported by ok()/Close().
   void WriteRow(const std::vector<std::string>& fields);
 
-  /// Convenience: writes label followed by numeric values.
-  void WriteNumericRow(const std::string& label,
-                       const std::vector<double>& values);
-
   /// Flushes and closes; false if the file never opened, any write
   /// was partial, or the flush/close failed.  Idempotent (later
   /// calls return the first result); the destructor closes without

@@ -18,14 +18,6 @@ double Mse(const std::vector<double>& a, const std::vector<double>& b) {
   return total / static_cast<double>(a.size());
 }
 
-double Mae(const std::vector<double>& a, const std::vector<double>& b) {
-  LDPR_CHECK(!a.empty());
-  LDPR_CHECK(a.size() == b.size());
-  double total = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) total += std::fabs(a[i] - b[i]);
-  return total / static_cast<double>(a.size());
-}
-
 double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
   LDPR_CHECK(a.size() == b.size());
   double total = 0.0;
@@ -62,30 +54,6 @@ double FrequencyGain(const std::vector<double>& genuine,
     gain += after[t] - genuine[t];
   }
   return gain;
-}
-
-double TotalVariation(const std::vector<double>& a,
-                      const std::vector<double>& b) {
-  return 0.5 * L1Distance(a, b);
-}
-
-double KlDivergence(const std::vector<double>& a, const std::vector<double>& b,
-                    double eps) {
-  LDPR_CHECK(a.size() == b.size());
-  LDPR_CHECK(eps > 0.0);
-  // Smooth, clip negatives to 0, renormalize both.
-  double za = 0.0, zb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    za += std::max(a[i], 0.0) + eps;
-    zb += std::max(b[i], 0.0) + eps;
-  }
-  double kl = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double pa = (std::max(a[i], 0.0) + eps) / za;
-    const double pb = (std::max(b[i], 0.0) + eps) / zb;
-    kl += pa * std::log(pa / pb);
-  }
-  return kl;
 }
 
 void RunningStat::Add(double x) {

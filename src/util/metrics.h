@@ -1,5 +1,5 @@
 // Evaluation metrics used by the paper's experiments (Section VI-B)
-// plus a few standard distributional distances used in tests.
+// plus the standard vector distances.
 
 #ifndef LDPR_UTIL_METRICS_H_
 #define LDPR_UTIL_METRICS_H_
@@ -13,9 +13,6 @@ namespace ldpr {
 /// Mean squared error between two frequency vectors (Eq. 36):
 /// (1/d) * sum_v (a_v - b_v)^2.  Sizes must match and be non-empty.
 double Mse(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Mean absolute error between two frequency vectors.
-double Mae(const std::vector<double>& a, const std::vector<double>& b);
 
 /// L1 distance: sum_v |a_v - b_v|.
 double L1Distance(const std::vector<double>& a, const std::vector<double>& b);
@@ -37,15 +34,6 @@ double LInfDistance(const std::vector<double>& a,
 double FrequencyGain(const std::vector<double>& genuine,
                      const std::vector<double>& after,
                      const std::vector<uint32_t>& targets);
-
-/// Total variation distance between two probability vectors.
-double TotalVariation(const std::vector<double>& a,
-                      const std::vector<double>& b);
-
-/// KL divergence KL(a || b) with additive smoothing `eps` applied to
-/// both arguments (the LDP estimates can contain zeros/negatives).
-double KlDivergence(const std::vector<double>& a, const std::vector<double>& b,
-                    double eps = 1e-12);
 
 /// Streaming accumulator for mean/variance across trials (Welford).
 class RunningStat {

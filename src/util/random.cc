@@ -23,29 +23,6 @@ Rng::Rng(uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-void Rng::Jump() {
-  static constexpr uint64_t kJump[] = {0x180EC6D33CFD0ABAULL,
-                                       0xD5A61266F0C9392CULL,
-                                       0xA9582618E03FC9AAULL,
-                                       0x39ABDC4529B1661CULL};
-  uint64_t t[4] = {0, 0, 0, 0};
-  for (uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (uint64_t{1} << b)) {
-        t[0] ^= s_[0];
-        t[1] ^= s_[1];
-        t[2] ^= s_[2];
-        t[3] ^= s_[3];
-      }
-      Next();
-    }
-  }
-  s_[0] = t[0];
-  s_[1] = t[1];
-  s_[2] = t[2];
-  s_[3] = t[3];
-}
-
 uint64_t Rng::UniformU64(uint64_t n) {
   LDPR_CHECK(n > 0);
   // Lemire's nearly-divisionless unbiased bounded sampling.

@@ -114,10 +114,6 @@ class Rng {
     return flip ? n - x : x;
   }
 
-  /// Jumps the generator forward by 2^128 steps; handy for carving
-  /// independent substreams out of one seed.
-  void Jump();
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -14,19 +14,6 @@
 #include <immintrin.h>
 #endif
 
-#if defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define LDPR_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
-// The LDPR_SIMD CMake option narrows what DetectBackend may pick:
-// LDPR_SIMD_MODE 0=off 1=auto 2=avx2 3=sse2 4=neon.  Only auto picks
-// AVX-512.  Pinning an unavailable backend degrades to scalar (the
-// manifest's `simd` field records what actually ran).
-#ifndef LDPR_SIMD_MODE
-#define LDPR_SIMD_MODE 1
-#endif
-
 namespace ldpr {
 
 namespace {
@@ -55,37 +42,11 @@ bool Avx512Available() {
 #endif
 }
 
-bool Sse2Available() {
-#if defined(__x86_64__)
-  return true;  // baseline of the x86-64 ABI
-#elif defined(__i386__)
-  return __builtin_cpu_supports("sse2");
-#else
-  return false;
-#endif
-}
-
-bool NeonAvailable() {
-#if defined(LDPR_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 SimdBackend DetectBackend() {
-  if (LDPR_SIMD_MODE == 0 || ForceScalarEnv()) return SimdBackend::kScalar;
-  if (LDPR_SIMD_MODE == 2)
-    return Avx2Available() ? SimdBackend::kAvx2 : SimdBackend::kScalar;
-  if (LDPR_SIMD_MODE == 3)
-    return Sse2Available() ? SimdBackend::kSse2 : SimdBackend::kScalar;
-  if (LDPR_SIMD_MODE == 4)
-    return NeonAvailable() ? SimdBackend::kNeon : SimdBackend::kScalar;
+  if (ForceScalarEnv()) return SimdBackend::kScalar;
   if (Avx512Available()) return SimdBackend::kAvx512;
   if (Avx2Available()) return SimdBackend::kAvx2;
-  if (Sse2Available()) return SimdBackend::kSse2;
-  if (NeonAvailable()) return SimdBackend::kNeon;
-  return SimdBackend::kScalar;
+  return SimdBackend::kPortable;
 }
 
 // -1 = no override; else the pinned SimdBackend.
@@ -97,12 +58,10 @@ const char* SimdBackendName(SimdBackend backend) {
   switch (backend) {
     case SimdBackend::kScalar:
       return "scalar";
-    case SimdBackend::kSse2:
-      return "sse2";
+    case SimdBackend::kPortable:
+      return "portable";
     case SimdBackend::kAvx2:
       return "avx2";
-    case SimdBackend::kNeon:
-      return "neon";
     case SimdBackend::kAvx512:
       return "avx512";
   }
@@ -112,13 +71,10 @@ const char* SimdBackendName(SimdBackend backend) {
 bool SimdBackendAvailable(SimdBackend backend) {
   switch (backend) {
     case SimdBackend::kScalar:
+    case SimdBackend::kPortable:
       return true;
-    case SimdBackend::kSse2:
-      return Sse2Available();
     case SimdBackend::kAvx2:
       return Avx2Available();
-    case SimdBackend::kNeon:
-      return NeonAvailable();
     case SimdBackend::kAvx512:
       return Avx512Available();
   }
@@ -148,134 +104,69 @@ void ClearSimdBackendForTest() {
 // ==================================================================
 // Unary column sums.
 //
-// The accelerated paths accumulate nonzero indicators in 8-bit lanes
-// (32 columns per AVX2 add, 16 per SSE2/NEON) and widen into the
-// 32-bit accumulator every kByteLaneRows rows — before a lane can
-// overflow.  min(row[v], 1) turns any nonzero byte into exactly 1,
-// matching the scalar `row[v] != 0` indicator bit for bit.
+// The accelerated path counts nonzero bytes in 8-bit lanes and widens
+// them into the 32-bit accumulator every kByteLaneRows rows — before a
+// lane can overflow.  It is one plain loop the compiler vectorizes,
+// built for the baseline ISA (kPortable) and under target("avx2")
+// (kAvx2, kAvx512).  `row[v] != 0` is the scalar reference's
+// indicator, so every build matches it bit for bit.
 
 namespace {
 
 constexpr size_t kByteLaneRows = 255;
 
-template <typename RowAt>
-void UnaryColumnsScalar(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
+void UnaryColumnsScalar(const uint8_t* rows, size_t n, size_t d,
+                        uint32_t* acc) {
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = row_at(i);
+    const uint8_t* row = rows + i * d;
     for (size_t v = 0; v < d; ++v) acc[v] += (row[v] != 0);
   }
 }
 
-#if defined(LDPR_SIMD_X86)
-
-template <typename RowAt>
-void UnaryColumnsSse2(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
-  std::vector<uint8_t> acc8(d);
-  const __m128i one = _mm_set1_epi8(1);
+// Always inlined, so each caller gets a copy vectorized for its own
+// ISA: the dispatcher's baseline one and UnaryColumnsAvx2's.
+__attribute__((always_inline)) inline void UnaryColumnsByteLanes(
+    const uint8_t* rows, size_t n, size_t d, uint32_t* acc) {
+  std::vector<uint8_t> lane_buffer(d);
+  uint8_t* __restrict lanes = lane_buffer.data();
   for (size_t base = 0; base < n; base += kByteLaneRows) {
-    const size_t rows = std::min(n - base, kByteLaneRows);
-    std::memset(acc8.data(), 0, d);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint8_t* row = row_at(base + i);
-      size_t v = 0;
-      for (; v + 16 <= d; v += 16) {
-        const __m128i x = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(row + v));
-        __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(acc8.data() + v));
-        a = _mm_add_epi8(a, _mm_min_epu8(x, one));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(acc8.data() + v), a);
-      }
-      for (; v < d; ++v) acc8[v] += (row[v] != 0);
+    const size_t tile = std::min(n - base, kByteLaneRows);
+    std::memset(lanes, 0, d);
+    for (size_t i = 0; i < tile; ++i) {
+      const uint8_t* __restrict row = rows + (base + i) * d;
+      for (size_t v = 0; v < d; ++v) lanes[v] += (row[v] != 0);
     }
-    for (size_t v = 0; v < d; ++v) acc[v] += acc8[v];
+    for (size_t v = 0; v < d; ++v) acc[v] += lanes[v];
   }
 }
 
-template <typename RowAt>
-__attribute__((target("avx2"))) void UnaryColumnsAvx2(RowAt row_at, size_t n,
-                                                      size_t d,
+#if defined(LDPR_SIMD_X86)
+__attribute__((target("avx2"))) void UnaryColumnsAvx2(const uint8_t* rows,
+                                                      size_t n, size_t d,
                                                       uint32_t* acc) {
-  std::vector<uint8_t> acc8(d);
-  const __m256i one = _mm256_set1_epi8(1);
-  for (size_t base = 0; base < n; base += kByteLaneRows) {
-    const size_t rows = std::min(n - base, kByteLaneRows);
-    std::memset(acc8.data(), 0, d);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint8_t* row = row_at(base + i);
-      size_t v = 0;
-      for (; v + 32 <= d; v += 32) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(row + v));
-        __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(acc8.data() + v));
-        a = _mm256_add_epi8(a, _mm256_min_epu8(x, one));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc8.data() + v), a);
-      }
-      for (; v < d; ++v) acc8[v] += (row[v] != 0);
-    }
-    for (size_t v = 0; v < d; ++v) acc[v] += acc8[v];
-  }
+  UnaryColumnsByteLanes(rows, n, d, acc);
 }
-
-#endif  // LDPR_SIMD_X86
-
-#if defined(LDPR_SIMD_NEON)
-
-template <typename RowAt>
-void UnaryColumnsNeon(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
-  std::vector<uint8_t> acc8(d);
-  const uint8x16_t one = vdupq_n_u8(1);
-  for (size_t base = 0; base < n; base += kByteLaneRows) {
-    const size_t rows = std::min(n - base, kByteLaneRows);
-    std::memset(acc8.data(), 0, d);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint8_t* row = row_at(base + i);
-      size_t v = 0;
-      for (; v + 16 <= d; v += 16) {
-        const uint8x16_t x = vld1q_u8(row + v);
-        uint8x16_t a = vld1q_u8(acc8.data() + v);
-        a = vaddq_u8(a, vminq_u8(x, one));
-        vst1q_u8(acc8.data() + v, a);
-      }
-      for (; v < d; ++v) acc8[v] += (row[v] != 0);
-    }
-    for (size_t v = 0; v < d; ++v) acc[v] += acc8[v];
-  }
-}
-
-#endif  // LDPR_SIMD_NEON
-
-template <typename RowAt>
-void UnaryColumnsDispatch(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
-  switch (ActiveSimdBackend()) {
-#if defined(LDPR_SIMD_X86)
-    case SimdBackend::kAvx512:
-    case SimdBackend::kAvx2:
-      UnaryColumnsAvx2(row_at, n, d, acc);
-      return;
-    case SimdBackend::kSse2:
-      UnaryColumnsSse2(row_at, n, d, acc);
-      return;
 #endif
-#if defined(LDPR_SIMD_NEON)
-    case SimdBackend::kNeon:
-      UnaryColumnsNeon(row_at, n, d, acc);
-      return;
-#endif
-    default:
-      UnaryColumnsScalar(row_at, n, d, acc);
-      return;
-  }
-}
 
 }  // namespace
 
 void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
                                uint32_t* acc) {
   LDPR_CHECK(n < (uint64_t{1} << 32));
-  UnaryColumnsDispatch([rows, d](size_t i) { return rows + i * d; }, n, d,
-                       acc);
+  switch (ActiveSimdBackend()) {
+    case SimdBackend::kScalar:
+      UnaryColumnsScalar(rows, n, d, acc);
+      return;
+#if defined(LDPR_SIMD_X86)
+    case SimdBackend::kAvx2:
+    case SimdBackend::kAvx512:
+      UnaryColumnsAvx2(rows, n, d, acc);
+      return;
+#endif
+    default:
+      UnaryColumnsByteLanes(rows, n, d, acc);
+      return;
+  }
 }
 
 // ==================================================================
@@ -337,7 +228,7 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 //
 //  * scalar — the canonical SeededHash per (seed, item) pair, an
 //    out-of-line XxHash64 call plus a hardware modulo;
-//  * portable (SSE2/AVX2/NEON) — the split evaluation of
+//  * portable (kPortable, kAvx2) — the split evaluation of
 //    util/hash_family.h: the item-only xxHash round hoists out of the
 //    per-seed loop, the per-seed finish inlines to four multiplies,
 //    and FastMod strength-reduces `% g`;

@@ -10,19 +10,21 @@
 //     MGA's seed search (attack/mga.h).
 //
 // Each kernel ships a scalar reference implementation (always
-// compiled, the exact shape of the pre-SIMD per-report code) plus
-// accelerated paths: AVX2/SSE2 byte-lane accumulation for the unary
-// columns, bank-interleaved counting for the histogram, and for local
-// hashing an 8-lane AVX-512 routine (vpmullq xxHash finish plus an
-// exact double-precision `mod g`), with the inline split-xxHash +
-// FastMod evaluation of util/hash_family.h on the other backends.
-// Dispatch is compile-time (only backends the target architecture can
-// express are compiled; see the LDPR_SIMD CMake option) narrowed at
-// runtime by cpuid, and every kernel is bit-exact across backends:
-// support counts are integer sums, so regrouped or vectorized
-// accumulation yields byte-identical doubles, and every hash bucket
-// is the exact remainder (tests/report_gen_batch_test.cc locks each
-// kernel to its scalar reference on every backend the machine runs).
+// compiled, the exact shape of the pre-SIMD per-report code) plus one
+// accelerated path: byte-lane accumulation for the unary columns,
+// bank-interleaved counting for the histogram, and for local hashing
+// the inline split-xxHash + FastMod evaluation of util/hash_family.h,
+// with an 8-lane AVX-512 routine (vpmullq xxHash finish plus an exact
+// double-precision `mod g`) on machines that have it.  The unary
+// kernel is one portable C++ loop the compiler vectorizes, built once
+// for the baseline ISA and once for AVX2; only the AVX-512 local
+// hashing is written in intrinsics.  Dispatch follows the running CPU
+// alone (cpuid, at first use), and every kernel is bit-exact across
+// backends: support counts are integer sums, so regrouped or
+// vectorized accumulation yields byte-identical doubles, and every
+// hash bucket is the exact remainder (tests/report_gen_batch_test.cc
+// locks each kernel to its scalar reference on every backend the
+// machine runs).
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
 // reference paths — the lever the CI determinism job uses to prove
@@ -39,32 +41,30 @@
 
 namespace ldpr {
 
-/// The kernel implementations this build can dispatch to.  kScalar is
-/// always available; the others require both compile-time support and
-/// (on x86) a runtime cpuid check.  kAvx512 (avx512f + avx512dq) runs
-/// the 8-lane local-hashing routine and the AVX2 code of the other
-/// kernels.  The `auto` mode dispatches to the first available of
-/// kAvx512, kAvx2, kSse2, kNeon; a pinned mode (say LDPR_SIMD=avx2)
-/// only ever dispatches to its own backend.
+/// The kernel implementations dispatch can pick.  kScalar and
+/// kPortable run on every machine; kAvx2 and kAvx512 (avx512f +
+/// avx512dq) need the running x86 CPU to report them.  Both run the
+/// unary kernel compiled for AVX2 and the portable code of the other
+/// kernels; kAvx512 adds the 8-lane local-hashing routine.  Dispatch
+/// picks the first available of kAvx512, kAvx2, kPortable.
 enum class SimdBackend {
   kScalar,
-  kSse2,
+  kPortable,
   kAvx2,
-  kNeon,
   kAvx512,
 };
 
 const char* SimdBackendName(SimdBackend backend);
 
 /// The backend every kernel currently dispatches to: the best
-/// available one, unless the LDPR_SIMD CMake option pinned or
-/// disabled dispatch, LDPR_FORCE_SCALAR=1 is set in the environment
-/// (checked once, at first use), or a test override is active.
+/// available one, unless LDPR_FORCE_SCALAR=1 is set in the
+/// environment (checked once, at first use) or a test override is
+/// active.
 SimdBackend ActiveSimdBackend();
 const char* ActiveSimdBackendName();
 
-/// True iff this build compiled `backend` and the running machine can
-/// execute it (kScalar always can) — whether or not dispatch picks it.
+/// True iff the running machine can execute `backend` (kScalar and
+/// kPortable always can) — whether or not dispatch picks it.
 bool SimdBackendAvailable(SimdBackend backend);
 
 /// Test hooks: pin dispatch to `backend` / restore auto-detection.

@@ -10,14 +10,10 @@ const char* StatusCodeName(StatusCode code) {
       return "INVALID_ARGUMENT";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
     case StatusCode::kInternal:
       return "INTERNAL";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
   }
   return "UNKNOWN";
 }
@@ -42,17 +38,11 @@ Status InvalidArgumentError(std::string message) {
 Status NotFoundError(std::string message) {
   return Status(StatusCode::kNotFound, std::move(message));
 }
-Status OutOfRangeError(std::string message) {
-  return Status(StatusCode::kOutOfRange, std::move(message));
-}
 Status FailedPreconditionError(std::string message) {
   return Status(StatusCode::kFailedPrecondition, std::move(message));
 }
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
-}
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
 }
 
 }  // namespace ldpr

@@ -21,10 +21,8 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument = 1,
   kNotFound = 2,
-  kOutOfRange = 3,
   kFailedPrecondition = 4,
   kInternal = 5,
-  kUnimplemented = 6,
 };
 
 /// Returns a stable human-readable name for a status code.
@@ -65,10 +63,8 @@ std::ostream& operator<<(std::ostream& os, const Status& status);
 /// Convenience constructors mirroring absl::
 Status InvalidArgumentError(std::string message);
 Status NotFoundError(std::string message);
-Status OutOfRangeError(std::string message);
 Status FailedPreconditionError(std::string message);
 Status InternalError(std::string message);
-Status UnimplementedError(std::string message);
 
 /// A value-or-error union.  Accessing value() on an error aborts, so
 /// callers must test ok() (or use value_or) first.

@@ -48,7 +48,7 @@ TEST_F(CsvFileTest, RoundTripThroughWriterAndReader) {
     ASSERT_TRUE(w.ok());
     w.WriteRow({"city", "count"});
     w.WriteRow({"San Francisco, CA", "42"});
-    w.WriteNumericRow("mse", {1.5e-3, 2.0});
+    w.WriteRow({"mse", "0.0015", "2"});
   }
   auto rows_or = ReadCsvFile(path_);
   ASSERT_TRUE(rows_or.ok());

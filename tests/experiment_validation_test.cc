@@ -79,11 +79,6 @@ TEST(ValidateExperimentInputsTest, RejectsBadAttackShapes) {
   EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
 
   config = OkConfig();
-  config.pipeline.attack = AttackKind::kManip;
-  config.pipeline.manip_domain_fraction = 1.5;
-  EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
-
-  config = OkConfig();
   config.pipeline.attack = AttackKind::kMultiAdaptive;
   config.pipeline.num_attackers = 0;
   EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());

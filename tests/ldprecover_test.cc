@@ -95,16 +95,6 @@ TEST(LdpRecoverStarTest, PaperLiteralModeChangesSplit) {
   EXPECT_NEAR(Sum(m_exact), Sum(m_literal), 1e-9);
 }
 
-TEST(LdpRecoverTest, MaliciousSumOverrideRespected) {
-  const Grr grr(6, 0.5);
-  RecoverOptions opts;
-  opts.malicious_sum_override = 2.5;
-  const LdpRecover recover(grr, opts);
-  const std::vector<double> poisoned(6, 0.2);
-  EXPECT_NEAR(Sum(recover.EstimateMaliciousFrequencies(poisoned)), 2.5,
-              1e-12);
-}
-
 TEST(LdpRecoverTest, MaliciousVectorOverrideRespected) {
   const Grr grr(3, 0.5);
   RecoverOptions opts;

@@ -10,15 +10,6 @@
 namespace ldpr {
 namespace {
 
-TEST(BasePosTest, ClampsNegativesOnly) {
-  const auto out = BasePos({-0.2, 0.5, 0.9});
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.5);
-  EXPECT_DOUBLE_EQ(out[2], 0.9);
-  // No renormalization: sum may exceed 1.
-  EXPECT_DOUBLE_EQ(Sum(out), 1.4);
-}
-
 TEST(ClipAndRenormalizeTest, ProducesProbabilityVector) {
   const auto out = ClipAndRenormalize({-0.2, 0.3, 0.9});
   EXPECT_TRUE(IsProbabilityVector(out));

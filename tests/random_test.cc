@@ -317,15 +317,6 @@ TEST(BinomialDrawForDrawTest, UniformSpreadSequence) {
   });
 }
 
-TEST(RngTest, JumpDecorrelates) {
-  Rng a(31);
-  Rng b(31);
-  b.Jump();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) equal += (a.Next() == b.Next()) ? 1 : 0;
-  EXPECT_EQ(equal, 0);
-}
-
 TEST(AliasSamplerTest, NormalizesWeights) {
   AliasSampler s({2.0, 6.0});
   EXPECT_DOUBLE_EQ(s.probability(0), 0.25);

@@ -347,8 +347,8 @@ TEST(ReportGenBatchTest, DetectionExactGenuineMatchesOracleFilter) {
 std::vector<SimdBackend> TestableBackends() {
   std::vector<SimdBackend> backends;
   for (SimdBackend backend :
-       {SimdBackend::kScalar, SimdBackend::kSse2, SimdBackend::kAvx2,
-        SimdBackend::kNeon, SimdBackend::kAvx512}) {
+       {SimdBackend::kScalar, SimdBackend::kPortable, SimdBackend::kAvx2,
+        SimdBackend::kAvx512}) {
     if (SimdBackendAvailable(backend)) backends.push_back(backend);
   }
   return backends;
@@ -364,12 +364,19 @@ class ScopedBackend {
 
 TEST(SimdKernelTest, UnaryColumnsMatchScalarAcrossBackends) {
   Rng rng(101);
-  for (size_t d : {size_t{7}, size_t{64}, size_t{100}}) {
+  // d = 7 and 24 stay below one AVX2 vector; 4096 is scaling_d's top.
+  for (size_t d : {size_t{7}, size_t{24}, size_t{64}, size_t{100},
+                   size_t{4096}}) {
     // Sizes around the 255-row byte-lane sub-tile and vector widths.
     for (size_t n : {size_t{0}, size_t{1}, size_t{254}, size_t{255},
                      size_t{256}, size_t{1000}}) {
+      // Every nonzero byte (1..255) must count as one, as the scalar
+      // `row[v] != 0` does.
       std::vector<uint8_t> rows(n * d);
-      for (uint8_t& b : rows) b = rng.Bernoulli(0.3) ? 1 : 0;
+      for (uint8_t& b : rows) {
+        b = rng.Bernoulli(0.3) ? static_cast<uint8_t>(1 + rng.UniformU64(255))
+                               : 0;
+      }
 
       std::vector<uint32_t> reference(d, 5);  // nonzero carry-in
       {
@@ -412,6 +419,8 @@ TEST(SimdKernelTest, ScalarAndActiveBackendsAreTestable) {
   const std::vector<SimdBackend> backends = TestableBackends();
   ASSERT_FALSE(backends.empty());
   EXPECT_EQ(backends.front(), SimdBackend::kScalar);
+  EXPECT_NE(std::find(backends.begin(), backends.end(), SimdBackend::kPortable),
+            backends.end());
   EXPECT_NE(std::find(backends.begin(), backends.end(), ActiveSimdBackend()),
             backends.end());
 }

@@ -22,11 +22,9 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 
 TEST(StatusTest, ConstructorsMapToCodes) {
   EXPECT_EQ(NotFoundError("x").code(), StatusCode::kNotFound);
-  EXPECT_EQ(OutOfRangeError("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(FailedPreconditionError("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(UnimplementedError("x").code(), StatusCode::kUnimplemented);
 }
 
 TEST(StatusTest, Equality) {
