@@ -7,10 +7,12 @@
 // recover/kmeans_defense.h), so xi is capped at 0.5 (two subsets).
 //
 // RunTrialTable fans the (xi x trial) grid of each protocol out across
-// LDPR_THREADS on counter-derived per-trial seeds; per-trial MSEs
-// merge in trial order and the full poisoned report set aggregates
-// through Aggregator::AddAllSharded, so output is byte-identical at
-// any thread count.
+// LDPR_THREADS on counter-derived per-trial seeds, and per-trial MSEs
+// merge in trial order, so output is byte-identical at any thread
+// count.  A trial aggregates its reports once per defense partition:
+// "Before" reads the poisoned estimate off the first defense's
+// population counts (the exact sum of its per-subset counts), and
+// LDPRecover-KM does the same with its own partition.
 
 #include <cstdio>
 #include <iterator>
@@ -32,8 +34,7 @@ namespace {
 std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
                                 const Dataset& dataset,
                                 const std::vector<double>& truth, double xi,
-                                double beta, size_t shards,
-                                uint64_t trial_seed) {
+                                double beta, uint64_t trial_seed) {
   Rng rng(trial_seed);
   // Materialize the full IPA-poisoned report set: genuine users
   // perturb honestly, malicious users perturb attacker-chosen inputs
@@ -50,14 +51,13 @@ std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
   const auto attack = MakeAttack(pconfig, dataset.domain_size(), rng);
   attack->CraftBatch(protocol, m, rng, builder);
 
-  Aggregator all(protocol);
-  all.AddAllSharded(reports, shards);
-  const double before = Mse(truth, all.EstimateFrequencies());
-
   KMeansDefenseOptions opts;
   opts.sample_rate = xi;
   const KMeansDefenseResult defense =
       RunKMeansDefense(protocol, reports, opts, rng);
+  const double before =
+      Mse(truth, protocol.EstimateFrequencies(defense.population_counts,
+                                              defense.population_size));
   const double kmeans_alone = Mse(truth, defense.genuine_estimate);
   return {before, kmeans_alone,
           Mse(truth, LdpRecoverKm(protocol, reports, opts, 0.2, rng))};
@@ -83,10 +83,10 @@ Status RunFig9(ScenarioContext& ctx) {
                   std::string("Figure 9 (IPUMS, MGA-IPA, ") +
                       ProtocolKindName(kind) + "): MSE vs xi",
                   labels, DeriveSeed(ctx.seed, p),
-                  [&](size_t xi_index, size_t shards, uint64_t trial_seed) {
+                  [&](size_t xi_index, size_t /*shards*/,
+                      uint64_t trial_seed) {
                     return RunOneTrial(*protocol, ipums, truth, xis[xi_index],
-                                       spec.defaults.beta, shards,
-                                       trial_seed);
+                                       spec.defaults.beta, trial_seed);
                   });
   }
   return Status::Ok();

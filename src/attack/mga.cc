@@ -45,10 +45,8 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
         size_t ones = 0;
         for (ItemId t : targets_) {
           LDPR_CHECK(t < d);
-          if (!row[t]) {
-            row[t] = 1;
-            ++ones;
-          }
+          ones += !row[t];
+          row[t] = 1;
         }
         if (options_.pad_oue) {
           // Bring the 1-count up to the expected count of a genuine
@@ -58,10 +56,8 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
           while (ones < expected && guard < 16 * d) {
             const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
             ++guard;
-            if (!row[v]) {
-              row[v] = 1;
-              ++ones;
-            }
+            ones += !row[v];
+            row[v] = 1;
           }
         }
       }

@@ -19,12 +19,16 @@ void UnaryEncoding::AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
   LDPR_CHECK(item < d_);
   out.SetBitsWidth(d_);
   out.Reserve(count);
+  // One uniform per bit, in column order: p_keep_ and q_flip_ lie in
+  // (0, 1) (checked in the constructor), where this is exactly
+  // Rng::Bernoulli's draw.  The loop splits around the held item so
+  // no bit selects its probability.
   for (uint64_t u = 0; u < count; ++u) {
     uint8_t* row = out.AddBitsRow();
-    for (size_t i = 0; i < d_; ++i) {
-      const double keep_prob = (i == item) ? p_keep_ : q_flip_;
-      row[i] = rng.Bernoulli(keep_prob) ? 1 : 0;
-    }
+    for (size_t i = 0; i < item; ++i) row[i] = rng.UniformDouble() < q_flip_;
+    row[item] = rng.UniformDouble() < p_keep_;
+    for (size_t i = item + 1; i < d_; ++i)
+      row[i] = rng.UniformDouble() < q_flip_;
   }
 }
 

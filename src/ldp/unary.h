@@ -20,7 +20,7 @@ class UnaryEncoding : public FrequencyProtocol {
   double p() const override { return p_keep_; }
   double q() const override { return q_flip_; }
 
-  /// Fills zeroed packed bit rows in place with one Bernoulli draw per
+  /// Fills zeroed packed bit rows in place with one uniform draw per
   /// bit, in column order — no per-user std::vector<uint8_t>.
   void AppendGenuineReports(ItemId item, uint64_t count, Rng& rng,
                             ReportBatch::Builder& out) const override;

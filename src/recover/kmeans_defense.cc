@@ -97,45 +97,59 @@ std::vector<uint8_t> TwoMeansCluster(
   return best_labels;
 }
 
-KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
-                                     const ReportBatch& reports,
-                                     const KMeansDefenseOptions& options,
-                                     Rng& rng) {
-  LDPR_CHECK(!reports.empty());
+KMeansPartition PartitionSupportCounts(const FrequencyProtocol& protocol,
+                                       const ReportBatch& reports,
+                                       const KMeansDefenseOptions& options,
+                                       Rng& rng) {
   LDPR_CHECK(options.sample_rate > 0.0 && options.sample_rate <= 0.5);
-
-  // Partition the users into ~1/xi disjoint subsets.
   const size_t n = reports.size();
   const size_t num_subsets = std::max<size_t>(
       2, static_cast<size_t>(std::llround(1.0 / options.sample_rate)));
+  // Every subset needs a user to estimate from.
+  LDPR_CHECK(n >= num_subsets);
+
+  // Shuffle, then deal user order[i] to subset i % num_subsets.
   std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
   for (size_t i = n; i > 1; --i)
     std::swap(order[i - 1], order[rng.UniformU64(i)]);
 
-  std::vector<std::vector<uint32_t>> members(num_subsets);
-  for (size_t i = 0; i < n; ++i) members[i % num_subsets].push_back(order[i]);
-
   // Per-subset support counts: each subset's rows are gathered into
   // kBatchFlushReports-sized tiles and folded through the batched
   // kernel.
-  const size_t d = protocol.domain_size();
-  std::vector<std::vector<double>> subset_counts(
-      num_subsets, std::vector<double>(d, 0.0));
-  KMeansDefenseResult result;
-  result.subset_estimates.reserve(num_subsets);
+  KMeansPartition partition;
+  partition.subset_counts.assign(
+      num_subsets, std::vector<double>(protocol.domain_size(), 0.0));
+  partition.subset_sizes.reserve(num_subsets);
   ReportBatch tile;
   for (size_t s = 0; s < num_subsets; ++s) {
-    for (uint32_t idx : members[s]) {
-      tile.AppendFrom(reports, idx);
+    for (size_t i = s; i < n; i += num_subsets) {
+      tile.AppendFrom(reports, order[i]);
       if (tile.size() < kBatchFlushReports) continue;
-      protocol.AccumulateSupportsBatch(tile, subset_counts[s]);
+      protocol.AccumulateSupportsBatch(tile, partition.subset_counts[s]);
       tile.Clear();
     }
-    protocol.AccumulateSupportsBatch(tile, subset_counts[s]);
+    protocol.AccumulateSupportsBatch(tile, partition.subset_counts[s]);
     tile.Clear();
-    result.subset_estimates.push_back(
-        protocol.EstimateFrequencies(subset_counts[s], members[s].size()));
+    partition.subset_sizes.push_back((n - s + num_subsets - 1) / num_subsets);
+  }
+  return partition;
+}
+
+KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
+                                     const KMeansPartition& partition,
+                                     const KMeansDefenseOptions& options,
+                                     Rng& rng) {
+  const size_t num_subsets = partition.subset_counts.size();
+  LDPR_CHECK(num_subsets >= 2);
+  LDPR_CHECK(partition.subset_sizes.size() == num_subsets);
+
+  KMeansDefenseResult result;
+  result.subset_estimates.reserve(num_subsets);
+  for (size_t s = 0; s < num_subsets; ++s) {
+    LDPR_CHECK(partition.subset_sizes[s] > 0);
+    result.subset_estimates.push_back(protocol.EstimateFrequencies(
+        partition.subset_counts[s], partition.subset_sizes[s]));
   }
 
   result.subset_is_malicious = TwoMeansCluster(
@@ -147,19 +161,34 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
       static_cast<double>(malicious_subsets) / static_cast<double>(num_subsets);
 
   // Re-aggregate over the *users* of each cluster — the defense keeps
-  // only the genuine cluster's reports — by summing the subsets'
-  // integer support counts (exact in any order).
+  // only the genuine cluster's reports — and over all users, by
+  // summing the subsets' integer support counts (exact in any order).
   Aggregator genuine(protocol);
   Aggregator malicious(protocol);
+  Aggregator population(protocol);
   for (size_t s = 0; s < num_subsets; ++s) {
     Aggregator& sink = result.subset_is_malicious[s] ? malicious : genuine;
-    sink.AddSampledCounts(subset_counts[s], members[s].size());
+    sink.AddSampledCounts(partition.subset_counts[s],
+                          partition.subset_sizes[s]);
+    population.AddSampledCounts(partition.subset_counts[s],
+                                partition.subset_sizes[s]);
   }
   LDPR_CHECK(genuine.report_count() > 0);
   result.genuine_estimate = genuine.EstimateFrequencies();
   if (malicious.report_count() > 0)
     result.malicious_estimate = malicious.EstimateFrequencies();
+  result.population_counts = population.support_counts();
+  result.population_size = population.report_count();
   return result;
+}
+
+KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
+                                     const ReportBatch& reports,
+                                     const KMeansDefenseOptions& options,
+                                     Rng& rng) {
+  return RunKMeansDefense(
+      protocol, PartitionSupportCounts(protocol, reports, options, rng),
+      options, rng);
 }
 
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
@@ -188,9 +217,8 @@ std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
       RunKMeansDefense(protocol, reports, options, rng);
 
   // Full-population (poisoned) estimate.
-  Aggregator all(protocol);
-  all.AddAll(reports);
-  const std::vector<double> poisoned = all.EstimateFrequencies();
+  const std::vector<double> poisoned = protocol.EstimateFrequencies(
+      defense.population_counts, defense.population_size);
 
   if (defense.malicious_estimate.empty()) {
     // Clustering found no malicious minority: fall back to projecting

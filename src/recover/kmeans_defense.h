@@ -12,6 +12,17 @@
 // malicious/genuine ratio) from the minority cluster and feeds them
 // into LDPRecover's constraint-inference step, recovering strictly
 // more accurate frequencies (Figure 9).
+//
+// The defense runs in two steps.  PartitionSupportCounts draws the
+// random partition of the reports and reduces it to per-subset
+// support counts — the only pass over the reports.  The counts entry
+// point of RunKMeansDefense then works on those k count vectors
+// alone: it clusters the per-subset estimates and re-aggregates each
+// cluster by summing its subsets' counts.  The sum over all subsets is
+// the full-population support count, exactly (integer-valued
+// doubles), so LDPRecover-KM and fig9's "Before" column read the
+// poisoned aggregate off the defense instead of aggregating every
+// report again.
 
 #ifndef LDPR_RECOVER_KMEANS_DEFENSE_H_
 #define LDPR_RECOVER_KMEANS_DEFENSE_H_
@@ -37,6 +48,15 @@ struct KMeansDefenseOptions {
   size_t restarts = 4;
 };
 
+/// A uniformly random partition of the users into disjoint subsets,
+/// reduced to what the defense consumes.
+struct KMeansPartition {
+  /// Per-subset support counts C_s(v) (#subsets x d).
+  std::vector<std::vector<double>> subset_counts;
+  /// Users per subset; every entry is positive.
+  std::vector<size_t> subset_sizes;
+};
+
 struct KMeansDefenseResult {
   /// Per-subset frequency estimates (#subsets x d).
   std::vector<std::vector<double>> subset_estimates;
@@ -51,6 +71,12 @@ struct KMeansDefenseResult {
   std::vector<double> malicious_estimate;
   /// Fraction of subsets labelled malicious.
   double malicious_subset_fraction = 0.0;
+  /// Full-population support counts: the sum of every subset's
+  /// counts, equal bit for bit to aggregating all the reports
+  /// (Aggregator::AddAll).
+  std::vector<double> population_counts;
+  /// Users over all subsets.
+  size_t population_size = 0;
 };
 
 /// Basic 2-means over row vectors.  Returns per-row cluster labels
@@ -59,8 +85,26 @@ std::vector<uint8_t> TwoMeansCluster(
     const std::vector<std::vector<double>>& rows, size_t max_iterations,
     size_t restarts, Rng& rng);
 
-/// Runs the subset-sampling + clustering defense over the given
-/// reports.  The protocol reference must outlive the call.
+/// Step one: shuffles the users (one Fisher-Yates pass on `rng`),
+/// deals them round-robin into max(2, round(1/xi)) subsets, and sums
+/// each subset's support counts through the batched kernel.
+/// Requires at least as many reports as subsets and xi in (0, 0.5].
+KMeansPartition PartitionSupportCounts(const FrequencyProtocol& protocol,
+                                       const ReportBatch& reports,
+                                       const KMeansDefenseOptions& options,
+                                       Rng& rng);
+
+/// Step two, the counts entry point: 2-means over the per-subset
+/// estimates (`rng` seeds the restarts) and re-aggregation of each
+/// cluster from its subsets' counts.  options.sample_rate is not
+/// read; the partition already fixed the subsets.
+KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
+                                     const KMeansPartition& partition,
+                                     const KMeansDefenseOptions& options,
+                                     Rng& rng);
+
+/// Both steps over the given reports.  The protocol reference must
+/// outlive the call.
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
                                      const ReportBatch& reports,
                                      const KMeansDefenseOptions& options,
@@ -68,7 +112,9 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
 
 /// LDPRecover-KM: integrates the defense's learnt malicious vector
 /// into LDPRecover (malicious-frequency override + KKT refinement).
-/// `eta` follows the usual RecoverOptions semantics.
+/// The poisoned estimate comes from the defense's population counts,
+/// so the reports are aggregated once.  `eta` follows the usual
+/// RecoverOptions semantics.
 std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
                                  const ReportBatch& reports,
                                  const KMeansDefenseOptions& options,

@@ -23,29 +23,6 @@ Rng::Rng(uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-uint64_t Rng::UniformU64(uint64_t n) {
-  LDPR_CHECK(n > 0);
-  // Lemire's nearly-divisionless unbiased bounded sampling.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < n) {
-    uint64_t threshold = (0 - n) % n;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * n;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
-}
-
 uint64_t Rng::BinomialInversion(uint64_t n, double p, double u) {
   const double q = 1.0 - p;
   const double s = p / q;

@@ -18,6 +18,8 @@
 #include <limits>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace ldpr {
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer.  Used to expand one
@@ -64,16 +66,39 @@ class Rng {
   }
 
   /// Uniform integer in [0, n).  Uses Lemire's unbiased multiply-shift
-  /// rejection method.  Requires n > 0.
-  uint64_t UniformU64(uint64_t n);
+  /// rejection method.  Requires n > 0.  Inline: the per-report
+  /// generators (GRR values, MGA padding, shuffles) call it in their
+  /// innermost loops.
+  uint64_t UniformU64(uint64_t n) {
+    LDPR_CHECK(n > 0);
+    // Lemire's nearly-divisionless unbiased bounded sampling.
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    uint64_t low = static_cast<uint64_t>(m);
+    if (low < n) {
+      const uint64_t threshold = (0 - n) % n;
+      while (low < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * n;
+        low = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double UniformDouble() {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;
   }
 
-  /// Bernoulli draw: true with probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  /// Bernoulli draw: true with probability p (clamped to [0,1]).  A
+  /// p strictly inside (0, 1) consumes one uniform; p <= 0 or p >= 1
+  /// consumes none.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   /// Binomial(n, p) draw.
   ///

@@ -7,6 +7,8 @@
 #include "attack/ipa.h"
 #include "ldp/factory.h"
 #include "ldp/grr.h"
+#include "recover/ldprecover.h"
+#include "recover/simplex_projection.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
 
@@ -38,14 +40,15 @@ TEST(TwoMeansTest, MinorityIsAlwaysLabelOne) {
 }
 
 // Builds an IPA-poisoned report set over a uniform population.
-ReportBatch MakePoisonedReports(const Grr& grr, size_t n, size_t m,
-                                const std::vector<ItemId>& targets, Rng& rng) {
+ReportBatch MakePoisonedReports(const FrequencyProtocol& proto, size_t n,
+                                size_t m, const std::vector<ItemId>& targets,
+                                Rng& rng) {
   ReportBatch reports;
   ReportBatch::Builder builder(reports);
-  const size_t d = grr.domain_size();
+  const size_t d = proto.domain_size();
   for (size_t i = 0; i < n; ++i)
-    grr.AppendGenuineReports(static_cast<ItemId>(i % d), 1, rng, builder);
-  MakeMgaIpa(d, targets)->CraftBatch(grr, m, rng, builder);
+    proto.AppendGenuineReports(static_cast<ItemId>(i % d), 1, rng, builder);
+  MakeMgaIpa(d, targets)->CraftBatch(proto, m, rng, builder);
   return reports;
 }
 
@@ -55,11 +58,8 @@ TEST(KMeansDefenseTest, AggregatesMatchDirectAggregation) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, 12, 1.0);
     Rng gen(9);
-    ReportBatch reports;
-    ReportBatch::Builder builder(reports);
-    for (size_t i = 0; i < 9000; ++i)
-      proto->AppendGenuineReports(static_cast<ItemId>(i % 12), 1, gen, builder);
-    MakeMgaIpa(12, {0, 1})->CraftBatch(*proto, 2500, gen, builder);
+    const ReportBatch reports =
+        MakePoisonedReports(*proto, 9000, 2500, {0, 1}, gen);
 
     KMeansDefenseOptions opts;
     opts.sample_rate = 0.2;
@@ -80,6 +80,74 @@ TEST(KMeansDefenseTest, AggregatesMatchDirectAggregation) {
     direct.AddAll(genuine);
     EXPECT_EQ(result.genuine_estimate, direct.EstimateFrequencies())
         << ProtocolKindName(kind);
+  }
+}
+
+// The population counts stand in for aggregating every report (fig9's
+// "Before", LDPRecover-KM's poisoned estimate), so they must match
+// Aggregator::AddAll bit for bit.  At xi = 0.5 each subset holds more
+// than kBatchFlushReports reports, so the tile flush runs too.
+TEST(KMeansDefenseTest, PopulationCountsMatchAddAll) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, 12, 1.0);
+    Rng gen(11);
+    const ReportBatch reports =
+        MakePoisonedReports(*proto, 7001, 1300, {0, 1}, gen);
+    Aggregator all(*proto);
+    all.AddAll(reports);
+    for (double xi : {0.05, 0.1, 0.2, 0.3, 0.5}) {
+      KMeansDefenseOptions opts;
+      opts.sample_rate = xi;
+      Rng rng(12);
+      const KMeansPartition partition =
+          PartitionSupportCounts(*proto, reports, opts, rng);
+      size_t users = 0;
+      for (size_t size : partition.subset_sizes) {
+        EXPECT_LE(size, reports.size() / partition.subset_sizes.size() + 1);
+        users += size;
+      }
+      EXPECT_EQ(users, reports.size());
+
+      const auto result = RunKMeansDefense(*proto, partition, opts, rng);
+      EXPECT_EQ(result.population_counts, all.support_counts())
+          << ProtocolKindName(kind) << " xi=" << xi;
+      EXPECT_EQ(result.population_size, reports.size());
+    }
+  }
+}
+
+// LDPRecover-KM's poisoned estimate used to come from a separate
+// Aggregator::AddAll over every report; reading it off the defense's
+// population counts must not move a bit or an Rng draw.
+TEST(LdpRecoverKmTest, MatchesSeparateFullAggregation) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, 12, 1.0);
+    Rng gen(13);
+    const ReportBatch reports =
+        MakePoisonedReports(*proto, 6000, 1500, {0, 1}, gen);
+    Aggregator all(*proto);
+    all.AddAll(reports);
+    const std::vector<double> poisoned = all.EstimateFrequencies();
+    for (double xi : {0.1, 0.2, 0.5}) {
+      KMeansDefenseOptions opts;
+      opts.sample_rate = xi;
+      Rng rng(14), replay(14);
+      const std::vector<double> km =
+          LdpRecoverKm(*proto, reports, opts, 0.2, rng);
+
+      const auto defense = RunKMeansDefense(*proto, reports, opts, replay);
+      std::vector<double> expected;
+      if (defense.malicious_estimate.empty()) {
+        expected = ProjectToSimplexKkt(poisoned);
+      } else {
+        RecoverOptions recover;
+        recover.eta = 0.2;
+        recover.malicious_freqs_override = defense.malicious_estimate;
+        expected = LdpRecover(*proto, recover).Recover(poisoned);
+      }
+      EXPECT_EQ(km, expected) << ProtocolKindName(kind) << " xi=" << xi;
+      EXPECT_EQ(rng.Next(), replay.Next()) << ProtocolKindName(kind);
+    }
   }
 }
 
@@ -158,6 +226,33 @@ TEST(KMeansDefenseDeathTest, RejectsEmptyReports) {
   EXPECT_DEATH(
       RunKMeansDefense(grr, ReportBatch(), KMeansDefenseOptions(), rng),
       "LDPR_CHECK");
+}
+
+TEST(KMeansDefenseTest, AcceptsOneReportPerSubset) {
+  const Grr grr(5, 0.5);
+  Rng rng(15);
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  builder.AddValue(0);
+  builder.AddValue(3);
+  KMeansDefenseOptions opts;
+  opts.sample_rate = 0.5;  // two subsets
+  const auto result = RunKMeansDefense(grr, reports, opts, rng);
+  EXPECT_EQ(result.subset_estimates.size(), 2u);
+  EXPECT_EQ(result.population_size, 2u);
+}
+
+// With fewer reports than subsets some subset would be empty; the
+// defense refuses at entry instead of failing inside estimation.
+TEST(KMeansDefenseDeathTest, RejectsFewerReportsThanSubsets) {
+  const Grr grr(5, 0.5);
+  Rng rng(16);
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  builder.AddValue(0);
+  KMeansDefenseOptions opts;
+  opts.sample_rate = 0.5;
+  EXPECT_DEATH(RunKMeansDefense(grr, reports, opts, rng), "n >= num_subsets");
 }
 
 TEST(KMeansDefenseDeathTest, RejectsBadSampleRate) {

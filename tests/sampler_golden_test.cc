@@ -1,18 +1,24 @@
-// Golden streams of the genuine-population samplers.  The closed-form
-// laws are checked statistically elsewhere (grr/oue/olh/sue_blh and
-// sim_equivalence tests), and a statistical check passes under any
-// reordering of the random draws.  These cases pin the exact support
-// counts and the next Rng output after the draw, for the full
-// population and for one canonical user range, so a refactor of the
-// samplers has to keep every protocol's RNG stream draw for draw.
+// Golden streams of the genuine-population samplers and of per-report
+// generation.  The closed-form laws are checked statistically
+// elsewhere (grr/oue/olh/sue_blh and sim_equivalence tests), and a
+// statistical check passes under any reordering of the random draws.
+// These cases pin the exact support counts and the next Rng output
+// after the draw, for the full population and for one canonical user
+// range, so a refactor of the samplers has to keep every protocol's
+// RNG stream draw for draw.  The report-generation cases pin
+// AppendGenuineReports, MGA crafting and MGA-IPA crafting the same
+// way, as a checksum of the batch's fields.
 
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "attack/ipa.h"
+#include "attack/mga.h"
 #include "data/synthetic.h"
 #include "ldp/factory.h"
+#include "ldp/report_batch.h"
 #include "util/random.h"
 
 namespace ldpr {
@@ -126,6 +132,102 @@ TEST(SamplerGoldenTest, LargeDomainGrrStreamsArePinned) {
                 item_counts, kUsers / 5, kUsers - kUsers / 4, rng)),
             56329937.0);
   EXPECT_EQ(rng.Next(), 2136772376594975254u);
+}
+
+// FNV-1a over the batch's shape and every SoA field, report by report.
+uint64_t BatchChecksum(const ReportBatch& batch) {
+  uint64_t h = 14695981039346656037u;
+  const auto mix = [&h](uint64_t x) {
+    h ^= x;
+    h *= 1099511628211u;
+  };
+  mix(batch.size());
+  mix(batch.bits_width());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    mix(batch.seeds()[i]);
+    mix(batch.values()[i]);
+    for (size_t j = 0; j < batch.bits_width(); ++j) mix(batch.bits_row(i)[j]);
+  }
+  return h;
+}
+
+struct GoldenBatch {
+  uint64_t checksum;
+  uint64_t next;
+};
+
+struct ReportGoldenCase {
+  ProtocolKind kind;
+  GoldenBatch genuine;  // AppendGenuineReports
+  GoldenBatch mga;      // MgaAttack::CraftBatch
+  GoldenBatch ipa;      // MGA-IPA CraftBatch
+};
+
+// d = 102 (the IPUMS domain), so MGA pads OUE/SUE rows to about 28
+// ones around three targets.
+constexpr size_t kReportDomain = 102;
+const std::vector<ItemId> kReportTargets = {3, 50, 99};
+
+const ReportGoldenCase kReportCases[] = {
+    {ProtocolKind::kGrr,
+     {12734006760420113681u, 17259763756404977537u},
+     {14950977037501460890u, 15390433119108425909u},
+     {1030127444554070729u, 11758173010701112031u}},
+    {ProtocolKind::kOue,
+     {9817087358655369210u, 16297997289116422882u},
+     {16536360355732512537u, 8742689495217688155u},
+     {16637049994877561358u, 10058159183713595976u}},
+    {ProtocolKind::kOlh,
+     {544614986232594287u, 7357441134993309456u},
+     {3914806952282683201u, 14331184546715320456u},
+     {9555570539312373133u, 856744006591391404u}},
+    {ProtocolKind::kSue,
+     {13711242415239985862u, 16297997289116422882u},
+     {13054318501557647317u, 3706146999429347484u},
+     {957651576435541662u, 10058159183713595976u}},
+    {ProtocolKind::kBlh,
+     {9015608308711423016u, 18248627071480079444u},
+     {6324663736432706164u, 3109616943421860674u},
+     {12407015325737704803u, 10068114551620042977u}},
+};
+
+TEST(ReportGoldenTest, GenuineReportsArePinned) {
+  for (const ReportGoldenCase& c : kReportCases) {
+    const auto protocol = MakeProtocol(c.kind, kReportDomain, kEpsilon);
+    Rng rng(kSeed);
+    ReportBatch batch;
+    ReportBatch::Builder builder(batch);
+    for (ItemId item : {0u, 7u, 101u})
+      protocol->AppendGenuineReports(item, 40, rng, builder);
+    EXPECT_EQ(BatchChecksum(batch), c.genuine.checksum) << protocol->Name();
+    EXPECT_EQ(rng.Next(), c.genuine.next) << protocol->Name();
+  }
+}
+
+TEST(ReportGoldenTest, MgaCraftingIsPinned) {
+  const MgaAttack attack(kReportTargets);
+  for (const ReportGoldenCase& c : kReportCases) {
+    const auto protocol = MakeProtocol(c.kind, kReportDomain, kEpsilon);
+    Rng rng(kSeed);
+    ReportBatch batch;
+    ReportBatch::Builder builder(batch);
+    attack.CraftBatch(*protocol, 200, rng, builder);
+    EXPECT_EQ(BatchChecksum(batch), c.mga.checksum) << protocol->Name();
+    EXPECT_EQ(rng.Next(), c.mga.next) << protocol->Name();
+  }
+}
+
+TEST(ReportGoldenTest, MgaIpaCraftingIsPinned) {
+  const auto attack = MakeMgaIpa(kReportDomain, kReportTargets);
+  for (const ReportGoldenCase& c : kReportCases) {
+    const auto protocol = MakeProtocol(c.kind, kReportDomain, kEpsilon);
+    Rng rng(kSeed);
+    ReportBatch batch;
+    ReportBatch::Builder builder(batch);
+    attack->CraftBatch(*protocol, 200, rng, builder);
+    EXPECT_EQ(BatchChecksum(batch), c.ipa.checksum) << protocol->Name();
+    EXPECT_EQ(rng.Next(), c.ipa.next) << protocol->Name();
+  }
 }
 
 }  // namespace
