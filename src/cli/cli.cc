@@ -41,15 +41,16 @@ StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
   const auto targets = flags.GetNonNegativeInt("targets", 10);
   const auto seed = flags.GetNonNegativeInt("seed", 1);
   for (const Status& status :
-       {d.status(), n.status(), scale.status(), epsilon.status(),
-        beta.status(), eta.status(), targets.status(), seed.status()}) {
+       {d.status(), n.status(), scale.status(), beta.status(), eta.status(),
+        targets.status(), seed.status()}) {
     if (!status.ok()) return status;
   }
   if (flags.Has("d") && *d < 2) return InvalidArgumentError("--d must be >= 2");
   if (flags.Has("n") && *n < 1) return InvalidArgumentError("--n must be >= 1");
   if (!(*scale > 0.0 && *scale <= 1.0))
     return InvalidArgumentError("--scale must be in (0, 1]");
-  if (!(*epsilon > 0.0 && *epsilon <= kMaxEpsilon)) {  // NaN fails too
+  // Any unusable --epsilon (NaN and inf included) names the range.
+  if (!epsilon.ok() || !(*epsilon > 0.0 && *epsilon <= kMaxEpsilon)) {
     char message[48];
     std::snprintf(message, sizeof(message), "--epsilon must be in (0, %g]",
                   kMaxEpsilon);

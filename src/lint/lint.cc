@@ -263,8 +263,8 @@ StatusOr<LintTree> ScanTree(const LintOptions& options) {
     tree.files.push_back(std::move(file).value());
   }
 
-  // R4's inputs (the build registration and the CI matrix) and R6's
-  // (the declared layer order).
+  // R4's inputs (the build registration and the CI smoke steps) and
+  // R6's (the declared layer order).
   if (!options.repo_root.empty()) {
     Status status = LoadInto(repo_root / "CMakeLists.txt", "CMakeLists.txt",
                              /*optional=*/true, &tree);

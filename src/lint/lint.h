@@ -23,11 +23,10 @@
 //       `// lint: fp-order-ok(<reason>)` pragma — regrouping fp sums
 //       across shard counts changes bits unless the sums are exact.
 //   R4  test registration: the CMakeLists tests/*_test.cc glob is
-//       present, every test the sanitizer CI jobs build is also run
-//       (and vice versa), every such test exists on disk, every test
-//       linking the scenario registrations appears in both the ASan
-//       and TSan matrices, and every tools/*.cc main has a CMake
-//       target plus a CI smoke invocation.
+//       present (or every test is named explicitly), and every
+//       tools/*.cc main has a CMake target plus a CI smoke
+//       invocation.  The CI sanitizer matrix runs the whole ctest
+//       suite, so a registered test is a sanitized test.
 //   R5  public headers in src/ carry the canonical include guard
 //       (LDPR_<PATH>_H_) — the static complement of the generated
 //       one-TU-per-header self-containment build check.
@@ -36,9 +35,9 @@
 //       a file may only include headers from its own or lower layers,
 //       and include cycles are rejected outright.
 //   R7  retired, and the id is not reused.  It policed lambdas handed
-//       to ParallelFor; the TSan CI job runs every ParallelFor call
-//       site with several workers instead (docs/architecture.md,
-//       "Threading model").
+//       to ParallelFor; the TSan leg of the CI sanitizer matrix runs
+//       every ParallelFor call site with several workers instead
+//       (docs/architecture.md, "Threading model").
 //   R8  every Rng constructed outside util/random and tests/ must be
 //       seeded from DeriveSeed(...) or a *_seed identifier, and Rng
 //       must never be passed by value (copying forks the stream).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -136,8 +137,8 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
   if (!(p.beta >= 0.0 && p.beta < 1.0)) {
     return InvalidArgumentError("beta must be in [0, 1)");
   }
-  if (!(config.eta >= 0.0)) {
-    return InvalidArgumentError("eta must be >= 0");
+  if (!(config.eta >= 0.0 && std::isfinite(config.eta))) {
+    return InvalidArgumentError("eta must be finite and >= 0");
   }
   switch (p.attack) {
     case AttackKind::kMga:

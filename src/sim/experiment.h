@@ -109,10 +109,10 @@ struct ExperimentResult {
 /// CHECK-guarded internal code runs: empty dataset (zero users — the
 /// aggregation layer has nothing to estimate from and would abort),
 /// degenerate domain, non-positive epsilon, zero trials, beta outside
-/// [0, 1), negative eta, and attack-specific target/attacker counts.
-/// Drivers that accept arbitrary user input (`ldpr run`) surface
-/// the returned InvalidArgument as an error status instead of
-/// tripping an LDPR_CHECK abort.
+/// [0, 1), negative or infinite eta, and attack-specific
+/// target/attacker counts.  Drivers that accept arbitrary user input
+/// (`ldpr run`) surface the returned InvalidArgument as an error
+/// status instead of tripping an LDPR_CHECK abort.
 Status ValidateExperimentInputs(const ExperimentConfig& config,
                                 const Dataset& dataset);
 

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace ldpr {
@@ -46,7 +48,7 @@ StatusOr<double> FlagParser::GetDouble(const std::string& name,
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
+  if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v)) {
     return InvalidArgumentError("flag --" + name +
                                 " expects a number, got: " + it->second);
   }
@@ -59,8 +61,9 @@ StatusOr<int64_t> FlagParser::GetInt(const std::string& name,
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
     return InvalidArgumentError("flag --" + name +
                                 " expects an integer, got: " + it->second);
   }

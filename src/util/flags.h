@@ -26,10 +26,12 @@ class FlagParser {
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
 
-  /// Double flag; returns an error when present but unparsable.
+  /// Double flag; returns an error when present but unparsable or
+  /// not finite (inf, NaN, or out of double's range like 1e999).
   StatusOr<double> GetDouble(const std::string& name, double fallback) const;
 
-  /// Integer flag; returns an error when present but unparsable.
+  /// Integer flag; returns an error when present but unparsable or
+  /// out of int64_t's range.
   StatusOr<int64_t> GetInt(const std::string& name, int64_t fallback) const;
 
   /// GetInt for counts, seeds and thread budgets: a negative value is

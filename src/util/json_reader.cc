@@ -64,6 +64,8 @@ JsonValue JsonValue::Object(
 
 namespace {
 
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -110,9 +112,15 @@ class Parser {
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Each level recurses, so unbounded nesting would overflow the
+        // stack; the sinks write three levels at most.
+        if (depth_ == kMaxDepth) return Error("nesting too deep");
+        ++depth_;
+        auto container = text_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return container;
+      }
       case '"': {
         auto s = ParseString();
         if (!s.ok()) return s.status();
@@ -271,6 +279,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

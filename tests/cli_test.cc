@@ -122,6 +122,32 @@ TEST(CliTest, EpsilonOutsideItsRangeIsAFlagError) {
   }
 }
 
+// A count past int64_t used to abort `run` (bad_alloc for --n,
+// length_error for --trials), and an --eta of inf printed NaN rows
+// with exit 0; each is now a flag error before any trial runs.
+TEST(CliTest, UnrepresentableNumbersAreFlagErrors) {
+  const struct {
+    const char* flag;
+    const char* error;
+  } kCases[] = {
+      {"--n=99999999999999999999", "flag --n expects an integer"},
+      {"--trials=99999999999999999999", "flag --trials expects an integer"},
+      {"--seed=99999999999999999999", "flag --seed expects an integer"},
+      {"--eta=inf", "flag --eta expects a number"},
+      {"--eta=1e999", "flag --eta expects a number"},
+      {"--beta=nan", "flag --beta expects a number"},
+  };
+  for (const auto& c : kCases) {
+    const auto [rc, err] =
+        RunQuiet({"run", "--protocol=OUE", "--attack=MGA", "--dataset=zipf",
+                  "--d=16", "--n=2000", "--trials=1", c.flag});
+    EXPECT_EQ(rc, 1) << c.flag;
+    EXPECT_NE(err.find(c.error), std::string::npos) << c.flag << ": " << err;
+  }
+  EXPECT_EQ(RunMain({"stream", "--dataset=zipf", "--n=99999999999999999999"}),
+            1);
+}
+
 // Named datasets resolve through the runner's one generator table, so
 // every command rejects --d/--n on a fixed-shape dataset instead of
 // silently running its native shape.

@@ -3,6 +3,8 @@
 // degenerate target counts) from reaching LDPR_CHECK aborts in the
 // aggregation and attack layers.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -66,6 +68,16 @@ TEST(ValidateExperimentInputsTest, RejectsBadScalarKnobs) {
   config = OkConfig();
   config.eta = -1.0;
   EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
+
+  // An infinite eta satisfies eta >= 0 but makes every result row NaN.
+  for (const double eta : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    config = OkConfig();
+    config.eta = eta;
+    EXPECT_EQ(ValidateExperimentInputs(config, ds).code(),
+              StatusCode::kInvalidArgument)
+        << eta;
+  }
 }
 
 TEST(ValidateExperimentInputsTest, RejectsBadAttackShapes) {

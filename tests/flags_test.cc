@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace ldpr {
@@ -43,6 +45,38 @@ TEST(FlagParserTest, MalformedNumbersAreErrors) {
   const auto flags = Parse({"--beta=abc", "--trials=1.5x"});
   EXPECT_FALSE(flags.GetDouble("beta", 0.0).ok());
   EXPECT_FALSE(flags.GetInt("trials", 0).ok());
+}
+
+// A number the type cannot hold is an error, not a saturated or
+// non-finite value that runs on: strtoll clamps to INT64_MAX and
+// strtod returns inf or NaN.
+TEST(FlagParserTest, UnrepresentableNumbersAreErrors) {
+  const auto flags =
+      Parse({"--seed=99999999999999999999", "--low=-99999999999999999999",
+             "--eta=inf", "--big=1e999", "--neg=-inf", "--nan=nan"});
+  for (const char* name : {"seed", "low"}) {
+    const auto v = flags.GetInt(name, 0);
+    ASSERT_FALSE(v.ok()) << name;
+    EXPECT_NE(v.status().ToString().find("expects an integer"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(flags.GetNonNegativeInt("seed", 0).ok());
+  for (const char* name : {"eta", "big", "neg", "nan"}) {
+    const auto v = flags.GetDouble(name, 0.0);
+    ASSERT_FALSE(v.ok()) << name;
+    EXPECT_NE(v.status().ToString().find("expects a number"),
+              std::string::npos);
+  }
+}
+
+TEST(FlagParserTest, RangeLimitsStillParse) {
+  const auto flags = Parse({"--max=9223372036854775807",
+                            "--min=-9223372036854775808", "--tiny=1e-300",
+                            "--huge=1.7e308"});
+  EXPECT_EQ(flags.GetInt("max", 0).value(), INT64_MAX);
+  EXPECT_EQ(flags.GetInt("min", 0).value(), INT64_MIN);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("tiny", 0.0).value(), 1e-300);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("huge", 0.0).value(), 1.7e308);
 }
 
 TEST(FlagParserTest, NonNegativeIntRejectsNegatives) {

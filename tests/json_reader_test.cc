@@ -90,6 +90,11 @@ TEST(JsonReaderTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("nul").ok());
   EXPECT_FALSE(ParseJson("{} trailing").ok());
   EXPECT_FALSE(ParseJson(R"({"dup":1,"dup":2})").ok());
+  // Nesting is bounded: a deep document is an error, not a stack
+  // overflow.
+  EXPECT_TRUE(ParseJson(std::string(64, '[') + std::string(64, ']')).ok());
+  EXPECT_FALSE(ParseJson(std::string(65, '[') + std::string(65, ']')).ok());
+  EXPECT_FALSE(ParseJson(std::string(1000000, '[')).ok());
   // Errors carry a byte offset.
   const auto err = ParseJson("[1, oops]");
   ASSERT_FALSE(err.ok());

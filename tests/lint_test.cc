@@ -222,67 +222,20 @@ void F(const std::vector<double>& xs) {
 // --------------------------------------------------------------- R4
 
 constexpr char kCMakeWithGlob[] =
-    "file(GLOB LDPR_TEST_SOURCES tests/*_test.cc)\n"
-    "target_link_libraries(scenario_registry_test PRIVATE ldpr_scenarios)\n";
+    "file(GLOB LDPR_TEST_SOURCES tests/*_test.cc)\n";
 
-std::string CiYaml(const std::string& tsan_built, const std::string& tsan_run,
-                   const std::string& asan_built, const std::string& asan_run) {
-  return "jobs:\n  tsan:\n    steps:\n      - run: cmake --build b --target " +
-         tsan_built + "\n      - run: ./" + tsan_run +
-         "\n  asan:\n    steps:\n      - run: cmake --build b --target " +
-         asan_built + "\n      - run: ./" + asan_run + "\n";
+/// A workflow whose only step runs `step`.
+std::string CiYaml(const std::string& step) {
+  return "jobs:\n  test:\n    steps:\n      - run: " + step + "\n";
 }
 
 TEST(RuleRegistrationTest, CleanWhenConsistent) {
   const LintTree tree = TreeOf({
       {"tests/grr_test.cc", "int main() {}\n"},
       {"CMakeLists.txt", kCMakeWithGlob},
-      {".github/workflows/ci.yml",
-       CiYaml("grr_test", "grr_test", "grr_test", "grr_test")},
+      {".github/workflows/ci.yml", CiYaml("ctest --output-on-failure -j")},
   });
   EXPECT_TRUE(Lint(tree).empty());
-}
-
-TEST(RuleRegistrationTest, FlagsBuiltButNotRun) {
-  const LintTree tree = TreeOf({
-      {"tests/grr_test.cc", "int main() {}\n"},
-      {"tests/oue_test.cc", "int main() {}\n"},
-      {"CMakeLists.txt", kCMakeWithGlob},
-      {".github/workflows/ci.yml",
-       CiYaml("grr_test oue_test", "grr_test", "grr_test", "grr_test")},
-  });
-  const auto findings = Lint(tree);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "R4");
-  EXPECT_NE(findings[0].message.find("oue_test"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("never runs"), std::string::npos);
-}
-
-TEST(RuleRegistrationTest, FlagsNonexistentTestAndMissingScenarioTest) {
-  const LintTree tree = TreeOf({
-      {"tests/grr_test.cc", "int main() {}\n"},
-      {"tests/scenario_registry_test.cc", "int main() {}\n"},
-      {"CMakeLists.txt", kCMakeWithGlob},
-      {".github/workflows/ci.yml",
-       CiYaml("grr_test gone_test", "grr_test gone_test", "grr_test",
-              "grr_test")},
-  });
-  const auto findings = Lint(tree);
-  // gone_test does not exist on disk (tsan), and the
-  // scenario-registration-linked test is absent from both matrices.
-  EXPECT_TRUE(HasFinding(findings, "R4", ".github/workflows/ci.yml", 2));
-  bool missing_scenario = false;
-  bool nonexistent = false;
-  for (const Finding& f : findings) {
-    if (f.message.find("scenario-registration") != std::string::npos) {
-      missing_scenario = true;
-    }
-    if (f.message.find("does not exist") != std::string::npos) {
-      nonexistent = true;
-    }
-  }
-  EXPECT_TRUE(missing_scenario);
-  EXPECT_TRUE(nonexistent);
 }
 
 TEST(RuleRegistrationTest, ToolsNeedCMakeTargetAndCiInvocation) {
@@ -294,9 +247,7 @@ TEST(RuleRegistrationTest, ToolsNeedCMakeTargetAndCiInvocation) {
       {"tests/grr_test.cc", "int main() {}\n"},
       {"tools/mytool.cc", "int main() {}\n"},
       {"CMakeLists.txt", cmake},
-      {".github/workflows/ci.yml",
-       CiYaml("grr_test", "grr_test", "grr_test", "grr_test") +
-           "      - run: ./build/mytool --help\n"},
+      {".github/workflows/ci.yml", CiYaml("./build/mytool --help")},
   });
   EXPECT_TRUE(Lint(clean).empty());
 
@@ -305,9 +256,7 @@ TEST(RuleRegistrationTest, ToolsNeedCMakeTargetAndCiInvocation) {
       {"tests/grr_test.cc", "int main() {}\n"},
       {"tools/mytool.cc", "int main() {}\n"},
       {"CMakeLists.txt", kCMakeWithGlob},
-      {".github/workflows/ci.yml",
-       CiYaml("grr_test", "grr_test", "grr_test", "grr_test") +
-           "      - run: ./build/mytool --help\n"},
+      {".github/workflows/ci.yml", CiYaml("./build/mytool --help")},
   });
   const auto cmake_findings = Lint(no_cmake);
   ASSERT_EQ(cmake_findings.size(), 1u);
@@ -321,9 +270,7 @@ TEST(RuleRegistrationTest, ToolsNeedCMakeTargetAndCiInvocation) {
       {"tests/grr_test.cc", "int main() {}\n"},
       {"tools/mytool.cc", "int main() {}\n"},
       {"CMakeLists.txt", cmake},
-      {".github/workflows/ci.yml",
-       CiYaml("grr_test", "grr_test", "grr_test", "grr_test") +
-           "      - run: ./build/mytool_extra --help\n"},
+      {".github/workflows/ci.yml", CiYaml("./build/mytool_extra --help")},
   });
   const auto ci_findings = Lint(no_ci);
   ASSERT_EQ(ci_findings.size(), 1u);
