@@ -45,8 +45,14 @@ StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
         targets.status(), seed.status()}) {
     if (!status.ok()) return status;
   }
-  if (flags.Has("d") && *d < 2) return InvalidArgumentError("--d must be >= 2");
-  if (flags.Has("n") && *n < 1) return InvalidArgumentError("--n must be >= 1");
+  if (flags.Has("d")) {
+    const Status in_range = RequireInRange("d", *d, 2, kMaxDomainSize);
+    if (!in_range.ok()) return in_range;
+  }
+  if (flags.Has("n")) {
+    const Status in_range = RequireInRange("n", *n, 1, kMaxUsers);
+    if (!in_range.ok()) return in_range;
+  }
   if (!(*scale > 0.0 && *scale <= 1.0))
     return InvalidArgumentError("--scale must be in (0, 1]");
   // Any unusable --epsilon (NaN and inf included) names the range.
@@ -77,6 +83,14 @@ StatusOr<Dataset> ResolveTrialDataset(const TrialFlags& trial) {
 
 Status Require(bool condition, const std::string& message) {
   return condition ? Status::Ok() : InvalidArgumentError(message);
+}
+
+Status RequireInRange(const char* flag, int64_t value, int64_t lo,
+                      int64_t hi) {
+  char message[96];
+  std::snprintf(message, sizeof(message), "--%s must be in [%lld, %lld]",
+                flag, static_cast<long long>(lo), static_cast<long long>(hi));
+  return Require(value >= lo && value <= hi, message);
 }
 
 int ExitStatus(const FlagParser& flags,

@@ -46,6 +46,29 @@ namespace cli {
 /// The paper's evaluation tops out at eps = 1.6.
 inline constexpr double kMaxEpsilon = 8.0;
 
+/// The largest --d any command accepts.  A unary-encoding trial holds
+/// d-bit reports, so memory grows with d: at the cap one OUE/MGA trial
+/// on the default 100,000 users peaks near 0.5 GB (ten times the cap
+/// needs 5 GB).  The paper's domains are 102 and 490; scaling_d stops
+/// at 4,096.
+inline constexpr int64_t kMaxDomainSize = 100000;
+
+/// The largest --n any command accepts.  Attacks materialize their
+/// beta*n/(1-beta) malicious reports, so memory grows with n: at the
+/// cap one OUE/MGA trial peaks near 0.6 GB, and ten times the cap no
+/// longer fits a 6 GB address space.  The paper's populations are
+/// 389,894 and 667,574; scaling_n stops at 1,000,000.  The caps bound
+/// each axis alone: --d and --n both at their caps is not cheap.
+inline constexpr int64_t kMaxUsers = 100000000;
+
+/// The largest --trials `ldpr run` and `ldpr_bench` accept.  A trial
+/// fan-out allocates one result per (cell, trial) before the first
+/// trial runs; the paper averages 10 trials per point.
+inline constexpr int64_t kMaxTrials = 10000;
+
+/// InvalidArgument("--<flag> must be in [lo, hi]") unless `value` is.
+Status RequireInRange(const char* flag, int64_t value, int64_t lo, int64_t hi);
+
 /// The trial the shared flags describe; every command reads it
 /// through ParseTrialFlags, so a flag means the same thing everywhere.
 struct TrialFlags {
@@ -64,9 +87,10 @@ struct TrialFlags {
 };
 
 /// Reads the trial flags with the command's defaults; an empty
-/// `default_attack` leaves --attack unread (an unknown flag).  --d < 2,
-/// --n < 1, --scale outside (0, 1], --epsilon outside (0, kMaxEpsilon]
-/// (NaN included) and --csv with --dataset/--d/--n are errors.
+/// `default_attack` leaves --attack unread (an unknown flag).  --d
+/// outside [2, kMaxDomainSize], --n outside [1, kMaxUsers], --scale
+/// outside (0, 1], --epsilon outside (0, kMaxEpsilon] (NaN included)
+/// and --csv with --dataset/--d/--n are errors.
 StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
                                      const std::string& default_dataset,
                                      const std::string& default_attack);

@@ -8,7 +8,7 @@
 //   # measurements):
 //   ldpr diff results-t1 results-t8
 //
-//   # Cross-revision regression gate (the CI baseline check):
+//   # Cross-revision comparison, where RNG streams may have moved:
 //   ldpr diff --tolerance=0.25 baseline/ head/
 //
 // Exit codes: 0 = trees agree, 1 = violations (a compact drift table

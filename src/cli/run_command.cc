@@ -16,9 +16,9 @@
 // --dataset [ipums] (ipums|fire|zipf|uniform) or --csv FILE, --d/--n
 // (zipf|uniform only) [102/100000], --epsilon [0.5], --beta [0.05],
 // --eta [0.2], --targets [10], --seed [1], --scale [1.0]; plus
-// --trials [5], --top_k [10], --threads [0 = auto] and --out DIR (a
-// result tree with the one scenario `cli`).  Results are
-// bit-identical at any --threads value.
+// --trials [5, at most kMaxTrials], --top_k [10], --threads [0 =
+// auto] and --out DIR (a result tree with the one scenario `cli`).
+// Results are bit-identical at any --threads value.
 
 #include <cstdio>
 #include <memory>
@@ -65,7 +65,8 @@ int RunCommand(const FlagParser& flags) {
                            ? ValidateExperimentInputs(config, *dataset_or)
                            : dataset_or.status();
   if (const int rc = ExitStatus(
-          flags, {valid, Require(*top_k >= 1, "--top_k must be >= 1")}))
+          flags, {RequireInRange("trials", *trials, 1, kMaxTrials), valid,
+                  Require(*top_k >= 1, "--top_k must be >= 1")}))
     return rc;
   const Dataset& dataset = *dataset_or;
 

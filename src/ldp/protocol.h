@@ -99,8 +99,8 @@ std::vector<uint64_t> RestrictItemCountsToUsers(
 /// Canonical user-chunk decomposition of an n-user population: chunk
 /// c covers users [c*users_per_chunk, min(n, (c+1)*users_per_chunk)).
 /// An empty population still forms one (empty) chunk, matching
-/// ShardedSupportCounts.  Exported so out-of-process shard workers
-/// (src/shard/) agree with the in-process path on the decomposition.
+/// ShardedSupportCounts.  Exported so the shard layer (src/shard/)
+/// agrees with the sharded aggregation path on the decomposition.
 inline uint64_t UserChunkCount(
     uint64_t n, uint64_t users_per_chunk = kUsersPerAggregationShard) {
   return n == 0 ? 1 : (n + users_per_chunk - 1) / users_per_chunk;
@@ -257,9 +257,9 @@ class FrequencyProtocol {
       const std::vector<uint64_t>& item_counts, uint64_t seed,
       size_t shards) const;
 
-  /// The per-chunk unit of SampleSupportCountsSharded, exported so an
-  /// out-of-process shard worker (src/shard/) can compute exactly the
-  /// partial the in-process path would: support counts of canonical
+  /// The per-chunk unit of SampleSupportCountsSharded, exported so a
+  /// shard (src/shard/) can compute exactly the partial the sharded
+  /// aggregation path would: support counts of canonical
   /// user chunk `chunk` (see UserChunkCount) sampled on
   /// Rng(DeriveSeed(seed, chunk)).  Summing the chunks in ascending
   /// order reproduces SampleSupportCountsSharded byte for byte at the

@@ -12,7 +12,7 @@
 //                     1-vs-N-thread determinism checks);
 //   tolerance mode  — relative drift up to `tolerance` is accepted
 //                     (cross-revision comparisons where RNG streams
-//                     legitimately change, the CI regression gate).
+//                     legitimately change).
 //
 // Columns a scenario declares in timing_columns are wall-clock
 // measurements; they are reported (max drift per scenario) but never

@@ -1,6 +1,7 @@
 #include "util/json_reader.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace ldpr {
@@ -274,6 +275,10 @@ class Parser {
     const double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0')
       return Error("invalid number '" + token + "'");
+    // JSON has no infinity, and no writer here emits one: a number
+    // past double's range is a corrupt document, not an inf metric.
+    if (!std::isfinite(value))
+      return Error("number out of range '" + token + "'");
     return JsonValue::Number(value);
   }
 

@@ -71,9 +71,9 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
-/// Parses exactly one JSON document; trailing non-whitespace and
-/// arrays/objects nested more than 64 deep are errors.  Error
-/// messages carry a byte offset.
+/// Parses exactly one JSON document; trailing non-whitespace,
+/// arrays/objects nested more than 64 deep and numbers past double's
+/// range (1e999) are errors.  Error messages carry a byte offset.
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace ldpr

@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "runner/result_diff.h"
+#include "scenarios.h"
 
 namespace ldpr {
 namespace cli {
@@ -148,6 +149,41 @@ TEST(CliTest, UnrepresentableNumbersAreFlagErrors) {
             1);
 }
 
+// A representable but huge count used to abort `run` (bad_alloc for
+// --n, length_error for --d and --trials); past its documented cap
+// each is now a flag error before any trial runs.
+TEST(CliTest, CountsPastTheirCapsAreFlagErrors) {
+  const std::string above_d = "--d=" + std::to_string(kMaxDomainSize + 1);
+  const std::string above_n = "--n=" + std::to_string(kMaxUsers + 1);
+  const std::string above_trials =
+      "--trials=" + std::to_string(kMaxTrials + 1);
+  const struct {
+    std::vector<std::string> args;
+    const char* error;
+  } kCases[] = {
+      {{"run", "--n=9223372036854775807"}, "--n must be in [1, 100000000]"},
+      {{"run", "--d=9223372036854775807"}, "--d must be in [2, 100000]"},
+      {{"run", "--trials=1000000000000000000"},
+       "--trials must be in [1, 10000]"},
+      {{"run", above_n}, "--n must be in [1, 100000000]"},
+      {{"run", above_d}, "--d must be in [2, 100000]"},
+      {{"run", above_trials}, "--trials must be in [1, 10000]"},
+      {{"run", "--trials=0"}, "--trials must be in [1, 10000]"},
+      {{"stream", "--n=9223372036854775807"}, "--n must be in [1, 100000000]"},
+      {{"stream", above_d}, "--d must be in [2, 100000]"},
+  };
+  for (const auto& c : kCases) {
+    std::vector<std::string> args = c.args;
+    args.insert(args.begin() + 1, "--dataset=zipf");
+    if (args[0] == "run") args.insert(args.begin() + 1, "--attack=AA");
+    const auto [rc, err] = RunQuiet(args);
+    EXPECT_EQ(rc, 1) << args.back();
+    EXPECT_NE(err.find(std::string("INVALID_ARGUMENT: ") + c.error),
+              std::string::npos)
+        << args.back() << ": " << err;
+  }
+}
+
 // Named datasets resolve through the runner's one generator table, so
 // every command rejects --d/--n on a fixed-shape dataset instead of
 // silently running its native shape.
@@ -173,8 +209,8 @@ TEST(CliTest, TrialFlagErrors) {
   } kCases[] = {
       {{"run", "--dataset=zipf", "--zipf_s=1.1"}, "unknown flag --zipf_s"},
       {{"stream", "--dataset=zipf", "--zipf_s=1.1"}, "unknown flag --zipf_s"},
-      {{"run", "--dataset=zipf", "--d=1"}, "--d must be >= 2"},
-      {{"stream", "--dataset=zipf", "--n=0"}, "--n must be >= 1"},
+      {{"run", "--dataset=zipf", "--d=1"}, "--d must be in [2, 100000]"},
+      {{"stream", "--dataset=zipf", "--n=0"}, "--n must be in [1, 100000000]"},
       {{"run", "--csv=items.csv", "--d=50"}, "--csv fixes the population"},
       {{"run", "--scale=2"}, "--scale must be in (0, 1]"},
   };
@@ -237,7 +273,25 @@ TEST(CliTest, UsageAndListNameEveryCommand) {
                 std::string::npos)
           << command << " " << listed;
     }
-    EXPECT_EQ(out.find("shard"), std::string::npos) << command << ": " << out;
+    // No shard subcommand; the shard_fault_* scenario ids may follow.
+    const std::string commands = out.substr(0, out.find("\nscenarios"));
+    EXPECT_EQ(commands.find("shard"), std::string::npos)
+        << command << ": " << out;
+  }
+}
+
+// `ldpr` registers the bench scenarios before Main, as
+// tools/ldpr.cc does; `list` then names every one.
+TEST(CliTest, ListNamesEveryRegisteredScenario) {
+  bench::RegisterAllScenarios();
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(RunMain({"list"}), 0);
+  const std::string out = testing::internal::GetCapturedStdout();
+  const auto scenarios = ScenarioRegistry::Global().scenarios();
+  ASSERT_FALSE(scenarios.empty());
+  for (const Scenario* scenario : scenarios) {
+    EXPECT_NE(out.find("\n  " + scenario->spec.id + " "), std::string::npos)
+        << scenario->spec.id << ": " << out;
   }
 }
 

@@ -95,6 +95,18 @@ TEST(JsonReaderTest, RejectsMalformedInput) {
   EXPECT_TRUE(ParseJson(std::string(64, '[') + std::string(64, ']')).ok());
   EXPECT_FALSE(ParseJson(std::string(65, '[') + std::string(65, ']')).ok());
   EXPECT_FALSE(ParseJson(std::string(1000000, '[')).ok());
+  // JSON has no infinity: a number past double's range is an error,
+  // not an inf value; one that underflows rounds toward zero.
+  for (const char* out_of_range : {"1e999", "-1e999", "{\"rmse\":1e999}"}) {
+    const auto parsed = ParseJson(out_of_range);
+    ASSERT_FALSE(parsed.ok()) << out_of_range;
+    EXPECT_NE(parsed.status().message().find("number out of range"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  EXPECT_DOUBLE_EQ(ParseJson("1e-999")->number(), 0.0);
+  EXPECT_DOUBLE_EQ(ParseJson("1.7976931348623157e308")->number(),
+                   1.7976931348623157e308);
   // Errors carry a byte offset.
   const auto err = ParseJson("[1, oops]");
   ASSERT_FALSE(err.ok());

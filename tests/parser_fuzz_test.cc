@@ -86,6 +86,17 @@ size_t CountNodes(const JsonValue& value) {
   return nodes;
 }
 
+bool AllNumbersFinite(const JsonValue& value) {
+  if (value.is_number()) return std::isfinite(value.number());
+  for (const JsonValue& item : value.array()) {
+    if (!AllNumbersFinite(item)) return false;
+  }
+  for (const auto& member : value.object()) {
+    if (!AllNumbersFinite(member.second)) return false;
+  }
+  return true;
+}
+
 TEST(ParserFuzzTest, ParseJsonOverManifests) {
   Rng rng(0x6a736f6e);
   for (const char* manifest : {"manifest.json", "fig3/manifest.json"}) {
@@ -104,8 +115,10 @@ TEST(ParserFuzzTest, ParseJsonOverManifests) {
         continue;
       }
       ++accepted;
-      // Every value the parser builds consumed at least one byte.
+      // Every value the parser builds consumed at least one byte, and
+      // no number is inf or NaN (JSON has neither).
       EXPECT_LE(CountNodes(*parsed), mutated.size());
+      EXPECT_TRUE(AllNumbersFinite(*parsed)) << mutated;
     }
     // Flips inside strings and digits keep some documents valid.
     EXPECT_GT(accepted, 0u) << manifest;
@@ -198,7 +211,10 @@ TEST(ParserFuzzTest, TrialFlags) {
     EXPECT_LE(trial->epsilon, cli::kMaxEpsilon) << mutated;
     EXPECT_GT(trial->scale, 0.0) << mutated;
     EXPECT_LE(trial->scale, 1.0) << mutated;
-    EXPECT_TRUE(trial->d == 0 || trial->d >= 2) << mutated;
+    EXPECT_TRUE(trial->d == 0 ||
+                (trial->d >= 2 && trial->d <= cli::kMaxDomainSize))
+        << mutated;
+    EXPECT_LE(trial->n, static_cast<uint64_t>(cli::kMaxUsers)) << mutated;
     EXPECT_TRUE(std::isfinite(trial->eta)) << mutated;
     EXPECT_TRUE(std::isfinite(trial->beta)) << mutated;
   }

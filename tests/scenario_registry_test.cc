@@ -266,6 +266,7 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
             std::string::npos);
 
   const std::string json = ReadFileOrDie(dir + "/manifest.json");
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(json.find("\"scenario\":\"table1\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":99"), std::string::npos);
   EXPECT_NE(json.find("\"scale\":0.002"), std::string::npos);
@@ -274,6 +275,7 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   EXPECT_NE(json.find("\"files\":[\"results.csv\",\"results.jsonl\"]"),
             std::string::npos);
   const std::string tree_json = ReadFileOrDie(root + "/manifest.json");
+  EXPECT_NE(tree_json.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(tree_json.find("\"kind\":\"ldpr_result_tree\""),
             std::string::npos);
   EXPECT_NE(tree_json.find("\"files\":[\"table1/results.csv\","

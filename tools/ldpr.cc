@@ -1,16 +1,11 @@
-// ldpr: the subcommand CLI (src/cli/cli.h).  Built with the scenario
-// library when benches are enabled so `ldpr list` can enumerate the
-// registry; the subcommands themselves never need it.
+// ldpr: the subcommand CLI (src/cli/cli.h).  It registers the bench
+// scenarios so `ldpr list` can enumerate them; the other subcommands
+// never read the registry.
 
 #include "cli/cli.h"
-
-#ifdef LDPR_HAVE_SCENARIOS
 #include "scenarios.h"
-#endif
 
 int main(int argc, char** argv) {
-#ifdef LDPR_HAVE_SCENARIOS
   ldpr::bench::RegisterAllScenarios();
-#endif
   return ldpr::cli::Main(argc, argv);
 }
