@@ -58,13 +58,9 @@ inline constexpr int64_t kMaxDomainSize = 100000;
 /// cap one OUE/MGA trial peaks near 0.6 GB, and ten times the cap no
 /// longer fits a 6 GB address space.  The paper's populations are
 /// 389,894 and 667,574; scaling_n stops at 1,000,000.  The caps bound
-/// each axis alone: --d and --n both at their caps is not cheap.
+/// each axis alone; `ldpr run` bounds the joint cost (d, n and --beta
+/// together) through ValidateExperimentInputs' kMaxCraftedReportBytes.
 inline constexpr int64_t kMaxUsers = 100000000;
-
-/// The largest --trials `ldpr run` and `ldpr_bench` accept.  A trial
-/// fan-out allocates one result per (cell, trial) before the first
-/// trial runs; the paper averages 10 trials per point.
-inline constexpr int64_t kMaxTrials = 10000;
 
 /// InvalidArgument("--<flag> must be in [lo, hi]") unless `value` is.
 Status RequireInRange(const char* flag, int64_t value, int64_t lo, int64_t hi);

@@ -6,6 +6,7 @@
 
 #include "cli/cli.h"
 #include "runner/registry.h"
+#include "sim/experiment.h"
 
 namespace ldpr {
 namespace cli {

@@ -58,15 +58,15 @@ int RunCommand(const FlagParser& flags) {
   config.threads = static_cast<size_t>(*threads);
 
   // Surface bad knobs as status errors before any CHECK-guarded
-  // library code can abort on them (empty/scaled-away datasets, zero
-  // trials, out-of-range epsilon/beta/eta/targets, ...).
+  // library code can abort on them (empty/scaled-away datasets,
+  // trials outside [1, kMaxTrials], out-of-range
+  // epsilon/beta/eta/targets, an attack too large to craft, ...).
   const auto dataset_or = ResolveTrialDataset(*trial);
   const Status valid = dataset_or.ok()
                            ? ValidateExperimentInputs(config, *dataset_or)
                            : dataset_or.status();
   if (const int rc = ExitStatus(
-          flags, {RequireInRange("trials", *trials, 1, kMaxTrials), valid,
-                  Require(*top_k >= 1, "--top_k must be >= 1")}))
+          flags, {valid, Require(*top_k >= 1, "--top_k must be >= 1")}))
     return rc;
   const Dataset& dataset = *dataset_or;
 

@@ -1,9 +1,11 @@
 #include "runner/scenario_runner.h"
 
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "data/synthetic.h"
+#include "sim/experiment.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -190,6 +192,9 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
   const uint64_t seed = options.seed != 0 ? options.seed : spec.defaults.seed;
   const size_t trials = options.trials != 0 ? options.trials : 3;
   const double scale = options.scale != 0 ? options.scale : 0.05;
+  if (trials > kMaxTrials)
+    return InvalidArgumentError("trials must be in [1, " +
+                                std::to_string(kMaxTrials) + "]");
 
   // Grid scenarios lower before the banner renders: a dataset whose
   // every row overrides the shape (the dataset-axis sweeps) never

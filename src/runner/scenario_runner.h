@@ -28,8 +28,8 @@
 namespace ldpr {
 
 /// Run knobs; zero fields fall back to the defaults (scale 0.05,
-/// trials 3, the spec's seed).  A scale outside (0, 1] fails the run
-/// with InvalidArgument.
+/// trials 3, the spec's seed).  A scale outside (0, 1] or more than
+/// kMaxTrials trials fails the run with InvalidArgument.
 struct ScenarioRunOptions {
   uint64_t seed = 0;
   size_t trials = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ldp/factory.h"
@@ -130,12 +132,32 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
   if (!(config.epsilon > 0.0)) {  // negated so NaN fails too
     return InvalidArgumentError("epsilon must be > 0");
   }
-  if (config.trials < 1) {
-    return InvalidArgumentError("trials must be >= 1");
+  if (config.trials < 1 || config.trials > kMaxTrials) {
+    return InvalidArgumentError("trials must be in [1, " +
+                                std::to_string(kMaxTrials) + "]");
   }
   const PipelineConfig& p = config.pipeline;
   if (!(p.beta >= 0.0 && p.beta < 1.0)) {
     return InvalidArgumentError("beta must be in [0, 1)");
+  }
+  if (p.attack != AttackKind::kNone) {
+    // In doubles, so a beta just below 1 cannot overflow the count.
+    const bool unary = config.protocol == ProtocolKind::kOue ||
+                       config.protocol == ProtocolKind::kSue;
+    const double reports = p.beta * static_cast<double>(dataset.num_users()) /
+                           (1.0 - p.beta);
+    const double bytes =
+        reports *
+        (12.0 + (unary ? static_cast<double>(dataset.domain_size()) : 0.0));
+    if (bytes > kMaxCraftedReportBytes) {
+      char message[160];
+      std::snprintf(message, sizeof(message),
+                    "the attack's %.3g crafted reports would take %.3g GiB, "
+                    "past the %.3g GiB cap: lower beta, n or d",
+                    reports, bytes / (1 << 30),
+                    kMaxCraftedReportBytes / (1 << 30));
+      return InvalidArgumentError(message);
+    }
   }
   if (!(config.eta >= 0.0 && std::isfinite(config.eta))) {
     return InvalidArgumentError("eta must be finite and >= 0");

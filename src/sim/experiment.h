@@ -105,11 +105,27 @@ struct ExperimentResult {
   uint64_t users_per_trial = 0;
 };
 
+/// The most trials one experiment (ValidateExperimentInputs) or one
+/// scenario run (RunScenario) accepts.  A trial fan-out allocates one
+/// result per (cell, trial) before the first trial runs; the paper
+/// averages 10 trials per point.
+inline constexpr size_t kMaxTrials = 10000;
+
+/// The most memory one trial's crafted malicious reports may take,
+/// estimated as beta*n/(1-beta) reports of 12 bytes (seed and value)
+/// plus d bytes for the unary encodings' one-byte-per-bit rows.  The
+/// batch dominates a trial's peak: an OUE/MGA trial at d = 100,000 on
+/// 100,000 users (526 MB by the estimate) or at d = 102 on 1e8 users
+/// (600 MB) fits, while both together (0.5 TB) are rejected before
+/// anything is allocated.
+inline constexpr double kMaxCraftedReportBytes = 1 << 30;
+
 /// Validates the user-reachable knobs of an experiment *before* any
 /// CHECK-guarded internal code runs: empty dataset (zero users — the
 /// aggregation layer has nothing to estimate from and would abort),
-/// degenerate domain, non-positive epsilon, zero trials, beta outside
-/// [0, 1), negative or infinite eta, and attack-specific
+/// degenerate domain, non-positive epsilon, trials outside
+/// [1, kMaxTrials], beta outside [0, 1), negative or infinite eta,
+/// crafted reports past kMaxCraftedReportBytes, and attack-specific
 /// target/attacker counts.  Drivers that accept arbitrary user input
 /// (`ldpr run`) surface the returned InvalidArgument as an error
 /// status instead of tripping an LDPR_CHECK abort.

@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "runner/result_diff.h"
 #include "scenarios.h"
+#include "sim/experiment.h"
 
 namespace ldpr {
 namespace cli {
@@ -151,7 +152,9 @@ TEST(CliTest, UnrepresentableNumbersAreFlagErrors) {
 
 // A representable but huge count used to abort `run` (bad_alloc for
 // --n, length_error for --d and --trials); past its documented cap
-// each is now a flag error before any trial runs.
+// each is now a flag error before any trial runs.  So is a shape
+// whose counts are each within their caps but whose crafted reports
+// (beta*n/(1-beta) of them, d bytes each for OUE) are not.
 TEST(CliTest, CountsPastTheirCapsAreFlagErrors) {
   const std::string above_d = "--d=" + std::to_string(kMaxDomainSize + 1);
   const std::string above_n = "--n=" + std::to_string(kMaxUsers + 1);
@@ -164,11 +167,15 @@ TEST(CliTest, CountsPastTheirCapsAreFlagErrors) {
       {{"run", "--n=9223372036854775807"}, "--n must be in [1, 100000000]"},
       {{"run", "--d=9223372036854775807"}, "--d must be in [2, 100000]"},
       {{"run", "--trials=1000000000000000000"},
-       "--trials must be in [1, 10000]"},
+       "trials must be in [1, 10000]"},
       {{"run", above_n}, "--n must be in [1, 100000000]"},
       {{"run", above_d}, "--d must be in [2, 100000]"},
-      {{"run", above_trials}, "--trials must be in [1, 10000]"},
-      {{"run", "--trials=0"}, "--trials must be in [1, 10000]"},
+      {{"run", above_trials}, "trials must be in [1, 10000]"},
+      {{"run", "--trials=0"}, "trials must be in [1, 10000]"},
+      {{"run", "--protocol=OUE", "--d=100000", "--n=100000000"},
+       "the attack's 5.26e+06 crafted reports would take 490 GiB"},
+      {{"run", "--beta=0.999999", "--n=100000000"},
+       "the attack's 1e+14 crafted reports"},
       {{"stream", "--n=9223372036854775807"}, "--n must be in [1, 100000000]"},
       {{"stream", above_d}, "--d must be in [2, 100000]"},
   };

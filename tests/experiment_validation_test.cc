@@ -1,8 +1,10 @@
 // ValidateExperimentInputs: the status-based guard that keeps bad CLI
-// knobs (empty datasets, zero trials, out-of-range epsilon/beta/eta,
-// degenerate target counts) from reaching LDPR_CHECK aborts in the
-// aggregation and attack layers.
+// knobs (empty datasets, trials outside [1, kMaxTrials], out-of-range
+// epsilon/beta/eta, attacks too large to craft, degenerate target
+// counts) from reaching LDPR_CHECK aborts in the aggregation and
+// attack layers.
 
+#include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -45,6 +47,34 @@ TEST(ValidateExperimentInputsTest, RejectsDegenerateDomain) {
   tiny.item_counts = {5};
   EXPECT_EQ(ValidateExperimentInputs(OkConfig(), tiny).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ValidateExperimentInputsTest, RejectsCountsPastTheCaps) {
+  const Dataset ds = OkDataset();
+  auto config = OkConfig();
+  config.trials = kMaxTrials;
+  EXPECT_TRUE(ValidateExperimentInputs(config, ds).ok());
+  config.trials = kMaxTrials + 1;
+  EXPECT_EQ(ValidateExperimentInputs(config, ds).message(),
+            "trials must be in [1, 10000]");
+
+  // beta*n/(1-beta) = 5e7 crafted reports: 0.6 GB of 12-byte GRR
+  // reports fit the cap, the same count of 16-bit OUE rows does not.
+  config = OkConfig();
+  config.pipeline.beta = 5e4 / (1 + 5e4);
+  EXPECT_TRUE(ValidateExperimentInputs(config, ds).ok());
+  config.protocol = ProtocolKind::kOue;
+  const Status status = ValidateExperimentInputs(config, ds);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("crafted reports"), std::string::npos)
+      << status.ToString();
+  // Without an attack nothing is crafted, and beta just below 1 must
+  // not overflow the estimate.
+  config.pipeline.attack = AttackKind::kNone;
+  EXPECT_TRUE(ValidateExperimentInputs(config, ds).ok());
+  config.pipeline.attack = AttackKind::kAdaptive;
+  config.pipeline.beta = std::nextafter(1.0, 0.0);
+  EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
 }
 
 TEST(ValidateExperimentInputsTest, RejectsBadScalarKnobs) {

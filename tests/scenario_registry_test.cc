@@ -24,6 +24,7 @@
 #include "runner/result_sink.h"
 #include "runner/scenario_runner.h"
 #include "scenarios.h"
+#include "sim/experiment.h"
 #include "util/csv.h"
 
 namespace ldpr {
@@ -412,6 +413,18 @@ TEST_F(ScenarioRegistryTest, OutOfRangeScaleFailsTheRun) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->info.scale, 0.002);
   EXPECT_EQ(report->info.trials, 1u);
+}
+
+TEST_F(ScenarioRegistryTest, TrialsPastTheCapFailTheRun) {
+  const Scenario* table1 = ScenarioRegistry::Global().Find("table1");
+  ASSERT_NE(table1, nullptr);
+  ScenarioRunOptions options;
+  options.trials = kMaxTrials + 1;
+  CountingSink sink;
+  const auto report = RunScenario(*table1, options, sink);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().message(), "trials must be in [1, 10000]");
+  EXPECT_EQ(sink.rows, 0u);
 }
 
 }  // namespace
