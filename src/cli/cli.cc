@@ -78,7 +78,15 @@ StatusOr<Dataset> ResolveTrialDataset(const TrialFlags& trial) {
     return ResolveBenchDataset(trial.dataset, trial.scale, trial.d, trial.n);
   auto loaded = LoadItemCsv(trial.csv);
   if (!loaded.ok()) return loaded.status();
-  return ScaleDataset(loaded->dataset, trial.scale);
+  Dataset dataset = ScaleDataset(loaded->dataset, trial.scale);
+  Status in_range = RequireInRange(
+      "csv distinct items", static_cast<int64_t>(dataset.domain_size()), 2,
+      kMaxDomainSize);
+  if (in_range.ok())
+    in_range = RequireInRange(
+        "csv users", static_cast<int64_t>(dataset.num_users()), 1, kMaxUsers);
+  if (!in_range.ok()) return in_range;
+  return dataset;
 }
 
 Status Require(bool condition, const std::string& message) {

@@ -46,20 +46,21 @@ namespace cli {
 /// The paper's evaluation tops out at eps = 1.6.
 inline constexpr double kMaxEpsilon = 8.0;
 
-/// The largest --d any command accepts.  A unary-encoding trial holds
-/// d-bit reports, so memory grows with d: at the cap one OUE/MGA trial
-/// on the default 100,000 users peaks near 0.5 GB (ten times the cap
-/// needs 5 GB).  The paper's domains are 102 and 490; scaling_d stops
-/// at 4,096.
+/// The largest --d, or --csv distinct items, any command accepts.  A
+/// unary-encoding trial holds d-bit reports, so memory grows with d: at
+/// the cap one OUE/MGA trial on the default 100,000 users peaks near
+/// 0.5 GB (ten times the cap needs 5 GB).  The paper's domains are 102
+/// and 490; scaling_d stops at 4,096.
 inline constexpr int64_t kMaxDomainSize = 100000;
 
-/// The largest --n any command accepts.  Attacks materialize their
-/// beta*n/(1-beta) malicious reports, so memory grows with n: at the
-/// cap one OUE/MGA trial peaks near 0.6 GB, and ten times the cap no
-/// longer fits a 6 GB address space.  The paper's populations are
-/// 389,894 and 667,574; scaling_n stops at 1,000,000.  The caps bound
-/// each axis alone; `ldpr run` bounds the joint cost (d, n and --beta
-/// together) through ValidateExperimentInputs' kMaxCraftedReportBytes.
+/// The largest --n, or scaled --csv users, any command accepts.
+/// Attacks materialize their beta*n/(1-beta) malicious reports, so
+/// memory grows with n: at the cap one OUE/MGA trial peaks near 0.6 GB,
+/// and ten times the cap no longer fits a 6 GB address space.  The
+/// paper's populations are 389,894 and 667,574; scaling_n stops at
+/// 1,000,000.  The caps bound each axis alone; `ldpr run` bounds the
+/// joint cost (d, n and --beta together) through
+/// ValidateExperimentInputs' kMaxCraftedReportBytes.
 inline constexpr int64_t kMaxUsers = 100000000;
 
 /// InvalidArgument("--<flag> must be in [lo, hi]") unless `value` is.
@@ -92,7 +93,8 @@ StatusOr<TrialFlags> ParseTrialFlags(const FlagParser& flags,
                                      const std::string& default_attack);
 
 /// The --csv file or the named generator (ResolveBenchDataset, which
-/// rejects --d/--n on a fixed-shape dataset), scaled by --scale.
+/// rejects --d/--n on a fixed-shape dataset), scaled by --scale.  A
+/// --csv population past kMaxDomainSize or kMaxUsers is an error.
 StatusOr<Dataset> ResolveTrialDataset(const TrialFlags& trial);
 
 /// InvalidArgument(`message`) unless `condition` holds.

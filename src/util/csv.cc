@@ -44,7 +44,8 @@ StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
   std::vector<std::vector<std::string>> rows;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
+    // A CRLF file's blank line is a lone "\r": blank, not one empty field.
+    if (line.empty() || line == "\r") continue;
     rows.push_back(SplitCsvLine(line));
   }
   return rows;

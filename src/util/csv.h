@@ -19,7 +19,8 @@ namespace ldpr {
 /// newlines (the datasets this library reads have none).
 std::vector<std::string> SplitCsvLine(const std::string& line);
 
-/// Reads the whole file into rows of fields.  Empty lines are skipped.
+/// Reads the whole file into rows of fields.  Empty lines, CRLF ones
+/// included, are skipped.
 StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
     const std::string& path);
 

@@ -23,14 +23,6 @@ bool ForceScalarEnv() {
   return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
-bool Avx2Available() {
-#if defined(LDPR_SIMD_X86)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 // avx512f + avx512dq (vpmullq, vcvtuqq2pd); libgcc's cpuid probe also
 // checks that the OS saves the zmm state.
 bool Avx512Available() {
@@ -40,13 +32,6 @@ bool Avx512Available() {
 #else
   return false;
 #endif
-}
-
-SimdBackend DetectBackend() {
-  if (ForceScalarEnv()) return SimdBackend::kScalar;
-  if (Avx512Available()) return SimdBackend::kAvx512;
-  if (Avx2Available()) return SimdBackend::kAvx2;
-  return SimdBackend::kPortable;
 }
 
 // -1 = no override; else the pinned SimdBackend.
@@ -60,8 +45,6 @@ const char* SimdBackendName(SimdBackend backend) {
       return "scalar";
     case SimdBackend::kPortable:
       return "portable";
-    case SimdBackend::kAvx2:
-      return "avx2";
     case SimdBackend::kAvx512:
       return "avx512";
   }
@@ -69,20 +52,14 @@ const char* SimdBackendName(SimdBackend backend) {
 }
 
 bool SimdBackendAvailable(SimdBackend backend) {
-  switch (backend) {
-    case SimdBackend::kScalar:
-    case SimdBackend::kPortable:
-      return true;
-    case SimdBackend::kAvx2:
-      return Avx2Available();
-    case SimdBackend::kAvx512:
-      return Avx512Available();
-  }
-  return false;
+  return backend != SimdBackend::kAvx512 || Avx512Available();
 }
 
 SimdBackend ActiveSimdBackend() {
-  static const SimdBackend detected = DetectBackend();
+  static const SimdBackend detected =
+      ForceScalarEnv()    ? SimdBackend::kScalar
+      : Avx512Available() ? SimdBackend::kAvx512
+                          : SimdBackend::kPortable;
   const int override_value = g_backend_override.load(std::memory_order_relaxed);
   return override_value < 0 ? detected
                             : static_cast<SimdBackend>(override_value);
@@ -106,10 +83,9 @@ void ClearSimdBackendForTest() {
 //
 // The accelerated path counts nonzero bytes in 8-bit lanes and widens
 // them into the 32-bit accumulator every kByteLaneRows rows — before a
-// lane can overflow.  It is one plain loop the compiler vectorizes,
-// built for the baseline ISA (kPortable) and under target("avx2")
-// (kAvx2, kAvx512).  `row[v] != 0` is the scalar reference's
-// indicator, so every build matches it bit for bit.
+// lane can overflow.  It is one plain loop the compiler vectorizes for
+// the baseline ISA, shared by kPortable and kAvx512.  `row[v] != 0` is
+// the scalar reference's indicator, so it matches it bit for bit.
 
 namespace {
 
@@ -123,10 +99,8 @@ void UnaryColumnsScalar(const uint8_t* rows, size_t n, size_t d,
   }
 }
 
-// Always inlined, so each caller gets a copy vectorized for its own
-// ISA: the dispatcher's baseline one and UnaryColumnsAvx2's.
-__attribute__((always_inline)) inline void UnaryColumnsByteLanes(
-    const uint8_t* rows, size_t n, size_t d, uint32_t* acc) {
+void UnaryColumnsByteLanes(const uint8_t* rows, size_t n, size_t d,
+                           uint32_t* acc) {
   std::vector<uint8_t> lane_buffer(d);
   uint8_t* __restrict lanes = lane_buffer.data();
   for (size_t base = 0; base < n; base += kByteLaneRows) {
@@ -140,32 +114,15 @@ __attribute__((always_inline)) inline void UnaryColumnsByteLanes(
   }
 }
 
-#if defined(LDPR_SIMD_X86)
-__attribute__((target("avx2"))) void UnaryColumnsAvx2(const uint8_t* rows,
-                                                      size_t n, size_t d,
-                                                      uint32_t* acc) {
-  UnaryColumnsByteLanes(rows, n, d, acc);
-}
-#endif
-
 }  // namespace
 
 void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
                                uint32_t* acc) {
   LDPR_CHECK(n < (uint64_t{1} << 32));
-  switch (ActiveSimdBackend()) {
-    case SimdBackend::kScalar:
-      UnaryColumnsScalar(rows, n, d, acc);
-      return;
-#if defined(LDPR_SIMD_X86)
-    case SimdBackend::kAvx2:
-    case SimdBackend::kAvx512:
-      UnaryColumnsAvx2(rows, n, d, acc);
-      return;
-#endif
-    default:
-      UnaryColumnsByteLanes(rows, n, d, acc);
-      return;
+  if (ActiveSimdBackend() == SimdBackend::kScalar) {
+    UnaryColumnsScalar(rows, n, d, acc);
+  } else {
+    UnaryColumnsByteLanes(rows, n, d, acc);
   }
 }
 
@@ -228,10 +185,10 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 //
 //  * scalar — the canonical SeededHash per (seed, item) pair, an
 //    out-of-line XxHash64 call plus a hardware modulo;
-//  * portable (kPortable, kAvx2) — the split evaluation of
-//    util/hash_family.h: the item-only xxHash round hoists out of the
-//    per-seed loop, the per-seed finish inlines to four multiplies,
-//    and FastMod strength-reduces `% g`;
+//  * portable — the split evaluation of util/hash_family.h: the
+//    item-only xxHash round hoists out of the per-seed loop, the
+//    per-seed finish inlines to four multiplies, and FastMod
+//    strength-reduces `% g`;
 //  * AVX-512 — the same split finish on 8 seeds at once (vpmullq),
 //    then an exact vector `mod g`: for support counting when
 //    g < kAvx512MaxG, for MGA's bucket counts when g <=
@@ -506,21 +463,17 @@ LDPR_AVX512 void ReduceModAvx512(const uint64_t* x, size_t n, uint32_t g,
 
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, double* counts) {
-  switch (ActiveSimdBackend()) {
-    case SimdBackend::kScalar:
-      OlhSupportScalar(seeds, values, n, d, g, counts);
-      return;
-#if defined(LDPR_SIMD_X86)
-    case SimdBackend::kAvx512:
-      if (g < kAvx512MaxG) {
-        OlhSupportAvx512(seeds, values, n, d, g, counts);
-        return;
-      }
-      break;
-#endif
-    default:
-      break;
+  const SimdBackend backend = ActiveSimdBackend();
+  if (backend == SimdBackend::kScalar) {
+    OlhSupportScalar(seeds, values, n, d, g, counts);
+    return;
   }
+#if defined(LDPR_SIMD_X86)
+  if (backend == SimdBackend::kAvx512 && g < kAvx512MaxG) {
+    OlhSupportAvx512(seeds, values, n, d, g, counts);
+    return;
+  }
+#endif
   OlhSupportPortable(seeds, values, n, d, g, counts);
 }
 

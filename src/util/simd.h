@@ -16,19 +16,19 @@
 // the inline split-xxHash + FastMod evaluation of util/hash_family.h,
 // with an 8-lane AVX-512 routine (vpmullq xxHash finish plus an exact
 // double-precision `mod g`) on machines that have it.  The unary
-// kernel is one portable C++ loop the compiler vectorizes, built once
-// for the baseline ISA and once for AVX2; only the AVX-512 local
-// hashing is written in intrinsics.  Dispatch follows the running CPU
-// alone (cpuid, at first use), and every kernel is bit-exact across
-// backends: support counts are integer sums, so regrouped or
-// vectorized accumulation yields byte-identical doubles, and every
-// hash bucket is the exact remainder (tests/report_gen_batch_test.cc
-// locks each kernel to its scalar reference on every backend the
-// machine runs).
+// kernel is one portable C++ loop the compiler vectorizes for the
+// baseline ISA; only the AVX-512 local hashing is written in
+// intrinsics.  Dispatch follows the running CPU alone (cpuid, at
+// first use), and every kernel is bit-exact across backends: support
+// counts are integer sums, so regrouped or vectorized accumulation
+// yields byte-identical doubles, and every hash bucket is the exact
+// remainder (tests/report_gen_batch_test.cc locks each kernel to its
+// scalar reference on every backend the machine runs).
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
-// reference paths — the lever the CI determinism job uses to prove
-// SIMD-vs-scalar result trees identical under `ldpr diff`.
+// reference paths — the lever of the `ci_baseline_exact_scalar` ctest
+// entry, which proves the scalar result tree identical to ci/baseline
+// under `ldpr diff`.
 
 #ifndef LDPR_UTIL_SIMD_H_
 #define LDPR_UTIL_SIMD_H_
@@ -42,15 +42,13 @@
 namespace ldpr {
 
 /// The kernel implementations dispatch can pick.  kScalar and
-/// kPortable run on every machine; kAvx2 and kAvx512 (avx512f +
-/// avx512dq) need the running x86 CPU to report them.  Both run the
-/// unary kernel compiled for AVX2 and the portable code of the other
-/// kernels; kAvx512 adds the 8-lane local-hashing routine.  Dispatch
-/// picks the first available of kAvx512, kAvx2, kPortable.
+/// kPortable run on every machine; kAvx512 (avx512f + avx512dq) needs
+/// the running x86 CPU to report it, and adds the 8-lane local-hashing
+/// routine to the portable code of the other kernels.  Dispatch picks
+/// kAvx512 when it is available and kPortable otherwise.
 enum class SimdBackend {
   kScalar,
   kPortable,
-  kAvx2,
   kAvx512,
 };
 

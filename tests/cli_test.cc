@@ -7,6 +7,7 @@
 #include "cli/cli.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -154,7 +155,8 @@ TEST(CliTest, UnrepresentableNumbersAreFlagErrors) {
 // --n, length_error for --d and --trials); past its documented cap
 // each is now a flag error before any trial runs.  So is a shape
 // whose counts are each within their caps but whose crafted reports
-// (beta*n/(1-beta) of them, d bytes each for OUE) are not.
+// (beta*n/(1-beta) of them, d bytes each for OUE) are not, and a
+// --csv population past the --d cap.
 TEST(CliTest, CountsPastTheirCapsAreFlagErrors) {
   const std::string above_d = "--d=" + std::to_string(kMaxDomainSize + 1);
   const std::string above_n = "--n=" + std::to_string(kMaxUsers + 1);
@@ -189,6 +191,25 @@ TEST(CliTest, CountsPastTheirCapsAreFlagErrors) {
               std::string::npos)
         << args.back() << ": " << err;
   }
+  // A --csv population answers to the caps of the --d/--n it stands
+  // in for.
+  std::filesystem::create_directories(TestDir());
+  const std::string csv = (TestDir() / "above_d.csv").string();
+  {
+    std::ofstream out(csv);
+    out << "item\n";
+    for (int64_t i = 0; i <= kMaxDomainSize; ++i) out << "label" << i << "\n";
+  }
+  for (const char* command : {"run", "stream"}) {
+    const auto [rc, err] =
+        RunQuiet({command, "--protocol=OUE", "--csv=" + csv});
+    EXPECT_EQ(rc, 1) << command;
+    EXPECT_NE(err.find("INVALID_ARGUMENT: --csv distinct items must be in "
+                       "[2, 100000]"),
+              std::string::npos)
+        << command << ": " << err;
+  }
+  std::filesystem::remove(csv);
 }
 
 // Named datasets resolve through the runner's one generator table, so

@@ -91,6 +91,23 @@ TEST_F(LoaderTest, QuotedFieldsWithCommas) {
   EXPECT_EQ(loaded->dataset.item_counts[0], 2u);
 }
 
+// A CRLF file's blank line is skipped as an LF file's is, not loaded
+// as an item with an empty label.
+TEST_F(LoaderTest, CrlfFileLoadsLikeLfFile) {
+  for (const char* newline : {"\n", "\r\n"}) {
+    SCOPED_TRACE(newline[0] == '\r' ? "CRLF" : "LF");
+    std::string content;
+    for (const char* line : {"item", "a", "b", "a", "", "b"})
+      content += std::string(line) + newline;
+    Write(content);
+    const auto loaded = LoadItemCsv(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->dataset.domain_size(), 2u);
+    EXPECT_EQ(loaded->dataset.num_users(), 4u);
+    EXPECT_EQ(loaded->item_labels, (std::vector<std::string>{"a", "b"}));
+  }
+}
+
 TEST_F(LoaderTest, MissingColumnIsError) {
   Write("a\nb\nc\n");
   LoadOptions opts;
