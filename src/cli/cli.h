@@ -60,7 +60,8 @@ inline constexpr int64_t kMaxDomainSize = 100000;
 /// paper's populations are 389,894 and 667,574; scaling_n stops at
 /// 1,000,000.  The caps bound each axis alone; `ldpr run` bounds the
 /// joint cost (d, n and --beta together) through
-/// ValidateExperimentInputs' kMaxCraftedReportBytes.
+/// ValidateExperimentInputs' kMaxCraftedReportBytes, and `ldpr stream`
+/// a unary stream's n·d through ValidateStream's kMaxStreamUnaryBits.
 inline constexpr int64_t kMaxUsers = 100000000;
 
 /// InvalidArgument("--<flag> must be in [lo, hi]") unless `value` is.

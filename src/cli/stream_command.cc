@@ -66,10 +66,10 @@ int StreamCommand(const FlagParser& flags) {
     spec.wave_start = spec.total_reports * 3 / 10;
     spec.wave_end = spec.total_reports * 7 / 10;
   }
-  if (const int rc = ExitStatus(flags, {ValidateStreamSpec(spec)})) return rc;
-
   const auto protocol =
       MakeProtocol(trial->protocol, dataset.domain_size(), trial->epsilon);
+  if (const int rc = ExitStatus(flags, {ValidateStream(*protocol, spec)}))
+    return rc;
   StreamEngineOptions options;
   options.recover.eta = trial->eta;
   const double base = ApproxGenuineSuspicionRate(*protocol, spec.num_targets);

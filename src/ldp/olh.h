@@ -69,9 +69,12 @@ class OlhBase : public FrequencyProtocol {
   /// [user_begin, user_end) (chunk_n of them): each item's support
   /// count is exactly Binomial(own_v, p) + Binomial(chunk_n - own_v,
   /// 1/g), own_v counted without materializing the restricted
-  /// histogram.  Cross-item correlation through shared seeds is not
-  /// reproduced; see docs/architecture.md ("Closed-form
-  /// approximations") and tests/sim_equivalence_test.cc.
+  /// histogram.  Under an ideal hash a report's per-item supports are
+  /// independent, so independent per-item draws are exact under that
+  /// model; see docs/architecture.md ("Closed-form approximations") and
+  /// tests/sim_equivalence_test.cc.  Detection does not use this law:
+  /// its OLH/BLH re-draw simulates every user until ROADMAP item 4(b)
+  /// lands with a regeneration of ci/baseline.
   std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const override;

@@ -230,8 +230,10 @@ void DetectionFilter::OfferSampledGenuine(
       return;
     case ProtocolKind::kOlh:
     case ProtocolKind::kBlh:
-      // Shared hash seeds correlate target and non-target support, so
-      // there is no clean product-form fast path; simulate per user.
+      // Under an ideal hash a report's per-item supports are
+      // independent, so a closed form exists (ROADMAP item 4(b)).  It
+      // moves the trial's random stream, so the per-user re-draw stays
+      // until it lands with a regeneration of ci/baseline.
       OfferExactGenuine(item_counts, rng);
       return;
   }

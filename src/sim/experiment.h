@@ -120,6 +120,18 @@ inline constexpr size_t kMaxTrials = 10000;
 /// anything is allocated.
 inline constexpr double kMaxCraftedReportBytes = 1 << 30;
 
+/// The most perturbed bits one unary-encoded (OUE/SUE) stream may
+/// draw: total_reports·d, one byte of a report row each.  A stream
+/// materializes every report, so its run time grows with n·d, and its
+/// flush buffer holds up to min(n, kBatchFlushReports)·d bytes of rows.
+/// On a 4-core x86-64 machine `ldpr stream --protocol=OUE --beta=0.25
+/// --dataset=zipf --d=100000` (1e10 bits) ran 44.6 s and peaked at
+/// 863 MB; at the cap, the same stream on 10,737 reports runs 5.4 s
+/// and peaks at 282 MB.  The streaming scenarios draw at most 1.02e7
+/// bits (d = 102, 100,000 reports).  Checked by ValidateStream
+/// (stream/arrival.h).
+inline constexpr double kMaxStreamUnaryBits = 1 << 30;
+
 /// Validates the user-reachable knobs of an experiment *before* any
 /// CHECK-guarded internal code runs: empty dataset (zero users — the
 /// aggregation layer has nothing to estimate from and would abort),

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 
+#include "sim/experiment.h"
 #include "util/logging.h"
 
 namespace ldpr {
@@ -86,6 +88,30 @@ Status ValidateStreamSpec(const StreamSpec& spec) {
   return Status::Ok();
 }
 
+Status ValidateStream(const FrequencyProtocol& protocol,
+                      const StreamSpec& spec) {
+  if (Status status = ValidateStreamSpec(spec); !status.ok()) return status;
+  const size_t d = protocol.domain_size();
+  if (StreamDomainSize(spec) != d) {
+    return InvalidArgumentError(
+        "the stream's domain size must match the protocol's");
+  }
+  if (protocol.kind() == ProtocolKind::kOue ||
+      protocol.kind() == ProtocolKind::kSue) {
+    const double bits =
+        static_cast<double>(spec.total_reports) * static_cast<double>(d);
+    if (bits > kMaxStreamUnaryBits) {
+      char message[160];
+      std::snprintf(message, sizeof(message),
+                    "the stream's %zu reports of %zu bits would draw %.3g "
+                    "bits, past the %.3g-bit cap: lower n or d",
+                    spec.total_reports, d, bits, kMaxStreamUnaryBits);
+      return InvalidArgumentError(message);
+    }
+  }
+  return Status::Ok();
+}
+
 double AttackerFractionAt(const StreamSpec& spec, size_t i) {
   switch (spec.wave) {
     case WaveShape::kNone:
@@ -149,8 +175,7 @@ double ZipfExponentForSegment(const StreamSpec& spec, size_t segment) {
 ArrivalStream::ArrivalStream(const FrequencyProtocol& protocol,
                              const StreamSpec& spec, uint64_t seed)
     : protocol_(protocol), spec_(spec), rng_(seed) {
-  LDPR_CHECK_OK(ValidateStreamSpec(spec_));
-  LDPR_CHECK(StreamDomainSize(spec_) == protocol_.domain_size());
+  LDPR_CHECK_OK(ValidateStream(protocol_, spec_));
 
   // Targets are sampled unconditionally (when requested) so that the
   // genuine item/perturbation draws that follow are identical across

@@ -55,7 +55,7 @@ enum class WaveShape {
 const char* WaveShapeName(WaveShape shape);
 
 /// One streaming trial declared as data.  Validated by
-/// ValidateStreamSpec before any engine code runs.
+/// ValidateStream before any engine code runs.
 struct StreamSpec {
   /// Stream length: total reports (genuine + attacker slots).
   size_t total_reports = 0;
@@ -101,6 +101,15 @@ struct StreamSpec {
 /// dividing the window, a usable item source, attacker fraction in
 /// [0, 1), wave range inside the stream, targets within the domain.
 Status ValidateStreamSpec(const StreamSpec& spec);
+
+/// ValidateStreamSpec plus the checks that need the protocol: the
+/// spec's domain is the protocol's, and a unary-encoded (OUE/SUE)
+/// stream draws at most kMaxStreamUnaryBits perturbed bits
+/// (sim/experiment.h).  Every stream enters the library through
+/// ArrivalStream, which requires it; drivers that accept user input
+/// (`ldpr stream`) surface its InvalidArgument instead.
+Status ValidateStream(const FrequencyProtocol& protocol,
+                      const StreamSpec& spec);
 
 /// The spec's domain size: item_counts.size() in fixed-histogram
 /// mode, `domain_size` in drifting-zipf mode.

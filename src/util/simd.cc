@@ -189,13 +189,35 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 //    item-only xxHash round hoists out of the per-seed loop, the
 //    per-seed finish inlines to four multiplies, and FastMod
 //    strength-reduces `% g`;
-//  * AVX-512 — the same split finish on 8 seeds at once (vpmullq),
-//    then an exact vector `mod g`: for support counting when
-//    g < kAvx512MaxG, for MGA's bucket counts when g <=
+//  * AVX-512 — the same split finish on 8 seeds at once (vpmullq).
+//    Support counting never forms H: each lane tests whether the
+//    64-bit hash h is congruent to the report's bucket b (mod g),
+//    which is exact for every 32-bit g.  MGA's bucket counts need the
+//    bucket itself and take an exact vector `mod g` when g <=
 //    kAvx512MaxCountG (larger g takes the portable path).
 //
-// The AVX-512 reduction.  A power-of-two g is a mask.  Otherwise,
-// with h = 2^32·hi + lo and c = 2^32 mod g,
+// The congruence test (Granlund & Montgomery, PLDI 1994).  A
+// power-of-two g is a mask: h & (g - 1) == b.  Otherwise write
+// g = 2^s·o with o odd, inv = o^-1 mod 2^64 and L = floor((2^64-1)/g);
+// products and differences are taken mod 2^64.  For b < g,
+//     h ≡ b (mod g)  <=>  h >= b  and  ror_s((h - b)·inv) <= L.
+// h >= b is necessary: h < b < g means h mod g = h != b.  Given it,
+// x = h - b does not wrap, and g divides x iff ror_s(x·inv) <= L:
+//  * if 2^s does not divide x, it does not divide x·inv either (inv
+//    is odd), so nonzero low bits rotate into the top s bits and
+//    ror_s(x·inv) >= 2^(64-s) > L;
+//  * if x = 2^s·x', then ror_s(x·inv) = x'·inv mod 2^(64-s).
+//    Multiplying by inv permutes the residues mod 2^(64-s) and maps
+//    the multiples k·o below 2^(64-s) to k, so they fill exactly
+//    [0, floor((2^(64-s) - 1)/o)] = [0, L]: x'·inv mod 2^(64-s) <= L
+//    iff o divides x'.
+// Every b is the residue of some h, so no padding bucket is safe: a
+// lane past the last report, or with b >= g (a bucket no hash
+// reaches), is masked off instead.
+//
+// The exact vector `mod g` of MGA's bucket counts, g < kAvx512MaxG.  A
+// power-of-two g is a mask.  Otherwise, with h = 2^32·hi + lo and
+// c = 2^32 mod g,
 //     y = hi·c + lo ≡ h (mod g),  0 <= y <= (2^32 - 1)·g < 2^53,
 // so y converts to a double exactly.  With u = 2^-53, fl(1/g) and the
 // product each add a relative error of at most u, so
@@ -272,7 +294,7 @@ void ScatterCounts(size_t r, uint32_t g, BucketOf bucket_of,
 
 #if defined(LDPR_SIMD_X86)
 
-// The AVX-512 reduction needs (2^32 - 1)·g < 2^53.
+// The AVX-512 `mod g` needs (2^32 - 1)·g < 2^53.
 constexpr uint32_t kAvx512MaxG = uint32_t{1} << 21;
 
 // The AVX-512 bucket counter compares every bucket against every
@@ -282,6 +304,14 @@ constexpr uint32_t kAvx512MaxCountG = 64;
 
 // Targets hashed per stack tile by the AVX-512 bucket counter.
 constexpr size_t kTargetTile = 32;
+
+// o^-1 mod 2^64 for odd o, by Newton's iteration: o·o ≡ 1 (mod 8), and
+// each step doubles the number of correct low bits (3, 6, ..., 96).
+uint64_t InverseOdd(uint64_t o) {
+  uint64_t inv = o;
+  for (int i = 0; i < 5; ++i) inv *= 2 - o * inv;
+  return inv;
+}
 
 #define LDPR_AVX512 __attribute__((target("avx512f,avx512dq")))
 
@@ -334,11 +364,12 @@ LDPR_AVX512 inline __m512i Reduce8(__m512i h, const Avx512Mod& mod) {
   return _mm512_min_epu64(rem, _mm512_sub_epi64(rem, mod.g));
 }
 
-// The 8-lane routine: H_seed(item) for 8 seeds, given the seeds'
+// The 8-lane routine: XXH64(item, seed) for 8 seeds, given the seeds'
 // XxHash64SeedAcc lanes and the item's broadcast XxHash64Round0 —
-// XxHash64Key8WithRound0 lane for lane, then Reduce8.
-LDPR_AVX512 inline __m512i LocalHash8(__m512i seed_acc, __m512i round0,
-                                      const Avx512Mod& mod) {
+// XxHash64Key8WithRound0 lane for lane.  The last xorshift's h >> 32
+// is a dword shuffle, which runs on port 5, not on the ports where the
+// 512-bit multiplies and shifts queue.
+LDPR_AVX512 inline __m512i XxHash8(__m512i seed_acc, __m512i round0) {
   using namespace xxhash_detail;
   __m512i h = _mm512_rol_epi64(_mm512_xor_si512(seed_acc, round0), 27);
   h = _mm512_add_epi64(_mm512_mullo_epi64(h, Broadcast(kPrime1)),
@@ -347,41 +378,121 @@ LDPR_AVX512 inline __m512i LocalHash8(__m512i seed_acc, __m512i round0,
   h = _mm512_mullo_epi64(h, Broadcast(kPrime2));
   h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 29));
   h = _mm512_mullo_epi64(h, Broadcast(kPrime3));
-  h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 32));
-  return Reduce8(h, mod);
+  return _mm512_xor_si512(
+      h, _mm512_maskz_shuffle_epi32(0x5555, h, _MM_PERM_DDBB));
+}
+
+// Lane-broadcast constants of the congruence test, g = 2^s·o, o odd.
+struct Avx512Congruence {
+  __m512i mask;   // g - 1, for a power-of-two g
+  __m512i inv;    // o^-1 mod 2^64
+  __m512i shift;  // s
+  __m512i limit;  // floor((2^64 - 1) / g)
+};
+
+// The lanes of `live` whose hash h is congruent to their bucket b mod
+// g: the test of the section comment, which needs b < g in every live
+// lane.
+template <bool kPow2>
+LDPR_AVX512 inline __mmask8 Supports8(__m512i h, __m512i b, __mmask8 live,
+                                      const Avx512Congruence& c) {
+  if (kPow2) {
+    return _mm512_mask_cmpeq_epi64_mask(live, _mm512_and_si512(h, c.mask), b);
+  }
+  const __mmask8 at_least_b = _mm512_mask_cmpge_epu64_mask(live, h, b);
+  const __m512i rotated = _mm512_rorv_epi64(
+      _mm512_mullo_epi64(_mm512_sub_epi64(h, b), c.inv), c.shift);
+  return _mm512_mask_cmple_epu64_mask(at_least_b, rotated, c.limit);
+}
+
+// `supported` plus one in each lane whose report supports the item
+// with XxHash64Round0 `round0`.
+template <bool kPow2>
+LDPR_AVX512 inline __m512i CountSupports8(__m512i supported, __m512i seed_acc,
+                                          __m512i b, __mmask8 live,
+                                          __m512i round0,
+                                          const Avx512Congruence& c) {
+  return _mm512_mask_add_epi64(
+      supported, Supports8<kPow2>(XxHash8(seed_acc, round0), b, live, c),
+      supported, Broadcast(1));
+}
+
+// *count += the lane sum of `supported`.
+LDPR_AVX512 inline void AddSupport(__m512i supported, double* count) {
+  const long long total = _mm512_reduce_add_epi64(supported);
+  if (total != 0) *count += static_cast<double>(total);
+}
+
+// The support kernel over 256-report tiles.  Each tile stores its seed
+// accumulators, buckets and live-lane masks once; the item sweep then
+// hashes two items per pass over it, loading each vector of seeds and
+// buckets once per pair.
+template <bool kPow2>
+LDPR_AVX512 void OlhSupportTiles(const uint64_t* seeds, const uint32_t* values,
+                                 size_t n, size_t d, uint32_t g,
+                                 const Avx512Congruence& c, double* counts) {
+  const uint64_t seed_acc_offset = XxHash64SeedAcc(0);
+  alignas(64) uint64_t tile_accs[kReportTile];
+  alignas(64) uint64_t tile_values[kReportTile];
+  __mmask8 live[kReportTile / kLanes] = {};
+  for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
+    const size_t tn = std::min(n - i0, kReportTile);
+    const size_t vectors = (tn + kLanes - 1) / kLanes;
+    // The lanes past tn hold zeros only so that they are defined; the
+    // live masks keep them, and buckets no hash reaches, from counting.
+    std::fill(live, live + vectors, __mmask8{0});
+    for (size_t i = 0; i < vectors * kLanes; ++i) {
+      const bool real = i < tn;
+      tile_accs[i] = real ? seeds[i0 + i] + seed_acc_offset : 0;
+      tile_values[i] = real ? values[i0 + i] : 0;
+      if (real && values[i0 + i] < g)
+        live[i / kLanes] |= static_cast<__mmask8>(1u << (i % kLanes));
+    }
+    size_t v = 0;
+    for (; v + 2 <= d; v += 2) {
+      const __m512i round0_a = Broadcast(XxHash64Round0(v));
+      const __m512i round0_b = Broadcast(XxHash64Round0(v + 1));
+      __m512i supported_a = _mm512_setzero_si512();
+      __m512i supported_b = _mm512_setzero_si512();
+      for (size_t j = 0; j < vectors; ++j) {
+        const __m512i seed_acc = _mm512_load_si512(tile_accs + j * kLanes);
+        const __m512i b = _mm512_load_si512(tile_values + j * kLanes);
+        supported_a = CountSupports8<kPow2>(supported_a, seed_acc, b,
+                                            live[j], round0_a, c);
+        supported_b = CountSupports8<kPow2>(supported_b, seed_acc, b,
+                                            live[j], round0_b, c);
+      }
+      AddSupport(supported_a, counts + v);
+      AddSupport(supported_b, counts + v + 1);
+    }
+    if (v < d) {
+      const __m512i round0 = Broadcast(XxHash64Round0(v));
+      __m512i supported = _mm512_setzero_si512();
+      for (size_t j = 0; j < vectors; ++j) {
+        const __m512i seed_acc = _mm512_load_si512(tile_accs + j * kLanes);
+        const __m512i b = _mm512_load_si512(tile_values + j * kLanes);
+        supported = CountSupports8<kPow2>(supported, seed_acc, b, live[j],
+                                          round0, c);
+      }
+      AddSupport(supported, counts + v);
+    }
+  }
 }
 
 LDPR_AVX512 void OlhSupportAvx512(const uint64_t* seeds,
                                   const uint32_t* values, size_t n, size_t d,
                                   uint32_t g, double* counts) {
-  const Avx512Mod mod = MakeAvx512Mod(g, Fold32(g), 1.0 / g);
-  const __m512i seed_acc_offset = Broadcast(XxHash64SeedAcc(0));
-  const __m512i one = Broadcast(1);
-  alignas(64) uint64_t tile_seeds[kReportTile];
-  alignas(64) uint64_t tile_values[kReportTile];
-  for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
-    const size_t tn = std::min(n - i0, kReportTile);
-    // Pad the tile to whole vectors with value g, which no bucket
-    // equals, so the padding lanes never count.
-    const size_t padded = (tn + kLanes - 1) / kLanes * kLanes;
-    for (size_t i = 0; i < padded; ++i) {
-      tile_seeds[i] = i < tn ? seeds[i0 + i] : 0;
-      tile_values[i] = i < tn ? values[i0 + i] : g;
-    }
-    for (size_t v = 0; v < d; ++v) {
-      const __m512i round0 = Broadcast(XxHash64Round0(v));
-      __m512i supported = _mm512_setzero_si512();
-      for (size_t i = 0; i < padded; i += kLanes) {
-        const __m512i seed_acc = _mm512_add_epi64(
-            _mm512_load_si512(tile_seeds + i), seed_acc_offset);
-        const __mmask8 hit = _mm512_cmpeq_epi64_mask(
-            LocalHash8(seed_acc, round0, mod),
-            _mm512_load_si512(tile_values + i));
-        supported = _mm512_mask_add_epi64(supported, hit, supported, one);
-      }
-      const long long total = _mm512_reduce_add_epi64(supported);
-      if (total != 0) counts[v] += static_cast<double>(total);
-    }
+  const int s = __builtin_ctz(g);
+  const uint64_t o = uint64_t{g} >> s;
+  Avx512Congruence c;
+  c.mask = Broadcast(g - 1);
+  c.inv = Broadcast(InverseOdd(o));
+  c.shift = Broadcast(static_cast<uint64_t>(s));
+  c.limit = Broadcast(~uint64_t{0} / g);
+  if (o == 1) {
+    OlhSupportTiles<true>(seeds, values, n, d, g, c, counts);
+  } else {
+    OlhSupportTiles<false>(seeds, values, n, d, g, c, counts);
   }
 }
 
@@ -405,8 +516,8 @@ LDPR_AVX512 void CountBucketsAvx512(const uint64_t* seeds,
     for (size_t j = 0; j < tn; ++j) {
       _mm256_store_si256(
           reinterpret_cast<__m256i*>(tile + j * kLanes),
-          _mm512_cvtepi64_epi32(
-              LocalHash8(seed_acc, Broadcast(round0[j0 + j]), mod)));
+          _mm512_cvtepi64_epi32(Reduce8(
+              XxHash8(seed_acc, Broadcast(round0[j0 + j])), mod)));
     }
     // An odd tile ends in a half vector of g, which no bucket equals.
     const size_t pairs = (tn + 1) / 2;
@@ -469,7 +580,7 @@ void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
     return;
   }
 #if defined(LDPR_SIMD_X86)
-  if (backend == SimdBackend::kAvx512 && g < kAvx512MaxG) {
+  if (backend == SimdBackend::kAvx512) {
     OlhSupportAvx512(seeds, values, n, d, g, counts);
     return;
   }

@@ -14,16 +14,19 @@
 // accelerated path: byte-lane accumulation for the unary columns,
 // bank-interleaved counting for the histogram, and for local hashing
 // the inline split-xxHash + FastMod evaluation of util/hash_family.h,
-// with an 8-lane AVX-512 routine (vpmullq xxHash finish plus an exact
-// double-precision `mod g`) on machines that have it.  The unary
+// with an 8-lane AVX-512 routine on machines that have it: a vpmullq
+// xxHash finish, then an exact congruence test of the 64-bit hash
+// against each report's bucket for support counting (every g), or an
+// exact double-precision `mod g` for MGA's bucket counts.  The unary
 // kernel is one portable C++ loop the compiler vectorizes for the
 // baseline ISA; only the AVX-512 local hashing is written in
 // intrinsics.  Dispatch follows the running CPU alone (cpuid, at
 // first use), and every kernel is bit-exact across backends: support
 // counts are integer sums, so regrouped or vectorized accumulation
-// yields byte-identical doubles, and every hash bucket is the exact
-// remainder (tests/report_gen_batch_test.cc locks each kernel to its
-// scalar reference on every backend the machine runs).
+// yields byte-identical doubles, every hash bucket is the exact
+// remainder and every support test the exact congruence
+// (tests/report_gen_batch_test.cc locks each kernel to its scalar
+// reference on every backend the machine runs).
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
 // reference paths — the lever of the `ci_baseline_exact_scalar` ctest
@@ -89,9 +92,10 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 /// Batched OLH/BLH support counting: for each item v < d, adds
 /// |{ i : H_{seeds[i]}(v) == values[i] }| to counts[v], where H is
 /// the SeededHash family with range g.  Bit-identical to the
-/// per-report SeededHash loop.  Intended for report tiles (a few
-/// hundred reports) so seeds/values stay L1-resident across the item
-/// sweep; any n works.
+/// per-report SeededHash loop; a value >= g supports no item.  On
+/// kAvx512 every g takes the 8-lane routine.  Intended for report
+/// tiles (a few hundred reports) so seeds/values stay L1-resident
+/// across the item sweep; any n works.
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, double* counts);
 
@@ -129,8 +133,8 @@ class LocalHashBlock {
 };
 
 /// Test hook: out[i] = x[i] mod g (g >= 1) through the reduction the
-/// active backend's local-hashing kernels use — the exact AVX-512
-/// vector reduction for g < 2^21 on kAvx512, FastMod otherwise.
+/// active backend's bucket counting uses — the exact AVX-512 vector
+/// reduction for g < 2^21 on kAvx512, FastMod otherwise.
 void SimdReduceModForTest(const uint64_t* x, size_t n, uint32_t g,
                           uint32_t* out);
 

@@ -180,6 +180,8 @@ TEST(CliTest, CountsPastTheirCapsAreFlagErrors) {
        "the attack's 1e+14 crafted reports"},
       {{"stream", "--n=9223372036854775807"}, "--n must be in [1, 100000000]"},
       {{"stream", above_d}, "--d must be in [2, 100000]"},
+      {{"stream", "--protocol=OUE", "--beta=0.25", "--d=100000"},
+       "the stream's 100000 reports of 100000 bits would draw 1e+10 bits"},
   };
   for (const auto& c : kCases) {
     std::vector<std::string> args = c.args;

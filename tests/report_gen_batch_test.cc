@@ -16,8 +16,8 @@
 //    MGA's blocked OLH/BLH seed search matches the serial oracle on
 //    each of them;
 //  * the exact-arithmetic building blocks (FastMod, the AVX-512 vector
-//    reduction, the split 8-byte xxHash) match their generic
-//    counterparts on extreme inputs.
+//    reduction and congruence test, the split 8-byte xxHash) match
+//    their generic counterparts on extreme inputs.
 
 #include <algorithm>
 #include <cmath>
@@ -437,11 +437,12 @@ TEST(SimdKernelTest, ScalarAndActiveBackendsAreTestable) {
 TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
   Rng rng(303);
   const size_t d = 33;
-  // Mask (pow2), AVX-512 vector reduction (g < 2^21) and the FastMod
-  // fallback above it; n around the 8-lane vector and the 256-report
-  // tile.
+  // Power-of-two g (a mask) and the AVX-512 congruence test over the
+  // whole 32-bit range of g (FastMod on portable); n around the 8-lane
+  // vector and the 256-report tile.
   for (uint32_t g : {2u, 3u, 4u, 6u, 7u, 9u, 150u, (1u << 21) - 1,
-                     (1u << 21) + 1}) {
+                     (1u << 21) + 1, 3u << 30, (1u << 31) + 1,
+                     0xffffffffu}) {
     for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                      size_t{255}, size_t{256}, size_t{257}, size_t{1000}}) {
       std::vector<uint64_t> seeds(n);
@@ -466,6 +467,90 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
         SimdOlhSupportAdd(seeds.data(), values.data(), n, d, g, counts.data());
         EXPECT_EQ(counts, reference)
             << SimdBackendName(backend) << " g=" << g << " n=" << n;
+      }
+    }
+  }
+}
+
+// A seed whose XXH64(item, seed) is h.  The 8-byte xxHash finish is a
+// bijection of the seed accumulator: undo each xorshift, multiply by
+// the inverse of each odd prime, rotate back, then xor out the item's
+// round.
+uint64_t SeedHashingTo(uint64_t item, uint64_t h) {
+  using namespace xxhash_detail;
+  const auto inverse = [](uint64_t odd) {
+    uint64_t inv = odd;
+    for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+    return inv;
+  };
+  const auto unxorshift = [](uint64_t y, int shift) {
+    uint64_t x = y;
+    for (int i = 0; i <= 64 / shift; ++i) x = y ^ (x >> shift);
+    return x;
+  };
+  uint64_t x = unxorshift(h, 32) * inverse(kPrime3);
+  x = unxorshift(x, 29) * inverse(kPrime2);
+  x = unxorshift(x, 33);
+  x = Rotl64((x - kPrime4) * inverse(kPrime1), 64 - 27);
+  return (x ^ XxHash64Round0(item)) - XxHash64SeedAcc(0);
+}
+
+// On AVX-512, support counting tests h ≡ b (mod g) on the 64-bit hash h
+// without reducing it (util/simd.cc).  Seeds built to hash a chosen
+// item to each edge of that test — h below b, h around b, g and its
+// multiples, the top of the 64-bit range — sit in the tail lanes
+// (n % 8 = 1..7) of a tile, on both items of a pair and on the odd last
+// item.  A bucket b = g, which no hash reaches, must never count.
+TEST(SimdKernelTest, OlhSupportMatchesScalarAtCongruenceEdges) {
+  const uint64_t max64 = ~uint64_t{0};
+  constexpr size_t kD = 5;
+  Rng rng(707);
+  for (uint32_t g : {3u, 6u, 12u, (1u << 21) + 1, 3u << 30, (1u << 31) + 1,
+                     0xffffffffu}) {
+    std::vector<uint64_t> edge_seeds;
+    std::vector<uint32_t> edge_values;
+    for (uint64_t b : {uint64_t{0}, uint64_t{1}, uint64_t{g / 2},
+                       uint64_t{g - 1}, uint64_t{g}}) {
+      const uint64_t k = (max64 - b) / g;  // the largest k·g + b
+      for (uint64_t h : {uint64_t{0}, uint64_t{1}, b - 1, b, b + 1,
+                         uint64_t{g} - 1, uint64_t{g}, 2 * uint64_t{g},
+                         2 * uint64_t{g} + b, k * g, k * g + b, max64,
+                         max64 - g + 1}) {
+        const uint64_t item = edge_seeds.size() % kD;
+        edge_seeds.push_back(SeedHashingTo(item, h));
+        ASSERT_EQ(XxHash64(item, edge_seeds.back()), h);
+        edge_values.push_back(static_cast<uint32_t>(b));
+      }
+    }
+    // One whole vector of random reports, then t edge reports.
+    for (size_t t = 1; t < kLocalHashLanes; ++t) {
+      for (size_t e0 = 0; e0 < edge_seeds.size(); e0 += t) {
+        std::vector<uint64_t> seeds;
+        std::vector<uint32_t> values;
+        for (size_t i = 0; i < kLocalHashLanes; ++i) {
+          seeds.push_back(rng.Next());
+          values.push_back(static_cast<uint32_t>(rng.UniformU64(g)));
+        }
+        const size_t e1 = std::min(e0 + t, edge_seeds.size());
+        seeds.insert(seeds.end(), edge_seeds.begin() + e0,
+                     edge_seeds.begin() + e1);
+        values.insert(values.end(), edge_values.begin() + e0,
+                      edge_values.begin() + e1);
+        std::vector<double> reference(kD, 0.0);
+        {
+          ScopedBackend scalar(SimdBackend::kScalar);
+          SimdOlhSupportAdd(seeds.data(), values.data(), seeds.size(), kD, g,
+                            reference.data());
+        }
+        for (SimdBackend backend : TestableBackends()) {
+          ScopedBackend scoped(backend);
+          std::vector<double> counts(kD, 0.0);
+          SimdOlhSupportAdd(seeds.data(), values.data(), seeds.size(), kD, g,
+                            counts.data());
+          EXPECT_EQ(counts, reference) << SimdBackendName(backend) << " g="
+                                       << g << " edges [" << e0 << ", " << e1
+                                       << ")";
+        }
       }
     }
   }

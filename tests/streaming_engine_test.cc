@@ -11,11 +11,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ldp/factory.h"
+#include "sim/experiment.h"
 #include "stream/streaming_engine.h"
 #include "util/random.h"
 
@@ -269,6 +271,31 @@ TEST(StreamingEngineTest, SpecValidationRejectsStructuralNonsense) {
   EXPECT_TRUE(ValidateStreamSpec(drift).ok());
   drift.item_counts = {1, 2, 3};  // both modes at once
   EXPECT_FALSE(ValidateStreamSpec(drift).ok());
+}
+
+// A unary stream draws total_reports·d bits; kMaxStreamUnaryBits caps
+// that product, which the per-axis checks leave open.
+TEST(StreamingEngineTest, StreamValidationBoundsUnaryBits) {
+  StreamSpec spec;
+  spec.window_reports = 1000;
+  spec.domain_size = 100000;
+  spec.zipf_segments = 1;
+  const auto oue = MakeProtocol(ProtocolKind::kOue, spec.domain_size, 1.0);
+  const auto olh = MakeProtocol(ProtocolKind::kOlh, spec.domain_size, 1.0);
+  spec.total_reports = static_cast<size_t>(kMaxStreamUnaryBits) / 100000;
+  EXPECT_TRUE(ValidateStream(*oue, spec).ok());
+  spec.total_reports += 1;
+  const Status past = ValidateStream(*oue, spec);
+  EXPECT_FALSE(past.ok());
+  EXPECT_NE(past.message().find("past the 1.07e+09-bit cap"),
+            std::string::npos)
+      << past.message();
+  EXPECT_TRUE(ValidateStream(*olh, spec).ok());  // not unary
+
+  const auto small = MakeProtocol(ProtocolKind::kOlh, 16, 1.0);
+  EXPECT_FALSE(ValidateStream(*small, spec).ok());  // domain mismatch
+  spec.total_reports = 0;
+  EXPECT_FALSE(ValidateStream(*olh, spec).ok());  // the spec's own checks
 }
 
 }  // namespace
