@@ -3,7 +3,9 @@
 // total malicious fraction beta, on IPUMS.
 
 #include <iterator>
+#include <string>
 
+#include "attack/multi_attacker.h"
 #include "ldp/factory.h"
 #include "scenarios.h"
 
@@ -22,10 +24,10 @@ void RegisterFig10(ScenarioRegistry& registry) {
                         std::end(kAllProtocolKinds));
   spec.attacks = {AttackKind::kMultiAdaptive};
   spec.protocol_tag = "MUL-AA-";
-  spec.protocol_tag_suffix = ", 5 attackers";
+  spec.protocol_tag_suffix =
+      ", " + std::to_string(kMultiAdaptiveAttackers) + " attackers";
   spec.sweeps = {{SweepParam::kBeta, {0.05, 0.10, 0.15, 0.20, 0.25}}};
   spec.columns = {"Before", "LDPRecover"};
-  spec.defaults.num_attackers = 5;
   spec.defaults.run_detection = false;
   spec.defaults.run_star = false;
   scenario.format_row = [](const std::vector<ExperimentResult>& r) {

@@ -1,7 +1,7 @@
 #include "attack/mga.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ldp/olh.h"
 #include "ldp/unary.h"
@@ -10,10 +10,12 @@
 
 namespace ldpr {
 
-MgaAttack::MgaAttack(std::vector<ItemId> targets, MgaOptions options)
-    : targets_(std::move(targets)), options_(options) {
+// The OLH/BLH search counts whole LocalHashBlock blocks of tries.
+static_assert(kMgaOlhSeedTries % kLocalHashLanes == 0);
+
+MgaAttack::MgaAttack(std::vector<ItemId> targets)
+    : targets_(std::move(targets)) {
   LDPR_CHECK(!targets_.empty());
-  LDPR_CHECK(options_.olh_seed_tries >= 1);
 }
 
 std::vector<ItemId> MgaAttack::SampleTargets(size_t d, size_t r, Rng& rng) {
@@ -48,17 +50,15 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
           ones += !row[t];
           row[t] = 1;
         }
-        if (options_.pad_oue) {
-          // Bring the 1-count up to the expected count of a genuine
-          // report so the crafted vectors pass a naive 1-count
-          // anomaly check.
-          size_t guard = 0;
-          while (ones < expected && guard < 16 * d) {
-            const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
-            ++guard;
-            ones += !row[v];
-            row[v] = 1;
-          }
+        // Bring the 1-count up to the expected count of a genuine
+        // report so the crafted vectors pass a naive 1-count anomaly
+        // check.
+        size_t guard = 0;
+        while (ones < expected && guard < 16 * d) {
+          const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
+          ++guard;
+          ones += !row[v];
+          row[v] = 1;
         }
       }
       break;
@@ -85,12 +85,10 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
         uint32_t best_value = 0;
         uint32_t best_hits = 0;
         size_t tried = 0;
-        while (tried < options_.olh_seed_tries && best_hits < r) {
-          const size_t lanes =
-              std::min(kLanes, options_.olh_seed_tries - tried);
+        while (tried < kMgaOlhSeedTries && best_hits < r) {
           uint64_t seeds[kLanes] = {};
           Rng ahead = rng;
-          for (size_t k = 0; k < lanes; ++k) seeds[k] = ahead.Next();
+          for (size_t k = 0; k < kLanes; ++k) seeds[k] = ahead.Next();
           uint32_t lane_max[kLanes];
           block.CountBuckets(seeds, counts.data(), lane_max);
           // Lanes whose fullest bucket beats the best so far, as a bit
@@ -98,11 +96,11 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
           // for the bucket scan.
           const auto beating = [&](size_t from) {
             uint32_t mask = 0;
-            for (size_t k = from; k < lanes; ++k)
+            for (size_t k = from; k < kLanes; ++k)
               mask |= uint32_t{lane_max[k] > best_hits} << k;
             return mask;
           };
-          size_t used = lanes;
+          size_t used = kLanes;
           for (uint32_t beat = beating(0); beat != 0;) {
             const size_t k = static_cast<size_t>(__builtin_ctz(beat));
             best_hits = lane_max[k];
@@ -116,7 +114,7 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
             }
             beat = beating(k + 1);
           }
-          if (used == lanes) {
+          if (used == kLanes) {
             rng = ahead;
           } else {
             for (size_t k = 0; k < used; ++k) rng.Next();

@@ -7,16 +7,17 @@
 //   * GRR   — a report carries one item, so each fake user sends one
 //             target (uniformly over T, i.e. the paper's adaptive-
 //             attack distribution with mass 1/r on each target);
-//   * OUE   — the crafted bit vector sets the bit of *every* target;
-//             optionally the vector is padded with random non-target
-//             bits up to the expected 1-count of a genuine report so
-//             that simple length-based anomaly checks do not flag it;
-//   * OLH   — the attacker searches random hash seeds for one whose
-//             induced partition maps many targets into a common
-//             bucket, then reports (seed, that bucket).  The search
-//             runs in blocks of 8 seeds through util/simd.h's
-//             LocalHashBlock and reproduces the serial one-seed-at-a-
-//             time loop exactly: same reports, same Rng position.
+//   * OUE   — the crafted bit vector sets the bit of *every* target,
+//             then is padded with random non-target bits up to the
+//             expected 1-count of a genuine report so that simple
+//             length-based anomaly checks do not flag it;
+//   * OLH   — the attacker searches up to kMgaOlhSeedTries random hash
+//             seeds for one whose induced partition maps many targets
+//             into a common bucket, then reports (seed, that bucket).
+//             The search runs in blocks of 8 seeds through
+//             util/simd.h's LocalHashBlock and reproduces the serial
+//             one-seed-at-a-time loop exactly: same reports, same Rng
+//             position.
 
 #ifndef LDPR_ATTACK_MGA_H_
 #define LDPR_ATTACK_MGA_H_
@@ -25,28 +26,22 @@
 
 namespace ldpr {
 
-/// Options of the MGA attack.
-struct MgaOptions {
-  /// Pad crafted OUE vectors to the expected genuine 1-count.
-  bool pad_oue = true;
-  /// Random seeds tried per crafted OLH report; must be >= 1.
-  size_t olh_seed_tries = 64;
-};
+/// Random seeds tried per crafted OLH/BLH report (Cao, Jia & Gong).
+inline constexpr size_t kMgaOlhSeedTries = 64;
 
 class MgaAttack final : public Attack {
  public:
   /// `targets` must be non-empty and within the domain of every
-  /// protocol this attack is used with; options.olh_seed_tries must
-  /// be at least 1 (checked here, whatever the protocol).
-  MgaAttack(std::vector<ItemId> targets, MgaOptions options = MgaOptions());
+  /// protocol this attack is used with.
+  explicit MgaAttack(std::vector<ItemId> targets);
 
   std::string Name() const override { return "MGA"; }
   std::vector<ItemId> targets() const override { return targets_; }
 
   /// GRR: one uniformly drawn target per report.  OUE/SUE: every
   /// target bit set in the packed row, padded with random bits up to
-  /// the genuine 1-count when pad_oue.  OLH/BLH: the first seed, of
-  /// up to olh_seed_tries drawn one per try, whose fullest bucket
+  /// the genuine 1-count.  OLH/BLH: the first seed, of up to
+  /// kMgaOlhSeedTries drawn one per try, whose fullest bucket
   /// beats every earlier try's (stopping at one holding all r
   /// targets), emitted as (seed, lowest fullest bucket).  Tries are
   /// counted 8 at a time by LocalHashBlock on seeds drawn from a copy
@@ -60,7 +55,6 @@ class MgaAttack final : public Attack {
 
  private:
   std::vector<ItemId> targets_;
-  MgaOptions options_;
 };
 
 }  // namespace ldpr

@@ -38,11 +38,10 @@ void MultiAttacker::CraftBatch(const FrequencyProtocol& protocol, size_t m,
     attackers_[a]->CraftBatch(protocol, shares[a], rng, out);
 }
 
-std::unique_ptr<MultiAttacker> MakeMultiAdaptive(size_t k) {
-  LDPR_CHECK(k >= 1);
+std::unique_ptr<MultiAttacker> MakeMultiAdaptive() {
   std::vector<std::unique_ptr<Attack>> attackers;
-  attackers.reserve(k);
-  for (size_t i = 0; i < k; ++i)
+  attackers.reserve(kMultiAdaptiveAttackers);
+  for (size_t i = 0; i < kMultiAdaptiveAttackers; ++i)
     attackers.push_back(std::make_unique<AdaptiveAttack>());
   return std::make_unique<MultiAttacker>(std::move(attackers));
 }

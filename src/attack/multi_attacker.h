@@ -37,9 +37,11 @@ class MultiAttacker final : public Attack {
   std::vector<std::unique_ptr<Attack>> attackers_;
 };
 
-/// Convenience: k independent adaptive attackers (the Figure 10
-/// configuration with k = 5).
-std::unique_ptr<MultiAttacker> MakeMultiAdaptive(size_t k);
+/// Adaptive attackers in the MUL-AA attack (the paper's Figure 10).
+inline constexpr size_t kMultiAdaptiveAttackers = 5;
+
+/// MUL-AA: kMultiAdaptiveAttackers independent adaptive attackers.
+std::unique_ptr<MultiAttacker> MakeMultiAdaptive();
 
 }  // namespace ldpr
 

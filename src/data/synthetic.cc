@@ -29,14 +29,14 @@ Dataset MakeUniformDataset(std::string name, size_t d, uint64_t n) {
                                     std::vector<double>(d, 1.0), n);
 }
 
-Dataset MakeIpumsLike(uint64_t shuffle_seed) {
+Dataset MakeIpumsLike() {
   return MakeZipfDataset("IPUMS", /*d=*/102, /*n=*/389894, /*s=*/1.05,
-                         shuffle_seed);
+                         /*shuffle_seed=*/17);
 }
 
-Dataset MakeFireLike(uint64_t shuffle_seed) {
+Dataset MakeFireLike() {
   return MakeZipfDataset("Fire", /*d=*/490, /*n=*/667574, /*s=*/0.8,
-                         shuffle_seed);
+                         /*shuffle_seed=*/23);
 }
 
 }  // namespace ldpr

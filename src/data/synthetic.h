@@ -29,12 +29,14 @@ Dataset MakeZipfDataset(std::string name, size_t d, uint64_t n, double s,
 Dataset MakeUniformDataset(std::string name, size_t d, uint64_t n);
 
 /// IPUMS stand-in: d = 102, n = 389,894, Zipf s = 1.05 (census city
-/// populations are classically near-Zipf with exponent ~1).
-Dataset MakeIpumsLike(uint64_t shuffle_seed = 17);
+/// populations are classically near-Zipf with exponent ~1), ranks
+/// shuffled with seed 17.
+Dataset MakeIpumsLike();
 
 /// Fire stand-in: d = 490, n = 667,574, Zipf s = 0.8 (dispatch unit
-/// loads are skewed but flatter than city populations).
-Dataset MakeFireLike(uint64_t shuffle_seed = 23);
+/// loads are skewed but flatter than city populations), ranks
+/// shuffled with seed 23.
+Dataset MakeFireLike();
 
 }  // namespace ldpr
 

@@ -12,6 +12,11 @@ namespace ldpr {
 
 namespace {
 
+// TwoMeansCluster's schedule: starts from random row pairs, and the
+// Lloyd iteration cap of each.
+constexpr size_t kRandomStarts = 4;
+constexpr size_t kLloydIterations = 50;
+
 double SquaredDistance(const std::vector<double>& a,
                        const std::vector<double>& b) {
   double total = 0.0;
@@ -42,16 +47,14 @@ std::vector<double> MeanOfRows(const std::vector<std::vector<double>>& rows,
 }  // namespace
 
 std::vector<uint8_t> TwoMeansCluster(
-    const std::vector<std::vector<double>>& rows, size_t max_iterations,
-    size_t restarts, Rng& rng) {
+    const std::vector<std::vector<double>>& rows, Rng& rng) {
   LDPR_CHECK(rows.size() >= 2);
   const size_t n = rows.size();
 
   std::vector<uint8_t> best_labels(n, 0);
   double best_inertia = std::numeric_limits<double>::infinity();
 
-  for (size_t restart = 0; restart < std::max<size_t>(1, restarts);
-       ++restart) {
+  for (size_t start = 0; start < kRandomStarts; ++start) {
     // Init centroids from two distinct random rows.
     size_t i0 = rng.UniformU64(n);
     size_t i1 = rng.UniformU64(n - 1);
@@ -60,7 +63,7 @@ std::vector<uint8_t> TwoMeansCluster(
     std::vector<double> c1 = rows[i1];
 
     std::vector<uint8_t> labels(n, 0);
-    for (size_t iter = 0; iter < max_iterations; ++iter) {
+    for (size_t iter = 0; iter < kLloydIterations; ++iter) {
       bool changed = false;
       for (size_t i = 0; i < n; ++i) {
         const uint8_t label =
@@ -138,7 +141,6 @@ KMeansPartition PartitionSupportCounts(const FrequencyProtocol& protocol,
 
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
                                      const KMeansPartition& partition,
-                                     const KMeansDefenseOptions& options,
                                      Rng& rng) {
   const size_t num_subsets = partition.subset_counts.size();
   LDPR_CHECK(num_subsets >= 2);
@@ -152,8 +154,7 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
         partition.subset_counts[s], partition.subset_sizes[s]));
   }
 
-  result.subset_is_malicious = TwoMeansCluster(
-      result.subset_estimates, options.max_iterations, options.restarts, rng);
+  result.subset_is_malicious = TwoMeansCluster(result.subset_estimates, rng);
 
   size_t malicious_subsets = 0;
   for (uint8_t b : result.subset_is_malicious) malicious_subsets += b;
@@ -187,8 +188,7 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
                                      const KMeansDefenseOptions& options,
                                      Rng& rng) {
   return RunKMeansDefense(
-      protocol, PartitionSupportCounts(protocol, reports, options, rng),
-      options, rng);
+      protocol, PartitionSupportCounts(protocol, reports, options, rng), rng);
 }
 
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,

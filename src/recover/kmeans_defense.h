@@ -42,10 +42,6 @@ struct KMeansDefenseOptions {
   /// clustering more rows to work with but noisier per-subset
   /// estimates.
   double sample_rate = 0.1;
-  /// Lloyd iterations per restart.
-  size_t max_iterations = 50;
-  /// k-means restarts (best inertia wins).
-  size_t restarts = 4;
 };
 
 /// A uniformly random partition of the users into disjoint subsets,
@@ -79,11 +75,12 @@ struct KMeansDefenseResult {
   size_t population_size = 0;
 };
 
-/// Basic 2-means over row vectors.  Returns per-row cluster labels
-/// (0/1); label 1 is the *smaller* cluster.  Exposed for tests.
+/// Basic 2-means over row vectors: 4 starts from random row pairs, up
+/// to 50 Lloyd iterations each, best inertia wins.  Returns per-row
+/// cluster labels (0/1); label 1 is the *smaller* cluster.  Exposed
+/// for tests.
 std::vector<uint8_t> TwoMeansCluster(
-    const std::vector<std::vector<double>>& rows, size_t max_iterations,
-    size_t restarts, Rng& rng);
+    const std::vector<std::vector<double>>& rows, Rng& rng);
 
 /// Step one: shuffles the users (one Fisher-Yates pass on `rng`),
 /// deals them round-robin into max(2, round(1/xi)) subsets, and sums
@@ -95,12 +92,10 @@ KMeansPartition PartitionSupportCounts(const FrequencyProtocol& protocol,
                                        Rng& rng);
 
 /// Step two, the counts entry point: 2-means over the per-subset
-/// estimates (`rng` seeds the restarts) and re-aggregation of each
-/// cluster from its subsets' counts.  options.sample_rate is not
-/// read; the partition already fixed the subsets.
+/// estimates (`rng` draws the random starts) and re-aggregation of each
+/// cluster from its subsets' counts.
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
                                      const KMeansPartition& partition,
-                                     const KMeansDefenseOptions& options,
                                      Rng& rng);
 
 /// Both steps over the given reports.  The protocol reference must

@@ -9,21 +9,27 @@
 
 namespace ldpr {
 
+namespace {
+// The detector's constants, documented at DetectFrequencyOutliers.
+constexpr double kZThreshold = 3.0;
+constexpr size_t kMinHistory = 3;
+constexpr double kStddevFloor = 1e-6;
+}  // namespace
+
 std::vector<ItemId> DetectFrequencyOutliers(
     const std::vector<std::vector<double>>& history,
-    const std::vector<double>& current,
-    const OutlierDetectorOptions& options) {
+    const std::vector<double>& current) {
   LDPR_CHECK(!current.empty());
   std::vector<ItemId> outliers;
-  if (history.size() < options.min_history) return outliers;
+  if (history.size() < kMinHistory) return outliers;
   for (const auto& epoch : history) LDPR_CHECK(epoch.size() == current.size());
 
   for (size_t v = 0; v < current.size(); ++v) {
     RunningStat stat;
     for (const auto& epoch : history) stat.Add(epoch[v]);
-    const double sd = std::max(stat.stddev(), options.stddev_floor);
+    const double sd = std::max(stat.stddev(), kStddevFloor);
     const double z = (current[v] - stat.mean()) / sd;
-    if (z > options.z_threshold) outliers.push_back(static_cast<ItemId>(v));
+    if (z > kZThreshold) outliers.push_back(static_cast<ItemId>(v));
   }
   return outliers;
 }

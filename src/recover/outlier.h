@@ -18,26 +18,17 @@
 
 namespace ldpr {
 
-struct OutlierDetectorOptions {
-  /// Flag items whose current frequency exceeds the historical mean
-  /// by more than `z_threshold` historical standard deviations.
-  double z_threshold = 3.0;
-  /// Minimum epochs of history required before detection runs.
-  size_t min_history = 3;
-  /// Standard-deviation floor guarding against near-constant
-  /// histories (pure LDP noise keeps stddev positive in practice, but
-  /// short histories can collapse).
-  double stddev_floor = 1e-6;
-};
-
 /// Returns the items of `current` that are upward outliers against
 /// `history` (each history entry is one past epoch's frequency
-/// vector, all the same length as `current`).  Only upward deviations
-/// are flagged: targeted poisoning inflates frequencies.
+/// vector, all the same length as `current`): items whose current
+/// frequency exceeds the historical mean by more than 3 historical
+/// standard deviations, the deviation floored at 1e-6 so a
+/// near-constant short history cannot make it zero.  Needs at least 3
+/// epochs of history; with fewer, nothing is flagged.  Only upward
+/// deviations are flagged: targeted poisoning inflates frequencies.
 std::vector<ItemId> DetectFrequencyOutliers(
     const std::vector<std::vector<double>>& history,
-    const std::vector<double>& current,
-    const OutlierDetectorOptions& options = {});
+    const std::vector<double>& current);
 
 /// Convenience used for AA (whose random attacker distribution has no
 /// crisp target set): the `k` items with the largest frequency

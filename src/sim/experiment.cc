@@ -170,14 +170,10 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
             "targets must be in [1, domain size] for MGA attacks");
       }
       break;
-    case AttackKind::kMultiAdaptive:
-      if (p.num_attackers < 1) {
-        return InvalidArgumentError("MUL-AA needs at least 1 attacker");
-      }
-      break;
     case AttackKind::kNone:
     case AttackKind::kManip:
     case AttackKind::kAdaptive:
+    case AttackKind::kMultiAdaptive:
       break;
   }
   return Status::Ok();

@@ -61,7 +61,7 @@ std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
       return MakeMgaIpa(d,
                         MgaAttack::SampleTargets(d, config.num_targets, rng));
     case AttackKind::kMultiAdaptive:
-      return MakeMultiAdaptive(config.num_attackers);
+      return MakeMultiAdaptive();
   }
   return nullptr;
 }

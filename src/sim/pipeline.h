@@ -43,8 +43,6 @@ struct PipelineConfig {
   double beta = 0.05;
   /// Number of target items r (MGA variants).
   size_t num_targets = 10;
-  /// Number of attackers (kMultiAdaptive).
-  size_t num_attackers = 5;
   /// Simulate every genuine user individually instead of sampling the
   /// aggregate from its closed-form law (slow; used by equivalence
   /// tests).

@@ -35,7 +35,6 @@ ExperimentConfig ConfigFromDefaults(const ScenarioSpec& spec,
   config.pipeline.attack = attack;
   config.pipeline.beta = spec.defaults.beta;
   config.pipeline.num_targets = spec.defaults.num_targets;
-  config.pipeline.num_attackers = spec.defaults.num_attackers;
   config.eta = spec.defaults.eta;
   config.run_detection = spec.defaults.run_detection;
   config.run_star = spec.defaults.run_star;

@@ -75,7 +75,6 @@ struct ScenarioDefaults {
   double beta = 0.05;
   double eta = 0.2;
   size_t num_targets = 10;
-  size_t num_attackers = 5;
   bool run_detection = true;
   bool run_star = true;
   uint64_t seed = 20240213;

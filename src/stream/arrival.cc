@@ -151,11 +151,13 @@ namespace {
 // The shared rank->item permutation of drifting-zipf mode: a full
 // Fisher-Yates shuffle on its own Rng, mirroring the synthetic
 // dataset generators (data/synthetic.cc) so "which items are popular"
-// is a spec property, independent of the arrival seed.
-std::vector<ItemId> MakeRankPermutation(size_t d, uint64_t shuffle_seed) {
+// is a fixed property of the stream, independent of the arrival seed.
+constexpr uint64_t kRankShuffleSeed = 17;
+
+std::vector<ItemId> MakeRankPermutation(size_t d) {
   std::vector<ItemId> perm(d);
   for (size_t i = 0; i < d; ++i) perm[i] = static_cast<ItemId>(i);
-  Rng rng(shuffle_seed);
+  Rng rng(kRankShuffleSeed);
   for (size_t i = d - 1; i > 0; --i) {
     const size_t j = rng.UniformU64(i + 1);
     std::swap(perm[i], perm[j]);
@@ -188,8 +190,7 @@ ArrivalStream::ArrivalStream(const FrequencyProtocol& protocol,
   }
 
   if (spec_.zipf_segments > 0) {
-    rank_to_item_ =
-        MakeRankPermutation(spec_.domain_size, spec_.zipf_shuffle_seed);
+    rank_to_item_ = MakeRankPermutation(spec_.domain_size);
     zipf_ = std::make_unique<ZipfSampler>(
         spec_.domain_size, ZipfExponentForSegment(spec_, 0));
   } else {

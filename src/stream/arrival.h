@@ -76,7 +76,7 @@ struct StreamSpec {
   /// segments and a genuine arrival in segment k draws from
   /// Zipf(s_k) over `domain_size` items, with s_k interpolating
   /// zipf_s_start -> zipf_s_end.  The rank->item permutation is
-  /// derived once from `zipf_shuffle_seed` and shared by every
+  /// derived once from the fixed shuffle seed 17 and shared by every
   /// segment, so drift redistributes mass over fixed item
   /// identities.  Segment boundaries are fixed by the spec —
   /// independent of any window geometry.
@@ -84,7 +84,6 @@ struct StreamSpec {
   double zipf_s_start = 1.0;
   double zipf_s_end = 1.0;
   size_t zipf_segments = 0;
-  uint64_t zipf_shuffle_seed = 17;
 
   /// Attack schedule: MGA with `num_targets` targets (sampled once
   /// per stream) interleaved per `wave` at peak density

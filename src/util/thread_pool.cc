@@ -17,8 +17,7 @@ namespace ldpr {
 namespace {
 // The pool whose WorkerLoop owns this thread (null on non-worker
 // threads).  Lets ParallelFor tell a caller that can run indices
-// itself from one that only waits, and lets Wait() trap same-pool
-// re-entry, the one call shape that deadlocks.
+// itself from one that only waits.
 thread_local const ThreadPool* t_worker_pool = nullptr;
 }  // namespace
 
@@ -44,17 +43,8 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     LDPR_CHECK(!stop_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  // Waiting on the pool from inside one of its own tasks deadlocks:
-  // in_flight_ includes the calling task, so it can never reach 0.
-  LDPR_CHECK(t_worker_pool != this);
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -69,10 +59,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

@@ -3,10 +3,9 @@
 //
 // Public contract (see also docs/architecture.md):
 //
-//  - The pool is a plain task queue: Submit() enqueues a closure,
-//    Wait() blocks until every submitted closure has finished.  The
-//    destructor drains the queue before joining, so a pool can be
-//    used fire-and-forget.
+//  - ParallelFor is the pool's one entry point: the member form runs
+//    an index range on the pool's workers, and the free form runs on
+//    the process-wide pool.  Both block until every index is done.
 //
 //  - ParallelFor(threads, n, fn) runs fn(0) ... fn(n-1) with dynamic
 //    (work-stealing counter) scheduling.  Callers own determinism:
@@ -20,14 +19,15 @@
 //    rethrown on the calling thread once every index has finished.
 //
 //  - Each ParallelFor call keeps its own index counter and done
-//    count and waits on that count, never on the pool-wide Wait(), so
-//    loops may nest: a loop issued from inside a pool task — e.g.
-//    shard-level aggregation inside a trial-level fan-out — queues
-//    helper tasks that idle workers pick up while the caller claims
-//    indices itself.  A caller runs indices only when it is a worker
-//    of the pool the loop runs on; any other caller just waits, so a
-//    pool of N never has more than N busy threads.  Which thread runs
-//    an index never affects results (the determinism contract above).
+//    count and waits on that count, never on the pool as a whole, so
+//    loops may nest: a loop issued from inside an index of another
+//    loop — e.g. shard-level aggregation inside a trial-level fan-out
+//    — queues helper tasks that idle workers pick up while the caller
+//    claims indices itself.  A caller runs indices only when it is a
+//    worker of the pool the loop runs on; any other caller just waits,
+//    so a pool of N never has more than N busy threads.  Which thread
+//    runs an index never affects results (the determinism contract
+//    above).
 //
 //  - The free ParallelFor reuses one process-wide lazily-created
 //    pool (GlobalThreadPool()), so many small parallel loops pay
@@ -56,7 +56,7 @@ class ThreadPool {
   /// Spawns `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains the queue, then joins the workers.
+  /// Runs what is queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -64,39 +64,27 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues one task.  Tasks must not throw — an exception escapes
-  /// the worker thread and terminates the process; use ParallelFor
-  /// for exception propagation.  Tasks must not Submit() to the same
-  /// pool and then Wait() on it from inside a task (deadlock).
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.  Must not
-  /// be called from inside one of this pool's own tasks — in_flight_
-  /// would include the caller and never drain (enforced by a check);
-  /// waiting on a *different* pool from a task is fine.
-  void Wait();
-
   /// Runs fn(begin) ... fn(end-1) across the pool's workers and
   /// blocks until all indices are done.  Rethrows the first
   /// exception any index threw.  `max_runners` caps how many threads
   /// run indices of this loop (0 = the pool's size), counting the
   /// caller when it is one of this pool's workers, so a shared pool
   /// can serve a caller that asked for fewer threads than it holds.
-  /// Safe to call from inside this pool's own tasks (see the file
-  /// header).
+  /// Safe to call from inside an index of a loop on this pool (see
+  /// the file header).
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn,
                    size_t max_runners = 0);
 
  private:
+  /// Enqueues one ParallelFor helper task; it must not throw.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable task_cv_;  // signals workers: task or stop
-  std::condition_variable idle_cv_;  // signals Wait(): all drained
-  size_t in_flight_ = 0;             // queued + currently running
   bool stop_ = false;
 };
 

@@ -33,7 +33,7 @@ std::vector<Report> MakeReports(const FrequencyProtocol& proto, size_t n,
   if (crafted > 0) {
     reports = oracle::CraftMga(
         proto, MgaAttack::SampleTargets(proto.domain_size(), /*r=*/5, rng),
-        MgaOptions(), crafted, rng);
+        crafted, rng);
   }
   for (size_t i = reports.size(); i < n; ++i) {
     reports.push_back(oracle::Perturb(
@@ -113,8 +113,7 @@ TEST(AggregationBatchTest, DetectionOfferAllMatchesOracleFilter) {
     const auto proto = MakeProtocol(kind, 24, 1.0);
     Rng rng(9);
     const std::vector<ItemId> targets = {1, 5, 17};
-    std::vector<Report> reports =
-        oracle::CraftMga(*proto, targets, MgaOptions(), 150, rng);
+    std::vector<Report> reports = oracle::CraftMga(*proto, targets, 150, rng);
     for (size_t i = 0; i < 400; ++i)
       reports.push_back(
           oracle::Perturb(*proto, static_cast<ItemId>(i % 24), rng));

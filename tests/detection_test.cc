@@ -44,12 +44,11 @@ TEST(DetectionFilterTest, OfferDropsSuspicious) {
 }
 
 TEST(DetectionFilterTest, RemovesAllMgaReports) {
-  // Every MGA report supports a target by construction, so Detection
-  // discards the entire malicious cohort.
+  // Every MGA report supports a target by construction (a padded row
+  // still sets every target bit), so Detection discards the entire
+  // malicious cohort.
   const Oue oue(50, 0.5);
-  MgaOptions opts;
-  opts.pad_oue = false;
-  const MgaAttack attack({4, 9}, opts);
+  const MgaAttack attack({4, 9});
   Rng rng(1);
   DetectionFilter filter(oue, {4, 9});
   ReportBatch crafted;

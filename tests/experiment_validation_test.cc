@@ -120,11 +120,6 @@ TEST(ValidateExperimentInputsTest, RejectsBadAttackShapes) {
   config.pipeline.num_targets = ds.domain_size() + 1;
   EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
 
-  config = OkConfig();
-  config.pipeline.attack = AttackKind::kMultiAdaptive;
-  config.pipeline.num_attackers = 0;
-  EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
-
   // A target count that would be invalid for MGA is fine for AA,
   // which ignores it.
   config = OkConfig();

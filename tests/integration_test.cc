@@ -104,7 +104,6 @@ TEST(IntegrationTest, MultiAttackerRecoveryWorks) {
   ExperimentConfig config;
   config.protocol = ProtocolKind::kGrr;
   config.pipeline.attack = AttackKind::kMultiAdaptive;
-  config.pipeline.num_attackers = 5;
   config.pipeline.beta = 0.1;
   config.trials = 3;
   config.seed = 7;

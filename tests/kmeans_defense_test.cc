@@ -23,7 +23,7 @@ TEST(TwoMeansTest, SeparatesCleanClusters) {
   for (int i = 0; i < 3; ++i)
     rows.push_back({5.0 + 0.01 * i, 5.0});
   Rng rng(1);
-  const auto labels = TwoMeansCluster(rows, 50, 4, rng);
+  const auto labels = TwoMeansCluster(rows, rng);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(labels[i], 0);
   for (int i = 8; i < 11; ++i) EXPECT_EQ(labels[i], 1);
 }
@@ -33,7 +33,7 @@ TEST(TwoMeansTest, MinorityIsAlwaysLabelOne) {
   for (int i = 0; i < 3; ++i) rows.push_back({0.0});
   for (int i = 0; i < 9; ++i) rows.push_back({10.0});
   Rng rng(2);
-  const auto labels = TwoMeansCluster(rows, 50, 4, rng);
+  const auto labels = TwoMeansCluster(rows, rng);
   size_t ones = 0;
   for (uint8_t l : labels) ones += l;
   EXPECT_EQ(ones, 3u);
@@ -108,7 +108,7 @@ TEST(KMeansDefenseTest, PopulationCountsMatchAddAll) {
       }
       EXPECT_EQ(users, reports.size());
 
-      const auto result = RunKMeansDefense(*proto, partition, opts, rng);
+      const auto result = RunKMeansDefense(*proto, partition, rng);
       EXPECT_EQ(result.population_counts, all.support_counts())
           << ProtocolKindName(kind) << " xi=" << xi;
       EXPECT_EQ(result.population_size, reports.size());

@@ -66,19 +66,6 @@ TEST(MgaTest, OuePaddingMatchesExpectedOnes) {
   }
 }
 
-TEST(MgaTest, OueNoPaddingKeepsExactlyTargets) {
-  const Oue oue(200, 0.5);
-  MgaOptions opts;
-  opts.pad_oue = false;
-  const MgaAttack attack({0, 1, 2}, opts);
-  Rng rng(5);
-  for (const Report& r : CraftReports(attack, oue, 20, rng)) {
-    size_t ones = 0;
-    for (uint8_t b : r.bits) ones += b;
-    EXPECT_EQ(ones, 3u);
-  }
-}
-
 TEST(MgaTest, OlhReportsSupportManyTargets) {
   const Olh olh(102, 0.5);  // g = 3
   Rng rng(6);
@@ -125,14 +112,6 @@ TEST(MgaTest, InflatesTargetFrequencies) {
 
 TEST(MgaDeathTest, RejectsEmptyTargets) {
   EXPECT_DEATH(MgaAttack({}), "LDPR_CHECK");
-}
-
-// Zero seed tries would leave an OLH/BLH report without a seed; the
-// constructor rejects it for every protocol, not just at craft time.
-TEST(MgaDeathTest, RejectsZeroSeedTries) {
-  MgaOptions options;
-  options.olh_seed_tries = 0;
-  EXPECT_DEATH(MgaAttack({1, 2}, options), "olh_seed_tries");
 }
 
 }  // namespace

@@ -12,14 +12,14 @@ namespace {
 
 TEST(MultiAttackerTest, CraftsExactTotal) {
   const Grr grr(20, 0.5);
-  const auto attack = MakeMultiAdaptive(5);
+  const auto attack = MakeMultiAdaptive();
   Rng rng(1);
   EXPECT_EQ(CraftReports(*attack, grr, 1234, rng).size(), 1234u);
   EXPECT_EQ(CraftReports(*attack, grr, 0, rng).size(), 0u);
 }
 
 TEST(MultiAttackerTest, NameEncodesCount) {
-  EXPECT_EQ(MakeMultiAdaptive(5)->Name(), "MUL-AA-x5");
+  EXPECT_EQ(MakeMultiAdaptive()->Name(), "MUL-AA-x5");
 }
 
 TEST(MultiAttackerTest, TargetsAreDeduplicatedUnion) {

@@ -49,22 +49,8 @@ TEST(OutlierTest, RequiresMinimumHistory) {
   const auto history = MakeHistory(2, 10, 0.01, 4);
   std::vector<double> current = history.back();
   current[0] += 0.5;
-  OutlierDetectorOptions opts;
-  opts.min_history = 3;
-  EXPECT_TRUE(DetectFrequencyOutliers(history, current, opts).empty());
-}
-
-TEST(OutlierTest, ThresholdControlsSensitivity) {
-  const auto history = MakeHistory(10, 10, 0.02, 5);
-  std::vector<double> current = history.back();
-  current[3] += 0.05;  // modest bump
-  OutlierDetectorOptions strict;
-  strict.z_threshold = 50.0;
-  EXPECT_TRUE(DetectFrequencyOutliers(history, current, strict).empty());
-  OutlierDetectorOptions loose;
-  loose.z_threshold = 2.0;
-  const auto found = DetectFrequencyOutliers(history, current, loose);
-  EXPECT_FALSE(found.empty());
+  // Two epochs are one short of the 3 the detector needs.
+  EXPECT_TRUE(DetectFrequencyOutliers(history, current).empty());
 }
 
 TEST(OutlierTest, StddevFloorHandlesConstantHistory) {

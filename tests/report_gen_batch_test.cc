@@ -172,15 +172,11 @@ TEST(ReportGenBatchTest, AttackCraftBatchMatchesOracleForAllProtocols) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/31, /*epsilon=*/1.0);
     const std::vector<ItemId> targets = {2, 9, 17, 30};
-    for (bool pad : {true, false}) {
-      MgaOptions options;
-      options.pad_oue = pad;
-      ExpectCraftBatchMatchesOracle(
-          MgaAttack(targets, options), *proto, 400, 13,
-          [&](size_t m, Rng& rng) {
-            return oracle::CraftMga(*proto, targets, options, m, rng);
-          });
-    }
+    ExpectCraftBatchMatchesOracle(MgaAttack(targets), *proto, 400, 13,
+                                  [&](size_t m, Rng& rng) {
+                                    return oracle::CraftMga(*proto, targets, m,
+                                                            rng);
+                                  });
     const auto ipa = MakeMgaIpa(31, targets);
     std::vector<double> ipa_inputs(31, 0.0);
     for (ItemId t : targets) ipa_inputs[t] = 1.0;
@@ -191,18 +187,17 @@ TEST(ReportGenBatchTest, AttackCraftBatchMatchesOracleForAllProtocols) {
                                   });
     ExpectCraftBatchMatchesOracle(ManipAttack(), *proto, 400, 19,
                                   [&](size_t m, Rng& rng) {
-                                    return oracle::CraftManip(*proto, 0.5, m,
-                                                              rng);
+                                    return oracle::CraftManip(*proto, m, rng);
                                   });
     ExpectCraftBatchMatchesOracle(AdaptiveAttack(), *proto, 400, 23,
                                   [&](size_t m, Rng& rng) {
-                                    return oracle::CraftAdaptive(
-                                        *proto, std::nullopt, m, rng);
+                                    return oracle::CraftAdaptive(*proto, m,
+                                                                 rng);
                                   });
-    ExpectCraftBatchMatchesOracle(*MakeMultiAdaptive(5), *proto, 400, 29,
+    ExpectCraftBatchMatchesOracle(*MakeMultiAdaptive(), *proto, 400, 29,
                                   [&](size_t m, Rng& rng) {
-                                    return oracle::CraftMultiAdaptive(*proto, 5,
-                                                                      m, rng);
+                                    return oracle::CraftMultiAdaptive(*proto, m,
+                                                                      rng);
                                   });
   }
 }
@@ -558,10 +553,10 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAtCongruenceEdges) {
 
 // MGA's OLH/BLH seed search runs in blocks of kLocalHashLanes tries
 // (attack/mga.cc).  On every backend it must pick the serial oracle's
-// seeds and buckets and leave the Rng where the oracle does: partial
-// last blocks (tries % 8 != 0), early stops inside a block, every
-// bucket-counting path (mask, compare-counted, scatter-counted g) and
-// r spanning several target tiles.
+// seeds and buckets and leave the Rng where the oracle does: early
+// stops inside a block, searches that use all kMgaOlhSeedTries tries,
+// every bucket-counting path (mask, compare-counted, scatter-counted
+// g) and r spanning several target tiles.
 TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
   constexpr size_t kD = 211;
   constexpr size_t kReports = 24;
@@ -570,43 +565,39 @@ TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
     protocols.push_back(std::make_unique<Olh>(kD, 1.0, g));
   protocols.push_back(std::make_unique<Blh>(kD, 1.0));
   bool stopped_mid_block = false;
+  bool used_every_try = false;
   for (const auto& proto : protocols) {
     for (size_t r : {size_t{1}, size_t{2}, size_t{10}, size_t{200}}) {
       Rng target_rng(r);
       const std::vector<ItemId> targets =
           MgaAttack::SampleTargets(kD, r, target_rng);
-      for (size_t tries : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                           size_t{64}}) {
-        MgaOptions options;
-        options.olh_seed_tries = tries;
-        const MgaAttack attack(targets, options);
-        const uint64_t seed = 1000 * r + 10 * tries + proto->g();
-        Rng oracle_rng(seed);
-        std::vector<Report> expected;
-        for (size_t i = 0; i < kReports; ++i) {
-          size_t used = 0;
-          expected.push_back(oracle::CraftMgaOlh(*proto, targets, options,
-                                                 oracle_rng, &used));
-          if (used < tries && used % kLocalHashLanes != 0)
-            stopped_mid_block = true;
-        }
-        for (SimdBackend backend : TestableBackends()) {
-          ScopedBackend scoped(backend);
-          const std::string what = proto->Name() + " g=" +
-                                   std::to_string(proto->g()) +
-                                   " r=" + std::to_string(r) +
-                                   " tries=" + std::to_string(tries) + " " +
-                                   SimdBackendName(backend);
-          Rng batch_rng(seed);
-          ExpectSameReports(CraftReports(attack, *proto, kReports, batch_rng),
-                            expected, what);
-          Rng oracle_after = oracle_rng;
-          EXPECT_EQ(oracle_after.Next(), batch_rng.Next()) << what;
-        }
+      const MgaAttack attack(targets);
+      const uint64_t seed = 1000 * r + 10 * kMgaOlhSeedTries + proto->g();
+      Rng oracle_rng(seed);
+      std::vector<Report> expected;
+      for (size_t i = 0; i < kReports; ++i) {
+        size_t used = 0;
+        expected.push_back(
+            oracle::CraftMgaOlh(*proto, targets, oracle_rng, &used));
+        if (used % kLocalHashLanes != 0) stopped_mid_block = true;
+        if (used == kMgaOlhSeedTries) used_every_try = true;
+      }
+      for (SimdBackend backend : TestableBackends()) {
+        ScopedBackend scoped(backend);
+        const std::string what = proto->Name() + " g=" +
+                                 std::to_string(proto->g()) +
+                                 " r=" + std::to_string(r) + " " +
+                                 SimdBackendName(backend);
+        Rng batch_rng(seed);
+        ExpectSameReports(CraftReports(attack, *proto, kReports, batch_rng),
+                          expected, what);
+        Rng oracle_after = oracle_rng;
+        EXPECT_EQ(oracle_after.Next(), batch_rng.Next()) << what;
       }
     }
   }
   EXPECT_TRUE(stopped_mid_block);
+  EXPECT_TRUE(used_every_try);
 }
 
 // ------------------------------------------------------------------

@@ -20,11 +20,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "attack/attack.h"
 #include "attack/mga.h"
+#include "attack/multi_attacker.h"
 #include "ldp/olh.h"
 #include "ldp/protocol.h"
 #include "ldp/report_batch.h"
@@ -125,8 +125,7 @@ inline Report CraftSupportingReport(const FrequencyProtocol& proto,
 // MGA against a unary protocol: every target bit, then random padding
 // bits up to the genuine 1-count.
 inline Report CraftMgaOue(const UnaryEncoding& oue,
-                          const std::vector<ItemId>& targets,
-                          const MgaOptions& options, Rng& rng) {
+                          const std::vector<ItemId>& targets, Rng& rng) {
   const size_t d = oue.domain_size();
   Report r;
   r.bits.assign(d, 0);
@@ -138,33 +137,30 @@ inline Report CraftMgaOue(const UnaryEncoding& oue,
       ++ones;
     }
   }
-  if (options.pad_oue) {
-    const size_t expected =
-        static_cast<size_t>(std::llround(oue.ExpectedOnes()));
-    size_t guard = 0;
-    while (ones < expected && guard < 16 * d) {
-      const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
-      ++guard;
-      if (!r.bits[v]) {
-        r.bits[v] = 1;
-        ++ones;
-      }
+  const size_t expected =
+      static_cast<size_t>(std::llround(oue.ExpectedOnes()));
+  size_t guard = 0;
+  while (ones < expected && guard < 16 * d) {
+    const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
+    ++guard;
+    if (!r.bits[v]) {
+      r.bits[v] = 1;
+      ++ones;
     }
   }
   return r;
 }
 
-// MGA against a local-hashing protocol: the best of olh_seed_tries
+// MGA against a local-hashing protocol: the best of kMgaOlhSeedTries
 // random seeds, reporting its fullest target bucket.  `tries`, when
 // given, receives the number of seeds drawn.
 inline Report CraftMgaOlh(const OlhBase& olh,
-                          const std::vector<ItemId>& targets,
-                          const MgaOptions& options, Rng& rng,
+                          const std::vector<ItemId>& targets, Rng& rng,
                           size_t* tries = nullptr) {
   Report best;
   size_t best_hits = 0;
   std::vector<uint32_t> bucket_hits(olh.g());
-  for (size_t attempt = 0; attempt < options.olh_seed_tries; ++attempt) {
+  for (size_t attempt = 0; attempt < kMgaOlhSeedTries; ++attempt) {
     if (tries != nullptr) *tries = attempt + 1;
     const uint64_t seed = rng.Next();
     std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
@@ -184,16 +180,15 @@ inline Report CraftMgaOlh(const OlhBase& olh,
 
 inline std::vector<Report> CraftMga(const FrequencyProtocol& proto,
                                     const std::vector<ItemId>& targets,
-                                    const MgaOptions& options, size_t m,
-                                    Rng& rng) {
+                                    size_t m, Rng& rng) {
   std::vector<Report> reports;
   for (size_t i = 0; i < m; ++i) {
     if (IsUnary(proto)) {
       reports.push_back(CraftMgaOue(static_cast<const UnaryEncoding&>(proto),
-                                    targets, options, rng));
+                                    targets, rng));
     } else if (IsHashed(proto)) {
-      reports.push_back(CraftMgaOlh(static_cast<const OlhBase&>(proto),
-                                    targets, options, rng));
+      reports.push_back(
+          CraftMgaOlh(static_cast<const OlhBase&>(proto), targets, rng));
     } else {
       const ItemId t = targets[rng.UniformU64(targets.size())];
       reports.push_back(CraftSupportingReport(proto, t, rng));
@@ -216,15 +211,13 @@ inline std::vector<Report> CraftIpa(const FrequencyProtocol& proto,
   return reports;
 }
 
-// Manip: a random sub-domain H of round(fraction * d) items, then one
+// Manip: a random sub-domain H of round(d / 2) items, then one
 // crafted report per user for a uniform item of H.
 inline std::vector<Report> CraftManip(const FrequencyProtocol& proto,
-                                      double domain_fraction, size_t m,
-                                      Rng& rng) {
+                                      size_t m, Rng& rng) {
   const size_t d = proto.domain_size();
-  const size_t h = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::llround(domain_fraction * static_cast<double>(d))));
+  const size_t h =
+      static_cast<size_t>(std::llround(0.5 * static_cast<double>(d)));
   const std::vector<uint32_t> sub_domain = SampleWithoutReplacement(d, h, rng);
   std::vector<Report> reports;
   for (size_t i = 0; i < m; ++i) {
@@ -234,16 +227,12 @@ inline std::vector<Report> CraftManip(const FrequencyProtocol& proto,
   return reports;
 }
 
-// AA: P fixed or drawn flat-Dirichlet, then one crafted report per
-// user for an item drawn from P.
-inline std::vector<Report> CraftAdaptive(
-    const FrequencyProtocol& proto,
-    const std::optional<std::vector<double>>& distribution, size_t m,
-    Rng& rng) {
-  const std::vector<double> p =
-      distribution ? *distribution
-                   : SampleRandomDistribution(proto.domain_size(), rng);
-  const AliasSampler sampler(p);
+// AA: P drawn flat-Dirichlet, then one crafted report per user for
+// an item drawn from P.
+inline std::vector<Report> CraftAdaptive(const FrequencyProtocol& proto,
+                                         size_t m, Rng& rng) {
+  const AliasSampler sampler(
+      SampleRandomDistribution(proto.domain_size(), rng));
   std::vector<Report> reports;
   for (size_t i = 0; i < m; ++i) {
     const ItemId v = static_cast<ItemId>(sampler.Sample(rng));
@@ -252,15 +241,16 @@ inline std::vector<Report> CraftAdaptive(
   return reports;
 }
 
-// MUL-AA: a multinomial split of the m users over k random-P AA
-// attackers, each crafting its share in turn.
+// MUL-AA: a multinomial split of the m users over the
+// kMultiAdaptiveAttackers AA attackers, each crafting its share in
+// turn.
 inline std::vector<Report> CraftMultiAdaptive(const FrequencyProtocol& proto,
-                                              size_t k, size_t m, Rng& rng) {
-  const std::vector<uint64_t> shares =
-      SampleMultinomial(m, std::vector<double>(k, 1.0), rng);
+                                              size_t m, Rng& rng) {
+  const std::vector<uint64_t> shares = SampleMultinomial(
+      m, std::vector<double>(kMultiAdaptiveAttackers, 1.0), rng);
   std::vector<Report> reports;
   for (uint64_t share : shares) {
-    for (Report& r : CraftAdaptive(proto, std::nullopt, share, rng))
+    for (Report& r : CraftAdaptive(proto, share, rng))
       reports.push_back(std::move(r));
   }
   return reports;

@@ -19,13 +19,16 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/multi_attacker.h"
 #include "runner/manifest.h"
 #include "runner/result_diff.h"
 #include "runner/result_sink.h"
 #include "runner/scenario_runner.h"
 #include "scenarios.h"
 #include "sim/experiment.h"
+#include "sim/pipeline.h"
 #include "util/csv.h"
+#include "util/random.h"
 
 namespace ldpr {
 namespace bench {
@@ -144,12 +147,17 @@ TEST_F(ScenarioRegistryTest, LoweringMatchesPaperGridShapes) {
             AttackKind::kMga);
   EXPECT_EQ(fig8->tables[0].rows[0].configs[1].pipeline.attack,
             AttackKind::kMgaIpa);
-  // fig10: the multi-attacker count reaches the pipeline config.
+  // fig10: the pipeline config builds MUL-AA with five attackers.
   const auto fig10 = LowerScenario(registry.Find("fig10")->spec, 1, 1);
   ASSERT_TRUE(fig10.ok());
   EXPECT_EQ(fig10->tables[0].title,
             "Figure 10 (IPUMS, MUL-AA-GRR, 5 attackers): MSE");
-  EXPECT_EQ(fig10->tables[0].rows[0].configs[0].pipeline.num_attackers, 5u);
+  Rng rng(1);
+  const std::unique_ptr<Attack> fig10_attack =
+      MakeAttack(fig10->tables[0].rows[0].configs[0].pipeline, 102, rng);
+  const auto* multi = dynamic_cast<const MultiAttacker*>(fig10_attack.get());
+  ASSERT_NE(multi, nullptr);
+  EXPECT_EQ(multi->attacker_count(), 5u);
 }
 
 TEST_F(ScenarioRegistryTest, ScalingScenariosLowerAlongDatasetAxes) {

@@ -20,39 +20,6 @@
 namespace ldpr {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 50);
-}
-
 TEST(ThreadPoolTest, ClampsZeroThreadsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
@@ -136,29 +103,28 @@ TEST(GlobalThreadPoolTest, IsProcessWideAndReused) {
   EXPECT_EQ(a.num_threads(), DefaultThreadCount());
 }
 
-TEST(GlobalThreadPoolTest, NestedParallelForInsidePoolTaskCompletes) {
-  // A ParallelFor issued from inside a pool task neither deadlocks nor
-  // waits for the pool to drain: the calling worker claims indices
-  // alongside helpers that idle workers pick up, and every index runs
-  // exactly once.
+TEST(GlobalThreadPoolTest, NestedParallelForInsidePoolLoopCompletes) {
+  // A ParallelFor issued from inside an index of a loop on the global
+  // pool neither deadlocks nor waits for the pool to drain: the
+  // calling worker claims indices alongside helpers that idle workers
+  // pick up, and every index runs exactly once.
   std::vector<int> hits(64, 0);
-  GlobalThreadPool().Submit([&hits] {
+  GlobalThreadPool().ParallelFor(0, 1, [&hits](size_t) {
     ParallelFor(4, hits.size(), [&hits](size_t i) { ++hits[i]; });
   });
-  GlobalThreadPool().Wait();
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, NestedLoopIsHelpedByIdleWorkers) {
-  // Index 0 of a loop nested in a pool task blocks until another
-  // thread has started index 1; a nested loop run inline on the
-  // calling worker times out here.
+  // Index 0 of a loop nested in a one-index outer loop blocks until
+  // another thread has started index 1; a nested loop run inline on
+  // the calling worker times out here.
   ThreadPool pool(4);
   std::mutex mu;
   std::condition_variable cv;
   bool second_started = false;
   bool helped = false;
-  pool.Submit([&] {
+  pool.ParallelFor(0, 1, [&](size_t) {
     pool.ParallelFor(0, 2, [&](size_t i) {
       std::unique_lock<std::mutex> lock(mu);
       if (i == 1) {
@@ -170,7 +136,6 @@ TEST(ThreadPoolTest, NestedLoopIsHelpedByIdleWorkers) {
                            [&] { return second_started; });
     });
   });
-  pool.Wait();
   EXPECT_TRUE(helped) << "no other thread started index 1 within 10 s";
 }
 
@@ -218,29 +183,33 @@ TEST(ThreadPoolTest, NestedExceptionFromHelperReachesOuterCaller) {
 }
 
 TEST(ThreadPoolTest, LoopReturnsBeforeQueuedHelpersRun) {
-  // A two-worker pool: worker A runs a nested loop whose helper queues
-  // behind a task that keeps worker B busy, so the loop finishes on A
-  // and returns before the helper dequeues.  Its fn lives on the heap
-  // and is freed as soon as the loop returns: the stale helper must
-  // find the loop exhausted and touch nothing else (ASan reports a
-  // use after free otherwise).
-  ThreadPool pool(2);
+  // A two-worker pool runs a two-index outer loop: one index keeps
+  // its worker B busy, the other runs a nested loop on worker A whose
+  // helper queues while B is busy, so the loop finishes on A and
+  // returns before the helper dequeues.  Its fn lives on the heap and
+  // is freed as soon as the loop returns: the stale helper must find
+  // the loop exhausted and touch nothing else (ASan reports a use
+  // after free otherwise).  The pool's destructor runs the helper at
+  // the latest.
   std::atomic<bool> loop_returned{false};
   std::atomic<bool> b_busy{false};
   std::atomic<int> ran{0};
-  pool.Submit([&] {
-    b_busy.store(true);
-    while (!loop_returned.load()) std::this_thread::yield();
-  });
-  pool.Submit([&] {
-    while (!b_busy.load()) std::this_thread::yield();
-    auto fn = std::make_unique<std::function<void(size_t)>>(
-        [&ran](size_t) { ran.fetch_add(1); });
-    pool.ParallelFor(0, 8, *fn);
-    fn.reset();
-    loop_returned.store(true);
-  });
-  pool.Wait();
+  {
+    ThreadPool pool(2);
+    pool.ParallelFor(0, 2, [&](size_t i) {
+      if (i == 0) {
+        b_busy.store(true);
+        while (!loop_returned.load()) std::this_thread::yield();
+        return;
+      }
+      while (!b_busy.load()) std::this_thread::yield();
+      auto fn = std::make_unique<std::function<void(size_t)>>(
+          [&ran](size_t) { ran.fetch_add(1); });
+      pool.ParallelFor(0, 8, *fn);
+      fn.reset();
+      loop_returned.store(true);
+    });
+  }
   EXPECT_EQ(ran.load(), 8);
 }
 
