@@ -1,20 +1,29 @@
 #include "attack/mga.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "ldp/olh.h"
 #include "ldp/unary.h"
 #include "util/logging.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace ldpr {
 
-// The OLH/BLH search counts whole LocalHashBlock blocks of tries.
-static_assert(kMgaOlhSeedTries % kLocalHashLanes == 0);
+// Seeds per ParallelFor index of the OLH/BLH search: 128 reports'
+// tries.  Kept coarse, because a caller that is not a pool worker
+// sleeps until its loop is done instead of helping.
+constexpr size_t kChunkSeeds = 128 * kMgaOlhSeedTries;
 
-MgaAttack::MgaAttack(std::vector<ItemId> targets)
-    : targets_(std::move(targets)) {
+// Seeds of a wave of the search before any report is emitted: one
+// AVX-512 pass.
+constexpr size_t kFirstWaveSeeds = 16;
+
+MgaAttack::MgaAttack(std::vector<ItemId> targets, size_t threads)
+    : targets_(std::move(targets)), threads_(threads) {
   LDPR_CHECK(!targets_.empty());
 }
 
@@ -67,62 +76,99 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
     case ProtocolKind::kBlh: {
       // The serial search draws one seed per try and keeps the first
       // try whose fullest bucket beats every earlier one, stopping
-      // early once a try puts all r targets in one bucket.  It runs
-      // here in blocks of kLocalHashLanes tries: the block's seeds
-      // are drawn on a copy of the Rng and counted per bucket in one
-      // LocalHashBlock call, the lanes are then scanned in try order,
-      // and the real Rng advances by exactly the tries the serial loop
-      // would have made.
-      constexpr size_t kLanes = kLocalHashLanes;
+      // early once a try puts all r targets in one bucket.  A try's
+      // fullest-bucket count and lowest such bucket are a pure
+      // function of its seed, and report i+1's tries start where
+      // report i's stopped.  So blocks of the seed stream are drawn on
+      // a copy of the Rng, their max loads are computed in parallel
+      // chunks, and an in-order scan replays the serial loop's
+      // improvements and early stops, carrying a report's running best
+      // across block boundaries.  The real Rng then advances by
+      // exactly the tries made.
       const uint32_t g = static_cast<const OlhBase&>(protocol).g();
       const size_t r = targets_.size();
-      const LocalHashBlock block(targets_.data(), r, g);
-      // counts[b * kLanes + k]: targets of lane k in bucket b.
-      std::vector<uint32_t> counts(size_t{g} * kLanes);
+      const LocalHashBlock hashes(targets_.data(), r, g);
+      // A block never holds more seeds than the searches can use, and
+      // one search's (a streaming call's) stays on the stack.  The heap
+      // scratch is left uninitialized: a wave writes what it reads.
+      const size_t capacity =
+          std::min(kMgaSearchBlockSeeds, m * kMgaOlhSeedTries);
+      uint64_t stack_seeds[kMgaOlhSeedTries] = {};
+      uint32_t stack_loads[2 * kMgaOlhSeedTries] = {};
+      std::unique_ptr<uint64_t[]> heap_seeds;
+      std::unique_ptr<uint32_t[]> heap_loads;
+      uint64_t* seeds = stack_seeds;
+      uint32_t* loads = stack_loads;
+      if (capacity > kMgaOlhSeedTries) {
+        heap_seeds.reset(new uint64_t[capacity]);
+        heap_loads.reset(new uint32_t[2 * capacity]);
+        seeds = heap_seeds.get();
+        loads = heap_loads.get();
+      }
+      uint32_t* const max_hits = loads;
+      uint32_t* const first_bucket = loads + capacity;
       out.Reserve(m);
-      for (size_t i = 0; i < m; ++i) {
-        uint64_t best_seed = 0;
-        uint32_t best_value = 0;
-        uint32_t best_hits = 0;
-        size_t tried = 0;
-        while (tried < kMgaOlhSeedTries && best_hits < r) {
-          uint64_t seeds[kLanes] = {};
-          Rng ahead = rng;
-          for (size_t k = 0; k < kLanes; ++k) seeds[k] = ahead.Next();
-          uint32_t lane_max[kLanes];
-          block.CountBuckets(seeds, counts.data(), lane_max);
-          // Lanes whose fullest bucket beats the best so far, as a bit
-          // mask in try order; only the lanes that win in turn pay
-          // for the bucket scan.
-          const auto beating = [&](size_t from) {
-            uint32_t mask = 0;
-            for (size_t k = from; k < kLanes; ++k)
-              mask |= uint32_t{lane_max[k] > best_hits} << k;
-            return mask;
-          };
-          size_t used = kLanes;
-          for (uint32_t beat = beating(0); beat != 0;) {
-            const size_t k = static_cast<size_t>(__builtin_ctz(beat));
-            best_hits = lane_max[k];
-            best_seed = seeds[k];
-            // max_element's choice: the lowest bucket reaching the max.
-            best_value = 0;
-            while (counts[best_value * kLanes + k] != best_hits) ++best_value;
-            if (best_hits == r) {  // cannot do better
-              used = k + 1;
-              break;
-            }
-            beat = beating(k + 1);
-          }
-          if (used == kLanes) {
-            rng = ahead;
-          } else {
-            for (size_t k = 0; k < used; ++k) rng.Next();
-          }
-          tried += used;
+      // Max loads of seeds[begin, end): one chunk inline, which spares
+      // small calls the std::function, else chunks on the pool.
+      const auto hash_range = [&](size_t begin, size_t end) {
+        if (end - begin <= kChunkSeeds) {
+          hashes.MaxLoads(seeds + begin, end - begin, max_hits + begin,
+                          first_bucket + begin);
+          return;
         }
-        LDPR_CHECK(best_hits >= 1);
-        out.AddSeedValue(best_seed, best_value);
+        ParallelFor(threads_, (end - begin + kChunkSeeds - 1) / kChunkSeeds,
+                    [&](size_t c) {
+                      const size_t from = begin + c * kChunkSeeds;
+                      hashes.MaxLoads(seeds + from,
+                                      std::min(end - from, kChunkSeeds),
+                                      max_hits + from, first_bucket + from);
+                    });
+      };
+      size_t done = 0;   // reports emitted
+      size_t used = 0;   // tries of the emitted reports
+      size_t tried = 0;  // tries of the report in progress
+      uint64_t best_seed = 0;
+      uint32_t best_value = 0;
+      uint32_t best_hits = 0;
+      while (done < m) {
+        const size_t n =
+            std::min(capacity, (m - done) * kMgaOlhSeedTries - tried);
+        // The block is drawn, hashed and scanned in waves.  Until a
+        // report is emitted a wave is kFirstWaveSeeds; after that it is
+        // what the remaining reports use at the mean tries per report
+        // so far, so searches that stop early do not draw or hash the
+        // rest of the block.
+        Rng ahead = rng;
+        size_t drawn = 0;
+        size_t k = 0;
+        while (k < n && done < m) {
+          const size_t want =
+              done == 0 ? 0 : (used + done - 1) / done * (m - done);
+          drawn = k + std::min(n - k, std::max(want, kFirstWaveSeeds));
+          for (size_t j = k; j < drawn; ++j) seeds[j] = ahead.Next();
+          hash_range(k, drawn);
+          for (; k < drawn && done < m; ++k) {
+            if (max_hits[k] > best_hits) {
+              best_hits = max_hits[k];
+              best_seed = seeds[k];
+              best_value = first_bucket[k];
+            }
+            if (++tried == kMgaOlhSeedTries || best_hits == r) {
+              LDPR_CHECK(best_hits >= 1);
+              out.AddSeedValue(best_seed, best_value);
+              ++done;
+              used += tried;
+              tried = 0;
+              best_hits = 0;
+            }
+          }
+        }
+        // Only the last wave can end before its final seed.
+        if (k == drawn) {
+          rng = ahead;
+        } else {
+          for (size_t j = 0; j < k; ++j) rng.Next();
+        }
       }
       break;
     }

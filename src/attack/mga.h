@@ -14,10 +14,11 @@
 //   * OLH   — the attacker searches up to kMgaOlhSeedTries random hash
 //             seeds for one whose induced partition maps many targets
 //             into a common bucket, then reports (seed, that bucket).
-//             The search runs in blocks of 8 seeds through
-//             util/simd.h's LocalHashBlock and reproduces the serial
+//             The search maps util/simd.h's LocalHashBlock::MaxLoads
+//             over blocks of the trial's seed stream in parallel and
+//             scans each block in order, which reproduces the serial
 //             one-seed-at-a-time loop exactly: same reports, same Rng
-//             position.
+//             position, at every thread count.
 
 #ifndef LDPR_ATTACK_MGA_H_
 #define LDPR_ATTACK_MGA_H_
@@ -29,11 +30,17 @@ namespace ldpr {
 /// Random seeds tried per crafted OLH/BLH report (Cao, Jia & Gong).
 inline constexpr size_t kMgaOlhSeedTries = 64;
 
+/// Positions of the seed stream the OLH/BLH search draws and hashes
+/// per block: 2048 reports' worth of tries, 2 MiB of scratch.
+inline constexpr size_t kMgaSearchBlockSeeds = 2048 * kMgaOlhSeedTries;
+
 class MgaAttack final : public Attack {
  public:
   /// `targets` must be non-empty and within the domain of every
-  /// protocol this attack is used with.
-  explicit MgaAttack(std::vector<ItemId> targets);
+  /// protocol this attack is used with.  `threads` is the pool budget
+  /// of the OLH/BLH seed search (0 = auto, 1 = serial); the reports
+  /// and the Rng position do not depend on it.
+  explicit MgaAttack(std::vector<ItemId> targets, size_t threads = 1);
 
   std::string Name() const override { return "MGA"; }
   std::vector<ItemId> targets() const override { return targets_; }
@@ -43,9 +50,13 @@ class MgaAttack final : public Attack {
   /// the genuine 1-count.  OLH/BLH: the first seed, of up to
   /// kMgaOlhSeedTries drawn one per try, whose fullest bucket
   /// beats every earlier try's (stopping at one holding all r
-  /// targets), emitted as (seed, lowest fullest bucket).  Tries are
-  /// counted 8 at a time by LocalHashBlock on seeds drawn from a copy
-  /// of `rng`; `rng` then advances by exactly the tries made.
+  /// targets), emitted as (seed, lowest fullest bucket).  Report i+1's
+  /// tries start where report i's stopped, so the tries of all m
+  /// reports are one contiguous stretch of `rng`'s stream: blocks of
+  /// up to kMgaSearchBlockSeeds seeds are drawn on a copy of `rng`,
+  /// their max loads computed in parallel chunks, and the block
+  /// scanned in order, in waves sized by the mean tries per report so
+  /// far; `rng` then advances by exactly the tries made.
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
                   ReportBatch::Builder& out) const override;
 
@@ -55,6 +66,7 @@ class MgaAttack final : public Attack {
 
  private:
   std::vector<ItemId> targets_;
+  size_t threads_;
 };
 
 }  // namespace ldpr

@@ -17,10 +17,12 @@
 // through one flat (cell x trial) fan-out (FanOutTrials in
 // util/thread_pool.h) on one thread budget (0 = auto).  Up to
 // `threads` trials run at once and every trial may use the whole
-// budget for its within-trial aggregation shards, whose chunks run on
-// whichever pool workers are idle.  Results are byte-identical under
-// every budget because per-trial and per-shard RNG streams are
-// counter-derived and every merge happens in index order.
+// budget for its within-trial loops — the aggregation shards and
+// MGA's OLH/BLH seed search — whose chunks run on whichever pool
+// workers are idle.  Results are byte-identical under every budget
+// because per-trial and per-shard RNG streams are counter-derived,
+// the seed search hashes fixed positions of the trial's stream, and
+// every merge and scan happens in index order.
 
 #ifndef LDPR_SIM_EXPERIMENT_H_
 #define LDPR_SIM_EXPERIMENT_H_
@@ -55,8 +57,8 @@ struct ExperimentConfig {
   bool paper_literal_subdomain_sum = false;
   /// Worker-thread budget of RunExperiment: 0 = auto (LDPR_THREADS or
   /// hardware concurrency), 1 = fully serial.  It is shared by the
-  /// trial fan-out and the within-trial aggregation shards (see the
-  /// file header); pipeline.shards is overridden with the budget.
+  /// trial fan-out and the within-trial loops (see the file header);
+  /// pipeline.shards is overridden with the budget.
   /// Results are bit-identical at every thread count: each trial runs
   /// on its own counter-derived RNG stream, sharded aggregation chunks
   /// likewise, and all merges happen in index order.

@@ -54,7 +54,8 @@ std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
       return std::make_unique<ManipAttack>();  // |H| / |D| = 0.5
     case AttackKind::kMga:
       return std::make_unique<MgaAttack>(
-          MgaAttack::SampleTargets(d, config.num_targets, rng));
+          MgaAttack::SampleTargets(d, config.num_targets, rng),
+          config.shards);
     case AttackKind::kAdaptive:
       return std::make_unique<AdaptiveAttack>();
     case AttackKind::kMgaIpa:
@@ -127,9 +128,11 @@ TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
                                                 genuine_seed, config.shards);
   out.genuine_freqs = protocol.EstimateFrequencies(genuine_counts, out.n);
 
-  // Attacker side.  Crafting stays serial on the trial RNG (attacks
-  // are stateful samplers); the support accumulation — the O(m*d)
-  // part for OLH/unary — shards over the report chunks.
+  // Attacker side.  Crafting consumes the trial RNG in report order
+  // (attacks are stateful samplers); MGA's OLH/BLH seed search hashes
+  // its blocks of that stream on config.shards workers, and the
+  // support accumulation — the O(m*d) part for OLH/unary — shards
+  // over the report chunks.  Neither depends on the worker count.
   std::vector<double> malicious_counts(d, 0.0);
   if (out.m > 0) {
     out.attack_targets = CraftMaliciousReports(protocol, config, out.m, rng,

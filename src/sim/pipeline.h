@@ -47,12 +47,13 @@ struct PipelineConfig {
   /// aggregate from its closed-form law (slow; used by equivalence
   /// tests).
   bool exact_genuine = false;
-  /// Pool workers for the *within-trial* aggregation fan-out (genuine
-  /// support sampling, per-user exact simulation, malicious report
-  /// accumulation): 0 = auto, 1 = serial.  The trial output is
-  /// byte-identical at every value — the population splits into
-  /// fixed-size chunks whose RNG streams are derived from the trial
-  /// seed, and partial counts merge in chunk order — so this knob
+  /// Pool workers for the *within-trial* fan-out (genuine support
+  /// sampling, per-user exact simulation, MGA's OLH/BLH seed search,
+  /// malicious report accumulation): 0 = auto, 1 = serial.  The trial
+  /// output is byte-identical at every value — the population splits
+  /// into fixed-size chunks whose RNG streams are derived from the
+  /// trial seed, partial counts merge in chunk order, and the seed
+  /// search hashes fixed positions of the trial RNG — so this knob
   /// only decides how many cores one trial may use.  RunExperiments
   /// sets it to the whole thread budget (see experiment.h).
   size_t shards = 1;
@@ -84,7 +85,8 @@ struct TrialOutput {
 size_t MaliciousUserCount(double beta, uint64_t n);
 
 /// Instantiates the configured attack (fresh per trial so that MGA
-/// resamples targets and AA resamples its distribution).
+/// resamples targets and AA resamples its distribution).  MGA's
+/// OLH/BLH seed search runs on `config.shards` workers.
 std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
                                    Rng& rng);
 

@@ -192,7 +192,7 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 //  * AVX-512 — the same split finish on 8 seeds at once (vpmullq).
 //    Support counting never forms H: each lane tests whether the
 //    64-bit hash h is congruent to the report's bucket b (mod g),
-//    which is exact for every 32-bit g.  MGA's bucket counts need the
+//    which is exact for every 32-bit g.  MGA's max loads need the
 //    bucket itself and take an exact vector `mod g` when g <=
 //    kAvx512MaxCountG (larger g takes the portable path).
 //
@@ -215,7 +215,7 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 // lane past the last report, or with b >= g (a bucket no hash
 // reaches), is masked off instead.
 //
-// The exact vector `mod g` of MGA's bucket counts, g < kAvx512MaxG.  A
+// The exact vector `mod g` of MGA's max loads, g < kAvx512MaxG.  A
 // power-of-two g is a mask.  Otherwise, with h = 2^32·hi + lo and
 // c = 2^32 mod g,
 //     y = hi·c + lo ≡ h (mod g),  0 <= y <= (2^32 - 1)·g < 2^53,
@@ -231,7 +231,9 @@ namespace {
 
 constexpr size_t kReportTile = 256;
 
-constexpr size_t kLanes = kLocalHashLanes;
+// 64-bit lanes of one __m512i: the seeds or reports the AVX-512
+// routines hash at once.
+constexpr size_t kLanes = 8;
 
 // 2^32 mod g, the fold constant of the AVX-512 reduction.
 uint64_t Fold32(uint32_t g) { return (uint64_t{1} << 32) % g; }
@@ -276,19 +278,34 @@ void OlhSupportPortable(const uint64_t* seeds, const uint32_t* values,
   }
 }
 
-// LocalHashBlock::CountBuckets off AVX-512: zeroes counts and
-// lane_max, then ++counts[bucket_of(j, k) * kLanes + k] for j < r,
-// raising lane_max[k] along the way.
-template <typename BucketOf>
-void ScatterCounts(size_t r, uint32_t g, BucketOf bucket_of,
-                   uint32_t* counts, uint32_t* lane_max) {
-  std::fill(counts, counts + kLanes * size_t{g}, 0u);
-  std::fill(lane_max, lane_max + kLanes, 0u);
-  for (size_t j = 0; j < r; ++j) {
-    for (size_t k = 0; k < kLanes; ++k) {
-      const uint32_t c = ++counts[bucket_of(j, k) * kLanes + k];
-      lane_max[k] = std::max(lane_max[k], c);
+// LocalHashBlock::MaxLoads off AVX-512.  hasher(i) returns seed i's
+// bucket_of(j), item j's bucket.  The max and its lowest bucket rise
+// as each count grows — a bucket reaches the final max exactly when
+// its count first equals it — and only the touched counts are
+// cleared, so a seed costs O(r) whatever g is.
+template <typename SeedHasher>
+void MaxLoadsByCounting(size_t n, size_t r, uint32_t g,
+                        const SeedHasher& hasher, uint32_t* max_hits,
+                        uint32_t* first_bucket) {
+  std::vector<uint32_t> scratch(size_t{g} + r);
+  uint32_t* counts = scratch.data();
+  uint32_t* buckets = counts + g;
+  for (size_t i = 0; i < n; ++i) {
+    const auto bucket_of = hasher(i);
+    uint32_t best = 0;
+    uint32_t first = 0;
+    for (size_t j = 0; j < r; ++j) {
+      const uint32_t b = bucket_of(j);
+      buckets[j] = b;
+      const uint32_t c = ++counts[b];
+      if (c > best || (c == best && b < first)) {
+        best = c;
+        first = b;
+      }
     }
+    for (size_t j = 0; j < r; ++j) counts[buckets[j]] = 0;
+    max_hits[i] = best;
+    first_bucket[i] = first;
   }
 }
 
@@ -297,12 +314,12 @@ void ScatterCounts(size_t r, uint32_t g, BucketOf bucket_of,
 // The AVX-512 `mod g` needs (2^32 - 1)·g < 2^53.
 constexpr uint32_t kAvx512MaxG = uint32_t{1} << 21;
 
-// The AVX-512 bucket counter compares every bucket against every
-// hashed target, r·g/2 compares per block; up to this g that beats the
-// portable path's scalar hashing and scattered increments.
+// The AVX-512 max-load counter compares every bucket against every
+// hashed target, r·g compares per 16 seeds; up to this g that beats
+// the portable path's scalar hashing and scattered increments.
 constexpr uint32_t kAvx512MaxCountG = 64;
 
-// Targets hashed per stack tile by the AVX-512 bucket counter.
+// Targets hashed per stack tile by the AVX-512 max-load counter.
 constexpr size_t kTargetTile = 32;
 
 // o^-1 mod 2^64 for odd o, by Newton's iteration: o·o ≡ 1 (mod 8), and
@@ -496,58 +513,78 @@ LDPR_AVX512 void OlhSupportAvx512(const uint64_t* seeds,
   }
 }
 
-// LocalHashBlock::CountBuckets on AVX-512, g <= kAvx512MaxCountG.
-// Targets are hashed into a stack tile of 32-bit buckets, two targets
-// per 16-lane vector, and each bucket b is counted with one compare
-// per vector — no memory round trip per target.
-LDPR_AVX512 void CountBucketsAvx512(const uint64_t* seeds,
-                                    const uint64_t* round0, size_t r,
-                                    uint32_t g, uint64_t fold, double inv_g,
-                                    uint32_t* counts, uint32_t* lane_max) {
-  static_assert(kLanes == 8, "one __m512i of seeds per block");
+// The 32-bit buckets of the item with XxHash64Round0 `round0` under 8
+// seeds.
+LDPR_AVX512 inline __m256i Buckets8(__m512i seed_acc, uint64_t round0,
+                                    const Avx512Mod& mod) {
+  return _mm512_cvtepi64_epi32(
+      Reduce8(XxHash8(seed_acc, Broadcast(round0)), mod));
+}
+
+// LocalHashBlock::MaxLoads on AVX-512, g <= kAvx512MaxCountG, for 16
+// seeds per pass.  Each target's buckets under the 16 seeds — two
+// 8-lane hashes — are stored with one aligned 512-bit store, which the
+// bucket loop reloads whole, so every load forwards from a single
+// store.  Each bucket b is then counted with one compare per target,
+// and the running max and its lowest bucket stay in registers:
+// scanning b upward and taking b only on a strict rise keeps
+// max_element's choice.  r past one tile carries the per-bucket counts
+// of the earlier tiles in a stack table.
+LDPR_AVX512 void MaxLoadsAvx512(const uint64_t* seeds, size_t n,
+                                const uint64_t* round0, size_t r, uint32_t g,
+                                uint64_t fold, double inv_g,
+                                uint32_t* max_hits, uint32_t* first_bucket) {
+  constexpr size_t kSeeds = 2 * kLanes;
   const Avx512Mod mod = MakeAvx512Mod(g, fold, inv_g);
-  const __m512i seed_acc = _mm512_add_epi64(_mm512_loadu_si512(seeds),
-                                            Broadcast(XxHash64SeedAcc(0)));
+  const __m512i seed_acc_offset = Broadcast(XxHash64SeedAcc(0));
   const __m512i one = _mm512_set1_epi32(1);
-  alignas(64) uint32_t tile[kTargetTile * kLanes];
-  std::memset(counts, 0, sizeof(uint32_t) * kLanes * g);
-  for (size_t j0 = 0; j0 < r; j0 += kTargetTile) {
-    const size_t tn = std::min(r - j0, kTargetTile);
-    for (size_t j = 0; j < tn; ++j) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(tile + j * kLanes),
-          _mm512_cvtepi64_epi32(Reduce8(
-              XxHash8(seed_acc, Broadcast(round0[j0 + j])), mod)));
-    }
-    // An odd tile ends in a half vector of g, which no bucket equals.
-    const size_t pairs = (tn + 1) / 2;
-    if (tn % 2 != 0) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tile + tn * kLanes),
-                         _mm256_set1_epi32(static_cast<int>(g)));
-    }
-    for (uint32_t b = 0; b < g; ++b) {
-      const __m512i bucket = _mm512_set1_epi32(static_cast<int>(b));
-      __m512i hits = _mm512_setzero_si512();
-      for (size_t p = 0; p < pairs; ++p) {
-        const __mmask16 eq = _mm512_cmpeq_epi32_mask(
-            _mm512_load_si512(tile + 2 * p * kLanes), bucket);
-        hits = _mm512_mask_add_epi32(hits, eq, hits, one);
+  alignas(64) uint32_t tile[kTargetTile * kSeeds];
+  alignas(64) uint32_t carried[kAvx512MaxCountG * kSeeds];
+  for (size_t i0 = 0; i0 < n; i0 += kSeeds) {
+    const size_t sn = std::min(n - i0, kSeeds);
+    const __mmask16 live = static_cast<__mmask16>((1u << sn) - 1);
+    const __m512i acc_lo = _mm512_add_epi64(
+        _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live), seeds + i0),
+        seed_acc_offset);
+    const __m512i acc_hi = _mm512_add_epi64(
+        _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live >> kLanes),
+                                 seeds + i0 + kLanes),
+        seed_acc_offset);
+    __m512i best = _mm512_setzero_si512();
+    __m512i first = _mm512_setzero_si512();
+    for (size_t j0 = 0; j0 < r; j0 += kTargetTile) {
+      const size_t tn = std::min(r - j0, kTargetTile);
+      const bool carry_in = j0 != 0;
+      const bool carry_out = j0 + tn < r;
+      for (size_t j = 0; j < tn; ++j) {
+        _mm512_store_si512(
+            tile + j * kSeeds,
+            _mm512_inserti64x4(
+                _mm512_castsi256_si512(Buckets8(acc_lo, round0[j0 + j], mod)),
+                Buckets8(acc_hi, round0[j0 + j], mod), 1));
       }
-      __m256i* row = reinterpret_cast<__m256i*>(counts + b * kLanes);
-      _mm256_storeu_si256(
-          row, _mm256_add_epi32(
-                   _mm256_loadu_si256(row),
-                   _mm256_add_epi32(_mm512_castsi512_si256(hits),
-                                    _mm512_extracti64x4_epi64(hits, 1))));
+      for (uint32_t b = 0; b < g; ++b) {
+        const __m512i bucket = _mm512_set1_epi32(static_cast<int>(b));
+        __m512i count = _mm512_setzero_si512();
+        for (size_t j = 0; j < tn; ++j) {
+          const __mmask16 eq = _mm512_cmpeq_epi32_mask(
+              _mm512_load_si512(tile + j * kSeeds), bucket);
+          count = _mm512_mask_add_epi32(count, eq, count, one);
+        }
+        uint32_t* carry = carried + b * kSeeds;
+        if (carry_in) count = _mm512_add_epi32(count, _mm512_load_si512(carry));
+        if (carry_out) {
+          _mm512_store_si512(carry, count);
+          continue;
+        }
+        const __mmask16 rises = _mm512_cmpgt_epu32_mask(count, best);
+        first = _mm512_mask_mov_epi32(first, rises, bucket);
+        best = _mm512_max_epu32(best, count);
+      }
     }
+    _mm512_mask_storeu_epi32(max_hits + i0, live, best);
+    _mm512_mask_storeu_epi32(first_bucket + i0, live, first);
   }
-  __m256i max = _mm256_setzero_si256();
-  for (uint32_t b = 0; b < g; ++b) {
-    max = _mm256_max_epu32(
-        max, _mm256_loadu_si256(
-                 reinterpret_cast<const __m256i*>(counts + b * kLanes)));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lane_max), max);
 }
 
 LDPR_AVX512 void ReduceModAvx512(const uint64_t* x, size_t n, uint32_t g,
@@ -613,32 +650,37 @@ LocalHashBlock::LocalHashBlock(const uint32_t* items, size_t r, uint32_t g)
   for (uint32_t item : items_) round0_.push_back(XxHash64Round0(item));
 }
 
-void LocalHashBlock::CountBuckets(const uint64_t* seeds, uint32_t* counts,
-                                  uint32_t* lane_max) const {
+void LocalHashBlock::MaxLoads(const uint64_t* seeds, size_t n,
+                              uint32_t* max_hits,
+                              uint32_t* first_bucket) const {
   const size_t r = items_.size();
 #if defined(LDPR_SIMD_X86)
   if (backend_ == SimdBackend::kAvx512 && g_ <= kAvx512MaxCountG) {
-    CountBucketsAvx512(seeds, round0_.data(), r, g_, fold_, inv_g_, counts,
-                       lane_max);
+    MaxLoadsAvx512(seeds, n, round0_.data(), r, g_, fold_, inv_g_, max_hits,
+                   first_bucket);
     return;
   }
 #endif
   if (backend_ == SimdBackend::kScalar) {
-    ScatterCounts(
-        r, g_,
-        [&](size_t j, size_t k) { return SeededHash(seeds[k], g_)(items_[j]); },
-        counts, lane_max);
+    MaxLoadsByCounting(
+        n, r, g_,
+        [&](size_t i) {
+          const SeededHash hash(seeds[i], g_);
+          return [this, hash](size_t j) { return hash(items_[j]); };
+        },
+        max_hits, first_bucket);
     return;
   }
-  uint64_t seed_accs[kLanes];
-  for (size_t k = 0; k < kLanes; ++k) seed_accs[k] = XxHash64SeedAcc(seeds[k]);
-  ScatterCounts(
-      r, g_,
-      [&](size_t j, size_t k) {
-        return static_cast<uint32_t>(
-            mod_(XxHash64Key8WithRound0(round0_[j], seed_accs[k])));
+  MaxLoadsByCounting(
+      n, r, g_,
+      [&](size_t i) {
+        const uint64_t seed_acc = XxHash64SeedAcc(seeds[i]);
+        return [this, seed_acc](size_t j) {
+          return static_cast<uint32_t>(
+              mod_(XxHash64Key8WithRound0(round0_[j], seed_acc)));
+        };
       },
-      counts, lane_max);
+      max_hits, first_bucket);
 }
 
 }  // namespace ldpr

@@ -6,8 +6,8 @@
 //   * column sums over packed unary 0/1 bit rows (OUE/SUE),
 //   * the GRR value histogram,
 //   * local hashing H_seed(item) = XXH64(item, seed) mod g for OLH/BLH:
-//     support counting over report tiles, and the 8-seed blocks of
-//     MGA's seed search (attack/mga.h).
+//     support counting over report tiles, and the per-seed max load
+//     of MGA's seed search (attack/mga.h).
 //
 // Each kernel ships a scalar reference implementation (always
 // compiled, the exact shape of the pre-SIMD per-report code) plus one
@@ -17,7 +17,8 @@
 // with an 8-lane AVX-512 routine on machines that have it: a vpmullq
 // xxHash finish, then an exact congruence test of the 64-bit hash
 // against each report's bucket for support counting (every g), or an
-// exact double-precision `mod g` for MGA's bucket counts.  The unary
+// exact double-precision `mod g` for MGA's per-seed max loads, which
+// then count each bucket over 16 seeds per vector (g <= 64).  The unary
 // kernel is one portable C++ loop the compiler vectorizes for the
 // baseline ISA; only the AVX-512 local hashing is written in
 // intrinsics.  Dispatch follows the running CPU alone (cpuid, at
@@ -99,28 +100,24 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, double* counts);
 
-/// Seeds per LocalHashBlock::CountBuckets call: the lanes of one
-/// AVX-512 vector.
-inline constexpr size_t kLocalHashLanes = 8;
-
-/// Local hashing of a fixed item set under blocks of kLocalHashLanes
-/// seeds, counted per bucket — one block of MGA's OLH/BLH seed search
-/// (attack/mga.h), which hashes its r targets under 8 candidate seeds
-/// at a time.  The per-item xxHash halves and the `mod g` constants
-/// are computed once, at construction, which also fixes the
-/// dispatched backend.
+/// Local hashing of a fixed item set, reduced per seed to its fullest
+/// bucket — the per-try work of MGA's OLH/BLH seed search
+/// (attack/mga.h), which hashes its r targets under each candidate
+/// seed.  The per-item xxHash halves and the `mod g` constants are
+/// computed once, at construction, which also fixes the dispatched
+/// backend.  MaxLoads is const and keeps its scratch per call, so
+/// threads may share one LocalHashBlock.
 class LocalHashBlock {
  public:
-  /// Hashes `items[0..r)` into range g >= 1.
+  /// Hashes `items[0..r)`, r >= 1, into range g >= 1.
   LocalHashBlock(const uint32_t* items, size_t r, uint32_t g);
 
-  /// For each lane k < kLocalHashLanes and bucket b < g, overwrites
-  /// counts[b * kLocalHashLanes + k] with |{ j : H_{seeds[k]}(items[j])
-  /// == b }| (H bit-identical to SeededHash) and lane_max[k] with the
-  /// largest of lane k's counts.  `seeds` holds kLocalHashLanes seeds,
-  /// `counts` g * kLocalHashLanes entries, `lane_max` kLocalHashLanes.
-  void CountBuckets(const uint64_t* seeds, uint32_t* counts,
-                    uint32_t* lane_max) const;
+  /// For each i < n, with c_b = |{ j : H_{seeds[i]}(items[j]) == b }|
+  /// (H bit-identical to SeededHash): max_hits[i] = max_b c_b, and
+  /// first_bucket[i] = the lowest b with c_b == max_hits[i] — what
+  /// std::max_element returns on the count table.  Any n works.
+  void MaxLoads(const uint64_t* seeds, size_t n, uint32_t* max_hits,
+                uint32_t* first_bucket) const;
 
  private:
   SimdBackend backend_;
@@ -133,7 +130,7 @@ class LocalHashBlock {
 };
 
 /// Test hook: out[i] = x[i] mod g (g >= 1) through the reduction the
-/// active backend's bucket counting uses — the exact AVX-512 vector
+/// active backend's max loads use — the exact AVX-512 vector
 /// reduction for g < 2^21 on kAvx512, FastMod otherwise.
 void SimdReduceModForTest(const uint64_t* x, size_t n, uint32_t g,
                           uint32_t* out);

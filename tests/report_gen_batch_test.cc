@@ -13,8 +13,8 @@
 //    across the unsharded and sharded aggregation routes;
 //  * every SIMD kernel is bit-equal to its scalar reference on every
 //    backend the running machine offers (SetSimdBackendForTest), and
-//    MGA's blocked OLH/BLH seed search matches the serial oracle on
-//    each of them;
+//    MGA's OLH/BLH seed search over blocks of the seed stream matches
+//    the serial oracle on each of them;
 //  * the exact-arithmetic building blocks (FastMod, the AVX-512 vector
 //    reduction and congruence test, the split 8-byte xxHash) match
 //    their generic counterparts on extreme inputs.
@@ -497,6 +497,7 @@ uint64_t SeedHashingTo(uint64_t item, uint64_t h) {
 // (n % 8 = 1..7) of a tile, on both items of a pair and on the odd last
 // item.  A bucket b = g, which no hash reaches, must never count.
 TEST(SimdKernelTest, OlhSupportMatchesScalarAtCongruenceEdges) {
+  constexpr size_t kVectorLanes = 8;  // reports per AVX-512 vector
   const uint64_t max64 = ~uint64_t{0};
   constexpr size_t kD = 5;
   Rng rng(707);
@@ -518,11 +519,11 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAtCongruenceEdges) {
       }
     }
     // One whole vector of random reports, then t edge reports.
-    for (size_t t = 1; t < kLocalHashLanes; ++t) {
+    for (size_t t = 1; t < kVectorLanes; ++t) {
       for (size_t e0 = 0; e0 < edge_seeds.size(); e0 += t) {
         std::vector<uint64_t> seeds;
         std::vector<uint32_t> values;
-        for (size_t i = 0; i < kLocalHashLanes; ++i) {
+        for (size_t i = 0; i < kVectorLanes; ++i) {
           seeds.push_back(rng.Next());
           values.push_back(static_cast<uint32_t>(rng.UniformU64(g)));
         }
@@ -551,12 +552,58 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAtCongruenceEdges) {
   }
 }
 
-// MGA's OLH/BLH seed search runs in blocks of kLocalHashLanes tries
-// (attack/mga.cc).  On every backend it must pick the serial oracle's
-// seeds and buckets and leave the Rng where the oracle does: early
-// stops inside a block, searches that use all kMgaOlhSeedTries tries,
-// every bucket-counting path (mask, compare-counted, scatter-counted
-// g) and r spanning several target tiles.
+// LocalHashBlock::MaxLoads against the count table the serial search
+// builds per seed (std::max_element: the lowest fullest bucket), on
+// every backend: seed counts that end the AVX-512 routine's 16-seed
+// passes full, in one lane, and below, at and past one 8-seed half; r
+// across one and several 32-target tiles; and g on both sides of that
+// routine's limit (64), powers of two and not.
+TEST(SimdKernelTest, MaxLoadsMatchCountTableOnGrid) {
+  constexpr size_t kD = 211;
+  Rng rng(4242);
+  for (uint32_t g : {2u, 3u, 4u, 7u, 9u, 63u, 64u, 65u, 150u}) {
+    for (size_t r : {size_t{1}, size_t{2}, size_t{7}, size_t{31},
+                     size_t{32}, size_t{33}, size_t{64}, size_t{65},
+                     size_t{200}}) {
+      const std::vector<ItemId> items = SampleWithoutReplacement(kD, r, rng);
+      for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{16}, size_t{17}, size_t{23}, size_t{64}}) {
+        std::vector<uint64_t> seeds(n);
+        for (uint64_t& seed : seeds) seed = rng.Next();
+        std::vector<uint32_t> want_hits(n), want_first(n);
+        std::vector<uint32_t> counts(g);
+        for (size_t i = 0; i < n; ++i) {
+          std::fill(counts.begin(), counts.end(), 0u);
+          for (ItemId v : items) ++counts[SeededHash(seeds[i], g)(v)];
+          const auto it = std::max_element(counts.begin(), counts.end());
+          want_hits[i] = *it;
+          want_first[i] = static_cast<uint32_t>(it - counts.begin());
+        }
+        for (SimdBackend backend : TestableBackends()) {
+          ScopedBackend scoped(backend);
+          const LocalHashBlock hashes(items.data(), r, g);
+          std::vector<uint32_t> hits(n), first(n);
+          hashes.MaxLoads(seeds.data(), n, hits.data(), first.data());
+          const std::string what = std::string(SimdBackendName(backend)) +
+                                   " g=" + std::to_string(g) +
+                                   " r=" + std::to_string(r) +
+                                   " n=" + std::to_string(n);
+          EXPECT_EQ(hits, want_hits) << what;
+          EXPECT_EQ(first, want_first) << what;
+        }
+      }
+    }
+  }
+}
+
+// MGA's OLH/BLH seed search maps MaxLoads over blocks of the seed
+// stream and scans them in order (attack/mga.cc).  On every backend it
+// must pick the serial oracle's seeds and buckets and leave the Rng
+// where the oracle does: searches that stop early, searches that use
+// all kMgaOlhSeedTries tries, every max-load path (mask,
+// compare-counted and scatter-counted g) and r spanning several
+// target tiles.  The shard-count and block-boundary cases are in
+// mga_search_test.cc.
 TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
   constexpr size_t kD = 211;
   constexpr size_t kReports = 24;
@@ -564,7 +611,7 @@ TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
   for (uint32_t g : {2u, 3u, 5u, 8u, 9u, 17u, 150u})
     protocols.push_back(std::make_unique<Olh>(kD, 1.0, g));
   protocols.push_back(std::make_unique<Blh>(kD, 1.0));
-  bool stopped_mid_block = false;
+  bool stopped_early = false;
   bool used_every_try = false;
   for (const auto& proto : protocols) {
     for (size_t r : {size_t{1}, size_t{2}, size_t{10}, size_t{200}}) {
@@ -579,7 +626,7 @@ TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
         size_t used = 0;
         expected.push_back(
             oracle::CraftMgaOlh(*proto, targets, oracle_rng, &used));
-        if (used % kLocalHashLanes != 0) stopped_mid_block = true;
+        if (used < kMgaOlhSeedTries) stopped_early = true;
         if (used == kMgaOlhSeedTries) used_every_try = true;
       }
       for (SimdBackend backend : TestableBackends()) {
@@ -596,7 +643,7 @@ TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
       }
     }
   }
-  EXPECT_TRUE(stopped_mid_block);
+  EXPECT_TRUE(stopped_early);
   EXPECT_TRUE(used_every_try);
 }
 
