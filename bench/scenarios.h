@@ -1,5 +1,4 @@
-// The figure/table scenario registrations behind the ldpr_bench
-// driver.  Each scenario_*.cc file re-expresses one former bespoke
+// The figure/table scenario registrations behind `ldpr bench`.  Each scenario_*.cc file re-expresses one former bespoke
 // bench main as a declarative ScenarioSpec plus its row-formatting
 // callback (or, for the bespoke trial loops, a custom run function),
 // registered into the process-wide ScenarioRegistry.
@@ -35,7 +34,7 @@ void RegisterShardFaultLoss(ScenarioRegistry& registry);
 void RegisterShardFaultMixed(ScenarioRegistry& registry);
 
 /// Registers every paper figure/table scenario into the global
-/// registry, in the order `ldpr_bench --list` reports them.  Safe to
+/// registry, in the order `ldpr list` reports them.  Safe to
 /// call more than once.
 void RegisterAllScenarios();
 

@@ -1,16 +1,16 @@
 # The `ldpr diff` round-trip contract:
 #
-#   1. two same-seed `ldpr_bench --scenario all --out` runs at
+#   1. two same-seed `ldpr bench --scenario all --out` runs at
 #      different LDPR_THREADS pass the exact `ldpr diff`;
 #   2. perturbing one metric makes the exact diff (and a tight
 #      `--tolerance`) fail with a non-zero exit and a drift report
 #      naming the (scenario, table, row, column).
 #
-# Usage: cmake -DLDPR_BENCH=<path> -DLDPR_CLI=<path> -DWORK_DIR=<dir>
+# Usage: cmake -DLDPR_CLI=<path> -DWORK_DIR=<dir>
 #        -P ldpr_diff_roundtrip.cmake
 
-if(NOT LDPR_BENCH OR NOT LDPR_CLI OR NOT WORK_DIR)
-  message(FATAL_ERROR "LDPR_BENCH, LDPR_CLI, and WORK_DIR must be set")
+if(NOT LDPR_CLI OR NOT WORK_DIR)
+  message(FATAL_ERROR "LDPR_CLI and WORK_DIR must be set")
 endif()
 
 set(out_a "${WORK_DIR}/all-t1")
@@ -18,19 +18,19 @@ set(out_b "${WORK_DIR}/all-t2")
 file(REMOVE_RECURSE "${out_a}" "${out_b}" "${WORK_DIR}/perturbed")
 
 set(ENV{LDPR_THREADS} "1")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=all --scale=0.005
+execute_process(COMMAND ${LDPR_CLI} bench --scenario=all --scale=0.005
                         --trials=1 --out=${out_a}
                 OUTPUT_QUIET RESULT_VARIABLE rc_a)
 if(NOT rc_a EQUAL 0)
-  message(FATAL_ERROR "ldpr_bench --scenario all failed at LDPR_THREADS=1")
+  message(FATAL_ERROR "ldpr bench --scenario all failed at LDPR_THREADS=1")
 endif()
 
 set(ENV{LDPR_THREADS} "2")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=all --scale=0.005
+execute_process(COMMAND ${LDPR_CLI} bench --scenario=all --scale=0.005
                         --trials=1 --out=${out_b}
                 OUTPUT_QUIET RESULT_VARIABLE rc_b)
 if(NOT rc_b EQUAL 0)
-  message(FATAL_ERROR "ldpr_bench --scenario all failed at LDPR_THREADS=2")
+  message(FATAL_ERROR "ldpr bench --scenario all failed at LDPR_THREADS=2")
 endif()
 
 # 1. Same seed, different thread counts: trees must agree exactly.

@@ -1,25 +1,24 @@
-# Runs `ldpr_bench --scenario ${SCENARIO} --out` twice —
+# Runs `ldpr bench --scenario ${SCENARIO} --out` twice —
 # LDPR_THREADS=1 and LDPR_THREADS=3 — at SCALE (default 0.02, a tiny
 # scale) with TRIALS trials per cell (default 2) and fails unless the
 # two runs agree:
 #
-#   - LDPR_CLI (when set): the result trees must pass the exact
-#     `ldpr diff`, which joins rows by (scenario, table, row) and
-#     exempts the timing columns each scenario's manifest declares —
-#     the only columns that may legitimately differ.
+#   - The result trees must pass the exact `ldpr diff`, which joins
+#     rows by (scenario, table, row) and exempts the timing columns
+#     each scenario's manifest declares — the only columns that may
+#     legitimately differ.
 #   - Unless HAS_TIMING_COLUMNS: the result files must additionally
 #     be byte-identical and the console tables equal (the banner line
 #     reporting the thread count is stripped; scenarios with timing
 #     columns skip both, since wall clocks differ between any two
 #     runs).
 #
-# Usage: cmake -DLDPR_BENCH=<path> -DSCENARIO=<id> -DWORK_DIR=<dir>
-#        [-DLDPR_CLI=<path>] [-DHAS_TIMING_COLUMNS=1]
-#        [-DSCALE=<s>] [-DTRIALS=<t>]
+# Usage: cmake -DLDPR_CLI=<path> -DSCENARIO=<id> -DWORK_DIR=<dir>
+#        [-DHAS_TIMING_COLUMNS=1] [-DSCALE=<s>] [-DTRIALS=<t>]
 #        -P scenario_determinism.cmake
 
-if(NOT LDPR_BENCH OR NOT SCENARIO OR NOT WORK_DIR)
-  message(FATAL_ERROR "LDPR_BENCH, SCENARIO, and WORK_DIR must be set")
+if(NOT LDPR_CLI OR NOT SCENARIO OR NOT WORK_DIR)
+  message(FATAL_ERROR "LDPR_CLI, SCENARIO, and WORK_DIR must be set")
 endif()
 
 if(NOT SCALE)
@@ -34,35 +33,33 @@ set(out_parallel "${WORK_DIR}/${SCENARIO}-t3")
 file(REMOVE_RECURSE "${out_serial}" "${out_parallel}")
 
 set(ENV{LDPR_THREADS} "1")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=${SCENARIO}
+execute_process(COMMAND ${LDPR_CLI} bench --scenario=${SCENARIO}
                         --scale=${SCALE} --trials=${TRIALS} --out=${out_serial}
                 OUTPUT_VARIABLE console_serial RESULT_VARIABLE rc_serial)
 if(NOT rc_serial EQUAL 0)
   message(FATAL_ERROR
-          "${LDPR_BENCH} --scenario=${SCENARIO} failed at LDPR_THREADS=1 "
+          "ldpr bench --scenario=${SCENARIO} failed at LDPR_THREADS=1 "
           "(rc=${rc_serial})")
 endif()
 
 set(ENV{LDPR_THREADS} "3")
-execute_process(COMMAND ${LDPR_BENCH} --scenario=${SCENARIO}
+execute_process(COMMAND ${LDPR_CLI} bench --scenario=${SCENARIO}
                         --scale=${SCALE} --trials=${TRIALS} --out=${out_parallel}
                 OUTPUT_VARIABLE console_parallel RESULT_VARIABLE rc_parallel)
 if(NOT rc_parallel EQUAL 0)
   message(FATAL_ERROR
-          "${LDPR_BENCH} --scenario=${SCENARIO} failed at LDPR_THREADS=3 "
+          "ldpr bench --scenario=${SCENARIO} failed at LDPR_THREADS=3 "
           "(rc=${rc_parallel})")
 endif()
 
 # The comparator view: row-joined, timing columns exempt.
-if(LDPR_CLI)
-  execute_process(COMMAND ${LDPR_CLI} diff ${out_serial} ${out_parallel}
-                  OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
-                  RESULT_VARIABLE rc_diff)
-  if(NOT rc_diff EQUAL 0)
-    message(FATAL_ERROR
-            "${SCENARIO}: ldpr diff failed between LDPR_THREADS=1 "
-            "and 3 (rc=${rc_diff})\n${diff_out}\n${diff_err}")
-  endif()
+execute_process(COMMAND ${LDPR_CLI} diff ${out_serial} ${out_parallel}
+                OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
+                RESULT_VARIABLE rc_diff)
+if(NOT rc_diff EQUAL 0)
+  message(FATAL_ERROR
+          "${SCENARIO}: ldpr diff failed between LDPR_THREADS=1 "
+          "and 3 (rc=${rc_diff})\n${diff_out}\n${diff_err}")
 endif()
 
 if(NOT HAS_TIMING_COLUMNS)

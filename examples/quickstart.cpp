@@ -5,7 +5,7 @@
 //   3. the server aggregates a *poisoned* frequency estimate;
 //   4. LDPRecover repairs it without knowing anything about the attack;
 //   5. (optional) the summary persists through a machine-readable
-//      ResultSink — the same CSV layer `ldpr_bench --out` writes.
+//      ResultSink — the same CSV layer `ldpr bench --out` writes.
 //
 // Build & run:  ./build/example_quickstart [results.csv]
 

@@ -172,6 +172,7 @@ void PrintUsage(std::FILE* out) {
                "commands:\n"
                "  run     batch poisoning + recovery pipeline\n"
                "  stream  windowed streaming ingest replay\n"
+               "  bench   registered scenarios (paper figures and tables)\n"
                "  diff    compare two result trees\n"
                "  list    subcommands and registered scenarios\n"
                "\n"
@@ -200,6 +201,7 @@ int Main(int argc, char** argv) {
   const FlagParser flags(argc - 1, argv + 1);
   if (command == "run") return RunCommand(flags);
   if (command == "stream") return StreamCommand(flags);
+  if (command == "bench") return BenchCommand(flags);
   if (command == "diff") return DiffCommand(flags);
   if (command == "list") return ListCommand(flags);
   std::fprintf(stderr, "error: unknown command: %s\n", command.c_str());

@@ -3,13 +3,15 @@
 //
 //   ldpr run     batch poisoning + recovery pipeline
 //   ldpr stream  windowed streaming ingest replay
+//   ldpr bench   registered scenarios (paper figures and tables)
 //   ldpr diff    compare two result trees
 //   ldpr list    subcommands and registered scenarios
 //
 // One path per job: the trial flags parse in ParseTrialFlags, named
 // datasets resolve through the runner's table (ResolveBenchDataset),
-// errors and unknown flags exit through ExitStatus, and every
-// `--out DIR` of run/stream is a result tree (ResultOutput).
+// errors and unknown flags exit through ExitStatus, every `--out DIR`
+// of run/stream is a result tree (ResultOutput), and bench writes one
+// tree for all its scenarios.
 //
 // Exit codes: 0 success, 1 any error (bad flags, I/O).
 // `ldpr diff` keeps a comparator's ladder instead: 0 agree,
@@ -139,6 +141,7 @@ class ResultOutput {
 /// subcommand word and returns the process exit code.
 int RunCommand(const FlagParser& flags);
 int StreamCommand(const FlagParser& flags);
+int BenchCommand(const FlagParser& flags);
 int DiffCommand(const FlagParser& flags);
 int ListCommand(const FlagParser& flags);
 

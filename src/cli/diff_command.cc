@@ -1,7 +1,6 @@
-// `ldpr diff`: compares two result trees (`ldpr_bench --out`,
-// `ldpr run/stream --out`) by (scenario, table, row) join instead of
-// byte-diff, so runs from different machines — or different
-// revisions, where RNG streams legitimately change — stay comparable.
+// `ldpr diff`: compares two result trees (`ldpr bench/run/stream
+// --out`) by (scenario, table, row) join instead of byte-diff, so
+// runs from different machines — or different revisions, where RNG streams legitimately change — stay comparable.
 //
 //   # Same-seed runs of the same binary must agree exactly (the
 //   # default; timing columns excluded — they are wall-clock

@@ -19,6 +19,8 @@ int ListCommand(const FlagParser& flags) {
       "          --out DIR\n"
       "  stream  trial flags except --attack, plus --window --stride\n"
       "          --wave --out DIR\n"
+      "  bench   --scenario ID[,ID...]|all --out DIR --seed\n"
+      "          --trials [1, %lld] --scale (0, 1] --threads\n"
       "  diff    [--tolerance=REL] TREE_A TREE_B; exact without\n"
       "          --tolerance; exit 0 agree, 1 drift, 2 usage/load\n"
       "  list    this listing\n"
@@ -27,11 +29,11 @@ int ListCommand(const FlagParser& flags) {
       "  --n [1, %lld] (zipf|uniform) --csv FILE --scale --epsilon\n"
       "  (0, %g] --beta --eta --targets --seed; every --out DIR is a\n"
       "  result tree for `ldpr diff`\n",
-      static_cast<long long>(kMaxTrials),
+      static_cast<long long>(kMaxTrials), static_cast<long long>(kMaxTrials),
       static_cast<long long>(kMaxDomainSize),
       static_cast<long long>(kMaxUsers), kMaxEpsilon);
 
-  std::printf("\nscenarios (runnable via ldpr_bench --scenario <id>):\n");
+  std::printf("\nscenarios (runnable via ldpr bench --scenario <id>):\n");
   for (const Scenario* scenario : ScenarioRegistry::Global().scenarios()) {
     std::printf("  %-18s %s\n", scenario->spec.id.c_str(),
                 scenario->spec.title.c_str());

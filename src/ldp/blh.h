@@ -4,9 +4,9 @@
 // single-bit reports; included as an extra pure protocol the paper's
 // recovery framework covers.
 //
-// Aggregation (batched, and the closed-form SampleSupportCountsRange
-// behind the whole-population and sharded samplers) is inherited
-// wholesale from OlhBase with q = 1/2.
+// Batched aggregation is inherited wholesale from OlhBase, and the
+// closed-form sampler behind the whole-population and sharded
+// samplers is FrequencyProtocol's default law with q = 1/2.
 
 #ifndef LDPR_LDP_BLH_H_
 #define LDPR_LDP_BLH_H_

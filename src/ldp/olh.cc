@@ -60,25 +60,6 @@ double OlhBase::CountVariance(double f, size_t n) const {
   return static_cast<double>(n) * q_ * (1.0 - q_) / (diff * diff);
 }
 
-std::vector<double> OlhBase::SampleSupportCountsRange(
-    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-    uint64_t user_end, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  LDPR_CHECK(user_begin <= user_end);
-  const uint64_t chunk_n = user_end - user_begin;
-  std::vector<double> counts(d_);
-  uint64_t offset = 0;
-  for (size_t v = 0; v < d_; ++v) {
-    const uint64_t own =
-        UsersOfItemInRange(offset, item_counts[v], user_begin, user_end);
-    offset += item_counts[v];
-    const uint64_t from_own = rng.Binomial(own, p_);
-    const uint64_t from_rest = rng.Binomial(chunk_n - own, q_);
-    counts[v] = static_cast<double>(from_own + from_rest);
-  }
-  return counts;
-}
-
 namespace {
 uint32_t DefaultG(double epsilon, uint32_t g) {
   if (g != 0) return g;

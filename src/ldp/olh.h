@@ -65,20 +65,6 @@ class OlhBase : public FrequencyProtocol {
   /// the integrality of g.
   double CountVariance(double f, size_t n) const override;
 
-  /// Per-item-exact fast sampling of the canonical users
-  /// [user_begin, user_end) (chunk_n of them): each item's support
-  /// count is exactly Binomial(own_v, p) + Binomial(chunk_n - own_v,
-  /// 1/g), own_v counted without materializing the restricted
-  /// histogram.  Under an ideal hash a report's per-item supports are
-  /// independent, so independent per-item draws are exact under that
-  /// model; see docs/architecture.md ("Closed-form approximations") and
-  /// tests/sim_equivalence_test.cc.  Detection does not use this law:
-  /// its OLH/BLH re-draw simulates every user until ROADMAP item 4(b)
-  /// lands with a regeneration of ci/baseline.
-  std::vector<double> SampleSupportCountsRange(
-      const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-      uint64_t user_end, Rng& rng) const override;
-
   /// 1 + (d-1)/g: the crafted item plus uniform hash collisions.
   double CraftedSupportBudget() const override {
     return 1.0 + static_cast<double>(d_ - 1) / static_cast<double>(g_);

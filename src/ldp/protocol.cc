@@ -117,6 +117,27 @@ std::vector<double> FrequencyProtocol::ExactSupportCounts(
   return counts;
 }
 
+std::vector<double> FrequencyProtocol::SampleSupportCountsRange(
+    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
+    uint64_t user_end, Rng& rng) const {
+  LDPR_CHECK(item_counts.size() == d_);
+  LDPR_CHECK(user_begin <= user_end);
+  const double p_own = p();
+  const double q_rest = q();
+  const uint64_t chunk_n = user_end - user_begin;
+  std::vector<double> counts(d_);
+  uint64_t offset = 0;
+  for (size_t v = 0; v < d_; ++v) {
+    const uint64_t own =
+        UsersOfItemInRange(offset, item_counts[v], user_begin, user_end);
+    offset += item_counts[v];
+    const uint64_t from_own = rng.Binomial(own, p_own);
+    const uint64_t from_rest = rng.Binomial(chunk_n - own, q_rest);
+    counts[v] = static_cast<double>(from_own + from_rest);
+  }
+  return counts;
+}
+
 std::vector<double> FrequencyProtocol::SampleSupportCounts(
     const std::vector<uint64_t>& item_counts, Rng& rng) const {
   uint64_t n = 0;

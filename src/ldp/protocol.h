@@ -210,18 +210,23 @@ class FrequencyProtocol {
   /// [user_begin, user_end) from its closed-form law, without
   /// materializing per-user reports — each protocol's one genuine
   /// sampler, and the shard-level building block of
-  /// SampleSupportCountsSharded.  GRR and the unary family sample
-  /// exactly (multinomial / independent binomials); OLH/BLH sample
-  /// per-item-exact binomials (the per-item marginal law is exactly
-  /// binomial; only the cross-item correlation induced by shared hash
-  /// seeds is dropped — see docs/architecture.md, "Closed-form
-  /// approximations").  Every law decomposes over user subsets (sums
-  /// of independent binomials / multinomials recompose), so sampling
-  /// [b, e) of a histogram draws exactly what sampling [0, e - b) of
-  /// its restriction (RestrictItemCountsToUsers) draws.
+  /// SampleSupportCountsSharded.  This default is the independent-
+  /// support law: for each item v in ascending order it draws
+  /// Binomial(own_v, p()), then Binomial(chunk_n - own_v, q()), with
+  /// own_v counted without materializing the restricted histogram.
+  /// It is exact for the unary family (bits are independent) and
+  /// per-item exact for OLH/BLH (only the cross-item correlation
+  /// induced by shared hash seeds is dropped — see
+  /// docs/architecture.md, "Closed-form approximations"; detection's
+  /// OLH/BLH re-draw does not use it, and simulates every user); GRR
+  /// overrides it with its exact multinomial.  Every law decomposes
+  /// over user subsets (sums of independent binomials / multinomials
+  /// recompose), so sampling [b, e) of a histogram draws exactly what
+  /// sampling [0, e - b) of its restriction (RestrictItemCountsToUsers)
+  /// draws.
   virtual std::vector<double> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-      uint64_t user_end, Rng& rng) const = 0;
+      uint64_t user_end, Rng& rng) const;
 
   /// The whole population: SampleSupportCountsRange(item_counts, 0,
   /// n, rng) with n = sum(item_counts).

@@ -72,24 +72,6 @@ double UnaryEncoding::CountVariance(double f, size_t n) const {
          (diff * diff);
 }
 
-std::vector<double> UnaryEncoding::SampleSupportCountsRange(
-    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-    uint64_t user_end, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  LDPR_CHECK(user_begin <= user_end);
-  const uint64_t chunk_n = user_end - user_begin;
-  std::vector<double> counts(d_);
-  uint64_t offset = 0;
-  for (size_t v = 0; v < d_; ++v) {
-    const uint64_t own =
-        UsersOfItemInRange(offset, item_counts[v], user_begin, user_end);
-    offset += item_counts[v];
-    counts[v] = static_cast<double>(rng.Binomial(own, p_keep_) +
-                                    rng.Binomial(chunk_n - own, q_flip_));
-  }
-  return counts;
-}
-
 double UnaryEncoding::ExpectedOnes() const {
   return p_keep_ + static_cast<double>(d_ - 1) * q_flip_;
 }

@@ -5,8 +5,9 @@
 // each 0-bit flips to 1 with probability q_flip.  OUE (ldp/oue.h)
 // optimizes (p_keep, q_flip) = (1/2, 1/(e^eps + 1)); SUE (basic
 // RAPPOR, ldp/sue.h) uses the symmetric (e^{eps/2}/(e^{eps/2}+1),
-// 1/(e^{eps/2}+1)).  Everything structural — perturbation, support,
-// exact closed-form aggregation sampling — is shared here.
+// 1/(e^{eps/2}+1)).  Everything structural — perturbation and
+// support — is shared here; the exact closed-form sampler is
+// FrequencyProtocol's default law.
 
 #ifndef LDPR_LDP_UNARY_H_
 #define LDPR_LDP_UNARY_H_
@@ -38,15 +39,6 @@ class UnaryEncoding : public FrequencyProtocol {
   /// Exact generic unary variance:
   /// Var[Phi(v)] = (n f p(1-p) + n(1-f) q(1-q)) / (p-q)^2.
   double CountVariance(double f, size_t n) const override;
-
-  /// Exact closed-form sampling of the canonical users [user_begin,
-  /// user_end) (chunk_n of them): bits are independent across items,
-  /// so per-item support counts are Binomial(own_v, p) +
-  /// Binomial(chunk_n - own_v, q) jointly independently, own_v
-  /// counted without materializing the restricted histogram.
-  std::vector<double> SampleSupportCountsRange(
-      const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-      uint64_t user_end, Rng& rng) const override;
 
   /// Expected number of 1-bits in a genuine report: p + (d-1) q.
   /// MGA pads crafted vectors to this count.

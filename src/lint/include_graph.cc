@@ -33,11 +33,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool StartsWith(const std::string& s, const char* prefix_cstr) {
-  const std::string prefix(prefix_cstr);
-  return s.compare(0, prefix.size(), prefix) == 0;
-}
-
 /// First path component of `path`, or "" when there is none.
 std::string FirstComponent(const std::string& path) {
   const size_t slash = path.find('/');

@@ -56,15 +56,6 @@ std::string PragmaKeyForRule(const std::string& rule) {
 
 namespace {
 
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// Routes one file through every per-file rule whose scope covers it.
 void LintOneFile(const LintTree& tree, const SourceFile& file,
                  std::vector<Finding>* findings) {

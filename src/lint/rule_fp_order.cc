@@ -24,12 +24,6 @@ namespace ldpr {
 namespace lint {
 namespace {
 
-bool EndsWith(const std::string& s, const char* suffix_cstr) {
-  const std::string suffix(suffix_cstr);
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// Collects identifiers declared with a float/double-ish type on one
 /// line: `double x`, `float x`, `std::vector<double>& xs`,
 /// `std::array<float, 4> xs`, `double* x`.

@@ -64,10 +64,6 @@ constexpr BannedToken kBanned[] = {
     {"gmtime", "wall-clock read", true, false, false},
 };
 
-bool StartsWith(const std::string& s, const char* prefix) {
-  return s.compare(0, std::string(prefix).size(), prefix) == 0;
-}
-
 }  // namespace
 
 void CheckNondeterminismSources(const SourceFile& file,

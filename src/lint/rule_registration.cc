@@ -26,12 +26,6 @@ namespace ldpr {
 namespace lint {
 namespace {
 
-bool EndsWith(const std::string& s, const char* suffix_cstr) {
-  const std::string suffix(suffix_cstr);
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool AnyLineContains(const SourceFile& file, const std::string& needle) {
   for (const std::string& line : file.raw_lines) {
     if (line.find(needle) != std::string::npos) return true;
@@ -87,7 +81,7 @@ void CheckTestRegistration(const LintTree& tree, std::vector<Finding>* out) {
 
   // (c) every tool is smoke-invoked somewhere in CI: a `/<tool>`
   // occurrence followed by a non-identifier character (so ldpr does
-  // not match ldpr_bench's path).
+  // not match ldpr_lint's path).
   if (workflow == nullptr) return;
   for (const std::string& tool : tools) {
     const std::string needle = "/" + tool;

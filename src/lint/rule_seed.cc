@@ -23,17 +23,6 @@ namespace ldpr {
 namespace lint {
 namespace {
 
-bool StartsWith(const std::string& s, const char* prefix_cstr) {
-  const std::string prefix(prefix_cstr);
-  return s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(const std::string& s, const char* suffix_cstr) {
-  const std::string suffix(suffix_cstr);
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// True when the argument text of an Rng construction shows seed
 /// provenance: a DeriveSeed(...) call or an identifier ending in
 /// "seed" (covers `seed`, `trial_seed`, `config.seed`, `spec.seed`).

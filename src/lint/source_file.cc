@@ -26,6 +26,15 @@ size_t FindToken(const std::string& line, const std::string& token,
   return std::string::npos;
 }
 
+bool StartsWith(const std::string& s, const std::string& affix) {
+  return s.compare(0, affix.size(), affix) == 0;
+}
+
+bool EndsWith(const std::string& s, const std::string& affix) {
+  return s.size() >= affix.size() &&
+         s.compare(s.size() - affix.size(), affix.size(), affix) == 0;
+}
+
 bool SourceFile::SuppressedAt(size_t line, const std::string& key) const {
   for (const LintPragma& pragma : pragmas) {
     if (pragma.key != key || pragma.reason.empty()) continue;

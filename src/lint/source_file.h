@@ -62,6 +62,10 @@ bool IsIdentChar(char c);
 size_t FindToken(const std::string& line, const std::string& token,
                  size_t from = 0);
 
+/// Whether `s` begins / ends with `affix` (repo-relative path tests).
+bool StartsWith(const std::string& s, const std::string& affix);
+bool EndsWith(const std::string& s, const std::string& affix);
+
 }  // namespace lint
 }  // namespace ldpr
 

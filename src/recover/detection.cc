@@ -195,8 +195,9 @@ void DetectionFilter::OfferSampledOue(const std::vector<uint64_t>& item_counts,
     const uint64_t rest = kept_total - own;
     if (!is_target_[v]) {
       // Unconditioned genuine law.
-      kept_counts_[v] +=
-          static_cast<double>(rng.Binomial(own, p) + rng.Binomial(rest, q));
+      const uint64_t from_own = rng.Binomial(own, p);
+      const uint64_t from_rest = rng.Binomial(rest, q);
+      kept_counts_[v] += static_cast<double>(from_own + from_rest);
       continue;
     }
     // Target rows: condition each holder class on "kept".
@@ -204,14 +205,13 @@ void DetectionFilter::OfferSampledOue(const std::vector<uint64_t>& item_counts,
         (p - flag_target) / (1.0 - flag_target);
     const double rest_bit =
         (q - flag_nontarget) / (1.0 - flag_nontarget);
-    kept_counts_[v] += static_cast<double>(rng.Binomial(own, own_bit) +
-                                           rng.Binomial(rest, rest_bit));
+    const uint64_t from_own = rng.Binomial(own, own_bit);
+    const uint64_t from_rest = rng.Binomial(rest, rest_bit);
+    kept_counts_[v] += static_cast<double>(from_own + from_rest);
   }
 }
 
 void DetectionFilter::ResetWindow() {
-  total_offered_base_ += offered_;
-  total_kept_base_ += kept_;
   offered_ = 0;
   kept_ = 0;
   std::fill(kept_counts_.begin(), kept_counts_.end(), 0.0);

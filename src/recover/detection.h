@@ -56,9 +56,8 @@ class DetectionFilter {
   /// offered()/kept()/Estimate() describe the current window.
   void OfferAll(const ReportBatch& batch);
 
-  /// Closes the current window: folds offered()/kept() into the
-  /// lifetime totals and zeroes the per-window counters and kept
-  /// support counts, so the next window's classification state starts
+  /// Closes the current window: zeroes the per-window counters and
+  /// kept support counts, so the next window's classification state starts
   /// clean (no cross-window leakage of kept counts — the next
   /// Estimate() is exactly a fresh filter's; regression-tested in
   /// tests/detection_test.cc).
@@ -95,10 +94,6 @@ class DetectionFilter {
   size_t offered() const { return offered_; }
   size_t kept() const { return kept_; }
 
-  /// Lifetime totals across all windows, including the current one.
-  size_t total_offered() const { return total_offered_base_ + offered_; }
-  size_t total_kept() const { return total_kept_base_ + kept_; }
-
   /// Frequency estimate over the kept reports (normalized by the kept
   /// count, as the baseline prescribes).  Requires kept() > 0.
   std::vector<double> Estimate() const;
@@ -114,8 +109,6 @@ class DetectionFilter {
   std::vector<double> kept_counts_;
   size_t offered_ = 0;
   size_t kept_ = 0;
-  size_t total_offered_base_ = 0;
-  size_t total_kept_base_ = 0;
 };
 
 }  // namespace ldpr

@@ -86,12 +86,6 @@ class LdpRecover {
 
   const RecoverOptions& options() const { return options_; }
 
-  /// True when the instance operates with partial knowledge
-  /// (LDPRecover*).
-  bool has_partial_knowledge() const {
-    return options_.known_targets.has_value();
-  }
-
  private:
   std::vector<double> EstimateMaliciousUniform(
       const std::vector<double>& poisoned) const;

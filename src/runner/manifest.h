@@ -1,5 +1,6 @@
-// Result trees: the one on-disk layout `ldpr_bench --out` and every
-// `ldpr` command's `--out DIR` write, and the one writer they use.
+// Result trees: the one on-disk layout every `ldpr` command's
+// `--out DIR` writes (`bench`, `run`, `stream`), and the one writer
+// they use.
 //
 //   <root>/manifest.json         tree manifest: every scenario of the
 //                                run with its knobs and files

@@ -1,7 +1,7 @@
 // Result-tree comparison: the library behind `ldpr diff`.
 //
-// A result tree (runner/manifest.h: `ldpr_bench --out`,
-// `ldpr run/stream --out`) is self-describing — a tree manifest
+// A result tree (runner/manifest.h: the `--out DIR` of
+// `ldpr bench`, `run` and `stream`) is self-describing — a tree manifest
 // listing its scenarios, and per scenario results.jsonl rows keyed by
 // (scenario, table, row) plus a manifest.json carrying run knobs and
 // the timing-column list.  This module loads two such trees, joins

@@ -76,11 +76,6 @@ StatusOr<Dataset> ResolveBenchDataset(const std::string& name, double scale,
   return ScaleDataset(gen->make(d, n), scale);
 }
 
-bool BenchDatasetResizable(const std::string& name) {
-  const BenchDatasetGenerator* gen = FindBenchDatasetGenerator(name);
-  return gen != nullptr && gen->resizable;
-}
-
 std::string BenchDatasetDisplayName(const std::string& name) {
   const BenchDatasetGenerator* gen = FindBenchDatasetGenerator(name);
   return gen != nullptr ? gen->display : name;

@@ -47,10 +47,6 @@ StatusOr<Dataset> ResolveBenchDataset(const std::string& name, double scale,
                                       size_t d_override = 0,
                                       uint64_t n_override = 0);
 
-/// True when `name` is a registered generator that accepts d/n
-/// overrides (the synthetic "zipf"/"uniform" families).
-bool BenchDatasetResizable(const std::string& name);
-
 /// Banner name of a spec dataset ("IPUMS-like").
 std::string BenchDatasetDisplayName(const std::string& name);
 

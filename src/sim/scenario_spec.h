@@ -22,7 +22,7 @@
 // Custom scenarios (ablation, ext_protocols, fig9, and the
 // streaming_* windowed-ingest cells in bench/scenario_streaming.cc)
 // set `custom` and run their own trial loops; their spec still
-// declares the axes as data for --list, documentation, and the
+// declares the axes as data for `ldpr list`, documentation, and the
 // registry round-trip test.
 
 #ifndef LDPR_SIM_SCENARIO_SPEC_H_
@@ -81,7 +81,7 @@ struct ScenarioDefaults {
 };
 
 struct ScenarioSpec {
-  /// Stable id used on the ldpr_bench command line ("fig3").
+  /// Stable id used on the `ldpr bench` command line ("fig3").
   std::string id;
   /// One-line banner ("Figure 3 — recovery accuracy (MSE)").
   std::string title;

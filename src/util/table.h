@@ -1,7 +1,7 @@
 // Paper-style result-table rendering for the benchmark harness.
 //
 // The scenario layer's ConsoleSink (runner/result_sink.h) renders
-// every ldpr_bench table through TablePrinter so that the console
+// every `ldpr bench` table through TablePrinter so that the console
 // output mirrors the rows/series the paper reports (method x setting
 // -> metric).
 

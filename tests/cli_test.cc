@@ -298,7 +298,7 @@ TEST(CliTest, UsageAndListNameEveryCommand) {
     testing::internal::CaptureStdout();
     EXPECT_EQ(RunMain({command}), 0);
     const std::string out = testing::internal::GetCapturedStdout();
-    for (const char* listed : {"run", "stream", "diff", "list"}) {
+    for (const char* listed : {"run", "stream", "bench", "diff", "list"}) {
       EXPECT_NE(out.find(std::string("\n  ") + listed + " "),
                 std::string::npos)
           << command << " " << listed;
@@ -323,6 +323,46 @@ TEST(CliTest, ListNamesEveryRegisteredScenario) {
     EXPECT_NE(out.find("\n  " + scenario->spec.id + " "), std::string::npos)
         << scenario->spec.id << ": " << out;
   }
+}
+
+// `ldpr bench` refuses a run it cannot honour with exit 1: bad flags
+// before any scenario starts, a repeated id under --out when its
+// second run would truncate the first one's files.
+TEST(CliTest, BenchFlagErrors) {
+  bench::RegisterAllScenarios();
+  const std::string twice = "--out=" + (TestDir() / "twice").string();
+  const struct {
+    std::vector<std::string> args;
+    const char* error;
+  } kCases[] = {
+      {{"--scenario=fig3,no_such"}, "unknown scenario 'no_such'"},
+      {{"--scale=0.01"}, "--scenario needs ID[,ID...] or all"},
+      {{"--scenario=fig3", "--list"}, "unknown flag --list"},
+      {{"--scenario=fig3", "--trials=0"}, "--trials must be in [1, 10000]"},
+      {{"--scenario=fig3", "--trials=10001"},
+       "--trials must be in [1, 10000]"},
+      {{"--scenario=fig3", "--scale=1.5"}, "--scale must be in (0, 1]"},
+      {{"--scenario=table1,table1", "--scale=0.01", "--trials=1", twice},
+       "scenario 'table1' already written"},
+  };
+  for (const auto& c : kCases) {
+    std::vector<std::string> args = {"bench"};
+    args.insert(args.end(), c.args.begin(), c.args.end());
+    const auto [rc, err] = RunQuiet(args);
+    EXPECT_EQ(rc, 1) << c.args.back();
+    EXPECT_NE(err.find(c.error), std::string::npos)
+        << c.args.back() << ": " << err;
+  }
+  std::filesystem::remove_all(TestDir());
+}
+
+// A list of several ids runs each to the console (no --out).
+TEST(CliTest, BenchRunsSeveralScenariosToTheConsole) {
+  bench::RegisterAllScenarios();
+  EXPECT_EQ(RunQuiet({"bench", "--scenario=fig3,table1,scaling_n",
+                      "--scale=0.01", "--trials=1"})
+                .first,
+            0);
 }
 
 TEST(CliTest, UnknownCommandsAreRejected) {

@@ -123,14 +123,6 @@ TEST(LdpRecoverTest, ExactMaliciousKnowledgeRecoversExactly) {
   for (size_t v = 0; v < 4; ++v) EXPECT_NEAR(recovered[v], genuine[v], 1e-9);
 }
 
-TEST(LdpRecoverTest, HasPartialKnowledgeFlag) {
-  const Grr grr(5, 0.5);
-  EXPECT_FALSE(LdpRecover(grr).has_partial_knowledge());
-  RecoverOptions opts;
-  opts.known_targets = std::vector<ItemId>{1};
-  EXPECT_TRUE(LdpRecover(grr, opts).has_partial_knowledge());
-}
-
 TEST(LdpRecoverTest, AllNonPositivePoisonedYieldsZeroMalicious) {
   const Grr grr(3, 0.5);
   const LdpRecover recover(grr);

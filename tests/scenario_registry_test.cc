@@ -1,5 +1,5 @@
-// Registry round-trip for the scenario layer: every id ldpr_bench
-// --list reports resolves back through the registry, every grid spec
+// Registry round-trip for the scenario layer: every id `ldpr list`
+// reports resolves back through the registry, every grid spec
 // lowers to a valid ExperimentConfig grid whose shape matches the
 // declared columns, and a real (tiny) scenario run written through
 // the result-tree writer produces the CSV/JSONL/manifest triple the
@@ -208,9 +208,6 @@ TEST_F(ScenarioRegistryTest, ScalingScenariosLowerAlongDatasetAxes) {
   // The dataset axes resolve against the registered synthetic
   // generators: overrides re-shape zipf/uniform (pre-scale n, exact
   // d), and the fixed-shape paper stand-ins reject them.
-  EXPECT_TRUE(BenchDatasetResizable("zipf"));
-  EXPECT_TRUE(BenchDatasetResizable("uniform"));
-  EXPECT_FALSE(BenchDatasetResizable("ipums"));
   const auto resized =
       ResolveBenchDataset("zipf", 0.01, /*d_override=*/64,
                           /*n_override=*/200000);
@@ -238,7 +235,7 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
           .string();
   std::filesystem::remove_all(root);
 
-  // The --out path of ldpr_bench: the tree writer's sinks, then the
+  // The --out path of `ldpr bench`: the tree writer's sinks, then the
   // scenario's manifest, then the tree manifest.
   ResultTreeWriter tree(root);
   std::vector<std::unique_ptr<ResultSink>> sinks;
@@ -315,7 +312,7 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   std::filesystem::remove_all(root);
 }
 
-// `ldpr_bench --scenario table1,table1 --out DIR` used to truncate the
+// `ldpr bench --scenario table1,table1 --out DIR` used to truncate the
 // first run's files and list table1 twice, a tree `ldpr diff` refuses.
 TEST_F(ScenarioRegistryTest, TreeWriterRejectsAnIdItAlreadyOpened) {
   const std::string root =

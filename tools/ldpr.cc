@@ -1,6 +1,6 @@
 // ldpr: the subcommand CLI (src/cli/cli.h).  It registers the bench
-// scenarios so `ldpr list` can enumerate them; the other subcommands
-// never read the registry.
+// scenarios so `ldpr bench` can run them and `ldpr list` enumerate
+// them; the other subcommands never read the registry.
 
 #include "cli/cli.h"
 #include "scenarios.h"
