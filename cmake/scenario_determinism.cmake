@@ -7,7 +7,7 @@
 #     rows by (scenario, table, row) and exempts the timing columns
 #     each scenario's manifest declares — the only columns that may
 #     legitimately differ.
-#   - Unless HAS_TIMING_COLUMNS: the result files must additionally
+#   - Unless HAS_TIMING_COLUMNS: the results.jsonl files must also
 #     be byte-identical and the console tables equal (the banner line
 #     reporting the thread count is stripped; scenarios with timing
 #     columns skip both, since wall clocks differ between any two
@@ -80,22 +80,20 @@ if(NOT HAS_TIMING_COLUMNS)
             "--- threads=3 ---\n${console_parallel}")
   endif()
 
-  # Result files must be byte-identical.
-  foreach(result_file results.csv results.jsonl)
-    set(serial_path "${out_serial}/${SCENARIO}/${result_file}")
-    set(parallel_path "${out_parallel}/${SCENARIO}/${result_file}")
-    if(NOT EXISTS "${serial_path}" OR NOT EXISTS "${parallel_path}")
-      message(FATAL_ERROR "${SCENARIO}: missing ${result_file} under --out")
-    endif()
-    file(READ "${serial_path}" bytes_serial)
-    file(READ "${parallel_path}" bytes_parallel)
-    if(NOT bytes_serial STREQUAL bytes_parallel)
-      message(FATAL_ERROR
-              "${SCENARIO}: ${result_file} differs between LDPR_THREADS=1 "
-              "and 3\n--- threads=1 ---\n${bytes_serial}\n"
-              "--- threads=3 ---\n${bytes_parallel}")
-    endif()
-  endforeach()
+  # The result file must be byte-identical.
+  set(serial_path "${out_serial}/${SCENARIO}/results.jsonl")
+  set(parallel_path "${out_parallel}/${SCENARIO}/results.jsonl")
+  if(NOT EXISTS "${serial_path}" OR NOT EXISTS "${parallel_path}")
+    message(FATAL_ERROR "${SCENARIO}: missing results.jsonl under --out")
+  endif()
+  file(READ "${serial_path}" bytes_serial)
+  file(READ "${parallel_path}" bytes_parallel)
+  if(NOT bytes_serial STREQUAL bytes_parallel)
+    message(FATAL_ERROR
+            "${SCENARIO}: results.jsonl differs between LDPR_THREADS=1 "
+            "and 3\n--- threads=1 ---\n${bytes_serial}\n"
+            "--- threads=3 ---\n${bytes_parallel}")
+  endif()
 endif()
 
 # The manifests must at least exist and name the scenario.

@@ -5,9 +5,9 @@
 //   3. the server aggregates a *poisoned* frequency estimate;
 //   4. LDPRecover repairs it without knowing anything about the attack;
 //   5. (optional) the summary persists through a machine-readable
-//      ResultSink — the same CSV layer `ldpr bench --out` writes.
+//      ResultSink — the same JSONL layer `ldpr bench --out` writes.
 //
-// Build & run:  ./build/example_quickstart [results.csv]
+// Build & run:  ./build/example_quickstart [results.jsonl]
 
 #include <cstdio>
 #include <memory>
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   //    and tool writes through this interface; Finish() fails on
   //    partial writes, so checking it is part of the contract.
   if (argc > 1) {
-    CsvSink sink(argv[1]);
+    JsonlSink sink(argv[1]);
     ScenarioRunInfo info;
     info.id = "quickstart";
     sink.BeginScenario(info);

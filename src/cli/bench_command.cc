@@ -5,8 +5,8 @@
 //   # Reproduce Figure 3 and Table I on the console:
 //   ldpr bench --scenario fig3,table1
 //
-//   # Machine-readable run: per-scenario results.csv / results.jsonl
-//   # plus a manifest.json recording seed/scale/threads/git version,
+//   # Machine-readable run: per-scenario results.jsonl plus a
+//   # manifest.json recording seed/scale/threads/git version,
 //   # and a top-level results/manifest.json indexing the whole tree
 //   # (the input `ldpr diff` compares across runs):
 //   ldpr bench --scenario fig3 --out results/
@@ -34,6 +34,7 @@
 #include "cli/cli.h"
 #include "runner/scenario_runner.h"
 #include "sim/experiment.h"
+#include "util/thread_pool.h"
 
 namespace ldpr {
 namespace cli {
@@ -101,6 +102,8 @@ int BenchCommand(const FlagParser& flags) {
                                : Status::Ok(),
            Require(!flags.Has("scale") || (*scale > 0.0 && *scale <= 1.0),
                    "--scale must be in (0, 1]"),
+           RequireInRange("threads", *threads, 0,
+                          static_cast<int64_t>(kMaxThreads)),
            scenarios.status()}))
     return rc;
   if (*threads > 0) {
@@ -125,7 +128,7 @@ int BenchCommand(const FlagParser& flags) {
       return 1;
     }
     if (tree_or_null != nullptr)
-      std::printf("wrote %s/%s/{results.csv,results.jsonl,manifest.json}\n\n",
+      std::printf("wrote %s/%s/{results.jsonl,manifest.json}\n\n",
                   out_dir.c_str(), id.c_str());
   }
   if (tree_or_null == nullptr) return 0;

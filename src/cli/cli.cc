@@ -160,7 +160,7 @@ Status ResultOutput::Finish() {
   status = tree_.Finish();
   if (!status.ok()) return status;
   std::printf("wrote %s/manifest.json and %s/%s/"
-              "{results.csv,results.jsonl,manifest.json}\n",
+              "{results.jsonl,manifest.json}\n",
               out_dir_.c_str(), out_dir_.c_str(), spec_.id.c_str());
   return Status::Ok();
 }

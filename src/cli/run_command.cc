@@ -66,7 +66,9 @@ int RunCommand(const FlagParser& flags) {
                            ? ValidateExperimentInputs(config, *dataset_or)
                            : dataset_or.status();
   if (const int rc = ExitStatus(
-          flags, {valid, Require(*top_k >= 1, "--top_k must be >= 1")}))
+          flags, {RequireInRange("threads", *threads, 0,
+                                 static_cast<int64_t>(kMaxThreads)),
+                  valid, Require(*top_k >= 1, "--top_k must be >= 1")}))
     return rc;
   const Dataset& dataset = *dataset_or;
 

@@ -25,7 +25,7 @@ namespace {
 constexpr int kManifestSchemaVersion = 2;
 
 // Result files of one scenario, relative to its directory.
-const char* const kResultFiles[] = {"results.csv", "results.jsonl"};
+const char* const kResultFiles[] = {"results.jsonl"};
 
 void StringArray(JsonWriter& w, const std::vector<std::string>& items) {
   w.BeginArray();
@@ -149,11 +149,9 @@ Status ResultTreeWriter::OpenScenario(
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return InternalError("cannot create " + dir + ": " + ec.message());
-  auto csv = std::make_unique<CsvSink>(dir + "/" + kResultFiles[0]);
-  auto jsonl = std::make_unique<JsonlSink>(dir + "/" + kResultFiles[1]);
-  if (!csv->ok() || !jsonl->ok())
-    return InternalError("cannot open result files under " + dir);
-  sinks.push_back(std::move(csv));
+  const std::string path = dir + "/" + kResultFiles[0];
+  auto jsonl = std::make_unique<JsonlSink>(path);
+  if (!jsonl->ok()) return InternalError("cannot open for writing: " + path);
   sinks.push_back(std::move(jsonl));
   opened_.push_back(id);
   return Status::Ok();

@@ -4,8 +4,7 @@
 //
 //   <root>/manifest.json         tree manifest: every scenario of the
 //                                run with its knobs and files
-//   <root>/<id>/results.csv      the scenario's rows (CsvSink)
-//   <root>/<id>/results.jsonl    the same rows (JsonlSink)
+//   <root>/<id>/results.jsonl    the scenario's rows (JsonlSink)
 //   <root>/<id>/manifest.json    run manifest: scenario id, seed,
 //                                scale, trials, thread budget and its
 //                                split, SIMD backend, git version,
@@ -46,11 +45,11 @@ class ResultTreeWriter {
  public:
   explicit ResultTreeWriter(std::string root) : root_(std::move(root)) {}
 
-  /// Creates <root>/<id>/ and appends sinks for its results.csv and
-  /// results.jsonl to `sinks`.  Fails, before touching any file, when
-  /// this tree already opened `id` (a second run would truncate the
-  /// first's results and list the id twice); fails when the directory
-  /// or either file cannot be opened.
+  /// Creates <root>/<id>/ and appends a sink for its results.jsonl to
+  /// `sinks`.  Fails, before touching any file, when this tree already
+  /// opened `id` (a second run would truncate the first's results and
+  /// list the id twice); fails when the directory or the file cannot
+  /// be opened.
   Status OpenScenario(const std::string& id,
                       std::vector<std::unique_ptr<ResultSink>>& sinks);
 

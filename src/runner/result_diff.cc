@@ -123,8 +123,8 @@ StatusOr<ResultTree> LoadResultTree(const std::string& root) {
     return InvalidArgumentError("not a directory: " + root);
 
   // The tree manifest lists the scenarios; the files it names are not
-  // checked (a tree may drop its CSV copies), only each scenario's
-  // manifest.json and results.jsonl are read.
+  // checked, only each scenario's manifest.json and results.jsonl are
+  // read.
   const std::string manifest_path = root + "/manifest.json";
   auto text = ReadFile(manifest_path);
   if (!text.ok())

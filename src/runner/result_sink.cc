@@ -1,6 +1,5 @@
 #include "runner/result_sink.h"
 
-#include "util/csv.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 
@@ -55,37 +54,6 @@ void ConsoleSink::EndTable() {
 Status ConsoleSink::Finish() {
   LDPR_CHECK(table_ == nullptr);  // every table was closed
   return Status::Ok();
-}
-
-// --------------------------------------------------------------- csv
-
-CsvSink::CsvSink(const std::string& path) : path_(path), writer_(path) {}
-
-void CsvSink::BeginTable(const std::string& title,
-                         const std::vector<std::string>& columns) {
-  table_ = title;
-  columns_ = columns;
-  if (columns != header_written_for_) {
-    std::vector<std::string> header = {"scenario", "table", "row"};
-    header.insert(header.end(), columns.begin(), columns.end());
-    writer_.WriteRow(header);
-    header_written_for_ = columns;
-  }
-}
-
-void CsvSink::AddRow(const std::string& label,
-                     const std::vector<double>& values) {
-  LDPR_CHECK(values.size() == columns_.size());
-  std::vector<std::string> fields = {info_.id, table_, label};
-  for (double v : values) fields.push_back(JsonNumber(v));
-  writer_.WriteRow(fields);
-}
-
-Status CsvSink::Finish() {
-  if (writer_.Close()) return Status::Ok();
-  if (!writer_.opened())
-    return InternalError("cannot open for writing: " + path_);
-  return InternalError("partial CSV write: " + path_);
 }
 
 // ------------------------------------------------------------- jsonl

@@ -1,9 +1,8 @@
 // ResultSink: the one output interface every scenario (and
 // `ldpr run`) writes results through.  A sink consumes the same
 // row stream the paper-style console tables render — BeginTable /
-// AddRow / AddSeparator / EndTable — so the console view, the CSV
-// file, and the JSONL file of one run are three serializations of
-// identical rows.
+// AddRow / AddSeparator / EndTable — so the console view and the
+// JSONL file of one run are two serializations of identical rows.
 //
 // Error model: writes are buffered/streamed without per-call error
 // returns; Finish() flushes and reports the first I/O failure
@@ -11,10 +10,10 @@
 // must check Finish() — a sink that never Finish()es cleanly must be
 // treated as having produced garbage.
 //
-// Determinism: CSV and JSONL render doubles with the shortest
-// round-trip representation (util/json_writer.h), so byte-identical
-// metric vectors produce byte-identical files — the property the
-// scenario determinism ctest entries diff across thread counts.
+// Determinism: JSONL renders doubles with the shortest round-trip
+// representation (util/json_writer.h), so byte-identical metric
+// vectors produce byte-identical files — the property the scenario
+// determinism ctest entries diff across thread counts.
 
 #ifndef LDPR_RUNNER_RESULT_SINK_H_
 #define LDPR_RUNNER_RESULT_SINK_H_
@@ -25,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "util/csv.h"
 #include "util/status.h"
 #include "util/table.h"
 
@@ -92,32 +90,6 @@ class ConsoleSink : public ResultSink {
 
  private:
   std::unique_ptr<TablePrinter> table_;
-};
-
-/// Streams rows to one CSV file (via util/csv.h's CsvWriter).
-/// Layout: a header line `scenario,table,row,<columns...>` precedes
-/// the rows of every table whose column set differs from the previous
-/// table's; rows carry the scenario id and table title so
-/// concatenated scenario files stay self-describing.
-class CsvSink : public ResultSink {
- public:
-  explicit CsvSink(const std::string& path);
-
-  /// False when the file could not be opened (Finish() reports why).
-  bool ok() const { return writer_.ok(); }
-
-  void BeginTable(const std::string& title,
-                  const std::vector<std::string>& columns) override;
-  void AddRow(const std::string& label,
-              const std::vector<double>& values) override;
-  Status Finish() override;
-
- private:
-  std::string path_;
-  CsvWriter writer_;
-  std::string table_;
-  std::vector<std::string> columns_;
-  std::vector<std::string> header_written_for_;
 };
 
 /// Streams one JSON object per row:

@@ -141,6 +141,11 @@ size_t DefaultThreadCount() {
       LDPR_CHECK_OK(InvalidArgumentError(
           "LDPR_THREADS must be an integer, got '" + std::string(env) + "'"));
     }
+    if (v > static_cast<long long>(kMaxThreads)) {
+      LDPR_CHECK_OK(InvalidArgumentError(
+          "LDPR_THREADS must be at most " + std::to_string(kMaxThreads) +
+          ", got '" + std::string(env) + "'"));
+    }
     return v < 1 ? 1 : static_cast<size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -34,9 +34,9 @@
 //    thread-spawn cost once.
 //
 // Thread count resolution: an explicit count wins; 0 means "auto",
-// which honors the LDPR_THREADS environment variable (a whole integer;
-// anything else aborts naming the variable) and falls back to
-// std::thread::hardware_concurrency().
+// which honors the LDPR_THREADS environment variable (a whole integer
+// up to kMaxThreads; anything else aborts naming the variable) and
+// falls back to std::thread::hardware_concurrency().
 
 #ifndef LDPR_UTIL_THREAD_POOL_H_
 #define LDPR_UTIL_THREAD_POOL_H_
@@ -88,10 +88,15 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// The largest thread count LDPR_THREADS and any --threads flag
+/// accept: a pool spawns every worker up front, so a typo such as
+/// 100000 would otherwise ask the OS for that many threads.
+inline constexpr size_t kMaxThreads = 1024;
+
 /// LDPR_THREADS if set (clamped to >= 1; a value that is not a whole
-/// integer aborts with a message naming the variable), else hardware
-/// concurrency, else 1.  This is the pool size every "0 = auto"
-/// caller gets.
+/// integer, or is above kMaxThreads, aborts with a message naming the
+/// variable), else hardware concurrency, else 1.  This is the pool
+/// size every "0 = auto" caller gets.
 size_t DefaultThreadCount();
 
 /// The process-wide pool the free ParallelFor schedules on, created

@@ -56,7 +56,8 @@ TEST(CliTest, FlagsTheSubcommandDoesNotReadAreRejected) {
 
 TEST(CliTest, NegativeCountsAreRejected) {
   for (const char* flag :
-       {"--trials=-1", "--targets=-1", "--seed=-1", "--threads=-1"}) {
+       {"--trials=-1", "--targets=-1", "--seed=-1", "--threads=-1",
+        "--threads=100000"}) {
     EXPECT_EQ(RunMain({"run", "--attack=AA", flag}), 1) << flag;
   }
   for (const char* flag :
@@ -342,6 +343,8 @@ TEST(CliTest, BenchFlagErrors) {
       {{"--scenario=fig3", "--trials=10001"},
        "--trials must be in [1, 10000]"},
       {{"--scenario=fig3", "--scale=1.5"}, "--scale must be in (0, 1]"},
+      {{"--scenario=fig3", "--threads=100000"},
+       "--threads must be in [0, 1024]"},
       {{"--scenario=table1,table1", "--scale=0.01", "--trials=1", twice},
        "scenario 'table1' already written"},
   };

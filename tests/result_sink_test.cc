@@ -1,8 +1,8 @@
-// Golden-file coverage for the machine-readable result sinks: the
-// exact bytes CsvSink and JsonlSink emit for a fixed row stream are
-// part of the --out contract (figure-regeneration scripts and the
-// determinism harness diff them), so they are pinned here, along with
-// the partial-write error model and the JSON emitter underneath.
+// Golden-file coverage for the machine-readable result sink: the
+// exact bytes JsonlSink emits for a fixed row stream are part of the
+// --out contract (`ldpr diff` and the determinism harness read them),
+// so they are pinned here, along with the partial-write error model
+// and the JSON emitter underneath.
 
 #include <cmath>
 #include <cstdio>
@@ -40,43 +40,21 @@ ScenarioRunInfo TestInfo() {
   return info;
 }
 
-// The fixed row stream both golden tests feed their sink.
-void EmitGoldenRows(ResultSink& sink) {
-  sink.BeginScenario(TestInfo());
-  sink.BeginTable("Table A", {"MSE", "FG"});
-  sink.AddRow("MGA-GRR", {0.5, 1.0 / 3.0});
-  sink.AddRow("AA, OUE", {6.25e-05, -0.125});  // comma forces CSV quoting
-  sink.EndTable();
-  sink.BeginTable("Table B", {"MSE", "FG"});  // same columns: no new header
-  sink.AddRow("beta=0.05", {1e300, 0.0});
-  sink.EndTable();
-  sink.BeginTable("Table C", {"Before"});  // new columns: fresh header
-  sink.AddRow("row \"q\"", {2.0});
-  sink.EndTable();
-}
-
-TEST(CsvSinkTest, GoldenBytes) {
-  const std::string path = TempPath("ldpr_sink_golden.csv");
-  CsvSink sink(path);
-  ASSERT_TRUE(sink.ok());
-  EmitGoldenRows(sink);
-  ASSERT_TRUE(sink.Finish().ok());
-
-  EXPECT_EQ(ReadAll(path),
-            "scenario,table,row,MSE,FG\n"
-            "golden,Table A,MGA-GRR,0.5,0.3333333333333333\n"
-            "golden,Table A,\"AA, OUE\",6.25e-05,-0.125\n"
-            "golden,Table B,beta=0.05,1e+300,0\n"
-            "scenario,table,row,Before\n"
-            "golden,Table C,\"row \"\"q\"\"\",2\n");
-  std::filesystem::remove(path);
-}
-
 TEST(JsonlSinkTest, GoldenBytes) {
   const std::string path = TempPath("ldpr_sink_golden.jsonl");
   JsonlSink sink(path);
   ASSERT_TRUE(sink.ok());
-  EmitGoldenRows(sink);
+  sink.BeginScenario(TestInfo());
+  sink.BeginTable("Table A", {"MSE", "FG"});
+  sink.AddRow("MGA-GRR", {0.5, 1.0 / 3.0});
+  sink.AddRow("AA, OUE", {6.25e-05, -0.125});
+  sink.EndTable();
+  sink.BeginTable("Table B", {"MSE", "FG"});
+  sink.AddRow("beta=0.05", {1e300, 0.0});
+  sink.EndTable();
+  sink.BeginTable("Table C", {"Before"});
+  sink.AddRow("row \"q\"", {2.0});  // escaped in the JSON string
+  sink.EndTable();
   ASSERT_TRUE(sink.Finish().ok());
 
   EXPECT_EQ(
@@ -93,20 +71,17 @@ TEST(JsonlSinkTest, GoldenBytes) {
 }
 
 TEST(ResultSinkTest, FinishFailsWhenFileCannotOpen) {
-  CsvSink csv("/nonexistent-dir/x/results.csv");
-  EXPECT_FALSE(csv.ok());
-  EXPECT_FALSE(csv.Finish().ok());
   JsonlSink jsonl("/nonexistent-dir/x/results.jsonl");
   EXPECT_FALSE(jsonl.ok());
   EXPECT_FALSE(jsonl.Finish().ok());
 }
 
 TEST(ResultSinkTest, MultiSinkFansOutAndAggregatesErrors) {
-  const std::string path = TempPath("ldpr_sink_multi.csv");
+  const std::string path = TempPath("ldpr_sink_multi.jsonl");
   {
     std::vector<std::unique_ptr<ResultSink>> sinks;
-    sinks.push_back(std::make_unique<CsvSink>(path));
-    sinks.push_back(std::make_unique<CsvSink>("/nonexistent-dir/x.csv"));
+    sinks.push_back(std::make_unique<JsonlSink>(path));
+    sinks.push_back(std::make_unique<JsonlSink>("/nonexistent-dir/x.jsonl"));
     MultiSink sink(std::move(sinks));
     sink.BeginScenario(TestInfo());
     sink.BeginTable("T", {"v"});
@@ -116,8 +91,8 @@ TEST(ResultSinkTest, MultiSinkFansOutAndAggregatesErrors) {
     EXPECT_FALSE(sink.Finish().ok());
   }
   EXPECT_EQ(ReadAll(path),
-            "scenario,table,row,v\n"
-            "golden,T,r,1\n");
+            "{\"scenario\":\"golden\",\"table\":\"T\",\"row\":\"r\","
+            "\"values\":{\"v\":1}}\n");
   std::filesystem::remove(path);
 }
 

@@ -2,8 +2,8 @@
 // reports resolves back through the registry, every grid spec
 // lowers to a valid ExperimentConfig grid whose shape matches the
 // declared columns, and a real (tiny) scenario run written through
-// the result-tree writer produces the CSV/JSONL/manifest triple the
-// --out contract promises and reads back through LoadResultTree.
+// the result-tree writer produces the JSONL/manifest pair the --out
+// contract promises and reads back through LoadResultTree.
 
 #include <algorithm>
 #include <cmath>
@@ -27,7 +27,6 @@
 #include "scenarios.h"
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
-#include "util/csv.h"
 #include "util/random.h"
 
 namespace ldpr {
@@ -226,7 +225,7 @@ std::string ReadFileOrDie(const std::string& path) {
   return ss.str();
 }
 
-TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
+TEST_F(ScenarioRegistryTest, TinyRunProducesJsonlAndManifest) {
   const Scenario* table1 = ScenarioRegistry::Global().Find("table1");
   ASSERT_NE(table1, nullptr);
 
@@ -255,21 +254,27 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   EXPECT_EQ(report->tables, 2u);
   EXPECT_EQ(report->rows, 6u);
 
+  // The tree holds the two manifests and the one JSONL file, nothing
+  // else.
+  std::set<std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file())
+      files.insert(std::filesystem::relative(entry.path(), root).string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"manifest.json",
+                                          "table1/manifest.json",
+                                          "table1/results.jsonl"}));
+
   const std::string dir = root + "/table1";
-  const std::string csv = ReadFileOrDie(dir + "/results.csv");
-  // Header + 6 data rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 7);
-  EXPECT_NE(csv.find("scenario,table,row,Before-Rec,After-Rec"),
-            std::string::npos);
-  EXPECT_NE(csv.find("table1,Table I (IPUMS): LDPRecover on unpoisoned "
-                     "frequencies,GRR,"),
-            std::string::npos);
   const std::string jsonl = ReadFileOrDie(dir + "/results.jsonl");
+  // One line per row; every line names its scenario, table and columns.
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 6);
   EXPECT_NE(jsonl.find("{\"scenario\":\"table1\",\"table\":\"Table I "
                        "(IPUMS): LDPRecover on unpoisoned frequencies\","
                        "\"row\":\"GRR\",\"values\":{\"Before-Rec\":"),
             std::string::npos);
+  EXPECT_NE(jsonl.find(",\"After-Rec\":"), std::string::npos);
 
   const std::string json = ReadFileOrDie(dir + "/manifest.json");
   EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
@@ -278,14 +283,12 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
   EXPECT_NE(json.find("\"scale\":0.002"), std::string::npos);
   EXPECT_NE(json.find("\"simd\":\""), std::string::npos);
   EXPECT_NE(json.find("\"git_describe\":"), std::string::npos);
-  EXPECT_NE(json.find("\"files\":[\"results.csv\",\"results.jsonl\"]"),
-            std::string::npos);
+  EXPECT_NE(json.find("\"files\":[\"results.jsonl\"]"), std::string::npos);
   const std::string tree_json = ReadFileOrDie(root + "/manifest.json");
   EXPECT_NE(tree_json.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(tree_json.find("\"kind\":\"ldpr_result_tree\""),
             std::string::npos);
-  EXPECT_NE(tree_json.find("\"files\":[\"table1/results.csv\","
-                           "\"table1/results.jsonl\","
+  EXPECT_NE(tree_json.find("\"files\":[\"table1/results.jsonl\","
                            "\"table1/manifest.json\"]"),
             std::string::npos);
 
@@ -328,7 +331,7 @@ TEST_F(ScenarioRegistryTest, TreeWriterRejectsAnIdItAlreadyOpened) {
   sink.AddRow("row", {1.0});
   sink.EndTable();
   ASSERT_TRUE(sink.Finish().ok());
-  const std::string csv = ReadFileOrDie(root + "/s1/results.csv");
+  const std::string jsonl = ReadFileOrDie(root + "/s1/results.jsonl");
 
   std::vector<std::unique_ptr<ResultSink>> again;
   const Status reopened = tree.OpenScenario("s1", again);
@@ -337,7 +340,7 @@ TEST_F(ScenarioRegistryTest, TreeWriterRejectsAnIdItAlreadyOpened) {
             std::string::npos)
       << reopened.ToString();
   EXPECT_TRUE(again.empty());
-  EXPECT_EQ(ReadFileOrDie(root + "/s1/results.csv"), csv);
+  EXPECT_EQ(ReadFileOrDie(root + "/s1/results.jsonl"), jsonl);
   // Another id still opens.
   EXPECT_TRUE(tree.OpenScenario("s2", again).ok());
 

@@ -43,11 +43,9 @@ std::string ReadFileOrDie(const std::string& path) {
   return ss.str();
 }
 
-// Runs one scenario into a CSV file and returns the file's bytes.
-std::string RunToCsv(const Scenario& scenario, const std::string& path) {
-  std::vector<std::unique_ptr<ResultSink>> sinks;
-  sinks.push_back(std::make_unique<CsvSink>(path));
-  MultiSink sink(std::move(sinks));
+// Runs one scenario into a JSONL file and returns the file's bytes.
+std::string RunToJsonl(const Scenario& scenario, const std::string& path) {
+  JsonlSink sink(path);
   ScenarioRunOptions options;
   options.seed = 424242;
   options.trials = 2;
@@ -70,8 +68,8 @@ TEST_F(StreamingScenarioTest, DoubleRunIsByteIdentical) {
                          "streaming_ramp", "streaming_drift"}) {
     const Scenario* scenario = ScenarioRegistry::Global().Find(id);
     ASSERT_NE(scenario, nullptr) << id;
-    const std::string first = RunToCsv(*scenario, dir + "/a.csv");
-    const std::string second = RunToCsv(*scenario, dir + "/b.csv");
+    const std::string first = RunToJsonl(*scenario, dir + "/a.jsonl");
+    const std::string second = RunToJsonl(*scenario, dir + "/b.jsonl");
     EXPECT_FALSE(first.empty()) << id;
     EXPECT_EQ(first, second) << id << " is not run-to-run deterministic";
   }

@@ -94,6 +94,12 @@ TEST(DefaultThreadCountDeathTest, RejectsMalformedEnv) {
         DefaultThreadCount();
       },
       "LDPR_THREADS");
+  EXPECT_DEATH(
+      {
+        setenv("LDPR_THREADS", "100000", 1);
+        DefaultThreadCount();
+      },
+      "LDPR_THREADS must be at most 1024, got '100000'");
 }
 
 TEST(GlobalThreadPoolTest, IsProcessWideAndReused) {
