@@ -8,7 +8,8 @@
 //   NoRefine      Eq. (27) raw (subtract, no simplex projection);
 //   ClipRenorm    clamp negatives + multiplicative renormalization
 //                 (the standard post-processing baseline);
-//   NormSub       KKT projection of the poisoned estimate directly.
+//   NormSub       Norm-Sub (Wang et al., NDSS 2020): the KKT projection
+//                 of the poisoned estimate directly.
 //
 // RunTrialTable fans the (cell x trial) grid out across LDPR_THREADS:
 // trial t of cell c runs on Rng(DeriveSeed(seed, c * trials + t)) and
@@ -23,6 +24,7 @@
 #include "ldp/factory.h"
 #include "recover/ldprecover.h"
 #include "recover/normalization.h"
+#include "recover/simplex_projection.h"
 #include "runner/scenario_runner.h"
 #include "scenarios.h"
 #include "sim/pipeline.h"
@@ -53,7 +55,7 @@ std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
           mse(LdpRecover(protocol, no_sub).Recover(t.poisoned_freqs)),
           mse(LdpRecover(protocol, no_refine).Recover(t.poisoned_freqs)),
           mse(ClipAndRenormalize(t.poisoned_freqs)),
-          mse(NormSub(t.poisoned_freqs))};
+          mse(ProjectToSimplexKkt(t.poisoned_freqs))};
 }
 
 Status RunAblation(ScenarioContext& ctx) {

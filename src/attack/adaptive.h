@@ -30,8 +30,6 @@ class AdaptiveAttack final : public Attack {
   /// input domain (used by tests and the multi-attacker harness).
   explicit AdaptiveAttack(std::vector<double> distribution);
 
-  std::string Name() const override { return "AA"; }
-
   /// Draws P (random-P variant), then per report one item from P and
   /// the protocol's AppendCraftedReport for it.
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,

@@ -12,7 +12,6 @@
 #define LDPR_ATTACK_ATTACK_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "ldp/protocol.h"
@@ -23,8 +22,6 @@ namespace ldpr {
 class Attack {
  public:
   virtual ~Attack() = default;
-
-  virtual std::string Name() const = 0;
 
   /// Crafts the reports of `m` malicious users against `protocol`
   /// straight into a builder-mode ReportBatch (SoA seeds/values/packed

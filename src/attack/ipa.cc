@@ -5,10 +5,8 @@
 namespace ldpr {
 
 InputPoisoningAttack::InputPoisoningAttack(
-    std::string name, std::vector<double> input_distribution,
-    std::vector<ItemId> targets)
-    : name_(std::move(name)),
-      input_distribution_(std::move(input_distribution)),
+    std::vector<double> input_distribution, std::vector<ItemId> targets)
+    : input_distribution_(std::move(input_distribution)),
       targets_(std::move(targets)) {
   LDPR_CHECK(!input_distribution_.empty());
 }
@@ -32,7 +30,7 @@ std::unique_ptr<InputPoisoningAttack> MakeMgaIpa(size_t d,
     LDPR_CHECK(t < d);
     dist[t] = 1.0;
   }
-  return std::make_unique<InputPoisoningAttack>("MGA-IPA", std::move(dist),
+  return std::make_unique<InputPoisoningAttack>(std::move(dist),
                                                 std::move(targets));
 }
 

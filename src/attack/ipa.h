@@ -24,12 +24,10 @@ class InputPoisoningAttack final : public Attack {
  public:
   /// `input_distribution` is an (unnormalized) weight vector over the
   /// input domain from which malicious inputs are drawn.
-  /// `name` labels the attack in experiment output.
   /// `targets` is recorded for FG evaluation (may be empty).
-  InputPoisoningAttack(std::string name, std::vector<double> input_distribution,
+  InputPoisoningAttack(std::vector<double> input_distribution,
                        std::vector<ItemId> targets);
 
-  std::string Name() const override { return name_; }
   std::vector<ItemId> targets() const override { return targets_; }
 
   /// Samples an input item per malicious user and perturbs it with
@@ -39,7 +37,6 @@ class InputPoisoningAttack final : public Attack {
                   ReportBatch::Builder& out) const override;
 
  private:
-  std::string name_;
   std::vector<double> input_distribution_;
   std::vector<ItemId> targets_;
 };

@@ -14,8 +14,6 @@ namespace ldpr {
 
 class ManipAttack final : public Attack {
  public:
-  std::string Name() const override { return "Manip"; }
-
   /// Samples H, round(d / 2) distinct items, once per call, then m
   /// uniform values from H, appending a maximally-supporting crafted
   /// report (AppendCraftedReport) for each.

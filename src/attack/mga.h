@@ -42,7 +42,6 @@ class MgaAttack final : public Attack {
   /// and the Rng position do not depend on it.
   explicit MgaAttack(std::vector<ItemId> targets, size_t threads = 1);
 
-  std::string Name() const override { return "MGA"; }
   std::vector<ItemId> targets() const override { return targets_; }
 
   /// GRR: one uniformly drawn target per report.  OUE/SUE: every

@@ -13,11 +13,6 @@ MultiAttacker::MultiAttacker(std::vector<std::unique_ptr<Attack>> attackers)
   for (const auto& a : attackers_) LDPR_CHECK(a != nullptr);
 }
 
-std::string MultiAttacker::Name() const {
-  return "MUL-" + attackers_.front()->Name() + "-x" +
-         std::to_string(attackers_.size());
-}
-
 std::vector<ItemId> MultiAttacker::targets() const {
   std::vector<ItemId> all;
   for (const auto& a : attackers_) {

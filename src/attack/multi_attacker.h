@@ -21,8 +21,6 @@ class MultiAttacker final : public Attack {
   /// the paper's "randomly assign malicious users to these attackers".
   explicit MultiAttacker(std::vector<std::unique_ptr<Attack>> attackers);
 
-  std::string Name() const override;
-
   /// Union of the component attacks' targets (deduplicated).
   std::vector<ItemId> targets() const override;
 

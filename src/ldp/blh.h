@@ -20,7 +20,6 @@ class Blh final : public OlhBase {
   Blh(size_t d, double epsilon) : OlhBase(d, epsilon, /*g=*/2) {}
 
   ProtocolKind kind() const override { return ProtocolKind::kBlh; }
-  std::string Name() const override { return "BLH"; }
 };
 
 }  // namespace ldpr

@@ -17,7 +17,7 @@ namespace ldpr {
 std::unique_ptr<FrequencyProtocol> MakeProtocol(ProtocolKind kind, size_t d,
                                                 double epsilon);
 
-/// Parses "GRR" / "OUE" / "OLH" (case-insensitive).
+/// Parses "GRR" / "OUE" / "OLH" / "SUE" / "BLH" (case-insensitive).
 StatusOr<ProtocolKind> ParseProtocolKind(const std::string& name);
 
 /// The paper's three protocols, in the order its figures list them.

@@ -18,7 +18,6 @@ class Grr final : public FrequencyProtocol {
   Grr(size_t d, double epsilon);
 
   ProtocolKind kind() const override { return ProtocolKind::kGrr; }
-  std::string Name() const override { return "GRR"; }
 
   double p() const override { return p_; }
   double q() const override { return q_; }

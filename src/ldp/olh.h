@@ -83,7 +83,6 @@ class Olh final : public OlhBase {
   Olh(size_t d, double epsilon, uint32_t g = 0);
 
   ProtocolKind kind() const override { return ProtocolKind::kOlh; }
-  std::string Name() const override { return "OLH"; }
 };
 
 }  // namespace ldpr

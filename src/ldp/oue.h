@@ -17,7 +17,6 @@ class Oue final : public UnaryEncoding {
   Oue(size_t d, double epsilon);
 
   ProtocolKind kind() const override { return ProtocolKind::kOue; }
-  std::string Name() const override { return "OUE"; }
 
   /// Eq. (7): Var[Phi(v)] = n * 4 e^eps / (e^eps - 1)^2 — the paper's
   /// (frequency-independent) form; the exact unary variance is

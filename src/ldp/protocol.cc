@@ -89,15 +89,13 @@ void FrequencyProtocol::SampleReportsBatch(
   }
 }
 
-std::vector<double> FrequencyProtocol::ExactSupportCounts(
-    const std::vector<uint64_t>& item_counts, Rng& rng) const {
+void FrequencyProtocol::GenerateGenuineTiles(
+    const std::vector<uint64_t>& item_counts, Rng& rng,
+    const std::function<void(const ReportBatch&)>& on_tile) const {
   LDPR_CHECK(item_counts.size() == d_);
-  std::vector<double> counts(d_, 0.0);
-  // Reports are generated straight into an SoA flush buffer (the
-  // perturbation draws stay in per-user order — the RNG stream is
-  // unchanged) and accumulated through the batched path every
-  // kBatchFlushReports reports.  Integer support sums make the
-  // regrouping byte-identical to per-report accumulation.
+  // Reports are generated straight into an SoA flush buffer; the
+  // perturbation draws stay in per-user order, so the tiling leaves
+  // the RNG stream unchanged.
   ReportBatch buffer;
   ReportBatch::Builder builder(buffer);
   for (ItemId item = 0; item < d_; ++item) {
@@ -108,12 +106,22 @@ std::vector<double> FrequencyProtocol::ExactSupportCounts(
       AppendGenuineReports(item, take, rng, builder);
       remaining -= take;
       if (buffer.size() >= kBatchFlushReports) {
-        AccumulateSupportsBatch(buffer, counts);
+        on_tile(buffer);
         buffer.Clear();
       }
     }
   }
-  if (!buffer.empty()) AccumulateSupportsBatch(buffer, counts);
+  if (!buffer.empty()) on_tile(buffer);
+}
+
+std::vector<double> FrequencyProtocol::ExactSupportCounts(
+    const std::vector<uint64_t>& item_counts, Rng& rng) const {
+  std::vector<double> counts(d_, 0.0);
+  // Integer support sums make the tiling byte-identical to
+  // per-report accumulation.
+  GenerateGenuineTiles(item_counts, rng, [&](const ReportBatch& tile) {
+    AccumulateSupportsBatch(tile, counts);
+  });
   return counts;
 }
 

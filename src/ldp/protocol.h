@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "ldp/report.h"
@@ -140,7 +139,6 @@ class FrequencyProtocol {
   FrequencyProtocol& operator=(const FrequencyProtocol&) = delete;
 
   virtual ProtocolKind kind() const = 0;
-  virtual std::string Name() const = 0;
 
   size_t domain_size() const { return d_; }
   double epsilon() const { return epsilon_; }
@@ -240,11 +238,20 @@ class FrequencyProtocol {
   void SampleReportsBatch(const std::vector<uint64_t>& item_counts, Rng& rng,
                           ReportBatch::Builder& out) const;
 
+  /// Per-user exact simulation of a population: generates every
+  /// user's report through AppendGenuineReports, items ascending (the
+  /// canonical per-user Rng draw order), into one SoA buffer and
+  /// hands it to `on_tile` every kBatchFlushReports reports, and once
+  /// more for a final partial tile.  The buffer is cleared after each
+  /// call.  The one report loop of ExactSupportCounts and of
+  /// Detection's per-user re-draw (DetectionFilter::OfferExactGenuine).
+  void GenerateGenuineTiles(
+      const std::vector<uint64_t>& item_counts, Rng& rng,
+      const std::function<void(const ReportBatch&)>& on_tile) const;
+
   /// Per-user exact simulation of a population's support counts:
-  /// generates every user's report through AppendGenuineReports (in
-  /// the canonical per-user Rng draw order) and accumulates through
-  /// the batched path in kBatchFlushReports-sized SoA flushes.
-  /// The exact-genuine reference path the closed-form samplers are
+  /// GenerateGenuineTiles accumulated through the batched path.  The
+  /// exact-genuine reference path the closed-form samplers are
   /// validated against (sharded by sim/pipeline's
   /// ExactGenuineSupportCountsSharded).
   std::vector<double> ExactSupportCounts(

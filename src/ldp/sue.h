@@ -17,7 +17,6 @@ class Sue final : public UnaryEncoding {
   Sue(size_t d, double epsilon);
 
   ProtocolKind kind() const override { return ProtocolKind::kSue; }
-  std::string Name() const override { return "SUE"; }
 };
 
 }  // namespace ldpr

@@ -115,26 +115,10 @@ void DetectionFilter::OfferAll(const ReportBatch& batch) {
 
 void DetectionFilter::OfferExactGenuine(
     const std::vector<uint64_t>& item_counts, Rng& rng) {
-  LDPR_CHECK(item_counts.size() == protocol_.domain_size());
-  // Generate SoA report tiles in the canonical per-user order and
-  // filter each tile; classification consumes no randomness, so
-  // tiling leaves the draw sequence unchanged.
-  ReportBatch buffer;
-  ReportBatch::Builder builder(buffer);
-  for (ItemId item = 0; item < item_counts.size(); ++item) {
-    uint64_t remaining = item_counts[item];
-    while (remaining > 0) {
-      const uint64_t room = kBatchFlushReports - buffer.size();
-      const uint64_t take = remaining < room ? remaining : room;
-      protocol_.AppendGenuineReports(item, take, rng, builder);
-      remaining -= take;
-      if (buffer.size() >= kBatchFlushReports) {
-        OfferAll(buffer);
-        buffer.Clear();
-      }
-    }
-  }
-  if (!buffer.empty()) OfferAll(buffer);
+  // Classification consumes no randomness, so filtering each tile
+  // leaves the draw sequence unchanged.
+  protocol_.GenerateGenuineTiles(
+      item_counts, rng, [this](const ReportBatch& tile) { OfferAll(tile); });
 }
 
 void DetectionFilter::OfferSampledGrr(const std::vector<uint64_t>& item_counts,

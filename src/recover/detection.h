@@ -11,9 +11,10 @@
 //
 // DetectionFilter is a streaming classifier + aggregator so the
 // simulation pipeline can run Detection without materializing the
-// genuine report set.  For GRR and OUE closed-form fast paths sample
-// the post-filter aggregate directly (see the .cc for the exact
-// conditional laws); OLH always streams.
+// genuine report set.  For GRR and the unary family (OUE, and SUE
+// under the same law) closed-form fast paths sample the post-filter
+// aggregate directly (see the .cc for the exact conditional laws);
+// OLH and BLH always stream.
 
 #ifndef LDPR_RECOVER_DETECTION_H_
 #define LDPR_RECOVER_DETECTION_H_
@@ -64,16 +65,16 @@ class DetectionFilter {
   void ResetWindow();
 
   /// Feeds the reports of genuine users summarized by an item-count
-  /// histogram, simulating every user exactly: generates SoA report
-  /// tiles through AppendGenuineReports (canonical per-user Rng draw
-  /// order) and filters them via OfferAll.  The exact-genuine
-  /// reference path of the experiment driver.
+  /// histogram, simulating every user exactly: filters each SoA tile
+  /// of FrequencyProtocol::GenerateGenuineTiles (canonical per-user
+  /// Rng draw order) via OfferAll.  The exact-genuine reference path
+  /// of the experiment driver.
   void OfferExactGenuine(const std::vector<uint64_t>& item_counts, Rng& rng);
 
   /// Fast path: feeds the reports of genuine users summarized by an
   /// item-count histogram, sampling the post-filter aggregate from
-  /// the exact conditional distribution for GRR and OUE and falling
-  /// back to OfferExactGenuine for OLH.
+  /// the exact conditional distribution for GRR and OUE/SUE and
+  /// falling back to OfferExactGenuine for OLH/BLH.
   void OfferSampledGenuine(const std::vector<uint64_t>& item_counts,
                            Rng& rng);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "recover/estimator.h"
 #include "recover/malicious_stats.h"
 #include "recover/simplex_projection.h"
 #include "util/logging.h"
@@ -88,10 +87,14 @@ std::vector<double> LdpRecover::EstimateMaliciousFrequencies(
 
 std::vector<double> LdpRecover::EstimateGenuineFrequencies(
     const std::vector<double>& poisoned) const {
-  // Eq. (27) / (31): the genuine frequency estimator with the learnt
-  // malicious frequencies substituted for f~_Y.
-  return RecoverGenuineFrequencies(
-      poisoned, EstimateMaliciousFrequencies(poisoned), options_.eta);
+  // Eq. (19), f~_X = (1 + eta) f~_Z - eta f~_Y, with the learnt
+  // malicious frequencies substituted for f~_Y: Eq. (27) / (31).
+  const std::vector<double> malicious = EstimateMaliciousFrequencies(poisoned);
+  const double eta = options_.eta;
+  std::vector<double> genuine(poisoned.size());
+  for (size_t v = 0; v < poisoned.size(); ++v)
+    genuine[v] = (1.0 + eta) * poisoned[v] - eta * malicious[v];
+  return genuine;
 }
 
 std::vector<double> LdpRecover::Recover(

@@ -9,7 +9,9 @@
 //      properties alone (non-knowledge, Eq. (26)) or additionally
 //      from a known attacker-selected item set T (partial knowledge,
 //      LDPRecover*, Eq. (30));
-//   2. apply the genuine frequency estimator (Eq. (19)/(27)/(31));
+//   2. apply the genuine frequency estimator of Eq. (19),
+//      f~_X = (1 + eta) f~_Z - eta f~_Y, with the learnt f~_Y
+//      substituted (Eq. (27)/(31); EstimateGenuineFrequencies);
 //   3. refine onto the probability simplex with the KKT projection
 //      (Eqs. (32)-(35)).
 //
@@ -71,13 +73,14 @@ class LdpRecover {
   /// The protocol reference must outlive this object.
   LdpRecover(const FrequencyProtocol& protocol, RecoverOptions options = {});
 
-  /// Step 2: the estimated malicious frequencies f~'_Y (Eq. (26)) or
+  /// Step 1: the estimated malicious frequencies f~'_Y (Eq. (26)) or
   /// f~*_Y (Eq. (30)) for the given poisoned frequencies.
   std::vector<double> EstimateMaliciousFrequencies(
       const std::vector<double>& poisoned) const;
 
-  /// Steps 2-3 before refinement: the raw genuine-frequency estimate
-  /// of Eq. (27)/(31) (may contain negatives; exposed for tests).
+  /// Steps 1-2, before refinement: Eq. (19) applied to the step-1
+  /// estimate, i.e. the raw genuine-frequency estimate of
+  /// Eq. (27)/(31) (may contain negatives; exposed for tests).
   std::vector<double> EstimateGenuineFrequencies(
       const std::vector<double>& poisoned) const;
 

@@ -1,6 +1,5 @@
 #include "recover/normalization.h"
 
-#include "recover/simplex_projection.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -20,10 +19,6 @@ std::vector<double> ClipAndRenormalize(const std::vector<double>& estimate) {
   }
   for (double& x : out) x /= total;
   return out;
-}
-
-std::vector<double> NormSub(const std::vector<double>& estimate) {
-  return ProjectToSimplexKkt(estimate);
 }
 
 }  // namespace ldpr

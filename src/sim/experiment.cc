@@ -165,9 +165,13 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
   switch (p.attack) {
     case AttackKind::kMga:
     case AttackKind::kMgaIpa:
-      if (p.num_targets < 1 || p.num_targets > dataset.domain_size()) {
+      // LDPRecover* splits the malicious mass between the targets and
+      // the items outside them (Eq. (30)), so at least one item must
+      // stay outside.
+      if (p.num_targets < 1 || p.num_targets >= dataset.domain_size()) {
         return InvalidArgumentError(
-            "targets must be in [1, domain size] for MGA attacks");
+            "targets must be in [1, domain size - 1] for MGA attacks: "
+            "LDPRecover* needs an item outside the targets");
       }
       break;
     case AttackKind::kNone:

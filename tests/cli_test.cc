@@ -77,7 +77,10 @@ TEST(CliTest, RunRejectsBadTrialInputs) {
       {{"--beta=-0.2"}, "beta must be in [0, 1)"},
       {{"--beta=1"}, "beta must be in [0, 1)"},
       {{"--epsilon=0"}, "--epsilon must be in (0, 8]"},
-      {{"--targets=40", "--d=32"}, "targets must be in [1, domain size]"},
+      {{"--targets=40", "--d=32"}, "targets must be in [1, domain size - 1]"},
+      {{"--targets=32", "--d=32"},
+       "targets must be in [1, domain size - 1] for MGA attacks: "
+       "LDPRecover* needs an item outside the targets"},
   };
   for (const auto& c : kCases) {
     std::vector<std::string> args = {"run", "--dataset=zipf", "--attack=MGA",

@@ -120,6 +120,16 @@ TEST(ValidateExperimentInputsTest, RejectsBadAttackShapes) {
   config.pipeline.num_targets = ds.domain_size() + 1;
   EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
 
+  // LDPRecover* needs an item outside the targets, for MGA-IPA too.
+  for (AttackKind attack : {AttackKind::kMga, AttackKind::kMgaIpa}) {
+    config = OkConfig();
+    config.pipeline.attack = attack;
+    config.pipeline.num_targets = ds.domain_size();
+    EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
+    config.pipeline.num_targets = ds.domain_size() - 1;
+    EXPECT_TRUE(ValidateExperimentInputs(config, ds).ok());
+  }
+
   // A target count that would be invalid for MGA is fine for AA,
   // which ignores it.
   config = OkConfig();

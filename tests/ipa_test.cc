@@ -13,7 +13,6 @@ namespace {
 
 TEST(IpaTest, MgaIpaTargetsRecorded) {
   const auto attack = MakeMgaIpa(50, {1, 2, 3});
-  EXPECT_EQ(attack->Name(), "MGA-IPA");
   EXPECT_EQ(attack->targets().size(), 3u);
 }
 
@@ -83,7 +82,7 @@ TEST(IpaTest, CustomDistributionDrivesInputs) {
   const Grr grr(d, 3.0);  // high epsilon: reports mostly truthful
   std::vector<double> dist(d, 0.0);
   dist[4] = 1.0;
-  const InputPoisoningAttack attack("custom", dist, {});
+  const InputPoisoningAttack attack(dist, {});
   Rng rng(4);
   size_t hits = 0;
   const size_t m = 10000;

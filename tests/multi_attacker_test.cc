@@ -18,10 +18,6 @@ TEST(MultiAttackerTest, CraftsExactTotal) {
   EXPECT_EQ(CraftReports(*attack, grr, 0, rng).size(), 0u);
 }
 
-TEST(MultiAttackerTest, NameEncodesCount) {
-  EXPECT_EQ(MakeMultiAdaptive()->Name(), "MUL-AA-x5");
-}
-
 TEST(MultiAttackerTest, TargetsAreDeduplicatedUnion) {
   std::vector<std::unique_ptr<Attack>> parts;
   parts.push_back(std::make_unique<MgaAttack>(std::vector<ItemId>{1, 2}));

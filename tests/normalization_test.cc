@@ -5,7 +5,6 @@
 #include "recover/simplex_projection.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
-#include "util/random.h"
 
 namespace ldpr {
 namespace {
@@ -23,23 +22,12 @@ TEST(ClipAndRenormalizeTest, DegenerateInputBecomesUniform) {
   for (double x : out) EXPECT_DOUBLE_EQ(x, 0.25);
 }
 
-TEST(NormSubTest, MatchesKktProjection) {
-  Rng rng(1);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> v(17);
-    for (double& x : v) x = rng.UniformDouble() - 0.3;
-    const auto a = NormSub(v);
-    const auto b = ProjectToSimplexKkt(v);
-    for (size_t i = 0; i < v.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
-  }
-}
-
 TEST(NormalizationAblationTest, MethodsDifferOnSkewedInput) {
   // The ablation point: clip+renorm *rescales* (multiplicative) while
   // norm-sub *shifts* (additive); they disagree away from the simplex.
   const std::vector<double> v = {0.9, 0.4, -0.1};
   const auto clip = ClipAndRenormalize(v);
-  const auto sub = NormSub(v);
+  const auto sub = ProjectToSimplexKkt(v);
   EXPECT_GT(LInfDistance(clip, sub), 1e-3);
 }
 

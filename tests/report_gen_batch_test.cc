@@ -156,14 +156,15 @@ TEST(ReportGenBatchTest, ExactSupportCountsMatchesOracle) {
 
 // Runs one attack's CraftBatch and its per-report oracle on identical
 // Rng streams and requires the same reports plus an identical stream
-// position afterwards.
+// position afterwards.  `label` names the attack in failure messages.
 template <typename Oracle>
-void ExpectCraftBatchMatchesOracle(const Attack& attack,
+void ExpectCraftBatchMatchesOracle(const std::string& label,
+                                   const Attack& attack,
                                    const FrequencyProtocol& proto, size_t m,
                                    uint64_t seed, const Oracle& craft) {
   Rng oracle_rng(seed), batch_rng(seed);
   const std::vector<Report> expected = craft(m, oracle_rng);
-  const std::string what = attack.Name() + " on " + proto.Name();
+  const std::string what = label + " on " + ProtocolKindName(proto.kind());
   ExpectSameReports(CraftReports(attack, proto, m, batch_rng), expected, what);
   EXPECT_EQ(oracle_rng.Next(), batch_rng.Next()) << what;
 }
@@ -172,7 +173,7 @@ TEST(ReportGenBatchTest, AttackCraftBatchMatchesOracleForAllProtocols) {
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, /*d=*/31, /*epsilon=*/1.0);
     const std::vector<ItemId> targets = {2, 9, 17, 30};
-    ExpectCraftBatchMatchesOracle(MgaAttack(targets), *proto, 400, 13,
+    ExpectCraftBatchMatchesOracle("MGA", MgaAttack(targets), *proto, 400, 13,
                                   [&](size_t m, Rng& rng) {
                                     return oracle::CraftMga(*proto, targets, m,
                                                             rng);
@@ -180,25 +181,25 @@ TEST(ReportGenBatchTest, AttackCraftBatchMatchesOracleForAllProtocols) {
     const auto ipa = MakeMgaIpa(31, targets);
     std::vector<double> ipa_inputs(31, 0.0);
     for (ItemId t : targets) ipa_inputs[t] = 1.0;
-    ExpectCraftBatchMatchesOracle(*ipa, *proto, 400, 17,
+    ExpectCraftBatchMatchesOracle("MGA-IPA", *ipa, *proto, 400, 17,
                                   [&](size_t m, Rng& rng) {
                                     return oracle::CraftIpa(*proto, ipa_inputs,
                                                             m, rng);
                                   });
-    ExpectCraftBatchMatchesOracle(ManipAttack(), *proto, 400, 19,
+    ExpectCraftBatchMatchesOracle("Manip", ManipAttack(), *proto, 400, 19,
                                   [&](size_t m, Rng& rng) {
                                     return oracle::CraftManip(*proto, m, rng);
                                   });
-    ExpectCraftBatchMatchesOracle(AdaptiveAttack(), *proto, 400, 23,
+    ExpectCraftBatchMatchesOracle("AA", AdaptiveAttack(), *proto, 400, 23,
                                   [&](size_t m, Rng& rng) {
                                     return oracle::CraftAdaptive(*proto, m,
                                                                  rng);
                                   });
-    ExpectCraftBatchMatchesOracle(*MakeMultiAdaptive(), *proto, 400, 29,
-                                  [&](size_t m, Rng& rng) {
-                                    return oracle::CraftMultiAdaptive(*proto, m,
-                                                                      rng);
-                                  });
+    ExpectCraftBatchMatchesOracle(
+        "MUL-AA", *MakeMultiAdaptive(), *proto, 400, 29,
+        [&](size_t m, Rng& rng) {
+          return oracle::CraftMultiAdaptive(*proto, m, rng);
+        });
   }
 }
 
@@ -631,7 +632,8 @@ TEST(SimdKernelTest, MgaSeedSearchMatchesOracleOnGrid) {
       }
       for (SimdBackend backend : TestableBackends()) {
         ScopedBackend scoped(backend);
-        const std::string what = proto->Name() + " g=" +
+        const std::string what = std::string(ProtocolKindName(proto->kind())) +
+                                 " g=" +
                                  std::to_string(proto->g()) +
                                  " r=" + std::to_string(r) + " " +
                                  SimdBackendName(backend);

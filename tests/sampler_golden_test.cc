@@ -80,8 +80,8 @@ TEST(SamplerGoldenTest, FullPopulationStreamsArePinned) {
     const auto protocol = MakeProtocol(c.kind, c.item_counts.size(), kEpsilon);
     Rng rng(kSeed);
     EXPECT_EQ(protocol->SampleSupportCounts(c.item_counts, rng), c.full.counts)
-        << protocol->Name() << " n=" << c.item_counts[0];
-    EXPECT_EQ(rng.Next(), c.full.next) << protocol->Name();
+        << ProtocolKindName(c.kind) << " n=" << c.item_counts[0];
+    EXPECT_EQ(rng.Next(), c.full.next) << ProtocolKindName(c.kind);
   }
 }
 
@@ -94,8 +94,8 @@ TEST(SamplerGoldenTest, UserRangeStreamsArePinned) {
     EXPECT_EQ(protocol->SampleSupportCountsRange(c.item_counts, n / 5,
                                                  n - n / 4, rng),
               c.range.counts)
-        << protocol->Name() << " n=" << n;
-    EXPECT_EQ(rng.Next(), c.range.next) << protocol->Name();
+        << ProtocolKindName(c.kind) << " n=" << n;
+    EXPECT_EQ(rng.Next(), c.range.next) << ProtocolKindName(c.kind);
   }
 }
 
@@ -199,8 +199,9 @@ TEST(ReportGoldenTest, GenuineReportsArePinned) {
     ReportBatch::Builder builder(batch);
     for (ItemId item : {0u, 7u, 101u})
       protocol->AppendGenuineReports(item, 40, rng, builder);
-    EXPECT_EQ(BatchChecksum(batch), c.genuine.checksum) << protocol->Name();
-    EXPECT_EQ(rng.Next(), c.genuine.next) << protocol->Name();
+    EXPECT_EQ(BatchChecksum(batch), c.genuine.checksum)
+        << ProtocolKindName(c.kind);
+    EXPECT_EQ(rng.Next(), c.genuine.next) << ProtocolKindName(c.kind);
   }
 }
 
@@ -212,8 +213,8 @@ TEST(ReportGoldenTest, MgaCraftingIsPinned) {
     ReportBatch batch;
     ReportBatch::Builder builder(batch);
     attack.CraftBatch(*protocol, 200, rng, builder);
-    EXPECT_EQ(BatchChecksum(batch), c.mga.checksum) << protocol->Name();
-    EXPECT_EQ(rng.Next(), c.mga.next) << protocol->Name();
+    EXPECT_EQ(BatchChecksum(batch), c.mga.checksum) << ProtocolKindName(c.kind);
+    EXPECT_EQ(rng.Next(), c.mga.next) << ProtocolKindName(c.kind);
   }
 }
 
@@ -225,8 +226,8 @@ TEST(ReportGoldenTest, MgaIpaCraftingIsPinned) {
     ReportBatch batch;
     ReportBatch::Builder builder(batch);
     attack->CraftBatch(*protocol, 200, rng, builder);
-    EXPECT_EQ(BatchChecksum(batch), c.ipa.checksum) << protocol->Name();
-    EXPECT_EQ(rng.Next(), c.ipa.next) << protocol->Name();
+    EXPECT_EQ(BatchChecksum(batch), c.ipa.checksum) << ProtocolKindName(c.kind);
+    EXPECT_EQ(rng.Next(), c.ipa.next) << ProtocolKindName(c.kind);
   }
 }
 
