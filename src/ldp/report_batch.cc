@@ -1,6 +1,7 @@
 #include "ldp/report_batch.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -100,6 +101,24 @@ ReportBatch::Builder::Builder(ReportBatch& batch) : batch_(&batch) {
   LDPR_CHECK(batch.is_builder());
 }
 
+ReportBatch::Builder::Builder(ReportBatch& batch, size_t chunk_reports,
+                              Consumer consumer)
+    : batch_(&batch),
+      chunk_reports_(chunk_reports),
+      consumer_(std::move(consumer)) {
+  LDPR_CHECK(batch.is_builder() && batch.empty());
+  LDPR_CHECK(chunk_reports >= 1 && consumer_ != nullptr);
+}
+
+void ReportBatch::Builder::Flush() {
+  LDPR_CHECK(consumer_ != nullptr);
+  if (batch_->empty()) return;
+  consumer_(*batch_);
+  const size_t width = batch_->bits_width_;
+  batch_->Clear();
+  batch_->bits_width_ = width;
+}
+
 void ReportBatch::Builder::SetBitsWidth(size_t width) {
   LDPR_CHECK(width > 0);
   if (batch_->size_ == 0 && batch_->bits_width_ == 0) {
@@ -112,13 +131,15 @@ void ReportBatch::Builder::SetBitsWidth(size_t width) {
 }
 
 void ReportBatch::Builder::Reserve(size_t n) {
-  batch_->Reserve(batch_->size_ + n, batch_->bits_width_);
+  batch_->Reserve(std::min(batch_->size_ + n, chunk_reports_),
+                  batch_->bits_width_);
 }
 
 void ReportBatch::Builder::AddValue(uint32_t value) { AddSeedValue(0, value); }
 
 void ReportBatch::Builder::AddSeedValue(uint64_t seed, uint32_t value) {
   LDPR_CHECK(batch_->bits_width_ == 0);
+  MakeRoom();
   batch_->seeds_.push_back(seed);
   batch_->values_.push_back(value);
   ++batch_->size_;
@@ -127,6 +148,7 @@ void ReportBatch::Builder::AddSeedValue(uint64_t seed, uint32_t value) {
 uint8_t* ReportBatch::Builder::AddBitsRow() {
   const size_t width = batch_->bits_width_;
   LDPR_CHECK(width > 0);
+  MakeRoom();
   batch_->seeds_.push_back(0);
   batch_->values_.push_back(0);
   batch_->bits_.resize(batch_->bits_.size() + width);  // zero-filled

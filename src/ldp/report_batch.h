@@ -20,6 +20,11 @@
 //    the parent's SoA arrays (the unit the sharded aggregator hands
 //    each worker).  Appending to the parent invalidates slices.
 //
+// A Builder may also flush: it hands its batch to a consumer every
+// chunk of reports and clears it, so a producer of m reports never
+// holds more than one chunk (a trial's crafted reports stream this
+// way, sim/pipeline.h).
+//
 // Determinism: support counts are sums of 1.0's, exactly
 // representable integers far below 2^53, so *any* regrouping of the
 // additions yields byte-identical doubles.  Every batched kernel
@@ -37,6 +42,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "ldp/report.h"
@@ -119,9 +126,24 @@ class ReportBatch {
 /// no per-user Report object exists anywhere on the path.
 class ReportBatch::Builder {
  public:
+  /// Receives each chunk of a flushing builder.
+  using Consumer = std::function<void(const ReportBatch&)>;
+
   /// Wraps `batch`, which must be in builder mode (possibly
   /// non-empty: crafting appends after genuine generation).
   explicit Builder(ReportBatch& batch);
+
+  /// Flushing mode: wraps the empty builder-mode `batch` and, before
+  /// an append that would take it past `chunk_reports` reports, hands
+  /// it to `consumer` and clears it, keeping its capacity and bit-row
+  /// width.  Flush() hands over what is left.  The chunks, joined in
+  /// order, are the reports a plain builder would hold; the consumer
+  /// sees each chunk once, before it is cleared.
+  Builder(ReportBatch& batch, size_t chunk_reports, Consumer consumer);
+
+  /// Flushing mode: hands the reports appended since the last chunk
+  /// to the consumer (if there are any) and clears the batch.
+  void Flush();
 
   /// Fixes the bit-row width before the first AddBitsRow (idempotent;
   /// must agree with any width the batch already has).  On an empty
@@ -130,7 +152,7 @@ class ReportBatch::Builder {
   void SetBitsWidth(size_t width);
 
   /// Pre-allocates room for `n` more reports (bit rows too once the
-  /// width is set).
+  /// width is set); a flushing builder reserves at most one chunk.
   void Reserve(size_t n);
 
   /// Appends a value-only report (GRR).  seed is 0.
@@ -144,11 +166,19 @@ class ReportBatch::Builder {
   /// pointer is invalidated by the next append.
   uint8_t* AddBitsRow();
 
+  /// Reports in the batch: since the last flush, in flushing mode.
   size_t size() const { return batch_->size_; }
   const ReportBatch& batch() const { return *batch_; }
 
  private:
+  // Flushes a full chunk before an append.
+  void MakeRoom() {
+    if (batch_->size_ == chunk_reports_) Flush();
+  }
+
   ReportBatch* batch_;
+  size_t chunk_reports_ = std::numeric_limits<size_t>::max();
+  Consumer consumer_;  // empty unless flushing
 };
 
 }  // namespace ldpr

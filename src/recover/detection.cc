@@ -113,6 +113,36 @@ void DetectionFilter::OfferAll(const ReportBatch& batch) {
   kept_ += kept_here;
 }
 
+void DetectionFilter::OfferSingleItemCounts(const std::vector<double>& counts,
+                                            size_t reports) {
+  const ProtocolKind kind = protocol_.kind();
+  LDPR_CHECK(kind == ProtocolKind::kGrr || kind == ProtocolKind::kOue ||
+             kind == ProtocolKind::kSue);
+  LDPR_CHECK(counts.size() == protocol_.domain_size());
+  // A report on v supports is_target_[v] targets, so it is flagged
+  // when that reaches the threshold: at a target under GRR, and under
+  // OUE/SUE only when the target set is that one item.
+  double total = 0.0;
+  double kept_total = 0.0;
+  for (size_t v = 0; v < counts.size(); ++v) {
+    total += counts[v];
+    if (is_target_[v] >= threshold_) continue;
+    kept_counts_[v] += counts[v];
+    kept_total += counts[v];
+  }
+  LDPR_CHECK(total == static_cast<double>(reports));
+  offered_ += reports;
+  kept_ += static_cast<size_t>(kept_total);
+}
+
+void DetectionFilter::Absorb(const DetectionFilter& other) {
+  LDPR_CHECK(&other.protocol_ == &protocol_ && other.targets_ == targets_);
+  offered_ += other.offered_;
+  kept_ += other.kept_;
+  for (size_t v = 0; v < kept_counts_.size(); ++v)
+    kept_counts_[v] += other.kept_counts_[v];
+}
+
 void DetectionFilter::OfferExactGenuine(
     const std::vector<uint64_t>& item_counts, Rng& rng) {
   // Classification consumes no randomness, so filtering each tile

@@ -57,6 +57,21 @@ class DetectionFilter {
   /// offered()/kept()/Estimate() describe the current window.
   void OfferAll(const ReportBatch& batch);
 
+  /// Feeds `reports` reports that each support exactly one item, as
+  /// crafted reports of an untargeted attack on GRR, OUE or SUE do:
+  /// counts[v] (length d) of them support v.  Classified per item, so
+  /// the same as OfferAll on the reports themselves.  Requires a
+  /// GRR/OUE/SUE protocol and sum(counts) == reports.
+  void OfferSingleItemCounts(const std::vector<double>& counts,
+                             size_t reports);
+
+  /// Adds everything `other`, a filter on the same protocol object and
+  /// targets, was offered: the same as offering this filter every
+  /// report `other` saw, since classification is per report.  Lets a
+  /// trial filter its crafted reports chunk by chunk while they are
+  /// crafted (sim/pipeline.h).
+  void Absorb(const DetectionFilter& other);
+
   /// Closes the current window: zeroes the per-window counters and
   /// kept support counts, so the next window's classification state starts
   /// clean (no cross-window leakage of kept counts — the next

@@ -50,8 +50,8 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
   plan.genuine_chunks = UserChunkCount(plan.n, spec.chunking.users_per_chunk);
 
   // The trial RNG sequence of RunPoisoningTrial: one Next() keys the
-  // genuine fan-out, then the shared malicious step consumes the
-  // stream.  This is what makes the merged sharded result equal
+  // genuine fan-out, then the attack and its one CraftBatch call
+  // consume the stream.  This is what makes the merged sharded result equal
   // the in-process trial bit for bit.
   Rng rng(spec.seed);
   plan.genuine_seed = rng.Next();

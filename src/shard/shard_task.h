@@ -20,7 +20,9 @@
 //
 // RNG discipline mirrors sim/pipeline.cc RunPoisoningTrial exactly:
 // the trial Rng(seed) first yields the genuine fan-out seed, then
-// drives the malicious step both share (CraftMaliciousReports).  Each
+// instantiates the attack and crafts all m reports in one CraftBatch
+// call (CraftMaliciousReports; the trial streams the same reports
+// through a chunk instead of keeping them).  Each
 // worker builds the whole plan, so each replays the full (serial)
 // craft — crafting is a stateful sampler and cannot be entered
 // mid-stream; the genuine stream is keyed off genuine_seed alone.
@@ -72,7 +74,7 @@ struct ShardTaskPlan {
 
 /// Resolves `spec` against an already-loaded dataset, replaying the
 /// trial RNG sequence of RunPoisoningTrial (genuine seed draw, then
-/// the shared CraftMaliciousReports step).  `dataset.domain_size()`
+/// CraftMaliciousReports' attack and CraftBatch draws).  `dataset.domain_size()`
 /// fixes d.  A spec `ldpr run` would reject (ValidateExperimentInputs:
 /// epsilon, beta, eta, targets vs d, an empty or degenerate dataset)
 /// or a zero chunk size returns InvalidArgument.

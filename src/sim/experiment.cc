@@ -39,8 +39,8 @@ TrialMetrics RunTrialWithProtocol(const FrequencyProtocol& protocol,
   Rng rng(trial_seed);
   TrialMetrics out;
 
-  const TrialOutput t =
-      RunPoisoningTrial(protocol, config.pipeline, dataset, rng);
+  const TrialOutput t = RunPoisoningTrial(protocol, config.pipeline, dataset,
+                                          rng, config.run_detection);
   const bool attacked = t.m > 0;
   const bool targeted = !t.attack_targets.empty();
 
@@ -104,7 +104,7 @@ TrialMetrics RunTrialWithProtocol(const FrequencyProtocol& protocol,
         filter.OfferSampledGenuineSharded(dataset.item_counts, rng.Next(),
                                           config.pipeline.shards);
       }
-      filter.OfferAll(t.malicious_reports);
+      OfferMaliciousReports(t, filter);
       if (filter.kept() > 0) {
         const std::vector<double> detected = filter.Estimate();
         out.mse_detection = Mse(t.true_freqs, detected);
@@ -142,13 +142,10 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
   }
   if (p.attack != AttackKind::kNone) {
     // In doubles, so a beta just below 1 cannot overflow the count.
-    const bool unary = config.protocol == ProtocolKind::kOue ||
-                       config.protocol == ProtocolKind::kSue;
     const double reports = p.beta * static_cast<double>(dataset.num_users()) /
                            (1.0 - p.beta);
-    const double bytes =
-        reports *
-        (12.0 + (unary ? static_cast<double>(dataset.domain_size()) : 0.0));
+    const double bytes = reports * static_cast<double>(ProtocolReportBytes(
+                                       config.protocol, dataset.domain_size()));
     if (bytes > kMaxCraftedReportBytes) {
       char message[160];
       std::snprintf(message, sizeof(message),

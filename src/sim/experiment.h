@@ -115,11 +115,13 @@ inline constexpr size_t kMaxTrials = 10000;
 
 /// The most memory one trial's crafted malicious reports may take,
 /// estimated as beta*n/(1-beta) reports of 12 bytes (seed and value)
-/// plus d bytes for the unary encodings' one-byte-per-bit rows.  The
-/// batch dominates a trial's peak: an OUE/MGA trial at d = 100,000 on
-/// 100,000 users (526 MB by the estimate) or at d = 102 on 1e8 users
-/// (600 MB) fits, while both together (0.5 TB) are rejected before
-/// anything is allocated.
+/// plus d bytes for the unary encodings' one-byte-per-bit rows
+/// (ProtocolReportBytes).  A grid trial streams them through one
+/// kCraftChunkBytes chunk, but the shard planner and fig9 still hold
+/// every report at once, and the crafting time grows with the same
+/// product: an OUE/MGA trial at d = 100,000 on 100,000 users (526 MB
+/// by the estimate) or at d = 102 on 1e8 users (600 MB) fits, while
+/// both together (0.5 TB) are rejected before anything is allocated.
 inline constexpr double kMaxCraftedReportBytes = 1 << 30;
 
 /// The most perturbed bits one unary-encoded (OUE/SUE) stream may

@@ -1,5 +1,6 @@
 #include "sim/pipeline.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "attack/adaptive.h"
@@ -77,14 +78,24 @@ std::vector<ItemId> CraftMaliciousReports(const FrequencyProtocol& protocol,
   LDPR_CHECK(attack != nullptr);
   ReportBatch::Builder builder(reports);
   // One exact-size allocation for all m reports (unary rows are
-  // m * d bytes): attacks that append report by report would
-  // otherwise regrow it, and the freed tens-of-MB blocks of
-  // successive trials fragment the allocator's per-thread arenas,
-  // so peak RSS creeps with the number of trials run.
+  // m * d bytes), which attacks that append report by report would
+  // otherwise regrow.
   builder.Reserve(m);
   attack->CraftBatch(protocol, m, rng, builder);
   LDPR_CHECK(reports.size() == m);
   return attack->targets();
+}
+
+size_t ProtocolReportBytes(ProtocolKind kind, size_t d) {
+  const bool unary = kind == ProtocolKind::kOue || kind == ProtocolKind::kSue;
+  return sizeof(uint64_t) + sizeof(uint32_t) + (unary ? d : 0);
+}
+
+size_t CraftChunkReports(const FrequencyProtocol& protocol) {
+  const size_t bytes =
+      ProtocolReportBytes(protocol.kind(), protocol.domain_size());
+  return std::clamp<size_t>(kCraftChunkBytes / bytes, kMinCraftChunkReports,
+                            kReportsPerAggregationShard);
 }
 
 std::vector<double> ExactGenuineSupportCountsSharded(
@@ -103,7 +114,8 @@ std::vector<double> ExactGenuineSupportCountsSharded(
 
 TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
                               const PipelineConfig& config,
-                              const Dataset& dataset, Rng& rng) {
+                              const Dataset& dataset, Rng& rng,
+                              bool for_detection) {
   const size_t d = protocol.domain_size();
   LDPR_CHECK(dataset.domain_size() == d);
 
@@ -129,27 +141,67 @@ TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
   out.genuine_freqs = protocol.EstimateFrequencies(genuine_counts, out.n);
 
   // Attacker side.  Crafting consumes the trial RNG in report order
-  // (attacks are stateful samplers); MGA's OLH/BLH seed search hashes
-  // its blocks of that stream on config.shards workers, and the
-  // support accumulation — the O(m*d) part for OLH/unary — shards
-  // over the report chunks.  Neither depends on the worker count.
-  std::vector<double> malicious_counts(d, 0.0);
+  // (attacks are stateful samplers), in one CraftBatch call; MGA's
+  // OLH/BLH seed search hashes its blocks of that stream on
+  // config.shards workers, independently of the worker count.  The
+  // reports stream through one chunk, which is aggregated and, for
+  // Detection, summarised before it is cleared.  Support counts are
+  // integer sums, so the chunked sums equal one pass over all m.
+  out.malicious_counts.assign(d, 0.0);
   if (out.m > 0) {
-    out.attack_targets = CraftMaliciousReports(protocol, config, out.m, rng,
-                                               out.malicious_reports);
+    const std::unique_ptr<Attack> attack = MakeAttack(config, d, rng);
+    LDPR_CHECK(attack != nullptr);
+    out.attack_targets = attack->targets();
+    const bool targeted = !out.attack_targets.empty();
+    if (for_detection && targeted) {
+      out.malicious_filter.emplace(protocol, out.attack_targets);
+    }
+    const bool keep_pairs = for_detection && !targeted &&
+                            (protocol.kind() == ProtocolKind::kOlh ||
+                             protocol.kind() == ProtocolKind::kBlh);
+    if (keep_pairs) out.malicious_reports.Reserve(out.m, 0);
+
     Aggregator malicious_agg(protocol);
-    malicious_agg.AddAllSharded(out.malicious_reports, config.shards);
-    malicious_counts = malicious_agg.support_counts();
+    const size_t chunk_reports = CraftChunkReports(protocol);
+    ReportBatch chunk;
+    ReportBatch::Builder builder(
+        chunk, chunk_reports, [&](const ReportBatch& reports) {
+          malicious_agg.AddAll(reports);
+          if (out.malicious_filter.has_value()) {
+            out.malicious_filter->OfferAll(reports);
+          }
+          if (keep_pairs) {
+            for (size_t i = 0; i < reports.size(); ++i)
+              out.malicious_reports.AppendFrom(reports, i);
+          }
+        });
+    // Reserved once: an attack that reserves before each report (IPA)
+    // then never regrows the chunk.
+    builder.Reserve(std::min(out.m, chunk_reports));
+    attack->CraftBatch(protocol, out.m, rng, builder);
+    builder.Flush();
+    LDPR_CHECK(malicious_agg.report_count() == out.m);
+    out.malicious_counts = malicious_agg.support_counts();
     out.malicious_freqs =
-        protocol.EstimateFrequencies(malicious_counts, out.m);
+        protocol.EstimateFrequencies(out.malicious_counts, out.m);
   }
 
   // Server side: the poisoned estimate over all n + m reports.
   std::vector<double> combined(d);
   for (size_t v = 0; v < d; ++v)
-    combined[v] = genuine_counts[v] + malicious_counts[v];
+    combined[v] = genuine_counts[v] + out.malicious_counts[v];
   out.poisoned_freqs = protocol.EstimateFrequencies(combined, out.n + out.m);
   return out;
+}
+
+void OfferMaliciousReports(const TrialOutput& trial, DetectionFilter& filter) {
+  if (trial.malicious_filter.has_value()) {
+    filter.Absorb(*trial.malicious_filter);
+  } else if (!trial.malicious_reports.empty()) {
+    filter.OfferAll(trial.malicious_reports);
+  } else {
+    filter.OfferSingleItemCounts(trial.malicious_counts, trial.m);
+  }
 }
 
 }  // namespace ldpr

@@ -1,14 +1,18 @@
 #include "recover/detection.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "attack/mga.h"
+#include "data/synthetic.h"
 #include "ldp/factory.h"
 #include "ldp/grr.h"
 #include "ldp/olh.h"
 #include "ldp/oue.h"
+#include "sim/pipeline.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -207,6 +211,79 @@ TEST(DetectionFilterTest, ResetWindowLeavesNoCrossWindowState) {
           << ProtocolKindName(kind) << " item " << v;
     }
   }
+}
+
+// A trial filters its crafted reports chunk by chunk while they are
+// crafted (a filter on the targets of a targeted attack, absorbed
+// later; the support counts or (seed, value) pairs of an untargeted
+// one).  Over every attack x protocol, that gives what OfferAll on
+// all m reports, built whole on the same Rng stream, gives.
+TEST(DetectionFilterTest, ChunkedMaliciousReportsMatchOfferAll) {
+  const size_t d = 31;
+  // m = 10,000 crafted reports: two chunks or more on every protocol.
+  const Dataset ds = MakeZipfDataset("z", d, 40000, 1.0, 7);
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, d, 1.0);
+    for (AttackKind attack :
+         {AttackKind::kMga, AttackKind::kMgaIpa, AttackKind::kManip,
+          AttackKind::kAdaptive, AttackKind::kMultiAdaptive}) {
+      const std::string what =
+          std::string(AttackKindName(attack)) + " on " + ProtocolKindName(kind);
+      PipelineConfig config;
+      config.attack = attack;
+      config.beta = 0.2;
+      config.num_targets = 4;
+      Rng rng(19);
+      const TrialOutput t =
+          RunPoisoningTrial(*proto, config, ds, rng, /*for_detection=*/true);
+      ASSERT_GT(t.m, CraftChunkReports(*proto)) << what;
+      // The same reports built whole: the trial draws its genuine seed
+      // first, then crafts.
+      Rng whole_rng(19);
+      whole_rng.Next();
+      ReportBatch whole;
+      CraftMaliciousReports(*proto, config, t.m, whole_rng, whole);
+      EXPECT_EQ(rng.Next(), whole_rng.Next()) << what;
+
+      // Detection's item set: the targets of a targeted attack;
+      // otherwise one item (the most-supported one, which the unary
+      // single-item rule flags) or three.
+      std::vector<std::vector<ItemId>> star_sets;
+      if (!t.attack_targets.empty()) {
+        star_sets.push_back(t.attack_targets);
+      } else {
+        const auto top = std::max_element(t.malicious_counts.begin(),
+                                          t.malicious_counts.end());
+        star_sets.push_back(
+            {static_cast<ItemId>(top - t.malicious_counts.begin())});
+        star_sets.push_back({2, 9, 17});
+      }
+      for (const std::vector<ItemId>& star : star_sets) {
+        DetectionFilter chunked(*proto, star);
+        OfferMaliciousReports(t, chunked);
+        DetectionFilter reference(*proto, star);
+        reference.OfferAll(whole);
+        EXPECT_EQ(chunked.offered(), t.m) << what;
+        EXPECT_EQ(chunked.offered(), reference.offered()) << what;
+        EXPECT_EQ(chunked.kept(), reference.kept()) << what;
+        if (star.size() == 1 && t.attack_targets.empty() &&
+            kind != ProtocolKind::kOlh && kind != ProtocolKind::kBlh) {
+          EXPECT_LT(reference.kept(), reference.offered()) << what;
+        }
+        if (reference.kept() > 0) {
+          EXPECT_EQ(chunked.Estimate(), reference.Estimate()) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(DetectionFilterDeathTest, SingleItemCountsMustSumToTheReports) {
+  const Oue oue(4, 0.5);
+  DetectionFilter filter(oue, {1});
+  filter.OfferSingleItemCounts({1, 2, 0, 3}, 6);
+  EXPECT_EQ(filter.kept(), 4u);
+  EXPECT_DEATH(filter.OfferSingleItemCounts({1, 2, 0, 3}, 7), "LDPR_CHECK");
 }
 
 TEST(DetectionFilterDeathTest, RejectsEmptyTargets) {

@@ -73,9 +73,18 @@ TEST(PipelineTest, TargetsReportedForTargetedAttacks) {
   config.attack = AttackKind::kMga;
   config.num_targets = 7;
   Rng rng(4);
-  const TrialOutput t = RunPoisoningTrial(*proto, config, ds, rng);
+  const TrialOutput t =
+      RunPoisoningTrial(*proto, config, ds, rng, /*for_detection=*/true);
   EXPECT_EQ(t.attack_targets.size(), 7u);
-  EXPECT_EQ(t.malicious_reports.size(), t.m);
+  // The crafted reports streamed past in chunks: the trial keeps none
+  // of them, and its filter on the targets saw every one.
+  EXPECT_TRUE(t.malicious_reports.empty());
+  ASSERT_TRUE(t.malicious_filter.has_value());
+  EXPECT_EQ(t.malicious_filter->offered(), t.m);
+  // A GRR report supports exactly one item.
+  double supports = 0.0;
+  for (double c : t.malicious_counts) supports += c;
+  EXPECT_EQ(supports, static_cast<double>(t.m));
 }
 
 TEST(PipelineTest, UntargetedAttacksHaveNoTargets) {

@@ -8,6 +8,8 @@
 //    AppendGenuineReports(item, 1) (the fig9 replay's per-user
 //    adapter relies on it);
 //  * one-report-at-a-time appends grow the batch geometrically;
+//  * a flushing builder's chunks, joined in order, are one CraftBatch,
+//    and a trial's chunks stay within kCraftChunkBytes;
 //  * batch sizes straddling the kBatchFlushReports and
 //    kReportsPerAggregationShard boundaries (8191/8192/8193) agree
 //    across the unsharded and sharded aggregation routes;
@@ -27,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,6 +47,7 @@
 #include "ldp/report_batch.h"
 #include "recover/detection.h"
 #include "report_oracle.h"
+#include "sim/pipeline.h"
 #include "util/hash_family.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -278,6 +282,103 @@ TEST(ReportBatchGrowthTest, SingleReportAppendsGrowGeometrically) {
       if (unary) {
         EXPECT_LE(bits.moves, MaxReallocations(m))
             << ProtocolKindName(kind) << " " << name;
+      }
+    }
+  }
+}
+
+// Every attack of the trial grid, on a d-item domain, by name.
+std::vector<std::pair<std::string, std::unique_ptr<Attack>>> GridAttacks(
+    size_t d) {
+  const std::vector<ItemId> targets = {2, 9, 17, static_cast<ItemId>(d - 1)};
+  std::vector<std::pair<std::string, std::unique_ptr<Attack>>> attacks;
+  attacks.emplace_back("MGA", std::make_unique<MgaAttack>(targets));
+  attacks.emplace_back("MGA-IPA", MakeMgaIpa(d, targets));
+  attacks.emplace_back("Manip", std::make_unique<ManipAttack>());
+  attacks.emplace_back("AA", std::make_unique<AdaptiveAttack>());
+  attacks.emplace_back("MUL-AA", MakeMultiAdaptive());
+  return attacks;
+}
+
+TEST(ReportGenBatchTest, FlushingBuilderChunksJoinToOneCraftBatch) {
+  const size_t m = 400;
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, /*d=*/31, /*epsilon=*/1.0);
+    for (const auto& [name, attack] : GridAttacks(31)) {
+      for (size_t bound : {size_t{1}, size_t{7}, m, m + 1}) {
+        const std::string what = name + " on " + ProtocolKindName(kind) +
+                                 " bound=" + std::to_string(bound);
+        Rng whole_rng(53), chunked_rng(53);
+        const std::vector<Report> whole =
+            CraftReports(*attack, *proto, m, whole_rng);
+
+        std::vector<Report> joined;
+        std::vector<size_t> sizes;
+        ReportBatch chunk;
+        ReportBatch::Builder builder(chunk, bound,
+                                     [&](const ReportBatch& reports) {
+                                       sizes.push_back(reports.size());
+                                       for (Report& r : UnpackReports(reports))
+                                         joined.push_back(std::move(r));
+                                     });
+        builder.Reserve(std::min(m, bound));
+        attack->CraftBatch(*proto, m, chunked_rng, builder);
+        builder.Flush();
+        EXPECT_TRUE(chunk.empty()) << what;
+        builder.Flush();  // nothing left: no empty chunk is handed over
+
+        ExpectSameReports(joined, whole, what);
+        EXPECT_EQ(whole_rng.Next(), chunked_rng.Next()) << what;
+        // Every chunk but the last is full.
+        ASSERT_EQ(sizes.size(), (m + bound - 1) / bound) << what;
+        for (size_t c = 0; c + 1 < sizes.size(); ++c)
+          EXPECT_EQ(sizes[c], bound) << what << " chunk " << c;
+      }
+    }
+  }
+}
+
+// The memory guard of a trial's crafted reports: at the chunk size
+// RunPoisoningTrial uses, no chunk the consumer sees is over
+// kCraftChunkBytes unless it holds at most kMinCraftChunkReports
+// reports, and the one up-front reservation is never regrown (MGA
+// reserves all m reports and IPA one report at a time; a flushing
+// builder caps both).
+TEST(ReportGenBatchTest, CraftChunksStayWithinTheByteBound) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    for (size_t d : {size_t{31}, size_t{700}, size_t{70000}}) {
+      const auto proto = MakeProtocol(kind, d, /*epsilon=*/1.0);
+      const size_t bound = CraftChunkReports(*proto);
+      EXPECT_GE(bound, kMinCraftChunkReports);
+      EXPECT_LE(bound, kReportsPerAggregationShard);
+      const size_t m = 2 * bound + 3;
+      for (const auto& [name, attack] : GridAttacks(d)) {
+        const std::string what = name + " on " + ProtocolKindName(kind) +
+                                 " d=" + std::to_string(d);
+        Rng rng(61);
+        size_t crafted = 0;
+        PointerMoves seeds, bits;
+        ReportBatch chunk;
+        ReportBatch::Builder builder(
+            chunk, bound, [&](const ReportBatch& reports) {
+              crafted += reports.size();
+              const size_t bytes =
+                  reports.size() * (sizeof(uint64_t) + sizeof(uint32_t) +
+                                    reports.bits_width());
+              EXPECT_TRUE(reports.size() <= kMinCraftChunkReports ||
+                          bytes <= kCraftChunkBytes)
+                  << what << ": " << reports.size() << " reports, " << bytes
+                  << " bytes";
+              seeds.Observe(reports.seeds());
+              if (reports.bits_width() > 0) bits.Observe(reports.bits());
+            });
+        builder.Reserve(std::min(m, bound));
+        seeds.Observe(chunk.seeds());
+        attack->CraftBatch(*proto, m, rng, builder);
+        builder.Flush();
+        EXPECT_EQ(crafted, m) << what;
+        EXPECT_EQ(seeds.moves, 1u) << what;
+        EXPECT_LE(bits.moves, 1u) << what;
       }
     }
   }
